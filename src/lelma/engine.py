@@ -131,9 +131,6 @@ class RuleBase:
     def matching(self, key: "tuple[str, int]") -> "tuple[Clause, ...]":
         return self._index.get(key, ())
 
-    def defines(self, key: "tuple[str, int]") -> bool:
-        return key in self._index
-
     def __len__(self) -> int:
         return len(self._clauses)
 

@@ -37,7 +37,7 @@ from .orchestrator import (
     write_transcript,
 )
 from .verification import (
-    _all_reasoner_payoffs,
+    all_reasoner_payoffs,
     best_payoff_for_choice,
     guaranteed_payoff,
 )
@@ -142,7 +142,7 @@ def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple
     and repetitions (identical requests would collapse to one cassette
     record).
     """
-    payoffs = _all_reasoner_payoffs(g)
+    payoffs = all_reasoner_payoffs(g)
     top, bottom = max(payoffs), min(payoffs)
     scenario = SCENARIOS[rep % len(SCENARIOS)]
     tag = f"[{g.name} rep {rep}]"

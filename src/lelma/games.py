@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .engine import Clause, Literal, ResolutionLimits, RuleBase, pos, solve
-from .gdl import clause_to_text, parse_program
+from .gdl import parse_program
 from .terms import Atom, Int, Struct, Term, Var, is_ground
 
 PROMPT_LABELS = ("R", "B")  # R = first table row's move, B = second row's
@@ -255,7 +255,7 @@ def game_to_text(g: GameSpec) -> str:
     lines.append(f"%! opponent: {g.opponent}")
     lines.append("")
     for c in g.clauses:
-        lines.append(clause_to_text(c))
+        lines.append(str(c))
     return "\n".join(lines) + "\n"
 
 

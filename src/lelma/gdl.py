@@ -261,17 +261,5 @@ def parse_goal(text: str) -> "tuple[Literal, ...]":
     return _normalize_anonymous(Clause(Atom("goal"), body)).body
 
 
-def term_to_text(term: Term) -> str:
-    return str(term)
-
-
-def literal_to_text(literal: Literal) -> str:
-    return str(literal)
-
-
-def clause_to_text(clause: Clause) -> str:
-    return str(clause)
-
-
 def program_to_text(clauses: "list[Clause]") -> str:
-    return "\n".join(clause_to_text(c) for c in clauses) + "\n"
+    return "\n".join(str(c) for c in clauses) + "\n"

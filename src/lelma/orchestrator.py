@@ -31,6 +31,7 @@ from .verification import (
     QueryResult,
     VerificationReport,
     evaluate_all,
+    reasoner_payoff,
     render_feedback,
 )
 
@@ -49,8 +50,8 @@ def payoff_rules_text(g: GameSpec) -> str:
     lines = []
     for own in PROMPT_LABELS:  # R row first
         for other in PROMPT_LABELS:
-            u1 = _payoff(g, own, other)
-            u2 = _payoff(g, other, own)
+            u1 = reasoner_payoff(g, own, other)
+            u2 = reasoner_payoff(g, other, own)
             if own == other and u1 == u2:
                 lines.append(f"If you both pick {own}, you each get ${u1}.")
             else:
@@ -59,11 +60,6 @@ def payoff_rules_text(g: GameSpec) -> str:
                     f"you get ${u1} and they get ${u2}."
                 )
     return "\n".join(lines)
-
-
-def _payoff(g: GameSpec, own: str, other: str) -> int:
-    u1, _ = g.payoffs.payoff(g.move_for_label(own), g.move_for_label(other))
-    return u1
 
 
 def build_instruction_prompt(g: GameSpec) -> str:

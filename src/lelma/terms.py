@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +147,3 @@ def rename_term(term: Term, ordinal: int) -> Term:
     if isinstance(term, Struct):
         return Struct(term.functor, tuple(rename_term(a, ordinal) for a in term.args))
     return term
-
-
-def iter_subterms(term: Term) -> Iterator[Term]:
-    yield term
-    if isinstance(term, Struct):
-        for a in term.args:
-            yield from iter_subterms(a)

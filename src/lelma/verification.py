@@ -9,6 +9,11 @@ substituted back via apply_corrections, always produce a holding
 query. The wording of the correction sentences lives in an editable
 resource file, resources/feedback_templates.json.
 
+Each kind is described once. A new kind needs a QueryKind member, its
+argument schema in SCHEMAS, a branch in _judge (verdict, corrections
+and sentence fields), a template in feedback_templates.json and its
+form in the translator prompt, resources/translation_prompt.txt.
+
 Comparisons are strict. A failed comparison between equal values is
 corrected to an internal `equal` form that the translator never
 produces; it exists only so corrections of ties substitute back into
@@ -17,6 +22,8 @@ something true.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -27,8 +34,6 @@ from typing import Optional, Sequence
 from .engine import pos, solve
 from .games import GameSpec
 from .terms import Atom, Int, Struct, Var
-
-Correction = "tuple[str, object]"
 
 
 class VerificationError(Exception):
@@ -104,20 +109,25 @@ class VerificationReport:
         return all(r.holds for r in self.results if r.error is None)
 
 
-# Catalogue of simple (non-outcome) templates: predicate -> (kind, arg schema).
-SIMPLE_TEMPLATES: "dict[str, tuple[QueryKind, tuple[str, ...]]]" = {
-    "higher": (QueryKind.HIGHER, ("int", "int")),
-    "lower": (QueryKind.LOWER, ("int", "int")),
-    "highest_possible_individual_payoff": (QueryKind.HIGHEST_POSSIBLE, ("int",)),
-    "lowest_possible_individual_payoff": (QueryKind.LOWEST_POSSIBLE, ("int",)),
-    "highest_individual_payoff_for_choice": (QueryKind.HIGHEST_FOR_CHOICE, ("int", "move")),
-    "lowest_individual_payoff_for_choice": (QueryKind.LOWEST_FOR_CHOICE, ("int", "move")),
-    "highest_guaranteed_payoff_choice": (QueryKind.HIGHEST_GUARANTEED_CHOICE, ("move",)),
-    "higher_guaranteed_payoff": (QueryKind.HIGHER_GUARANTEED, ("move", "move")),
-    "lower_guaranteed_payoff": (QueryKind.LOWER_GUARANTEED, ("move", "move")),
-    "highest_mutual_payoff": (QueryKind.HIGHEST_MUTUAL, ("move", "move")),
-    "lowest_mutual_payoff": (QueryKind.LOWEST_MUTUAL, ("move", "move")),
+# Argument schema of every kind, in template argument order.
+SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {
+    QueryKind.OUTCOME: ("move", "int", "move"),
+    QueryKind.HIGHER: ("int", "int"),
+    QueryKind.LOWER: ("int", "int"),
+    QueryKind.EQUAL: ("int", "int"),
+    QueryKind.HIGHEST_POSSIBLE: ("int",),
+    QueryKind.LOWEST_POSSIBLE: ("int",),
+    QueryKind.HIGHEST_FOR_CHOICE: ("int", "move"),
+    QueryKind.LOWEST_FOR_CHOICE: ("int", "move"),
+    QueryKind.HIGHEST_GUARANTEED_CHOICE: ("move",),
+    QueryKind.HIGHER_GUARANTEED: ("move", "move"),
+    QueryKind.LOWER_GUARANTEED: ("move", "move"),
+    QueryKind.HIGHEST_MUTUAL: ("move", "move"),
+    QueryKind.LOWEST_MUTUAL: ("move", "move"),
 }
+
+# Kinds parsed by predicate name; outcome claims have their own regex.
+_PARSED_KINDS = {k.value: k for k in SCHEMAS if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}
 
 _OUTCOME_RE = re.compile(
     r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>'?[A-Za-z][A-Za-z0-9_]*'?)\s*,
@@ -161,9 +171,10 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
     if not m:
         raise MalformedQueryError(f"not a recognized query template: {line.strip()!r}")
     name = m["name"].lower()
-    if name not in SIMPLE_TEMPLATES:
+    if name not in _PARSED_KINDS:
         raise MalformedQueryError(f"unknown query predicate {m['name']!r}")
-    kind, schema = SIMPLE_TEMPLATES[name]
+    kind = _PARSED_KINDS[name]
+    schema = SCHEMAS[kind]
     raw_args = [a.strip() for a in m["args"].split(",")] if m["args"].strip() else []
     if len(raw_args) != len(schema):
         raise MalformedQueryError(
@@ -191,10 +202,6 @@ def query_to_text(q: Query) -> str:
 # Payoff view helpers. All take and return prompt labels, reasoner = row.
 
 
-def _labels(g: GameSpec) -> "tuple[str, ...]":
-    return g.labels_in_move_order
-
-
 def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
     u1, _ = g.payoffs.payoff(g.move_for_label(own), g.move_for_label(other))
     return u1
@@ -202,11 +209,11 @@ def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
 
 def guaranteed_payoff(g: GameSpec, own: str) -> int:
     """Worst-case (maximin component) payoff for committing to `own`."""
-    return min(reasoner_payoff(g, own, other) for other in _labels(g))
+    return min(reasoner_payoff(g, own, other) for other in g.labels_in_move_order)
 
 
 def best_payoff_for_choice(g: GameSpec, own: str) -> int:
-    return max(reasoner_payoff(g, own, other) for other in _labels(g))
+    return max(reasoner_payoff(g, own, other) for other in g.labels_in_move_order)
 
 
 def mutual_payoff(g: GameSpec, own: str, other: str) -> int:
@@ -214,19 +221,25 @@ def mutual_payoff(g: GameSpec, own: str, other: str) -> int:
     return u1 + u2
 
 
-def _all_reasoner_payoffs(g: GameSpec) -> "list[int]":
-    return [reasoner_payoff(g, a, b) for a in _labels(g) for b in _labels(g)]
+def all_reasoner_payoffs(g: GameSpec) -> "list[int]":
+    return [reasoner_payoff(g, a, b) for a, b in _label_pairs(g)]
 
 
 def _label_pairs(g: GameSpec) -> "list[tuple[str, str]]":
-    return [(a, b) for a in _labels(g) for b in _labels(g)]
+    return list(itertools.product(g.labels_in_move_order, repeat=2))
+
+
+# What a claimed-value kind's number must equal, given the game and the other args.
+_CORRECT_VALUE = {
+    QueryKind.HIGHEST_POSSIBLE: lambda g: max(all_reasoner_payoffs(g)),
+    QueryKind.LOWEST_POSSIBLE: lambda g: min(all_reasoner_payoffs(g)),
+    QueryKind.HIGHEST_FOR_CHOICE: best_payoff_for_choice,
+    QueryKind.LOWEST_FOR_CHOICE: guaranteed_payoff,
+}
 
 
 def _validate(q: Query, g: GameSpec) -> None:
-    schema_by_kind = {kind: schema for _, (kind, schema) in SIMPLE_TEMPLATES.items()}
-    schema_by_kind[QueryKind.OUTCOME] = ("move", "int", "move")
-    schema_by_kind[QueryKind.EQUAL] = ("int", "int")
-    schema = schema_by_kind.get(q.kind)
+    schema = SCHEMAS.get(q.kind)
     if schema is None or len(q.args) != len(schema):
         raise MalformedQueryError(f"bad arity for {q.kind.value}: {q.args}")
     for arg, want in zip(q.args, schema):
@@ -261,186 +274,118 @@ def _outcome_holds(g: GameSpec, own: str, n: int, other: str) -> bool:
     return next(solve(g.rulebase, goal), None) is not None
 
 
-def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
-    """Decide one query against the game and build corrections on failure."""
-    _validate(q, g)
-    kind = q.kind
+def _relation(a: int, b: int) -> str:
+    return "higher" if a > b else ("lower" if a < b else "equal")
+
+
+_HOLDS = ((), "", {})  # _judge's answer for a query that holds
+
+
+def _judge(q: Query, g: GameSpec) -> "tuple[tuple[tuple[str, object], ...], str, dict]":
+    """Decide a validated query: (corrections, template key, template fields).
+
+    Corrections are () when the query holds. On failure the key names
+    the feedback template and the fields fill it in.
+    """
+    kind, args = q.kind, q.args
 
     if kind is QueryKind.OUTCOME:
-        own, n, other = q.args
+        own, n, other = args
         if _outcome_holds(g, own, n, other):
-            return _holding(q)
+            return _HOLDS
         correct = reasoner_payoff(g, own, other)
-        return _failing(q, g, (("payoff", correct),))
+        fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
+        return (("payoff", correct),), "outcome", fields
 
     if kind in (QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL):
-        a, b = q.args
-        holds = {
-            QueryKind.HIGHER: a > b,
-            QueryKind.LOWER: a < b,
-            QueryKind.EQUAL: a == b,
-        }[kind]
-        if holds:
-            return _holding(q)
-        true_relation = "higher" if a > b else ("lower" if a < b else "equal")
-        return _failing(q, g, (("relation", true_relation),))
+        a, b = args
+        relation = _relation(a, b)
+        if relation == kind.value:
+            return _HOLDS
+        return (("relation", relation),), f"{kind.value}.{relation}", {"a": a, "b": b}
 
-    if kind in (QueryKind.HIGHEST_POSSIBLE, QueryKind.LOWEST_POSSIBLE):
-        (n,) = q.args
-        payoffs = _all_reasoner_payoffs(g)
-        correct = max(payoffs) if kind is QueryKind.HIGHEST_POSSIBLE else min(payoffs)
+    if kind in _CORRECT_VALUE:
+        n, *rest = args
+        correct = _CORRECT_VALUE[kind](g, *rest)
         if n == correct:
-            return _holding(q)
-        return _failing(q, g, (("payoff", correct),))
-
-    if kind in (QueryKind.HIGHEST_FOR_CHOICE, QueryKind.LOWEST_FOR_CHOICE):
-        n, move = q.args
-        correct = (
-            best_payoff_for_choice(g, move)
-            if kind is QueryKind.HIGHEST_FOR_CHOICE
-            else guaranteed_payoff(g, move)
-        )
-        if n == correct:
-            return _holding(q)
-        return _failing(q, g, (("payoff", correct),))
+            return _HOLDS
+        fields = {"claimed": n, "correct": correct, "move": rest[0] if rest else None}
+        return (("payoff", correct),), kind.value, fields
 
     if kind is QueryKind.HIGHEST_GUARANTEED_CHOICE:
-        (move,) = q.args
-        best = max(guaranteed_payoff(g, l) for l in _labels(g))
-        winners = tuple(l for l in _labels(g) if guaranteed_payoff(g, l) == best)
-        if move in winners:
-            return _holding(q)
-        return _failing(q, g, tuple(("choice", w) for w in winners))
+        (move,) = args
+        guaranteed = {label: guaranteed_payoff(g, label) for label in g.labels_in_move_order}
+        best = max(guaranteed.values())
+        if guaranteed[move] == best:
+            return _HOLDS
+        winners = [label for label, value in guaranteed.items() if value == best]
+        fields = {
+            "claimed": move,
+            "claimed_value": guaranteed[move],
+            "correct": winners[0],
+            "correct_value": best,
+        }
+        return tuple(("choice", w) for w in winners), kind.value, fields
 
     if kind in (QueryKind.HIGHER_GUARANTEED, QueryKind.LOWER_GUARANTEED):
-        m1, m2 = q.args
+        m1, m2 = args
         g1, g2 = guaranteed_payoff(g, m1), guaranteed_payoff(g, m2)
-        holds = g1 > g2 if kind is QueryKind.HIGHER_GUARANTEED else g1 < g2
-        if holds:
-            return _holding(q)
-        if g1 == g2:
-            return _failing(q, g, (("relation", "equal"), ("payoff", g1)))
-        true_relation = "higher" if g1 > g2 else "lower"
-        return _failing(q, g, (("relation", true_relation),))
+        relation = _relation(g1, g2)
+        if relation == kind.value.partition("_")[0]:  # the claimed relation leads the name
+            return _HOLDS
+        corrections = (("relation", relation),)
+        if relation == "equal":
+            corrections += (("payoff", g1),)
+        return corrections, f"{kind.value}.{relation}", {"m1": m1, "m2": m2, "g1": g1, "g2": g2}
 
     if kind in (QueryKind.HIGHEST_MUTUAL, QueryKind.LOWEST_MUTUAL):
-        m1, m2 = q.args
+        m1, m2 = args
         sums = {pair: mutual_payoff(g, *pair) for pair in _label_pairs(g)}
-        target = max(sums.values()) if kind is QueryKind.HIGHEST_MUTUAL else min(sums.values())
-        winners = tuple(pair for pair in _label_pairs(g) if sums[pair] == target)
-        if sums[(m1, m2)] == target:
-            return _holding(q)
-        return _failing(q, g, tuple(("choices", pair) for pair in winners))
+        best = (max if kind is QueryKind.HIGHEST_MUTUAL else min)(sums.values())
+        if sums[(m1, m2)] == best:
+            return _HOLDS
+        winners = [pair for pair, total in sums.items() if total == best]
+        pairs = ", ".join(f"({a}, {b})" for a, b in winners)
+        fields = {"m1": m1, "m2": m2, "got": sums[(m1, m2)], "best": best, "pairs": pairs}
+        return tuple(("choices", pair) for pair in winners), kind.value, fields
 
     raise MalformedQueryError(f"unhandled query kind {kind!r}")
 
 
-def _holding(q: Query) -> QueryResult:
-    return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")
-
-
-def _failing(q: Query, g: GameSpec, corrections: "tuple[tuple[str, object], ...]") -> QueryResult:
-    assert corrections, "a failed query must carry corrections"
-    return QueryResult(q, False, corrections, _render_failure(q, corrections, g))
+def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
+    """Decide one query against the game and build corrections on failure."""
+    _validate(q, g)
+    corrections, key, fields = _judge(q, g)
+    if not corrections:
+        return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")
+    return QueryResult(q, False, corrections, feedback_templates()[key].format(**fields))
 
 
 def apply_corrections(q: Query, corrections: "tuple[tuple[str, object], ...]") -> Query:
     """Substitute a failed query's corrections back in, yielding a true claim."""
-    roles = dict(corrections)  # first entry wins below where order matters
-    kind = q.kind
-    if kind is QueryKind.OUTCOME:
-        own, _, other = q.args
-        return Query(kind, (own, roles["payoff"], other))
-    if kind in (QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL):
-        target = {
-            "higher": QueryKind.HIGHER,
-            "lower": QueryKind.LOWER,
-            "equal": QueryKind.EQUAL,
-        }[str(roles["relation"])]
-        return Query(target, q.args)
-    if kind in (
-        QueryKind.HIGHEST_POSSIBLE,
-        QueryKind.LOWEST_POSSIBLE,
-    ):
-        return Query(kind, (roles["payoff"],))
-    if kind in (QueryKind.HIGHEST_FOR_CHOICE, QueryKind.LOWEST_FOR_CHOICE):
-        _, move = q.args
-        return Query(kind, (roles["payoff"], move))
-    if kind is QueryKind.HIGHEST_GUARANTEED_CHOICE:
-        first_choice = next(v for r, v in corrections if r == "choice")
-        return Query(kind, (first_choice,))
-    if kind in (QueryKind.HIGHER_GUARANTEED, QueryKind.LOWER_GUARANTEED):
-        relation = str(roles["relation"])
-        if relation == "equal":
-            v = roles["payoff"]
-            return Query(QueryKind.EQUAL, (v, v))
-        target = (
-            QueryKind.HIGHER_GUARANTEED if relation == "higher" else QueryKind.LOWER_GUARANTEED
-        )
-        return Query(target, q.args)
-    if kind in (QueryKind.HIGHEST_MUTUAL, QueryKind.LOWEST_MUTUAL):
-        pair = next(v for r, v in corrections if r == "choices")
-        assert isinstance(pair, tuple)
-        return Query(kind, pair)
-    raise ValueError(f"cannot apply corrections to {kind!r}")
+    role, value = corrections[0]
+    if role == "payoff":  # replaces the claim's one integer argument
+        i = SCHEMAS[q.kind].index("int")
+        return Query(q.kind, (*q.args[:i], value, *q.args[i + 1 :]))
+    if role == "choice":  # the first of the best moves
+        return Query(q.kind, (value,))
+    if role == "choices":  # the first of the best move pairs
+        assert isinstance(value, tuple)
+        return Query(q.kind, value)
+    if role == "relation":
+        roles = dict(corrections)
+        if "payoff" in roles:  # both moves guarantee the same payoff
+            return Query(QueryKind.EQUAL, (roles["payoff"], roles["payoff"]))
+        # The claimed relation leads the kind's name; put the true one there.
+        _, sep, rest = q.kind.value.partition("_")
+        return Query(QueryKind(f"{value}{sep}{rest}"), q.args)
+    raise ValueError(f"cannot apply a {role!r} correction")
 
 
-_TEMPLATES_CACHE: "dict[str, str] | None" = None
-
-
+@functools.cache
 def feedback_templates() -> "dict[str, str]":
-    global _TEMPLATES_CACHE
-    if _TEMPLATES_CACHE is None:
-        raw = files("lelma").joinpath("resources", "feedback_templates.json").read_text()
-        _TEMPLATES_CACHE = json.loads(raw)
-    return _TEMPLATES_CACHE
-
-
-def _render_failure(
-    q: Query, corrections: "tuple[tuple[str, object], ...]", g: GameSpec
-) -> str:
-    templates = feedback_templates()
-    roles = dict(corrections)
-    kind = q.kind
-    if kind is QueryKind.OUTCOME:
-        own, n, other = q.args
-        return templates["outcome"].format(
-            reasoner_move=own, opponent_move=other, claimed=n, correct=roles["payoff"]
-        )
-    if kind in (QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL):
-        a, b = q.args
-        return templates[f"{kind.value}.{roles['relation']}"].format(a=a, b=b)
-    if kind in (QueryKind.HIGHEST_POSSIBLE, QueryKind.LOWEST_POSSIBLE):
-        (n,) = q.args
-        return templates[kind.value].format(claimed=n, correct=roles["payoff"])
-    if kind in (QueryKind.HIGHEST_FOR_CHOICE, QueryKind.LOWEST_FOR_CHOICE):
-        n, move = q.args
-        return templates[kind.value].format(claimed=n, correct=roles["payoff"], move=move)
-    if kind is QueryKind.HIGHEST_GUARANTEED_CHOICE:
-        (move,) = q.args
-        winner = next(v for r, v in corrections if r == "choice")
-        return templates[kind.value].format(
-            claimed=move,
-            claimed_value=guaranteed_payoff(g, move),
-            correct=winner,
-            correct_value=guaranteed_payoff(g, str(winner)),
-        )
-    if kind in (QueryKind.HIGHER_GUARANTEED, QueryKind.LOWER_GUARANTEED):
-        m1, m2 = q.args
-        g1, g2 = guaranteed_payoff(g, m1), guaranteed_payoff(g, m2)
-        variant = roles["relation"]
-        if variant == "equal":
-            return templates[f"{kind.value}.equal"].format(m1=m1, m2=m2, g1=g1, g2=g2)
-        return templates[f"{kind.value}.{variant}"].format(m1=m1, m2=m2, g1=g1, g2=g2)
-    if kind in (QueryKind.HIGHEST_MUTUAL, QueryKind.LOWEST_MUTUAL):
-        m1, m2 = q.args
-        pairs = [v for r, v in corrections if r == "choices"]
-        best = mutual_payoff(g, *pairs[0])  # type: ignore[misc]
-        rendered = ", ".join(f"({a}, {b})" for a, b in pairs)  # type: ignore[misc]
-        return templates[kind.value].format(
-            m1=m1, m2=m2, got=mutual_payoff(g, m1, m2), best=best, pairs=rendered
-        )
-    raise ValueError(f"no failure template for {kind!r}")
+    raw = files("lelma").joinpath("resources", "feedback_templates.json").read_text()
+    return json.loads(raw)
 
 
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:

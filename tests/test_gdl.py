@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lelma.engine import Clause, Literal
 from lelma.gdl import (
     ClauseSyntaxError,
-    clause_to_text,
     parse_clause,
     parse_goal,
     parse_program,
@@ -114,7 +113,7 @@ def test_parse_goal():
 
 def test_printing_quotes_only_when_needed():
     clause = parse_clause("payoff('D','ok_atom',1,-2).")
-    assert clause_to_text(clause) == "payoff('D',ok_atom,1,-2)."
+    assert str(clause) == "payoff('D',ok_atom,1,-2)."
 
 
 # --- round-trip property ---------------------------------------------------
@@ -164,7 +163,7 @@ clauses_strategy = st.builds(
 
 @given(clauses_strategy)
 def test_clause_round_trip(clause):
-    assert parse_clause(clause_to_text(clause)) == clause
+    assert parse_clause(str(clause)) == clause
 
 
 @given(st.lists(clauses_strategy, min_size=0, max_size=5))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import re
+import string
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from lelma.verification import (
 )
 
 LABELS = ("B", "R")
+GOLDEN_FEEDBACK = Path(__file__).with_name("verification_feedback.txt")
 
 
 def payoff_values(g, extra_out_of_range=True):
@@ -255,3 +259,57 @@ def test_feedback_templates_resource_is_complete():
         assert any(key == kind.value or key.startswith(f"{kind.value}.") for key in templates), (
             kind
         )
+
+
+# --- golden feedback ---------------------------------------------------------
+
+
+def golden_queries(g):
+    """The sweep grid plus the internal EQUAL kind over the same values."""
+    yield from all_instantiations(g)
+    values = payoff_values(g)
+    for a, b in itertools.product(values, values):
+        yield Query(QueryKind.EQUAL, (a, b))
+
+
+def feedback_records(games):
+    """One line per query: verdict, corrections, explanation, corrected query."""
+    for name, g in games.items():
+        for q in golden_queries(g):
+            r = evaluate_query(q, g)
+            fixed = query_to_text(apply_corrections(q, r.corrections)) if r.corrections else "-"
+            yield (
+                f"[{name}] {query_to_text(q)} | {r.holds} | {r.corrections} "
+                f"| {r.explanation} | {fixed}"
+            )
+
+
+def template_pattern(text):
+    """A regex matching every sentence the template can format to."""
+    parts = []
+    for literal, field_name, _, _ in string.Formatter().parse(text):
+        parts.append(re.escape(literal))
+        if field_name is not None:
+            parts.append(".+")
+    return re.compile("".join(parts))
+
+
+def test_feedback_matches_golden_file(games):
+    recorded = [
+        line for line in GOLDEN_FEEDBACK.read_text().splitlines() if not line.startswith("#")
+    ]
+    assert list(feedback_records(games)) == recorded
+
+
+def test_golden_feedback_uses_every_template(games):
+    patterns = {key: template_pattern(text) for key, text in feedback_templates().items()}
+    used = set()
+    for g in games.values():
+        for q in golden_queries(g):
+            r = evaluate_query(q, g)
+            if r.holds:
+                continue
+            keys = [key for key, p in patterns.items() if p.fullmatch(r.explanation)]
+            assert len(keys) == 1, (g.name, query_to_text(q), keys)
+            used.update(keys)
+    assert used == set(patterns)
