@@ -12,18 +12,22 @@ way to it.
 
 Bindings are made in place and undone on backtracking, as in the WAM
 (Ait-Kaci, Warren's Abstract Machine: A Tutorial Reconstruction, 1991).
-`RuleBase` compiles each clause once into templates. During a search
-every variable is a mutable cell; binding one sets the cell and pushes
-it on a trail, and backtracking to a choice point clears the cells
-pushed since. A clause is skipped without work when an argument of its
-head clashes with the goal's (different atoms, integers or functors).
-Otherwise its variables are renamed while its head unifies, and its
-body is built only when the head unification succeeds. Each selected
-goal draws one renaming ordinal per clause of its predicate, in source
-order, skipped or not, so a variable that an answer or an error prints
-is named as `rename_apart(clause, ordinal)` names it. When a goal
-variable meets a clause variable the goal variable is bound, as
-`terms.unify(goal, head)` would bind it.
+During a search every variable is a mutable cell; binding one sets the
+cell and pushes it on a trail, and backtracking to a choice point clears
+the cells pushed since. `RuleBase` compiles each clause once into a
+Python function that unifies the clause's head with a goal in
+straight-line code, renaming the clause's variables as it meets them,
+and returns the clause's body only once the head has unified. The
+generated source holds the clause's shape only: its atoms, integers,
+functors and variable names are closure values, so program text never
+becomes code and clauses of one shape share one code object. Each
+selected goal draws one renaming ordinal per clause of its predicate, in
+source order, so a variable that an answer or an error prints is named
+as `rename_apart(clause, ordinal)` names it. When a goal variable meets
+a clause variable the goal variable is bound, as
+`terms.unify(goal, head)` would bind it. There is no occurs check; an
+answer or error message that meets a variable bound to a term containing
+it raises LogicError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .terms import Atom, Int, Struct, Substitution, Term, Var, rename_term
+from .terms import Atom, Int, Struct, Substitution, Term, Var, is_ground, rename_term, term_vars
 
 
 class LogicError(Exception):
@@ -122,7 +126,10 @@ class RuleBase:
         for c in self._clauses:
             index.setdefault(c.key(), []).append(c)
         self._index = {k: tuple(v) for k, v in index.items()}
-        self._compiled = {k: tuple(_compile(c) for c in v) for k, v in self._index.items()}
+        # Builtins shadow clauses of the same name and arity.
+        self._compiled = {
+            k: tuple(_compile(c) for c in v) for k, v in self._index.items() if k not in BUILTINS
+        }
 
     @property
     def clauses(self) -> "tuple[Clause, ...]":
@@ -163,27 +170,7 @@ class _Ref:
         self.value = None
 
 
-class _Slot:
-    """A clause variable, numbered within its clause."""
-
-    __slots__ = ("index", "name")
-
-    def __init__(self, index: int, name: str) -> None:
-        self.index = index
-        self.name = name
-
-
-class _Skel:
-    """A clause compound with variables inside, rebuilt for each renaming.
-
-    Ground compounds of a clause are plain cell terms and are shared.
-    """
-
-    __slots__ = ("functor", "args")
-
-    def __init__(self, functor: str, args: tuple) -> None:
-        self.functor = functor
-        self.args = args
+_FAIL = object()  # what a clause function returns when its head does not unify
 
 
 def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
@@ -199,34 +186,49 @@ def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
     return term.value
 
 
-def _walk(t):
-    while type(t) is _Ref and t.value is not None:
-        t = t.value
-    return t
-
-
-def _undo(trail: "list[_Ref]", mark: int) -> None:
-    """Unbind the cells bound since the trail was `mark` long."""
-    while len(trail) > mark:
-        trail.pop().value = None
-
-
 def _to_term(t) -> Term:
-    """The fully resolved `Term` of a cell term."""
-    t = _walk(t)
-    if type(t) is _Ref:
-        return Var(t.name, t.ordinal)
-    if type(t) is tuple:
-        return Struct(t[0], tuple(_to_term(a) for a in t[1:]))
-    if type(t) is str:
-        return Atom(t)
-    return Int(t)
+    """The fully resolved `Term` of a cell term.
+
+    Iterative, so a deep term cannot exhaust Python's stack. A variable
+    bound to a term that contains it raises LogicError.
+    """
+    inside: set = set()  # bound _Refs whose compounds are being converted
+    out: list = []  # converted terms; a compound takes its args off the end
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is list:  # the arguments of a compound are converted
+            functor, n, refs = t
+            args = tuple(out[len(out) - n :])
+            del out[len(out) - n :]
+            out.append(Struct(functor, args))
+            inside.difference_update(refs)
+            continue
+        refs = []
+        while type(t) is _Ref and t.value is not None:
+            if t in inside:
+                name = Var(t.name, t.ordinal)
+                raise LogicError(f"cyclic term: {name} occurs in its own binding")
+            refs.append(t)
+            t = t.value
+        if type(t) is tuple:
+            inside.update(refs)
+            todo.append([t[0], len(t) - 1, refs])
+            todo.extend(reversed(t[1:]))
+        elif type(t) is _Ref:
+            out.append(Var(t.name, t.ordinal))
+        elif type(t) is str:
+            out.append(Atom(t))
+        else:
+            out.append(Int(t))
+    return out[0]
 
 
 def _is_ground(t) -> bool:
-    t = _walk(t)
-    if type(t) is _Ref:
-        return False
+    while type(t) is _Ref:
+        t = t.value
+        if t is None:
+            return False
     if type(t) is tuple:
         for a in t[1:]:
             if not _is_ground(a):
@@ -260,99 +262,141 @@ def _unify(a, b, trail: list) -> bool:
     return a == b
 
 
-def _build(h, frame: list, ordinal: int):
-    """The cell term of clause template `h` under renaming `ordinal`."""
-    kind = type(h)
-    if kind is _Slot:
-        ref = frame[h.index]
-        if ref is None:
-            ref = frame[h.index] = _Ref(h.name, ordinal)
-        return ref
-    if kind is _Skel:
-        return (h.functor, *[_build(a, frame, ordinal) for a in h.args])
-    return h
+# --- clause compilation --------------------------------------------------------
+#
+# Each clause becomes a Python function (goal, trail, ordinal, rest) that
+# unifies its head with the walked goal term in straight-line code, renaming
+# its variables to `_Ref(name, ordinal)` cells as it meets them, and returns
+# its body as a goal chain onto `rest`, or _FAIL. Generated source holds only
+# the clause's shape: every atom, integer, functor, ground compound and
+# variable name is a closure value `k<n>` of a `make(k0, k1, ...)` factory,
+# so program text never becomes code, and clauses that differ only in those
+# values share one code object. The factories are cached by source text.
+
+# Generated source -> its `make` factory. A factory depends on its source
+# alone, so every RuleBase and thread may share it; two threads that race
+# on a new shape just compile it twice.
+_MAKERS: "dict[str, object]" = {}
 
 
-def _unify_head(h, g, frame: list, ordinal: int, trail: list) -> bool:
-    """Unify clause template `h` with goal cell term `g`, renaming as it goes.
+class _ClauseCompiler:
+    """Writes the source of one clause's function and collects the values
+    its `make` factory is called with."""
 
-    Binds as `_unify(g, renamed h)` would. A clause variable first met
-    against a bound goal term just stands for that term; against an unbound
-    goal variable it gets a cell, and the goal variable is bound to it.
-    """
-    while type(g) is _Ref and g.value is not None:
-        g = g.value
-    kind = type(h)
-    if kind is _Slot:
-        ref = frame[h.index]
-        if ref is not None:
-            return _unify(g, ref, trail)
-        if type(g) is _Ref:
-            g.value = frame[h.index] = _Ref(h.name, ordinal)
-            trail.append(g)
+    def __init__(self, clause: Clause) -> None:
+        terms = (clause.head, *(l.term for l in clause.body))
+        names = dict.fromkeys(v.name for t in terms for v in term_vars(t))
+        self.local = {name: f"v{i}" for i, name in enumerate(names)}
+        self.met: set[str] = set()  # variables whose local holds their value
+        self.name_of: dict[str, str] = {}  # variable -> constant holding its name
+        self.consts: list = []
+        self.lines: list[str] = []
+        self.temps = 0
+        head = clause.head
+        if isinstance(head, Atom):
+            self.emit(2, "if type(goal) is not str:")
+            self.emit(3, "return _FAIL")
+        elif not head.args:
+            self.emit(2, "if type(goal) is not tuple:")
+            self.emit(3, "return _FAIL")
+        for i, a in enumerate(head.args if isinstance(head, Struct) else (), 1):
+            self.unify(2, a, f"goal[{i}]")
+        chain = "rest"
+        for l in reversed(clause.body):
+            self.fresh(2, l.term)
+            chain = f"({self.build(l.term)}, {l.negated}, {chain})"
+        self.emit(2, f"return {chain}")
+
+    def source(self) -> str:
+        params = ", ".join(f"k{i}" for i in range(len(self.consts)))
+        head = [f"def make({params}):", "    def clause(goal, trail, ordinal, rest):"]
+        return "\n".join(head + self.lines + ["    return clause", ""])
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def emit(self, indent: int, line: str) -> None:
+        self.lines.append("    " * indent + line)
+
+    def fresh(self, indent: int, term: Term) -> None:
+        """Give each variable of `term` not met yet a new cell."""
+        for v in term_vars(term):
+            if v.name not in self.met:
+                self.met.add(v.name)
+                if v.name not in self.name_of:
+                    self.name_of[v.name] = self.const(v.name)
+                self.emit(indent, f"{self.local[v.name]} = _Ref({self.name_of[v.name]}, ordinal)")
+
+    def build(self, term: Term) -> str:
+        """An expression for the cell term of `term`, whose variables are met."""
+        if isinstance(term, Var):
+            return self.local[term.name]
+        if isinstance(term, Struct) and not is_ground(term):
+            args = "".join(f", {self.build(a)}" for a in term.args)
+            return f"({self.const(term.functor)}{args})"
+        return self.const(_to_cells(term, {}))
+
+    def unify(self, indent: int, h: Term, g: str) -> None:
+        """Code that unifies clause term `h` with the goal cell term `g`,
+        binding as `_unify(g, renamed h)` would, or returns _FAIL.
+
+        A variable met before is unified in full. Otherwise the goal term
+        is walked: an unbound goal variable is bound to `h` built with new
+        cells; a bound goal term stands for a variable `h` met here for the
+        first time, or is matched against an atom, integer or compound `h`
+        part by part.
+        """
+        emit = self.emit
+        if isinstance(h, Var) and h.name in self.met:
+            v = self.local[h.name]
+            emit(indent, f"if {g} is not {v} and not _unify({g}, {v}, trail):")
+            emit(indent + 1, "return _FAIL")
+            return
+        t = f"t{self.temps}"
+        self.temps += 1
+        emit(indent, f"{t} = {g}")
+        emit(indent, f"while type({t}) is _Ref:")
+        emit(indent + 1, f"if {t}.value is None:")
+        met = set(self.met)
+        self.fresh(indent + 2, h)
+        built = self.build(h)
+        emit(indent + 2, f"{t}.value = {built}")
+        emit(indent + 2, f"trail.append({t})")
+        emit(indent + 2, "break")
+        emit(indent + 1, f"{t} = {t}.value")
+        emit(indent, "else:")
+        self.met = met
+        if isinstance(h, Var):
+            self.met.add(h.name)
+            emit(indent + 1, f"{built} = {t}")
+        elif isinstance(h, Struct):
+            n = len(h.args) + 1
+            f = self.const(h.functor)
+            emit(indent + 1, f"if type({t}) is not tuple or len({t}) != {n} or {t}[0] != {f}:")
+            emit(indent + 2, "return _FAIL")
+            for i, a in enumerate(h.args, 1):
+                self.unify(indent + 1, a, f"{t}[{i}]")
         else:
-            frame[h.index] = g
-        return True
-    if type(g) is _Ref:
-        g.value = _build(h, frame, ordinal) if kind is _Skel else h
-        trail.append(g)
-        return True
-    if kind is _Skel:
-        args = h.args
-        if type(g) is not tuple or g[0] != h.functor or len(g) != len(args) + 1:
-            return False
-        for i, a in enumerate(args, 1):
-            if not _unify_head(a, g[i], frame, ordinal, trail):
-                return False
-        return True
-    return _unify(g, h, trail)
-
-
-def _signature(t):
-    """What must agree for two arguments to unify: the atom, the integer,
-    or a compound's (functor, length); None for an unbound variable."""
-    if type(t) is tuple:
-        return (t[0], len(t))
-    if type(t) is _Skel:
-        return (t.functor, len(t.args) + 1)
-    if type(t) is _Ref:
-        return None
-    return t
+            emit(indent + 1, f"if {t} != {built}:")
+            emit(indent + 2, "return _FAIL")
 
 
 def _compile(clause: Clause):
-    """(prefilter checks, head templates, reversed body templates, slot count).
+    """The clause's function (goal, trail, ordinal, rest) -> goal chain | _FAIL.
 
-    A check (i, sig) says the goal's i-th argument must have signature
-    sig unless it is an unbound variable. A head of arity 0 gets one
-    check on index 0 that tells an atom head from a compound one.
+    `goal` is a walked goal term of the clause's predicate. The function
+    renames the clause's variables with `ordinal` and returns the body
+    literals as (cell term, negated, rest) nodes ahead of `rest`.
     """
-    slots: dict[str, _Slot] = {}
-
-    def template(t: Term):
-        if isinstance(t, Var):
-            slot = slots.get(t.name)
-            if slot is None:
-                slot = slots[t.name] = _Slot(len(slots), t.name)
-            return slot
-        if isinstance(t, Struct):
-            args = tuple(template(a) for a in t.args)
-            if any(type(a) is _Slot or type(a) is _Skel for a in args):
-                return _Skel(t.functor, args)
-            return (t.functor, *args)
-        return _to_cells(t, {})
-
-    head = clause.head
-    if isinstance(head, Struct):
-        args = tuple(template(a) for a in head.args)
-        checks = tuple((i, _signature(a)) for i, a in enumerate(args) if type(a) is not _Slot)
-        if not args:
-            checks = ((0, (head.functor, 1)),)
-    else:
-        args = ()
-        checks = ((0, head.name),)
-    body = tuple((template(l.term), l.negated) for l in reversed(clause.body))
-    return checks, args, body, len(slots)
+    compiler = _ClauseCompiler(clause)
+    source = compiler.source()
+    make = _MAKERS.get(source)
+    if make is None:
+        namespace = {"_Ref": _Ref, "_unify": _unify, "_FAIL": _FAIL}
+        exec(compile(source, "<lelma clause>", "exec"), namespace)
+        make = _MAKERS[source] = namespace["make"]
+    return make(*compiler.consts)
 
 
 class _Search:
@@ -373,8 +417,8 @@ class _Search:
         place while suspended.
 
         A choice point, and `alt` for a goal just selected, is (trail mark,
-        goal arguments, their signatures, clauses, next clause index, first
-        clause's ordinal, goals after the selected one, depth of the body).
+        goal term, clause functions, next clause index, first clause's
+        ordinal, goals after the selected one, depth of the body).
         """
         trail = self.trail
         choices: list[tuple] = []
@@ -387,13 +431,16 @@ class _Search:
                     raise LimitExceeded("step", self.max_steps)
                 self.steps_left -= 1
                 term, negated, goals = goals
-                term = _walk(term)
+                while type(term) is _Ref and term.value is not None:
+                    term = term.value
                 if negated:
                     if not _is_ground(term):
                         raise FlounderedNegation(_to_term(term))
                     mark = len(trail)
                     proved = next(self.run((term, False, None), depth), False)
-                    _undo(trail, mark)
+                    for ref in trail[mark:]:
+                        ref.value = None
+                    del trail[mark:]
                     if not proved:
                         continue
                 else:
@@ -403,51 +450,40 @@ class _Search:
                         key = (term, 0)
                     else:
                         raise LogicError(f"callable goal expected, got {_to_term(term)}")
-                    if key == ("=", 2):
+                    clauses = self.index.get(key)
+                    if clauses is not None:
+                        if depth >= self.max_depth:
+                            raise LimitExceeded("depth", self.max_depth)
+                        alt = (len(trail), term, clauses, 0, self.ordinal, goals, depth + 1)
+                        self.ordinal += len(clauses)
+                    elif key == ("=", 2):
                         if _unify(term[1], term[2], trail):
                             continue
                     elif key == ("ground", 1):
                         if _is_ground(term[1]):
                             continue
                     else:
-                        clauses = self.index.get(key)
-                        if clauses is None:
-                            raise UnknownPredicate(*key)
-                        if depth >= self.max_depth:
-                            raise LimitExceeded("depth", self.max_depth)
-                        args = term[1:] if type(term) is tuple else ()
-                        sigs = [_signature(_walk(a)) for a in args] or [_signature(term)]
-                        alt = (len(trail), args, sigs, clauses, 0, self.ordinal, goals, depth + 1)
-                        self.ordinal += len(clauses)
+                        raise UnknownPredicate(*key)
             # Resume the clauses of `alt`, or of the newest choice point.
             while True:
                 if alt is None:
                     if not choices:
                         return
                     alt = choices.pop()
-                mark, args, sigs, clauses, first, ordinal, rest, depth = alt
-                _undo(trail, mark)
+                mark, term, clauses, first, ordinal, rest, depth = alt
                 for i in range(first, len(clauses)):
-                    checks, head, body, size = clauses[i]
-                    for j, sig in checks:
-                        if sigs[j] is not None and sigs[j] != sig:
-                            break
-                    else:
-                        frame = [None] * size
-                        for h, g in zip(head, args):
-                            if not _unify_head(h, g, frame, ordinal + i, trail):
-                                break
-                        else:
-                            break
-                        _undo(trail, mark)
+                    if len(trail) > mark:
+                        for ref in trail[mark:]:
+                            ref.value = None
+                        del trail[mark:]
+                    goals = clauses[i](term, trail, ordinal + i, rest)
+                    if goals is not _FAIL:
+                        break
                 else:
                     alt = None
                     continue
                 if i + 1 < len(clauses):
-                    choices.append((mark, args, sigs, clauses, i + 1, ordinal, rest, depth))
-                goals = rest
-                for t, negated in body:
-                    goals = (_build(t, frame, ordinal + i), negated, goals)
+                    choices.append((mark, term, clauses, i + 1, ordinal, rest, depth))
                 break
 
 

@@ -11,7 +11,7 @@ kept verbatim in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files
 from pathlib import Path

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .engine import Clause, Literal
 from .terms import Atom, Int, Struct, Term, Var, term_vars

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .games import PROMPT_LABELS, GameSpec, load_game
+from .games import PROMPT_LABELS, GameSpec
 from .gateway import ChatMessage, Gateway, GatewayError, ModelConfig, Usage
 from .translator import build_translation_prompt, parse_queries
 from .verification import (

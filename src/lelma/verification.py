@@ -243,7 +243,7 @@ def _validate(q: Query, g: GameSpec) -> None:
     if schema is None or len(q.args) != len(schema):
         raise MalformedQueryError(f"bad arity for {q.kind.value}: {q.args}")
     for arg, want in zip(q.args, schema):
-        if want == "int" and not isinstance(arg, int):
+        if want == "int" and (not isinstance(arg, int) or isinstance(arg, bool)):
             raise MalformedQueryError(f"{q.kind.value}: expected int, got {arg!r}")
         if want == "move":
             if not isinstance(arg, str):

@@ -42,6 +42,12 @@ class TestSolve:
         assert code == 2
         assert "step" in err
 
+    def test_cyclic_answer_is_an_error(self, capsys):
+        code, out, err = run_cli("solve", "pd", "X = f(X)", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cyclic term: X occurs in its own binding\n"
+
     def test_unknown_game(self, capsys):
         code, _, err = run_cli("solve", "nope", "initial(X)", capsys=capsys)
         assert code == 2

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import builtins
 from pathlib import Path
 
 import pytest
 
-from lelma import verification
+from lelma import engine, verification
 from lelma.engine import (
     Clause,
     FlounderedNegation,
     LimitExceeded,
     Literal,
+    LogicError,
     ResolutionLimits,
     RuleBase,
     UnknownPredicate,
@@ -21,7 +23,7 @@ from lelma.engine import (
 )
 from lelma.games import enumerate_outcomes_direct
 from lelma.gdl import parse_clause, parse_goal, parse_program
-from lelma.terms import Atom, Struct, Var, is_ground, resolve, struct, term_vars
+from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, struct, term_vars
 from lelma.verification import Query, QueryKind
 
 
@@ -320,3 +322,83 @@ def test_subproofs_leave_no_bindings_behind(pd):
     assert answers(pd.rulebase, "\\+ final(s0), game(s0, F)") == answers(
         pd.rulebase, "game(s0, F)"
     )
+
+
+# --- cyclic and deep terms ----------------------------------------------------
+
+
+def test_cyclic_binding_is_a_logic_error():
+    with pytest.raises(LogicError) as err:
+        answers(rb("eq(X, X)."), "eq(A, f(A))")
+    assert str(err.value) == "cyclic term: A occurs in its own binding"
+
+
+def test_deep_answers_run_into_the_depth_limit():
+    # Each answer is one `s` deeper; none of them may overflow Python's stack.
+    found = []
+    with pytest.raises(LimitExceeded) as err:
+        for answer in solve(rb("nat(z). nat(s(X)) :- nat(X)."), parse_goal("nat(N)")):
+            found.append(answer[Var("N")])
+    assert (err.value.kind, err.value.limit) == ("depth", 512)
+    assert len(found) == 512
+    term, depth = found[-1], 0
+    while isinstance(term, Struct):
+        term, depth = term.args[0], depth + 1
+    assert (term, depth) == (Atom("z"), 511)
+
+
+# --- compiled clauses -----------------------------------------------------------
+
+ODD_ATOMS = ('say "hi"', 'three """ quotes', "); import os")
+BUILT_ATOMS = ("it's", "two\nlines")
+ODD_FUNCTOR = "x'); import os; os.system('exit 1'); ('"
+ODD_VARIABLE = 'V"""; import os; """'
+
+
+def test_program_text_never_becomes_code(monkeypatch):
+    sources = []
+    real_compile = builtins.compile
+
+    def recording_compile(source, *args, **kwargs):
+        sources.append(source)
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_MAKERS", {}, raising=False)  # compile every shape anew
+    monkeypatch.setattr(builtins, "compile", recording_compile)
+    text = " ".join(f"tag('{name}', {n})." for n, name in enumerate(ODD_ATOMS, 1))
+    clauses, _ = parse_program(text)
+    # The parser takes no quote or newline inside a quoted atom, nor a
+    # quoted functor; these clauses are built directly.
+    clauses += [Clause(struct("tag", Atom(name), Int(n))) for n, name in enumerate(BUILT_ATOMS, 4)]
+    clauses.append(
+        Clause(
+            struct(ODD_FUNCTOR, Var(ODD_VARIABLE), Var("T")),
+            (Literal(struct("tag", Var("T"), Int(3))),),
+        )
+    )
+    base = RuleBase(clauses)
+
+    printed = [", ".join(f"{v} = {t}" for v, t in a.items()) for a in answers(base, "tag(T, N)")]
+    assert printed == [
+        "T = 'say \"hi\"', N = 1",
+        "T = 'three \"\"\" quotes', N = 2",
+        "T = '); import os', N = 3",
+        "T = 'it's', N = 4",
+        "T = 'two\nlines', N = 5",
+    ]
+    goal = (Literal(struct(ODD_FUNCTOR, Var("A"), Var("B"))),)
+    assert solve_all(base, goal) == [
+        {Var("A"): Var(ODD_VARIABLE, 1), Var("B"): Atom("); import os")}
+    ]
+    for source in sources:
+        for name in (*ODD_ATOMS, *BUILT_ATOMS, ODD_FUNCTOR, ODD_VARIABLE, "import"):
+            assert name not in source
+
+
+def test_clauses_that_differ_only_in_constants_share_code(games):
+    base = rb("p(a, X, f(X)) :- q(X, 1). p(b, Y, f(Y)) :- q(Y, 2). p(Z, c, g). q(_, _).")
+    first, second, third = base._compiled[("p", 3)]
+    assert first.__code__ is second.__code__
+    assert third.__code__ is not first.__code__
+    bundled = [f for g in games.values() for fs in g.rulebase._compiled.values() for f in fs]
+    assert len({f.__code__ for f in bundled}) * 2 < len(bundled)

@@ -7,9 +7,10 @@ source order, one step per selected goal, `\\+` subproofs spending from the
 same step budget at the same depth, one renaming ordinal per clause of the
 selected predicate (counted from 1), builtins before the clause index, and
 the depth check after it. The depth of a goal is the number of clauses
-resolved on the way to it, the goals after a resolved literal included. Hypothesis draws small programs and goals, and
-the engine must give the same answers as text, in the same order, and end
-with the same `LogicError` class and text.
+resolved on the way to it, the goals after a resolved literal included.
+Hypothesis draws small programs and goals, and the engine must give the
+same answers as text, in the same order, and end with the same
+`LogicError` class and text.
 """
 
 from __future__ import annotations

@@ -21,6 +21,39 @@ def private_imports(path: Path) -> "list[str]":
     return found
 
 
+def unused_imports(path: Path) -> "list[str]":
+    """Names bound by a top-level import of `path` that the module never uses.
+
+    A name counts as used when the module reads it, string annotations
+    included.
+    """
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def test_every_top_level_import_is_used():
+    # __init__.py imports to re-export, so it is left out.
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert "engine.py" in {p.name for p in modules}
+    found = {p.name: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_no_module_imports_a_private_name_from_another():
     found = {p.name: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert "verification.py" in found

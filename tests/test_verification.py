@@ -209,6 +209,14 @@ def test_parse_rejects_unknown_moves_and_predicates(pd):
         parse_query_line("this is prose, not a query", pd)
 
 
+def test_bool_is_not_an_int_argument(pd):
+    # bool subclasses int, but True is no payoff
+    with pytest.raises(MalformedQueryError):
+        evaluate_query(Query(QueryKind.HIGHER, (True, 0)), pd)
+    with pytest.raises(MalformedQueryError):
+        evaluate_query(Query(QueryKind.HIGHEST_POSSIBLE, (False,)), pd)
+
+
 def test_internal_equal_kind_is_not_parseable(pd):
     # whitelist closure: the correction-only comparison never parses
     with pytest.raises(MalformedQueryError):
