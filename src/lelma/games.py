@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .engine import Clause, Literal, ResolutionLimits, RuleBase, pos, solve
 from .gdl import parse_program
@@ -110,6 +111,15 @@ class Outcome:
 
 @dataclass(frozen=True)
 class GameSpec:
+    """One validated game, read-only once built.
+
+    Everything derived from the game alone is built on first use and
+    cached on the instance: the rule base, and the payoff view (the
+    matrix in prompt-label space) that verification and the prompts
+    read. Mutating `move_labels` or `payoffs.entries` would leave those
+    caches stale.
+    """
+
     name: str
     clauses: "tuple[Clause, ...]"
     move_labels: "dict[str, str]"  # prompt label -> move atom
@@ -131,9 +141,21 @@ class GameSpec:
                 return label
         raise KeyError(move)
 
-    @property
+    @cached_property
     def labels_in_move_order(self) -> "tuple[str, ...]":
         return tuple(self.label_for_move(m) for m in self.payoffs.moves)
+
+    @cached_property
+    def label_payoffs(self) -> "Mapping[tuple[str, str], tuple[int, int]]":
+        """(reasoner label, opponent label) -> (reasoner payoff, opponent
+        payoff), with the pairs in labels_in_move_order order. Read-only,
+        as every caller shares it."""
+        labels = self.labels_in_move_order
+        return MappingProxyType({
+            (own, other): self.payoffs.payoff(self.move_labels[own], self.move_labels[other])
+            for own in labels
+            for other in labels
+        })
 
 
 def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":

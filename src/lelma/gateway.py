@@ -14,6 +14,7 @@ so recorded mock sessions replay byte-identically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -124,7 +125,12 @@ def canonical_request_key(model_id: str, messages: Sequence[ChatMessage]) -> str
 
 def load_cassette(path: str) -> "dict[str, dict]":
     records: dict[str, dict] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, no permission, ...
+        raise CassetteError(f"cannot read cassette {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CassetteParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -159,10 +165,16 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
     return response.status_code, body
 
 
+@functools.lru_cache(maxsize=256)
+def _word_count(text: str) -> int:
+    # Cached because the translator's long system prompt repeats on every call.
+    return len(text.split())
+
+
 def _mock_usage(messages: Sequence[ChatMessage], text: str) -> Usage:
     return Usage(
-        prompt_tokens=sum(len(m.content.split()) for m in messages),
-        completion_tokens=len(text.split()),
+        prompt_tokens=sum(_word_count(m.content) for m in messages),
+        completion_tokens=_word_count(text),
     )
 
 
@@ -187,18 +199,18 @@ class Gateway:
         self._recorded_keys: set[str] = set()
         if cfg.record_to and Path(cfg.record_to).exists():
             self._recorded_keys = set(load_cassette(cfg.record_to))
+        self._complete_provider = {
+            "mock": self._complete_mock,
+            "replay": self._complete_replay,
+            "openai": self._complete_openai,
+            "gemini": self._complete_gemini,
+        }[cfg.provider]
         self.calls = 0
         self.totals = Usage()
 
     def complete(self, messages: Sequence[ChatMessage]) -> CompletionResult:
         self._check_budget()
-        dispatch = {
-            "mock": self._complete_mock,
-            "replay": self._complete_replay,
-            "openai": self._complete_openai,
-            "gemini": self._complete_gemini,
-        }[self.cfg.provider]
-        result = dispatch(tuple(messages))
+        result = self._complete_provider(tuple(messages))
         self.calls += 1
         self.totals = self.totals + result.usage
         if self.cfg.record_to:

@@ -15,6 +15,7 @@ against a recorded cassette reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .verification import (
     QueryResult,
     VerificationReport,
     evaluate_all,
-    reasoner_payoff,
     render_feedback,
 )
 
@@ -47,11 +47,18 @@ _CHOICE_INSTRUCTION = (
 
 def payoff_rules_text(g: GameSpec) -> str:
     """The payoff table as sentences, one move pair per line."""
+    return _payoff_rules_text(tuple(g.label_payoffs.items()))
+
+
+@functools.lru_cache(maxsize=64)
+def _payoff_rules_text(cells: "tuple[tuple[tuple[str, str], tuple[int, int]], ...]") -> str:
+    # Keyed on the payoff view's cells, so each distinct table is built once.
+    payoffs = dict(cells)
     lines = []
     for own in PROMPT_LABELS:  # R row first
         for other in PROMPT_LABELS:
-            u1 = reasoner_payoff(g, own, other)
-            u2 = reasoner_payoff(g, other, own)
+            u1 = payoffs[own, other][0]
+            u2 = payoffs[other, own][0]
             if own == other and u1 == u2:
                 lines.append(f"If you both pick {own}, you each get ${u1}.")
             else:

@@ -34,13 +34,16 @@ def _prompt_template() -> str:
     return path.read_text()
 
 
+@functools.lru_cache(maxsize=64)
+def _system_message(b_move: str, r_move: str) -> ChatMessage:
+    # Keyed on the only two values the system prompt depends on.
+    return ChatMessage("system", _prompt_template().format(b_move=b_move, r_move=r_move))
+
+
 def build_translation_prompt(reasoning: str, g: GameSpec) -> "tuple[ChatMessage, ...]":
     """System prompt carrying the catalogue, user prompt carrying the reasoning verbatim."""
-    system = _prompt_template().format(
-        b_move=g.move_for_label("B"),
-        r_move=g.move_for_label("R"),
-    )
-    return (ChatMessage("system", system), ChatMessage("user", reasoning))
+    system = _system_message(g.move_for_label("B"), g.move_for_label("R"))
+    return (system, ChatMessage("user", reasoning))
 
 
 def parse_queries(llm_output: str, g: GameSpec) -> "tuple[list[Query], ParseDiagnostics]":

@@ -2,12 +2,15 @@
 
 A Query is one formal claim about a game, in one of the catalogue
 kinds. Outcome claims are decided by running the resolution engine
-over the full game program; every other kind is decided on the payoff
-view (the 2x2 matrix seen from the reasoner's side, in prompt-label
-space). Failed queries carry corrections: (role, value) pairs that,
-substituted back via apply_corrections, always produce a holding
-query. The wording of the correction sentences lives in an editable
-resource file, resources/feedback_templates.json.
+over the full game program, once per verdict, with no memo; every
+other kind is decided on the payoff view (the 2x2 matrix seen from the
+reasoner's side, in prompt-label space). The view is built once per
+game, on first use, as the cached GameSpec properties label_payoffs and
+labels_in_move_order; the helpers below only read it. Failed queries
+carry corrections: (role, value) pairs that, substituted back via
+apply_corrections, always produce a holding query. The wording of the
+correction sentences lives in an editable resource file,
+resources/feedback_templates.json.
 
 Each kind is described once. A new kind needs a QueryKind member, its
 argument schema in SCHEMAS, a branch in _judge (verdict, corrections
@@ -23,7 +26,6 @@ something true.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -138,6 +140,8 @@ _OUTCOME_RE = re.compile(
 
 _SIMPLE_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^()]*?)\s*\)\s*")
 
+_INT_RE = re.compile(r"-?\d+")
+
 
 def _parse_move_label(token: str, g: GameSpec) -> str:
     label = token.strip().strip("'\"").upper()
@@ -183,7 +187,7 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
     args: list[object] = []
     for raw, want in zip(raw_args, schema):
         if want == "int":
-            if not re.fullmatch(r"-?\d+", raw):
+            if not _INT_RE.fullmatch(raw):
                 raise MalformedQueryError(f"{name}: expected an integer, got {raw!r}")
             args.append(int(raw))
         else:
@@ -200,33 +204,31 @@ def query_to_text(q: Query) -> str:
 
 
 # Payoff view helpers. All take and return prompt labels, reasoner = row.
+# They read the view GameSpec caches (label_payoffs, labels_in_move_order).
 
 
 def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
-    u1, _ = g.payoffs.payoff(g.move_for_label(own), g.move_for_label(other))
-    return u1
+    return g.label_payoffs[own, other][0]
 
 
 def guaranteed_payoff(g: GameSpec, own: str) -> int:
     """Worst-case (maximin component) payoff for committing to `own`."""
-    return min(reasoner_payoff(g, own, other) for other in g.labels_in_move_order)
+    cells = g.label_payoffs
+    return min(cells[own, other][0] for other in g.labels_in_move_order)
 
 
 def best_payoff_for_choice(g: GameSpec, own: str) -> int:
-    return max(reasoner_payoff(g, own, other) for other in g.labels_in_move_order)
+    cells = g.label_payoffs
+    return max(cells[own, other][0] for other in g.labels_in_move_order)
 
 
 def mutual_payoff(g: GameSpec, own: str, other: str) -> int:
-    u1, u2 = g.payoffs.payoff(g.move_for_label(own), g.move_for_label(other))
+    u1, u2 = g.label_payoffs[own, other]
     return u1 + u2
 
 
 def all_reasoner_payoffs(g: GameSpec) -> "list[int]":
-    return [reasoner_payoff(g, a, b) for a, b in _label_pairs(g)]
-
-
-def _label_pairs(g: GameSpec) -> "list[tuple[str, str]]":
-    return list(itertools.product(g.labels_in_move_order, repeat=2))
+    return [u1 for u1, _ in g.label_payoffs.values()]
 
 
 # What a claimed-value kind's number must equal, given the game and the other args.
@@ -340,7 +342,7 @@ def _judge(q: Query, g: GameSpec) -> "tuple[tuple[tuple[str, object], ...], str,
 
     if kind in (QueryKind.HIGHEST_MUTUAL, QueryKind.LOWEST_MUTUAL):
         m1, m2 = args
-        sums = {pair: mutual_payoff(g, *pair) for pair in _label_pairs(g)}
+        sums = {pair: u1 + u2 for pair, (u1, u2) in g.label_payoffs.items()}
         best = (max if kind is QueryKind.HIGHEST_MUTUAL else min)(sums.values())
         if sums[(m1, m2)] == best:
             return _HOLDS

@@ -130,6 +130,30 @@ class TestRunAndStats:
         assert code == 2
         assert "error:" in err
 
+    def test_replay_with_a_missing_cassette_finishes_the_run(self, tmp_path, capsys):
+        config, out, tapes = tmp_path / "exp.ini", tmp_path / "runs", tmp_path / "tapes"
+        config.write_text(
+            "[experiment]\n"
+            f"output_dir = {out}\n"
+            f"cassette_dir = {tapes}\n"
+            "games = pd\n"
+            "repetitions = 2\n"
+        )
+        code, _, _ = run_cli("run", "--config", str(config), capsys=capsys)  # records
+        assert code == 0
+        missing = tapes / "pd_001.translator.jsonl"
+        missing.unlink()
+
+        code, stdout, err = run_cli(
+            "run", "--config", str(config), "--provider", "replay", capsys=capsys
+        )
+        assert code == 1
+        assert "sessions: 2 (aborted: 1)" in stdout
+        assert err == f"aborted: pd_001: CassetteError: cannot read cassette {missing}: " \
+            "No such file or directory\n"
+        assert "Traceback" not in err
+        assert (out / "summary.json").is_file()
+
 
 class TestEvalAndKappa:
     def fill_sheet(self, sheet_path, verdict_for):

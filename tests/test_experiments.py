@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +148,36 @@ class TestMockExperiment:
         a, _ = mock_session_scripts(pd, 0)
         b, _ = mock_session_scripts(pd, 4)
         assert a != b  # same scenario, different repetition tag
+
+
+MOCK_DIGESTS = Path(__file__).with_name("mock_experiment_sha256.txt")
+
+
+def mock_experiment_digests(root):
+    """sha256 of every file a recorded mock experiment writes, one
+    `digest  path` line each; cassette records are hashed without their
+    wall-clock `recorded_at`."""
+    cfg = ExperimentConfig(
+        repetitions=4, output_dir=str(root / "runs"), cassette_dir=str(root / "tapes")
+    )
+    run_experiment(cfg, provider="mock")
+    lines = []
+    for path in sorted((root / "runs").iterdir()):
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  runs/{path.name}")
+    for path in sorted((root / "tapes").iterdir()):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            del record["recorded_at"]
+        text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+        lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  tapes/{path.name}")
+    return lines
+
+
+def test_mock_experiment_bytes_match_recorded_digests(tmp_path):
+    recorded = [
+        line for line in MOCK_DIGESTS.read_text().splitlines() if not line.startswith("#")
+    ]
+    assert mock_experiment_digests(tmp_path) == recorded
 
 
 class TestDistributions:
@@ -500,6 +533,25 @@ class TestReplayMode:
         assert replayed == live
         for path in live_out.glob("*.jsonl"):
             assert (replay_out / path.name).read_bytes() == path.read_bytes()
+
+    def test_missing_cassette_aborts_only_its_session(self, tmp_path):
+        cfg = ExperimentConfig(
+            games=("pd",),
+            repetitions=2,
+            output_dir=str(tmp_path / "live"),
+            cassette_dir=str(tmp_path / "tapes"),
+        )
+        run_experiment(cfg, provider="mock")
+        missing = tmp_path / "tapes" / "pd_001.translator.jsonl"
+        missing.unlink()
+
+        out = tmp_path / "replayed"
+        transcripts, summary = run_experiment(replace(cfg, output_dir=str(out)), provider="replay")
+        assert [t.aborted for t in transcripts] == [False, True]
+        assert transcripts[1].error.startswith(f"CassetteError: cannot read cassette {missing}")
+        assert summary["sessions"] == 2 and summary["aborted"] == 1
+        assert json.loads((out / "summary.json").read_text()) == summary
+        assert read_transcripts_dir(str(out))[1].aborted
 
     def test_replay_without_cassette_dir_fails(self, tmp_path):
         cfg = ExperimentConfig(games=("pd",), repetitions=1, output_dir=str(tmp_path / "o"))

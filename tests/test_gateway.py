@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from lelma.gateway import (
     BudgetExceededError,
+    CassetteError,
     CassetteParseError,
     ChatMessage,
     CompletionResult,
@@ -143,6 +145,23 @@ class TestCassette:
         line = '{"key": "k", "request": {}, "response": {}}\n'
         path.write_text(line + line)
         with pytest.raises(DuplicateRequestKeyError):
+            load_cassette(str(path))
+
+    def test_unreadable_cassette_names_the_path(self, tmp_path):
+        for path in (tmp_path / "absent.jsonl", tmp_path):  # missing, and a directory
+            with pytest.raises(CassetteError, match=re.escape(f"cannot read cassette {path}: ")):
+                load_cassette(str(path))
+        gw = Gateway(
+            ModelConfig(provider="replay", cassette=str(tmp_path / "absent.jsonl")),
+            transport=exploding_transport,
+        )
+        with pytest.raises(CassetteError, match="absent.jsonl"):
+            gw.complete(MESSAGES)
+
+    def test_non_utf8_cassette_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(CassetteParseError, match="latin1.jsonl: not UTF-8"):
             load_cassette(str(path))
 
     def test_recording_survives_gateway_restart(self, tmp_path):

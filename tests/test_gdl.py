@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import operator
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,9 +121,19 @@ def test_printing_quotes_only_when_needed():
 
 # --- round-trip property ---------------------------------------------------
 
-_atom_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,6}", fullmatch=True)
-_quoted_names = st.from_regex(r"[A-Z][a-zA-Z0-9_ ]{0,6}", fullmatch=True)
-_var_names = st.from_regex(r"[A-Z][a-zA-Z0-9_]{0,4}", fullmatch=True)
+_WORD = string.ascii_letters + string.digits + "_"
+
+
+def _names(first: str, rest: str, max_rest: int):
+    """The strings of the regex [first][rest]{0,max_rest}, built without a regex."""
+    return st.builds(
+        operator.add, st.text(first, min_size=1, max_size=1), st.text(rest, max_size=max_rest)
+    )
+
+
+_atom_names = _names(string.ascii_lowercase, _WORD, 6)
+_quoted_names = _names(string.ascii_uppercase, _WORD + " ", 6)
+_var_names = _names(string.ascii_uppercase, _WORD, 4)
 
 _leaf_terms = st.one_of(
     st.builds(Atom, _atom_names),

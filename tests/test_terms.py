@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import operator
+import string
+
 from hypothesis import given, strategies as st
 
 from lelma.terms import (
@@ -105,17 +108,25 @@ def _linearize(term, prefix: str):
     return rename(term)
 
 
+# The strings of the regex [a-z][a-z0-9_]{0,5}, built without a regex.
+_names = st.builds(
+    operator.add,
+    st.text(string.ascii_lowercase, min_size=1, max_size=1),
+    st.text(string.ascii_lowercase + string.digits + "_", max_size=5),
+)
+
+
 def linear_terms(prefix: str):
     leaves = st.one_of(
         st.just(Var("V")),  # placeholder, renamed apart by _linearize
-        st.builds(Atom, st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)),
+        st.builds(Atom, _names),
         st.builds(Int, st.integers(-99, 99)),
     )
     trees = st.recursive(
         leaves,
         lambda inner: st.builds(
             lambda f, args: Struct(f, tuple(args)),
-            st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
+            _names,
             st.lists(inner, min_size=1, max_size=3),
         ),
         max_leaves=8,

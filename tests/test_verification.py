@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import re
 import string
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 from oracles import oracle_holds
+from lelma.games import parse_game
 from lelma.verification import (
     EmptyFailureSetError,
     MalformedQueryError,
@@ -321,3 +323,46 @@ def test_golden_feedback_uses_every_template(games):
             assert len(keys) == 1, (g.name, query_to_text(q), keys)
             used.update(keys)
     assert used == set(patterns)
+
+
+# --- a game whose label R is the second move in payoff order -----------------
+
+SWAPPED_FEEDBACK = Path(__file__).with_name("swapped_labels_feedback.txt")
+
+# Asymmetric payoffs listed with 'C' first, so 'C' (label B) is the first
+# move in payoff order and 'D' (label R) the second; in pd, sh and hd the
+# order is R, B. The highest mutual payoff ties between (R, B) and (R, R).
+_SWAPPED_PAYOFFS = """\
+payoff('C', 'C', 4, 2).
+payoff('C', 'D', 0, 3).
+payoff('D', 'C', 6, 1).
+payoff('D', 'D', 2, 5).
+"""
+
+
+@pytest.fixture(scope="module")
+def swapped():
+    pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
+    rules = [
+        line for line in pd_text.splitlines() if not line.startswith(("%! name", "payoff("))
+    ]
+    g = parse_game("%! name: swapped\n" + _SWAPPED_PAYOFFS + "\n".join(rules) + "\n")
+    assert g.labels_in_move_order == ("B", "R")
+    return g
+
+
+def test_swapped_labels_verdicts_agree_with_oracle(swapped):
+    checked = 0
+    for q in golden_queries(swapped):
+        assert evaluate_query(q, swapped).holds == oracle_holds(q.kind.value, q.args, swapped), (
+            query_to_text(q)
+        )
+        checked += 1
+    assert checked > 100
+
+
+def test_swapped_labels_feedback_matches_recorded_file(swapped):
+    recorded = [
+        line for line in SWAPPED_FEEDBACK.read_text().splitlines() if not line.startswith("#")
+    ]
+    assert list(feedback_records({"swapped": swapped})) == recorded
