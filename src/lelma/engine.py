@@ -8,7 +8,7 @@ Two builtins: ground/1 and =/2. Budgets turn accidental
 non-termination into LimitExceeded instead of a hang; subproofs spend
 from the same step budget as the outer proof. A step is one selected
 goal; the depth of a goal is the number of clauses resolved on the
-way to it.
+way to it (see `ResolutionLimits`).
 
 Bindings are made in place and undone on backtracking, as in the WAM
 (Ait-Kaci, Warren's Abstract Machine: A Tutorial Reconstruction, 1991).
@@ -26,8 +26,20 @@ source order, so a variable that an answer or an error prints is named
 as `rename_apart(clause, ordinal)` names it. When a goal variable meets
 a clause variable the goal variable is bound, as
 `terms.unify(goal, head)` would bind it. There is no occurs check; an
-answer or error message that meets a variable bound to a term containing
-it raises LogicError.
+answer, an error message or a ground check that meets a variable bound
+to a term containing it raises LogicError.
+
+`RuleBase` also builds one entry per predicate. The entry switches on
+the principal functor or constant of a goal's first argument, as the
+WAM's `switch_on_term` does (Warren, An Abstract Prolog Instruction Set,
+SRI Tech. Note 309, 1983), so clauses whose first head argument cannot
+match are never tried; a skipped clause still keeps its ordinal. Each
+body literal is compiled into a goal node that carries its callee (the
+entry, a builtin or a negation), so selecting a goal looks nothing up.
+One loop runs a whole search: a `\\+` pushes a barrier choice point and
+runs its subproof in the same loop, cutting back to the barrier and
+failing once the subproof is proved. A choice point is pushed only while
+a later candidate clause is left.
 """
 
 from __future__ import annotations
@@ -118,7 +130,7 @@ def rename_apart(clause: Clause, ordinal: int) -> Clause:
 
 class RuleBase:
     """An immutable, source-ordered program indexed by functor/arity,
-    with each clause compiled once for the search."""
+    with each predicate compiled once into an entry for the search."""
 
     def __init__(self, clauses: Iterable[Clause]):
         self._clauses: tuple[Clause, ...] = tuple(clauses)
@@ -126,10 +138,13 @@ class RuleBase:
         for c in self._clauses:
             index.setdefault(c.key(), []).append(c)
         self._index = {k: tuple(v) for k, v in index.items()}
-        # Builtins shadow clauses of the same name and arity.
-        self._compiled = {
-            k: tuple(_compile(c) for c in v) for k, v in self._index.items() if k not in BUILTINS
-        }
+        # Builtins shadow clauses of the same name and arity. Every entry
+        # exists before any clause is compiled, because a clause's body
+        # nodes hold the entries of the predicates they call.
+        self._preds = {k: _Pred() for k in self._index if k not in BUILTINS}
+        for k, pred in self._preds.items():
+            group = self._index[k]
+            pred.fill(group, [_compile(c, self._callee) for c in group])
 
     @property
     def clauses(self) -> "tuple[Clause, ...]":
@@ -138,17 +153,37 @@ class RuleBase:
     def matching(self, key: "tuple[str, int]") -> "tuple[Clause, ...]":
         return self._index.get(key, ())
 
+    def _callee(self, lit: Literal):
+        """What the goal node of `lit` calls: its predicate's entry, a
+        builtin, `_Not` of one of those, or None for a variable or an
+        undefined predicate, which the search looks up when selected."""
+        t = lit.term
+        if isinstance(t, Struct):
+            key = (t.functor, len(t.args))
+        elif isinstance(t, Atom):
+            key = (t.name, 0)
+        else:
+            key = None
+        callee = self._preds.get(key) or BUILTINS.get(key)
+        return _Not(callee) if lit.negated else callee
+
     def __len__(self) -> int:
         return len(self._clauses)
 
 
 @dataclass(frozen=True, slots=True)
 class ResolutionLimits:
+    """The budgets of one search.
+
+    `max_steps` bounds the goals selected, in `\\+` subproofs too.
+    `max_depth` bounds the clauses resolved along a derivation, not the
+    depth of the proof tree: the goals after a resolved literal inherit
+    its depth + 1, so in a clause body of 600 calls to facts the last call
+    runs 600 deep.
+    """
+
     max_steps: int = 100_000
     max_depth: int = 512
-
-
-BUILTINS = {("ground", 1), ("=", 2)}
 
 
 # --- cell terms -------------------------------------------------------------
@@ -224,15 +259,37 @@ def _to_term(t) -> Term:
     return out[0]
 
 
+# Compounds a ground check walks before it has `_to_term` look for a cycle.
+_CYCLE_CHECK_AFTER = 10_000
+
+
 def _is_ground(t) -> bool:
+    """Whether a cell term has no unbound variable.
+
+    Iterative, so a deep term cannot exhaust Python's stack. A walk that
+    meets `_CYCLE_CHECK_AFTER` compounds has `_to_term` check the term
+    once, so a variable bound to a term that contains it raises
+    LogicError instead of looping forever.
+    """
     while type(t) is _Ref:
         t = t.value
         if t is None:
             return False
-    if type(t) is tuple:
+    if type(t) is not tuple:
+        return True
+    todo = [t]  # compounds met so far; each is checked in turn
+    left = _CYCLE_CHECK_AFTER
+    for t in todo:
         for a in t[1:]:
-            if not _is_ground(a):
-                return False
+            while type(a) is _Ref:
+                a = a.value
+                if a is None:
+                    return False
+            if type(a) is tuple:
+                todo.append(a)
+        left -= 1
+        if not left:
+            _to_term(todo[0])
     return True
 
 
@@ -262,6 +319,86 @@ def _unify(a, b, trail: list) -> bool:
     return a == b
 
 
+# --- entries and goal nodes ----------------------------------------------------
+#
+# A goal chain is a linked list of (cell term, callee, rest) nodes ending in
+# None. The callee is fixed when a clause body is built: the entry of the
+# literal's predicate, a builtin, `_Not` of one of those for a `\+`
+# literal, or None for a variable literal or an undefined predicate, which
+# the search looks up only when the goal is selected.
+
+
+class _Pred:
+    """A predicate's entry, built once per RuleBase.
+
+    `clauses` chains the predicate's compiled clauses in source order
+    (see `_chain`) and `size` counts them. `switch` maps the principal
+    functor or constant of a goal's first argument to the chain of the
+    clauses that can match it: a compound keys as (functor, arity), an
+    atom as its name, an integer as its value. `default` serves a key the
+    switch lacks. Clauses whose first head argument is a variable are in
+    every bucket and in `default`. `switch` is None when no head has a
+    nonvariable first argument.
+    """
+
+    __slots__ = ("size", "clauses", "switch", "default")
+
+    def fill(self, clauses: "Sequence[Clause]", functions: list) -> None:
+        pairs = list(enumerate(functions))
+        keys = [_first_arg_key(c.head) for c in clauses]
+        self.size = len(pairs)
+        self.clauses = self.default = _chain(pairs)
+        self.switch = None
+        if any(k is not None for k in keys):
+            self.default = _chain([p for p, k in zip(pairs, keys) if k is None])
+            self.switch = {
+                key: _chain([p for p, k in zip(pairs, keys) if k is None or k == key])
+                for key in dict.fromkeys(keys)
+                if key is not None
+            }
+
+
+def _chain(pairs: "list[tuple[int, object]]"):
+    """(offset, clause function) pairs as nested (offset, function, rest)
+    nodes ending in None. The offset is the clause's position among its
+    predicate's clauses, so its renaming ordinal is the predicate's first
+    ordinal + offset. A search takes a chain's head off and, if a rest is
+    left, keeps it as a choice point."""
+    chain = None
+    for offset, function in reversed(pairs):
+        chain = (offset, function, chain)
+    return chain
+
+
+def _first_arg_key(head: Term):
+    """The switch key of a head's first argument; None for a variable or
+    a head without arguments."""
+    if not isinstance(head, Struct) or not head.args:
+        return None
+    a = head.args[0]
+    if isinstance(a, Struct):
+        return (a.functor, len(a.args))
+    if isinstance(a, Atom):
+        return a.name
+    if isinstance(a, Int):
+        return a.value
+    return None
+
+
+class _Not:
+    """The callee of a `\\+` node; `callee` is the negated goal's."""
+
+    __slots__ = ("callee",)
+
+    def __init__(self, callee) -> None:
+        self.callee = callee
+
+
+_EQ = object()  # the callee of =/2
+_GROUND = object()  # the callee of ground/1
+BUILTINS = {("ground", 1): _GROUND, ("=", 2): _EQ}
+
+
 # --- clause compilation --------------------------------------------------------
 #
 # Each clause becomes a Python function (goal, trail, ordinal, rest) that
@@ -269,9 +406,10 @@ def _unify(a, b, trail: list) -> bool:
 # its variables to `_Ref(name, ordinal)` cells as it meets them, and returns
 # its body as a goal chain onto `rest`, or _FAIL. Generated source holds only
 # the clause's shape: every atom, integer, functor, ground compound and
-# variable name is a closure value `k<n>` of a `make(k0, k1, ...)` factory,
-# so program text never becomes code, and clauses that differ only in those
-# values share one code object. The factories are cached by source text.
+# variable name, and the callee of every body node, is a closure value `k<n>`
+# of a `make(k0, k1, ...)` factory, so program text never becomes code, and
+# clauses that differ only in those values share one code object. The
+# factories are cached by source text.
 
 # Generated source -> its `make` factory. A factory depends on its source
 # alone, so every RuleBase and thread may share it; two threads that race
@@ -283,7 +421,7 @@ class _ClauseCompiler:
     """Writes the source of one clause's function and collects the values
     its `make` factory is called with."""
 
-    def __init__(self, clause: Clause) -> None:
+    def __init__(self, clause: Clause, callee_of) -> None:
         terms = (clause.head, *(l.term for l in clause.body))
         names = dict.fromkeys(v.name for t in terms for v in term_vars(t))
         self.local = {name: f"v{i}" for i, name in enumerate(names)}
@@ -304,7 +442,7 @@ class _ClauseCompiler:
         chain = "rest"
         for l in reversed(clause.body):
             self.fresh(2, l.term)
-            chain = f"({self.build(l.term)}, {l.negated}, {chain})"
+            chain = f"({self.build(l.term)}, {self.const(callee_of(l))}, {chain})"
         self.emit(2, f"return {chain}")
 
     def source(self) -> str:
@@ -382,14 +520,15 @@ class _ClauseCompiler:
             emit(indent + 2, "return _FAIL")
 
 
-def _compile(clause: Clause):
+def _compile(clause: Clause, callee_of):
     """The clause's function (goal, trail, ordinal, rest) -> goal chain | _FAIL.
 
     `goal` is a walked goal term of the clause's predicate. The function
     renames the clause's variables with `ordinal` and returns the body
-    literals as (cell term, negated, rest) nodes ahead of `rest`.
+    literals as (cell term, callee, rest) nodes ahead of `rest`, each
+    with the callee `callee_of(literal)` gives.
     """
-    compiler = _ClauseCompiler(clause)
+    compiler = _ClauseCompiler(clause, callee_of)
     source = compiler.source()
     make = _MAKERS.get(source)
     if make is None:
@@ -399,92 +538,116 @@ def _compile(clause: Clause):
     return make(*compiler.consts)
 
 
-class _Search:
-    """One proof search: the bindings trail, the step budget and the
-    renaming ordinals, shared by the outer proof and its `\\+` subproofs."""
+def _search(
+    preds: "dict[tuple[str, int], _Pred]", goals, limits: ResolutionLimits
+) -> Iterator[None]:
+    """Yield once per proof of the goal chain `goals`, with the proof's
+    bindings in place while suspended.
 
-    def __init__(self, rulebase: RuleBase, limits: ResolutionLimits) -> None:
-        self.index = rulebase._compiled
-        self.trail: list[_Ref] = []
-        self.max_steps = limits.max_steps
-        self.steps_left = limits.max_steps
-        self.max_depth = limits.max_depth
-        self.ordinal = 1
-
-    def run(self, goals, depth: int) -> Iterator[bool]:
-        """Yield once per proof of `goals`, a linked list of (cell term,
-        negated, rest) nodes ending in None, with the proof's bindings in
-        place while suspended.
-
-        A choice point, and `alt` for a goal just selected, is (trail mark,
-        goal term, clause functions, next clause index, first clause's
-        ordinal, goals after the selected one, depth of the body).
-        """
-        trail = self.trail
-        choices: list[tuple] = []
-        while True:
-            alt = None
-            if goals is None:
-                yield True
-            else:
-                if self.steps_left <= 0:
-                    raise LimitExceeded("step", self.max_steps)
-                self.steps_left -= 1
-                term, negated, goals = goals
+    One loop runs the whole search, `\\+` subproofs included, with the
+    step budget, the depth limit and the renaming ordinal in locals. A
+    choice point is (trail mark, goal term, candidates left, the
+    predicate's first ordinal, goals after the selected one, depth of the
+    body). A `\\+` pushes a barrier, (trail mark, None, None, 0, goals
+    after the `\\+`, its depth), notes the barrier's index in `barriers`
+    and runs its subproof at its own depth. When the subproof is proved,
+    the search drops the barrier and every choice point above it, and
+    fails; when backtracking pops the barrier, the negation holds.
+    """
+    trail: list[_Ref] = []
+    choices: list[tuple] = []
+    barriers: list[int] = []  # barriers of the running subproofs, innermost last
+    max_steps = limits.max_steps
+    steps_left = max(max_steps, 0)
+    max_depth = limits.max_depth
+    ordinal = 1
+    depth = 0
+    while True:
+        if goals is not None:
+            if not steps_left:
+                raise LimitExceeded("step", max_steps)
+            steps_left -= 1
+            term, callee, goals = goals
+            if callee is None:
                 while type(term) is _Ref and term.value is not None:
                     term = term.value
-                if negated:
-                    if not _is_ground(term):
-                        raise FlounderedNegation(_to_term(term))
-                    mark = len(trail)
-                    proved = next(self.run((term, False, None), depth), False)
+                if type(term) is tuple:
+                    key = (term[0], len(term) - 1)
+                elif type(term) is str:
+                    key = (term, 0)
+                else:
+                    raise LogicError(f"callable goal expected, got {_to_term(term)}")
+                callee = preds.get(key) or BUILTINS.get(key)
+                if callee is None:
+                    raise UnknownPredicate(*key)
+            if type(callee) is _Pred:
+                if depth >= max_depth:
+                    raise LimitExceeded("depth", max_depth)
+                first = ordinal
+                ordinal += callee.size
+                candidates = callee.clauses
+                if callee.switch is not None:
+                    a = term[1]
+                    while type(a) is _Ref:
+                        if a.value is None:
+                            break
+                        a = a.value
+                    else:
+                        key = (a[0], len(a) - 1) if type(a) is tuple else a
+                        candidates = callee.switch.get(key, callee.default)
+                mark = len(trail)
+                rest = goals
+                depth += 1
+            elif type(callee) is _Not:
+                while type(term) is _Ref and term.value is not None:
+                    term = term.value
+                if not _is_ground(term):
+                    raise FlounderedNegation(_to_term(term))
+                barriers.append(len(choices))
+                choices.append((len(trail), None, None, 0, goals, depth))
+                goals = (term, callee.callee, None)
+                continue
+            elif callee is _EQ:
+                if _unify(term[1], term[2], trail):
+                    continue
+                candidates = None
+            elif _is_ground(term[1]):  # callee is _GROUND
+                continue
+            else:
+                candidates = None
+        elif barriers:
+            # The innermost subproof is proved: drop its choice points and
+            # its barrier, and fail. The next choice point undoes the trail.
+            del choices[barriers.pop() :]
+            candidates = None
+        else:
+            yield
+            candidates = None
+        # Try the candidates in turn, else resume the newest choice point.
+        while True:
+            if candidates is not None:
+                offset, clause, candidates = candidates
+                goals = clause(term, trail, first + offset, rest)
+                if goals is not _FAIL:
+                    if candidates is not None:
+                        choices.append((mark, term, candidates, first, rest, depth))
+                    break
+                if len(trail) > mark:
                     for ref in trail[mark:]:
                         ref.value = None
                     del trail[mark:]
-                    if not proved:
-                        continue
-                else:
-                    if type(term) is tuple:
-                        key = (term[0], len(term) - 1)
-                    elif type(term) is str:
-                        key = (term, 0)
-                    else:
-                        raise LogicError(f"callable goal expected, got {_to_term(term)}")
-                    clauses = self.index.get(key)
-                    if clauses is not None:
-                        if depth >= self.max_depth:
-                            raise LimitExceeded("depth", self.max_depth)
-                        alt = (len(trail), term, clauses, 0, self.ordinal, goals, depth + 1)
-                        self.ordinal += len(clauses)
-                    elif key == ("=", 2):
-                        if _unify(term[1], term[2], trail):
-                            continue
-                    elif key == ("ground", 1):
-                        if _is_ground(term[1]):
-                            continue
-                    else:
-                        raise UnknownPredicate(*key)
-            # Resume the clauses of `alt`, or of the newest choice point.
-            while True:
-                if alt is None:
-                    if not choices:
-                        return
-                    alt = choices.pop()
-                mark, term, clauses, first, ordinal, rest, depth = alt
-                for i in range(first, len(clauses)):
-                    if len(trail) > mark:
-                        for ref in trail[mark:]:
-                            ref.value = None
-                        del trail[mark:]
-                    goals = clauses[i](term, trail, ordinal + i, rest)
-                    if goals is not _FAIL:
-                        break
-                else:
-                    alt = None
-                    continue
-                if i + 1 < len(clauses):
-                    choices.append((mark, term, clauses, i + 1, ordinal, rest, depth))
-                break
+            elif choices:
+                mark, term, candidates, first, rest, depth = choices.pop()
+                if len(trail) > mark:
+                    for ref in trail[mark:]:
+                        ref.value = None
+                    del trail[mark:]
+                if candidates is None:  # a barrier: the subproof failed, so `\+` holds
+                    barriers.pop()
+                    goals = rest
+                    break
+            else:
+                return
 
 
 def solve(
@@ -503,10 +666,9 @@ def solve(
         raise ValueError("empty goal")
     cells: dict[Var, _Ref] = {}
     chain = None
-    for lit in [(_to_cells(l.term, cells), l.negated) for l in goals][::-1]:
-        chain = (*lit, chain)
-    search = _Search(rulebase, limits or ResolutionLimits())
-    for _ in search.run(chain, 0):
+    for node in [(_to_cells(l.term, cells), rulebase._callee(l)) for l in goals][::-1]:
+        chain = (*node, chain)
+    for _ in _search(rulebase._preds, chain, limits or ResolutionLimits()):
         answer: Substitution = {}
         for v, ref in cells.items():
             value = _to_term(ref)

@@ -57,8 +57,7 @@ def _payoff_rules_text(cells: "tuple[tuple[tuple[str, str], tuple[int, int]], ..
     lines = []
     for own in PROMPT_LABELS:  # R row first
         for other in PROMPT_LABELS:
-            u1 = payoffs[own, other][0]
-            u2 = payoffs[other, own][0]
+            u1, u2 = payoffs[own, other]
             if own == other and u1 == u2:
                 lines.append(f"If you both pick {own}, you each get ${u1}.")
             else:
@@ -173,16 +172,19 @@ def run_session(
     reasoner: Optional[Gateway] = None,
     translator: Optional[Gateway] = None,
 ) -> SessionTranscript:
-    """One full self-correction session. Gateway failures abort, not raise."""
-    reasoner = reasoner or Gateway(cfg.reasoner)
-    translator = translator or Gateway(cfg.translator)
+    """One full self-correction session. Gateway failures, an unreadable
+    cassette among them, abort the session instead of raising."""
     attempts: "list[AttemptRecord]" = []
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
+    gateways: "tuple[Gateway, ...]" = ()
     aborted = False
     error: Optional[str] = None
 
     try:
+        reasoner = reasoner or Gateway(cfg.reasoner)
+        translator = translator or Gateway(cfg.translator)
+        gateways = (reasoner, translator)
         for index in range(1, cfg.max_attempts + 1):
             reply = reasoner.complete((ChatMessage("user", instruction),))
             wall_time += reply.latency
@@ -226,7 +228,7 @@ def run_session(
         attempts=tuple(attempts),
         initial_choice=attempts[0].extracted_choice if attempts else None,
         final_choice=attempts[-1].extracted_choice if attempts else None,
-        usage=reasoner.totals + translator.totals,
+        usage=sum((gw.totals for gw in gateways), Usage()),
         wall_time=wall_time,
         aborted=aborted,
         error=error,

@@ -33,7 +33,7 @@ from enum import Enum
 from importlib.resources import files
 from typing import Optional, Sequence
 
-from .engine import pos, solve
+from .engine import LogicError, pos, solve
 from .games import GameSpec
 from .terms import Atom, Int, Struct, Var
 
@@ -391,12 +391,17 @@ def feedback_templates() -> "dict[str, str]":
 
 
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
-    """Evaluate a batch; per-query errors are captured, never raised."""
+    """Evaluate a batch; per-query errors are captured, never raised.
+
+    A query that fails validation, or whose engine run raises a
+    LogicError (a resolution limit, say), is recorded as an errored
+    result.
+    """
     results = []
     for q in queries:
         try:
             results.append(evaluate_query(q, g))
-        except VerificationError as exc:
+        except (VerificationError, LogicError) as exc:
             results.append(
                 QueryResult(q, False, (), f"Could not verify: {exc}", error=str(exc))
             )

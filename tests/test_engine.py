@@ -324,6 +324,72 @@ def test_subproofs_leave_no_bindings_behind(pd):
     )
 
 
+# --- the first-argument switch and `\+` barriers ----------------------------
+
+SWITCHED = "p(f, V). p(f(X), V). p(1, V). p(Z, V). p('1', V)."
+
+
+@pytest.mark.parametrize(
+    "goal, printed",
+    [
+        ("p(f, A)", ["A = V_1", "A = V_4"]),
+        ("p(f(b), A)", ["A = V_2", "A = V_4"]),
+        ("p(1, A)", ["A = V_3", "A = V_4"]),
+        ("p('1', A)", ["A = V_4", "A = V_5"]),
+        ("p(f(b, c), A)", ["A = V_4"]),
+        ("p(g, A)", ["A = V_4"]),
+        (
+            "p(B, A)",
+            [
+                "B = f, A = V_1",
+                "B = f(X_2), A = V_2",
+                "B = 1, A = V_3",
+                "B = Z_4, A = V_4",
+                "B = '1', A = V_5",
+            ],
+        ),
+        ("p(a, A), p(1, C)", ["A = V_4, C = V_8", "A = V_4, C = V_9"]),
+    ],
+)
+def test_switch_keeps_functors_and_constants_apart(goal, printed):
+    # An answer names its clause's variables after the clause's source
+    # position, whichever clauses the switch skipped.
+    got = [", ".join(f"{v} = {t}" for v, t in a.items()) for a in answers(rb(SWITCHED), goal)]
+    assert got == printed
+
+
+def test_double_negation():
+    # The clause language has no `\+ \+`; `np` puts one `\+` inside another.
+    base = rb("p(a). p(b). np(X) :- \\+ p(X). nnp(X) :- \\+ np(X).")
+    assert answers(base, "\\+ np(a)") == [{}]
+    assert answers(base, "\\+ np(c)") == []
+    assert answers(base, "p(X), \\+ np(X)") == answers(base, "p(X)")
+    assert answers(base, "nnp(a), nnp(b), \\+ nnp(c)") == [{}]
+
+
+def test_a_proved_subproof_discards_its_choice_points():
+    # `s` is proved on p's first clause; the two left untried must not be
+    # resumed once `\+ s` has failed.
+    base = rb(
+        "p(a). p(b). p(c). s :- p(X). r(a). r(b). "
+        "t :- p(X), \\+ r(X). nt :- \\+ t."
+    )
+    assert answers(base, "p(Y), \\+ s") == []
+    assert steps_to_finish(base, parse_goal("\\+ s")) == 3
+    assert answers(base, "p(Y), \\+ r(Y)") == [{Var("Y"): Atom("c")}]
+    assert answers(base, "\\+ t") == []
+    assert answers(base, "p(Y), \\+ nt") == answers(base, "p(Y)")
+
+
+def test_step_limit_inside_nested_negation(pd):
+    base = RuleBase(pd.rulebase.clauses + (parse_clause("ng :- \\+ game(s0, nowhere)."),))
+    with pytest.raises(LimitExceeded) as err:
+        answers(base, "\\+ ng", ResolutionLimits(max_steps=50))
+    assert (err.value.kind, err.value.limit) == ("step", 50)
+    inner = steps_to_finish(base, parse_goal("game(s0, nowhere)"))
+    assert steps_to_finish(base, parse_goal("\\+ ng")) == inner + 3
+
+
 # --- cyclic and deep terms ----------------------------------------------------
 
 
@@ -331,6 +397,23 @@ def test_cyclic_binding_is_a_logic_error():
     with pytest.raises(LogicError) as err:
         answers(rb("eq(X, X)."), "eq(A, f(A))")
     assert str(err.value) == "cyclic term: A occurs in its own binding"
+
+
+@pytest.mark.parametrize("goal", ["eq(A, f(A)), ground(A)", "eq(A, f(A)), \\+ p(A)"])
+def test_ground_check_of_a_cyclic_binding_is_a_logic_error(goal):
+    with pytest.raises(LogicError) as err:
+        answers(rb("eq(X, X)."), goal)
+    assert str(err.value) == "cyclic term: A occurs in its own binding"
+
+
+def test_ground_check_of_a_large_shared_term():
+    # A14 shares its halves: 16383 compounds to check, and no cycle.
+    doublings = ", ".join(f"d(A{i}, A{i + 1})" for i in range(14))
+    base = rb("d(X, f(X, X)). p(leaf).")
+    assert len(answers(base, f"A0 = leaf, {doublings}, ground(A14)")) == 1
+    assert answers(base, f"A0 = leaf, {doublings}, \\+ p(A14)") == answers(
+        base, f"A0 = leaf, {doublings}"
+    )
 
 
 def test_deep_answers_run_into_the_depth_limit():
@@ -395,10 +478,22 @@ def test_program_text_never_becomes_code(monkeypatch):
             assert name not in source
 
 
+def clause_functions(rulebase, key) -> list:
+    """The compiled clauses of a predicate's entry, in source order."""
+    functions, node = [], rulebase._preds[key].clauses
+    while node is not None:
+        offset, function, node = node
+        assert offset == len(functions)
+        functions.append(function)
+    return functions
+
+
 def test_clauses_that_differ_only_in_constants_share_code(games):
     base = rb("p(a, X, f(X)) :- q(X, 1). p(b, Y, f(Y)) :- q(Y, 2). p(Z, c, g). q(_, _).")
-    first, second, third = base._compiled[("p", 3)]
+    first, second, third = clause_functions(base, ("p", 3))
     assert first.__code__ is second.__code__
     assert third.__code__ is not first.__code__
-    bundled = [f for g in games.values() for fs in g.rulebase._compiled.values() for f in fs]
+    bundled = [
+        f for g in games.values() for k in g.rulebase._preds for f in clause_functions(g.rulebase, k)
+    ]
     assert len({f.__code__ for f in bundled}) * 2 < len(bundled)

@@ -147,6 +147,16 @@ class TestRunSession:
         assert t.attempt_count == 1
         assert t.exit is ExitReason.NONE
 
+    def test_unreadable_record_cassette_aborts_the_session(self, pd, tmp_path):
+        # Building the reasoner's Gateway reads the cassette at `record_to`,
+        # here a directory.
+        cfg = loop([REASONING_TRUE], ["higher(3, 1)"], record_to=str(tmp_path))
+        t = run_session(pd, cfg, session_id="unreadable")
+        assert t.aborted
+        assert t.error.startswith("CassetteError: cannot read cassette")
+        assert t.attempts == ()
+        assert t.usage == Usage()
+
     def test_usage_sums_both_models(self, pd):
         cfg = loop([REASONING_TRUE], ["higher(3, 1)"])
         reasoner = Gateway(cfg.reasoner)

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import oracle_holds
 from lelma.games import parse_game
+from lelma.orchestrator import payoff_rules_text
 from lelma.verification import (
     EmptyFailureSetError,
     MalformedQueryError,
@@ -244,6 +245,22 @@ def test_evaluate_all_captures_errors_without_aborting(pd):
     assert not report.all_hold
 
 
+def test_evaluate_all_captures_engine_errors(pd):
+    # A `finally` clause that never ends, ahead of the game's own.
+    pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
+    looping = "finally(X, S) :- loop(X, S).\nloop(X, S) :- loop(X, S).\n"
+    at = pd_text.index("finally(outcome(")
+    g = parse_game(pd_text[:at] + looping + pd_text[at:])
+    q = parse_query_line("finally(outcome(you,B,3,them,B,_),S)", g)
+    good = Query(QueryKind.HIGHER, (5, 0))
+    report = evaluate_all([q, good], g)
+    looped, held = report.results
+    assert looped.error == "resolution depth limit exceeded (512)"
+    assert looped.explanation == "Could not verify: resolution depth limit exceeded (512)"
+    assert not looped.holds and looped.corrections == ()
+    assert held.holds
+
+
 def test_render_feedback_joins_failed_explanations(pd):
     report = evaluate_all(
         [Query(QueryKind.HIGHER, (1, 3)), Query(QueryKind.HIGHEST_POSSIBLE, (9,))], pd
@@ -359,6 +376,15 @@ def test_swapped_labels_verdicts_agree_with_oracle(swapped):
         )
         checked += 1
     assert checked > 100
+
+
+def test_swapped_labels_rules_text_gives_each_players_payoff(swapped):
+    assert payoff_rules_text(swapped).splitlines() == [
+        "If you pick R and they pick R, you get $2 and they get $5.",
+        "If you pick R and they pick B, you get $6 and they get $1.",
+        "If you pick B and they pick R, you get $0 and they get $3.",
+        "If you pick B and they pick B, you get $4 and they get $2.",
+    ]
 
 
 def test_swapped_labels_feedback_matches_recorded_file(swapped):
