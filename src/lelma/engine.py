@@ -269,7 +269,8 @@ def _is_ground(t) -> bool:
     Iterative, so a deep term cannot exhaust Python's stack. A walk that
     meets `_CYCLE_CHECK_AFTER` compounds has `_to_term` check the term
     once, so a variable bound to a term that contains it raises
-    LogicError instead of looping forever.
+    LogicError instead of looping forever, unless the walk has met an
+    unbound variable by then.
     """
     while type(t) is _Ref:
         t = t.value

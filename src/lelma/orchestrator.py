@@ -177,14 +177,12 @@ def run_session(
     attempts: "list[AttemptRecord]" = []
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
-    gateways: "tuple[Gateway, ...]" = ()
     aborted = False
     error: Optional[str] = None
 
     try:
         reasoner = reasoner or Gateway(cfg.reasoner)
         translator = translator or Gateway(cfg.translator)
-        gateways = (reasoner, translator)
         for index in range(1, cfg.max_attempts + 1):
             reply = reasoner.complete((ChatMessage("user", instruction),))
             wall_time += reply.latency
@@ -221,6 +219,10 @@ def run_session(
         aborted = True
         error = f"{type(exc).__name__}: {exc}"
 
+    if reasoner is None or translator is None:  # building one failed, so no call was made
+        usage = Usage()
+    else:
+        usage = reasoner.totals + translator.totals
     return SessionTranscript(
         session_id=session_id or f"{g.name}-session",
         game=g.name,
@@ -228,7 +230,7 @@ def run_session(
         attempts=tuple(attempts),
         initial_choice=attempts[0].extracted_choice if attempts else None,
         final_choice=attempts[-1].extracted_choice if attempts else None,
-        usage=sum((gw.totals for gw in gateways), Usage()),
+        usage=usage,
         wall_time=wall_time,
         aborted=aborted,
         error=error,
