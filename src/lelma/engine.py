@@ -35,7 +35,8 @@ WAM's `switch_on_term` does (Warren, An Abstract Prolog Instruction Set,
 SRI Tech. Note 309, 1983), so clauses whose first head argument cannot
 match are never tried; a skipped clause still keeps its ordinal. Each
 body literal is compiled into a goal node that carries its callee (the
-entry, a builtin or a negation), so selecting a goal looks nothing up.
+entry, a builtin or a negation), so selecting a goal looks nothing up,
+unless the goal is a variable or its predicate is undefined.
 One loop runs a whole search: a `\\+` pushes a barrier choice point and
 runs its subproof in the same loop, cutting back to the barrier and
 failing once the subproof is proved. A choice point is pushed only while
@@ -259,7 +260,7 @@ def _to_term(t) -> Term:
     return out[0]
 
 
-# Compounds a ground check walks before it has `_to_term` look for a cycle.
+# Compounds `_is_ground` walks before it hands the term to `_is_ground_checked`.
 _CYCLE_CHECK_AFTER = 10_000
 
 
@@ -267,10 +268,9 @@ def _is_ground(t) -> bool:
     """Whether a cell term has no unbound variable.
 
     Iterative, so a deep term cannot exhaust Python's stack. A walk that
-    meets `_CYCLE_CHECK_AFTER` compounds has `_to_term` check the term
-    once, so a variable bound to a term that contains it raises
-    LogicError instead of looping forever, unless the walk has met an
-    unbound variable by then.
+    meets `_CYCLE_CHECK_AFTER` compounds, a shared one each time it is
+    met, starts over in `_is_ground_checked`, so a cyclic binding raises
+    LogicError instead of looping forever.
     """
     while type(t) is _Ref:
         t = t.value
@@ -278,10 +278,10 @@ def _is_ground(t) -> bool:
             return False
     if type(t) is not tuple:
         return True
-    todo = [t]  # compounds met so far; each is checked in turn
+    todo = [t]  # compounds whose arguments are still to be checked
     left = _CYCLE_CHECK_AFTER
-    for t in todo:
-        for a in t[1:]:
+    while todo:
+        for a in todo.pop()[1:]:
             while type(a) is _Ref:
                 a = a.value
                 if a is None:
@@ -290,7 +290,37 @@ def _is_ground(t) -> bool:
                 todo.append(a)
         left -= 1
         if not left:
-            _to_term(todo[0])
+            return _is_ground_checked(t)
+    return True
+
+
+def _is_ground_checked(t) -> bool:
+    """`_is_ground` for large terms: each bound variable's term is checked
+    once, however often it is shared, and meeting a variable inside its
+    own binding raises LogicError."""
+    inside: set = set()  # bound _Refs whose terms are being checked
+    done: set = set()  # bound _Refs whose terms are ground
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is list:  # the terms of these refs are checked
+            inside.difference_update(t)
+            done.update(t)
+            continue
+        refs = []
+        while type(t) is _Ref and t not in done:
+            if t.value is None:
+                return False
+            if t in inside:
+                raise LogicError(f"cyclic term: {Var(t.name, t.ordinal)} occurs in its own binding")
+            refs.append(t)
+            t = t.value
+        if type(t) is tuple:
+            inside.update(refs)
+            todo.append(refs)
+            todo += t[:0:-1]
+        elif type(t) is not _Ref:
+            done.update(refs)
     return True
 
 
@@ -559,7 +589,7 @@ def _search(
     choices: list[tuple] = []
     barriers: list[int] = []  # barriers of the running subproofs, innermost last
     max_steps = limits.max_steps
-    steps_left = max(max_steps, 0)
+    steps_left = max(max_steps, 0)  # counts down to 0; a negative limit allows no step
     max_depth = limits.max_depth
     ordinal = 1
     depth = 0
