@@ -358,7 +358,7 @@ def test_switch_keeps_functors_and_constants_apart(goal, printed):
     assert got == printed
 
 
-def test_double_negation():
+def test_nested_negation():
     # The clause language has no `\+ \+`; `np` puts one `\+` inside another.
     base = rb("p(a). p(b). np(X) :- \\+ p(X). nnp(X) :- \\+ np(X).")
     assert answers(base, "\\+ np(a)") == [{}]
