@@ -17,7 +17,12 @@ cell and pushes it on a trail, and backtracking to a choice point clears
 the cells pushed since. `RuleBase` compiles each clause once into a
 Python function that unifies the clause's head with a goal in
 straight-line code, renaming the clause's variables as it meets them,
-and returns the clause's body only once the head has unified. The
+and returns the clause's body only once the head has unified. A body
+literal `Var = NonVar` is compiled the same way, into a function of its
+own, as the WAM compiles a unification with `get_structure`: against a
+bound `Var` it matches part by part, and the cells of the variables
+that occur in it alone are made only when a binding needs them. It
+binds as the builtin `=` would, unifying `Var` with `NonVar`. The
 generated source holds the clause's shape only: its atoms, integers,
 functors and variable names are closure values, so program text never
 becomes code and clauses of one shape share one code object. Each
@@ -33,18 +38,21 @@ to a term containing it raises LogicError.
 the principal functor or constant of a goal's first argument, as the
 WAM's `switch_on_term` does (Warren, An Abstract Prolog Instruction Set,
 SRI Tech. Note 309, 1983), so clauses whose first head argument cannot
-match are never tried; a skipped clause still keeps its ordinal. Each
-body literal is compiled into a goal node that carries its callee (the
-entry, a builtin or a negation), so selecting a goal looks nothing up,
-unless the goal is a variable or its predicate is undefined.
-One loop runs a whole search: a `\\+` pushes a barrier choice point and
-runs its subproof in the same loop, cutting back to the barrier and
-failing once the subproof is proved. A choice point is pushed only while
-a later candidate clause is left.
+match are never tried; a skipped clause still keeps its ordinal. A
+compound keys by its functor alone, since the clause functions check
+arity anyway. Each body literal is compiled into a goal node that
+carries its callee (the entry, a builtin, a negation or the literal's
+own `=` function), so selecting a goal looks nothing up, unless the
+goal is a variable or its predicate is undefined. One loop runs a
+whole search: a `\\+` pushes a barrier choice point and runs its
+subproof in the same loop, cutting back to the barrier and failing once
+the subproof is proved. A choice point is pushed only while a later
+candidate clause is left.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -210,16 +218,33 @@ _FAIL = object()  # what a clause function returns when its head does not unify
 
 
 def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
-    if isinstance(term, Var):
-        ref = cells.get(term)
-        if ref is None:
-            ref = cells[term] = _Ref(term.name, term.ordinal)
-        return ref
-    if isinstance(term, Struct):
-        return (term.functor, *[_to_cells(a, cells) for a in term.args])
-    if isinstance(term, Atom):
-        return term.name
-    return term.value
+    """The cell term of `term`; its variables are looked up in `cells`,
+    and added to it in the order they occur.
+
+    Iterative, so a deep term cannot exhaust Python's stack.
+    """
+    out: list = []  # converted terms; a compound takes its args off the end
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is list:  # the arguments of a compound are converted
+            functor, n = t
+            args = out[len(out) - n :]
+            del out[len(out) - n :]
+            out.append((functor, *args))
+        elif isinstance(t, Var):
+            ref = cells.get(t)
+            if ref is None:
+                ref = cells[t] = _Ref(t.name, t.ordinal)
+            out.append(ref)
+        elif isinstance(t, Struct):
+            todo.append([t.functor, len(t.args)])
+            todo.extend(reversed(t.args))
+        elif isinstance(t, Atom):
+            out.append(t.name)
+        else:
+            out.append(t.value)
+    return out[0]
 
 
 def _to_term(t) -> Term:
@@ -281,7 +306,7 @@ def _is_ground(t) -> bool:
     todo = [t]  # compounds whose arguments are still to be checked
     left = _CYCLE_CHECK_AFTER
     while todo:
-        for a in todo.pop()[1:]:
+        for a in todo.pop():  # the functor, a str, passes as ground
             while type(a) is _Ref:
                 a = a.value
                 if a is None:
@@ -354,9 +379,13 @@ def _unify(a, b, trail: list) -> bool:
 #
 # A goal chain is a linked list of (cell term, callee, rest) nodes ending in
 # None. The callee is fixed when a clause body is built: the entry of the
-# literal's predicate, a builtin, `_Not` of one of those for a `\+`
-# literal, or None for a variable literal or an undefined predicate, which
-# the search looks up only when the goal is selected.
+# literal's predicate, `_Not` of a callee for a `\+` literal, a function
+# (term, trail) -> bool that binds on the trail, or None for a variable
+# literal or an undefined predicate, which the search looks up only when
+# the goal is selected. The functions are the builtins and the compiled
+# `Var = NonVar` literals of clause bodies; the term of a compiled
+# literal's node is (ordinal, cells...), not a goal term (see
+# `_ClauseCompiler.equation`).
 
 
 class _Pred:
@@ -365,11 +394,13 @@ class _Pred:
     `clauses` chains the predicate's compiled clauses in source order
     (see `_chain`) and `size` counts them. `switch` maps the principal
     functor or constant of a goal's first argument to the chain of the
-    clauses that can match it: a compound keys as (functor, arity), an
-    atom as its name, an integer as its value. `default` serves a key the
-    switch lacks. Clauses whose first head argument is a variable are in
-    every bucket and in `default`. `switch` is None when no head has a
-    nonvariable first argument.
+    clauses that can match it: a compound keys as its functor, whatever
+    its arity, an atom as its name, an integer as its value. So `f`,
+    `f(a)` and `f(a, b)` share a bucket; the clause functions, which check
+    the constant or the functor and arity, tell them apart. `default`
+    serves a key the switch lacks. Clauses whose first head argument is a
+    variable are in every bucket and in `default`. `switch` is None when
+    no head has a nonvariable first argument.
     """
 
     __slots__ = ("size", "clauses", "switch", "default")
@@ -408,7 +439,7 @@ def _first_arg_key(head: Term):
         return None
     a = head.args[0]
     if isinstance(a, Struct):
-        return (a.functor, len(a.args))
+        return a.functor
     if isinstance(a, Atom):
         return a.name
     if isinstance(a, Int):
@@ -425,9 +456,17 @@ class _Not:
         self.callee = callee
 
 
-_EQ = object()  # the callee of =/2
-_GROUND = object()  # the callee of ground/1
-BUILTINS = {("ground", 1): _GROUND, ("=", 2): _EQ}
+def _eq(goal, trail: list) -> bool:
+    """The callee of an =/2 goal that is not a compiled literal."""
+    return _unify(goal[1], goal[2], trail)
+
+
+def _ground(goal, trail: list) -> bool:
+    """The callee of ground/1."""
+    return _is_ground(goal[1])
+
+
+BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 
 
 # --- clause compilation --------------------------------------------------------
@@ -435,10 +474,15 @@ BUILTINS = {("ground", 1): _GROUND, ("=", 2): _EQ}
 # Each clause becomes a Python function (goal, trail, ordinal, rest) that
 # unifies its head with the walked goal term in straight-line code, renaming
 # its variables to `_Ref(name, ordinal)` cells as it meets them, and returns
-# its body as a goal chain onto `rest`, or _FAIL. Generated source holds only
-# the clause's shape: every atom, integer, functor, ground compound and
-# variable name, and the callee of every body node, is a closure value `k<n>`
-# of a `make(k0, k1, ...)` factory, so program text never becomes code, and
+# its body as a goal chain onto `rest`, or _FAIL. A positive body literal
+# `Var = NonVar` becomes a function of its own, generated next to the clause's
+# with the same `unify` code, as the WAM's `get_structure` compiles a
+# unification: against a bound `Var` it matches part by part, allocating
+# nothing. `Var = Var`, a negated `=` and a goal selected through a variable
+# call the generic `_eq`. Generated source holds only the clause's shape:
+# every atom, integer, functor, ground compound and variable name, and the
+# callee of every other body node, is a closure value `k<n>` of a
+# `make(k0, k1, ...)` factory, so program text never becomes code, and
 # clauses that differ only in those values share one code object. The
 # factories are cached by source text.
 
@@ -449,17 +493,21 @@ _MAKERS: "dict[str, object]" = {}
 
 
 class _ClauseCompiler:
-    """Writes the source of one clause's function and collects the values
-    its `make` factory is called with."""
+    """Writes the source of one clause's `make` factory and collects the
+    values it is called with."""
 
     def __init__(self, clause: Clause, callee_of) -> None:
         terms = (clause.head, *(l.term for l in clause.body))
         names = dict.fromkeys(v.name for t in terms for v in term_vars(t))
         self.local = {name: f"v{i}" for i, name in enumerate(names)}
+        # variable -> how many of the head and body literals it occurs in
+        self.uses = Counter(v.name for t in terms for v in term_vars(t))
         self.met: set[str] = set()  # variables whose local holds their value
         self.name_of: dict[str, str] = {}  # variable -> constant holding its name
         self.consts: list = []
-        self.lines: list[str] = []
+        self.lines: list[str] = []  # the body of the function being written
+        self.fail = "return _FAIL"  # how that function fails
+        self.functions: list[list[str]] = []  # the compiled `=` literals' functions
         self.temps = 0
         head = clause.head
         if isinstance(head, Atom):
@@ -472,14 +520,25 @@ class _ClauseCompiler:
             self.unify(2, a, f"goal[{i}]")
         chain = "rest"
         for l in reversed(clause.body):
-            self.fresh(2, l.term)
-            chain = f"({self.build(l.term)}, {self.const(callee_of(l))}, {chain})"
+            t = l.term
+            if (
+                not l.negated
+                and isinstance(t, Struct)
+                and (t.functor, len(t.args)) == ("=", 2)
+                and isinstance(t.args[0], Var)
+                and not isinstance(t.args[1], Var)
+            ):
+                chain = f"({self.equation(*t.args)}, {chain})"
+            else:
+                self.fresh(2, t)
+                chain = f"({self.build(t)}, {self.const(callee_of(l))}, {chain})"
         self.emit(2, f"return {chain}")
 
     def source(self) -> str:
         params = ", ".join(f"k{i}" for i in range(len(self.consts)))
-        head = [f"def make({params}):", "    def clause(goal, trail, ordinal, rest):"]
-        return "\n".join(head + self.lines + ["    return clause", ""])
+        lines = [f"def make({params}):", *(line for f in self.functions for line in f)]
+        lines += ["    def clause(goal, trail, ordinal, rest):", *self.lines]
+        return "\n".join(lines + ["    return clause", ""])
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -496,6 +555,32 @@ class _ClauseCompiler:
                 if v.name not in self.name_of:
                     self.name_of[v.name] = self.const(v.name)
                 self.emit(indent, f"{self.local[v.name]} = _Ref({self.name_of[v.name]}, ordinal)")
+
+    def equation(self, lhs: Var, rhs: Term) -> str:
+        """Write the function of the body literal `lhs = rhs` and return the
+        term and callee of its goal node.
+
+        The node's term is (ordinal, cells...): the cells of `lhs` and of
+        the variables `rhs` shares with the rest of the clause, made when
+        the body is built. A variable only in `rhs` gets its cell inside the
+        function, and only when a binding needs one. The function binds as
+        `_unify(lhs, rhs)` would and returns whether it unified.
+        """
+        shared = [lhs]
+        shared += [v for v in term_vars(rhs) if v.name != lhs.name and self.uses[v.name] > 1]
+        for v in shared:
+            self.fresh(2, v)
+        cells = ", ".join(self.local[v.name] for v in shared)
+        name = f"eq{len(self.functions)}"
+        outer = self.lines, self.met, self.fail
+        self.lines, self.met, self.fail = [], {v.name for v in shared}, "return False"
+        self.emit(1, f"def {name}(node, trail):")
+        self.emit(2, f"ordinal, {cells} = node")
+        self.unify(2, rhs, self.local[lhs.name])
+        self.emit(2, "return True")
+        self.functions.append(self.lines)
+        self.lines, self.met, self.fail = outer
+        return f"(ordinal, {cells}), {name}"
 
     def build(self, term: Term) -> str:
         """An expression for the cell term of `term`, whose variables are met."""
@@ -520,7 +605,7 @@ class _ClauseCompiler:
         if isinstance(h, Var) and h.name in self.met:
             v = self.local[h.name]
             emit(indent, f"if {g} is not {v} and not _unify({g}, {v}, trail):")
-            emit(indent + 1, "return _FAIL")
+            emit(indent + 1, self.fail)
             return
         t = f"t{self.temps}"
         self.temps += 1
@@ -543,12 +628,12 @@ class _ClauseCompiler:
             n = len(h.args) + 1
             f = self.const(h.functor)
             emit(indent + 1, f"if type({t}) is not tuple or len({t}) != {n} or {t}[0] != {f}:")
-            emit(indent + 2, "return _FAIL")
+            emit(indent + 2, self.fail)
             for i, a in enumerate(h.args, 1):
                 self.unify(indent + 1, a, f"{t}[{i}]")
         else:
             emit(indent + 1, f"if {t} != {built}:")
-            emit(indent + 2, "return _FAIL")
+            emit(indent + 2, self.fail)
 
 
 def _compile(clause: Clause, callee_of):
@@ -557,7 +642,8 @@ def _compile(clause: Clause, callee_of):
     `goal` is a walked goal term of the clause's predicate. The function
     renames the clause's variables with `ordinal` and returns the body
     literals as (cell term, callee, rest) nodes ahead of `rest`, each
-    with the callee `callee_of(literal)` gives.
+    with the callee `callee_of(literal)` gives, or, for a compiled `=`
+    literal, with its own function (see `_ClauseCompiler.equation`).
     """
     compiler = _ClauseCompiler(clause, callee_of)
     source = compiler.source()
@@ -624,8 +710,9 @@ def _search(
                             break
                         a = a.value
                     else:
-                        key = (a[0], len(a) - 1) if type(a) is tuple else a
-                        candidates = callee.switch.get(key, callee.default)
+                        candidates = callee.switch.get(
+                            a[0] if type(a) is tuple else a, callee.default
+                        )
                 mark = len(trail)
                 rest = goals
                 depth += 1
@@ -638,11 +725,7 @@ def _search(
                 choices.append((len(trail), None, None, 0, goals, depth))
                 goals = (term, callee.callee, None)
                 continue
-            elif callee is _EQ:
-                if _unify(term[1], term[2], trail):
-                    continue
-                candidates = None
-            elif _is_ground(term[1]):  # callee is _GROUND
+            elif callee(term, trail):  # a builtin or a compiled `=` literal
                 continue
             else:
                 candidates = None

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .games import PROMPT_LABELS, GameSpec
-from .gateway import ChatMessage, Gateway, GatewayError, ModelConfig, Usage
+from .gateway import ChatMessage, Gateway, ModelConfig, Usage
 from .translator import build_translation_prompt, parse_queries
 from .verification import (
     Query,
@@ -172,8 +172,9 @@ def run_session(
     reasoner: Optional[Gateway] = None,
     translator: Optional[Gateway] = None,
 ) -> SessionTranscript:
-    """One full self-correction session. Gateway failures, an unreadable
-    cassette among them, abort the session instead of raising."""
+    """One full self-correction session. Any exception in it, a gateway
+    failure or an unreadable cassette say, aborts the session instead of
+    raising: the transcript records it as `Type: message`."""
     attempts: "list[AttemptRecord]" = []
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
@@ -215,7 +216,7 @@ def run_session(
             if exit_reason is not ExitReason.NONE:
                 break
             instruction = build_feedback_prompt(reply.text, report, g)
-    except GatewayError as exc:
+    except Exception as exc:
         aborted = True
         error = f"{type(exc).__name__}: {exc}"
 

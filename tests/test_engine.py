@@ -36,6 +36,10 @@ def answers(rulebase, goal_text, limits=None):
     return solve_all(rulebase, parse_goal(goal_text), limits)
 
 
+def printed_answers(rulebase, goal_text) -> list:
+    return [", ".join(f"{v} = {t}" for v, t in a.items()) for a in answers(rulebase, goal_text)]
+
+
 # --- the published worked query -----------------------------------------
 
 
@@ -354,8 +358,7 @@ SWITCHED = "p(f, V). p(f(X), V). p(1, V). p(Z, V). p('1', V)."
 def test_switch_keeps_functors_and_constants_apart(goal, printed):
     # An answer names its clause's variables after the clause's source
     # position, whichever clauses the switch skipped.
-    got = [", ".join(f"{v} = {t}" for v, t in a.items()) for a in answers(rb(SWITCHED), goal)]
-    assert got == printed
+    assert printed_answers(rb(SWITCHED), goal) == printed
 
 
 def test_nested_negation():
@@ -430,6 +433,64 @@ def test_deep_answers_run_into_the_depth_limit():
     assert (term, depth) == (Atom("z"), 511)
 
 
+def test_a_deep_goal_term_is_converted_without_recursion():
+    # The goal is turned into cell terms before the first step, where no
+    # limit guards it.
+    def deep(term):
+        for _ in range(3_000):
+            term = struct("s", term)
+        return term
+
+    base = rb("p(X).")
+    assert solve_all(base, [pos(struct("p", deep(Atom("z"))))]) == [{}]
+    goal = [pos(struct("p", deep(Var("Y")))), pos(struct("=", Var("Y"), Atom("z")))]
+    assert solve_all(base, goal) == [{Var("Y"): Atom("z")}]
+
+
+# --- `=/2` in clause bodies -------------------------------------------------------
+
+
+def test_body_equation_names_its_own_variables():
+    assert printed_answers(rb("p(X) :- X = f(Y)."), "p(A)") == ["A = f(Y_1)"]
+
+
+def test_body_equation_with_a_repeated_variable():
+    base = rb("p(X) :- X = g(Y, Y).")
+    assert printed_answers(base, "p(A)") == ["A = g(Y_1,Y_1)"]
+    assert printed_answers(base, "p(g(a, B))") == ["B = a"]
+    assert printed_answers(base, "p(g(B, C))") == ["B = Y_1, C = Y_1"]
+    assert answers(base, "p(g(a, b))") == []
+
+
+def test_body_equation_with_a_bound_and_an_unbound_left_side():
+    base = rb("q(X, Z) :- X = h(Z, c).")
+    assert printed_answers(base, "q(A, B)") == ["A = h(Z_1,c), B = Z_1"]
+    assert printed_answers(base, "q(h(a, W), V)") == ["W = c, V = a"]
+    assert printed_answers(base, "q(h(a, W), b)") == []
+    assert printed_answers(base, "q(k(a, W), V)") == []
+
+
+def test_a_failing_body_equation_leaves_no_bindings_behind():
+    # The first clause binds Z to Y_1 before c fails to match b.
+    base = rb("q(X, Y) :- X = f(Y, b). q(X, Y).")
+    assert printed_answers(base, "q(f(Z, c), W)") == ["W = Y_2"]
+
+
+def test_body_equation_can_bind_a_cyclic_term():
+    with pytest.raises(LogicError) as err:
+        answers(rb("p(X) :- X = f(X)."), "p(A)")
+    assert str(err.value) == "cyclic term: X_1 occurs in its own binding"
+
+
+def test_negated_body_equation_flounders_as_before():
+    # The parser takes no `\\+ X = f(Y)`; the clause is built directly.
+    x, y = Var("X"), Var("Y")
+    base = RuleBase([Clause(struct("p", x), (neg(struct("=", x, struct("f", y))),))])
+    with pytest.raises(FlounderedNegation) as err:
+        answers(base, "p(a)")
+    assert str(err.value) == "negated goal is not ground when selected: \\+ '='(a,f(Y_1))"
+
+
 # --- compiled clauses -----------------------------------------------------------
 
 ODD_ATOMS = ('say "hi"', 'three """ quotes', "); import os")
@@ -459,10 +520,11 @@ def test_program_text_never_becomes_code(monkeypatch):
             (Literal(struct("tag", Var("T"), Int(3))),),
         )
     )
+    odd = struct(ODD_FUNCTOR, Atom(BUILT_ATOMS[0]), Atom(ODD_ATOMS[1]), Var(ODD_VARIABLE))
+    clauses.append(Clause(struct("odd", Var("X")), (Literal(struct("=", Var("X"), odd)),)))
     base = RuleBase(clauses)
 
-    printed = [", ".join(f"{v} = {t}" for v, t in a.items()) for a in answers(base, "tag(T, N)")]
-    assert printed == [
+    assert printed_answers(base, "tag(T, N)") == [
         "T = 'say \"hi\"', N = 1",
         "T = 'three \"\"\" quotes', N = 2",
         "T = '); import os', N = 3",
@@ -473,6 +535,13 @@ def test_program_text_never_becomes_code(monkeypatch):
     assert solve_all(base, goal) == [
         {Var("A"): Var(ODD_VARIABLE, 1), Var("B"): Atom("); import os")}
     ]
+    renamed = struct(ODD_FUNCTOR, Atom(BUILT_ATOMS[0]), Atom(ODD_ATOMS[1]), Var(ODD_VARIABLE, 1))
+    assert solve_all(base, (Literal(struct("odd", Var("A"))),)) == [{Var("A"): renamed}]
+    bound = struct(ODD_FUNCTOR, Var("B"), Atom(ODD_ATOMS[1]), Var("C"))
+    assert solve_all(base, (Literal(struct("odd", bound)),)) == [
+        {Var("B"): Atom(BUILT_ATOMS[0]), Var("C"): Var(ODD_VARIABLE, 1)}
+    ]
+    assert solve_all(base, (Literal(struct("odd", struct(ODD_FUNCTOR, Var("B")))),)) == []
     for source in sources:
         for name in (*ODD_ATOMS, *BUILT_ATOMS, ODD_FUNCTOR, ODD_VARIABLE, "import"):
             assert name not in source
@@ -489,10 +558,15 @@ def clause_functions(rulebase, key) -> list:
 
 
 def test_clauses_that_differ_only_in_constants_share_code(games):
-    base = rb("p(a, X, f(X)) :- q(X, 1). p(b, Y, f(Y)) :- q(Y, 2). p(Z, c, g). q(_, _).")
+    base = rb(
+        "p(a, X, f(X)) :- q(X, 1). p(b, Y, f(Y)) :- q(Y, 2). p(Z, c, g). q(_, _). "
+        "r(X) :- X = f(a, Y, _), q(Y, 1). r(Z) :- Z = g(2, W, _), q(W, b)."
+    )
     first, second, third = clause_functions(base, ("p", 3))
     assert first.__code__ is second.__code__
     assert third.__code__ is not first.__code__
+    first, second = clause_functions(base, ("r", 1))
+    assert first.__code__ is second.__code__
     bundled = [
         f
         for g in games.values()

@@ -38,7 +38,7 @@ from lelma.experiments import (
     read_transcripts_dir,
     run_experiment,
 )
-from lelma.gateway import Usage
+from lelma.gateway import Gateway, Usage
 from lelma.orchestrator import (
     AttemptRecord,
     ExitReason,
@@ -178,6 +178,20 @@ def test_mock_experiment_bytes_match_recorded_digests(tmp_path):
         line for line in MOCK_DIGESTS.read_text().splitlines() if not line.startswith("#")
     ]
     assert mock_experiment_digests(tmp_path) == recorded
+
+
+def test_an_error_of_any_type_aborts_its_session_and_the_summary_is_written(tmp_path, monkeypatch):
+    def failing_complete(self, messages):
+        raise RuntimeError("model backend fell over")
+
+    monkeypatch.setattr(Gateway, "complete", failing_complete)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(games=("pd",), repetitions=2, output_dir=str(out))
+    transcripts, summary = run_experiment(cfg, provider="mock")
+    assert [t.aborted for t in transcripts] == [True, True]
+    assert transcripts[0].error == "RuntimeError: model backend fell over"
+    assert summary["sessions"] == 2 and summary["aborted"] == 2
+    assert json.loads((out / "summary.json").read_text()) == summary
 
 
 class TestDistributions:
