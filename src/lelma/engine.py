@@ -32,7 +32,8 @@ as `rename_apart(clause, ordinal)` names it. When a goal variable meets
 a clause variable the goal variable is bound, as
 `terms.unify(goal, head)` would bind it. There is no occurs check; an
 answer, an error message or a ground check that meets a variable bound
-to a term containing it raises LogicError.
+to a term containing it raises LogicError, and so does a unification
+of cyclic terms that would never end.
 
 `RuleBase` also builds one entry per predicate. The entry switches on
 the principal functor or constant of a goal's first argument, as the
@@ -89,11 +90,12 @@ class Literal:
     negated: bool = False
 
     def __str__(self) -> str:
-        if self.negated:
-            return f"\\+ {self.term}"
-        if isinstance(self.term, Struct) and self.term.functor == "=" and len(self.term.args) == 2:
-            return f"{self.term.args[0]} = {self.term.args[1]}"
-        return str(self.term)
+        t = self.term
+        if isinstance(t, Struct) and t.functor == "=" and len(t.args) == 2:
+            text = f"{t.args[0]} = {t.args[1]}"
+        else:
+            text = str(t)
+        return f"\\+ {text}" if self.negated else text
 
 
 def pos(term: Term) -> Literal:
@@ -350,7 +352,14 @@ def _is_ground_checked(t) -> bool:
 
 
 def _unify(a, b, trail: list) -> bool:
-    """Unify two cell terms; when both are variables `a` is bound to `b`."""
+    """Unify two cell terms; when both are variables `a` is bound to `b`.
+
+    Iterative, so deep terms cannot exhaust Python's stack. Pairs of
+    arguments are unified left to right, depth first, as a recursive
+    unification would. A walk that meets `_CYCLE_CHECK_AFTER` pairs of
+    compounds starts over in `_unify_checked`, which raises LogicError
+    on the cyclic terms that would make it loop forever.
+    """
     while type(a) is _Ref and a.value is not None:
         a = a.value
     while type(b) is _Ref and b.value is not None:
@@ -365,14 +374,83 @@ def _unify(a, b, trail: list) -> bool:
         b.value = a
         trail.append(b)
         return True
-    if type(a) is tuple:
-        if type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
-            return False
-        for i in range(1, len(a)):
-            if not _unify(a[i], b[i], trail):
+    if type(a) is not tuple:
+        return a == b
+    if type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
+        return False
+    top = a, b
+    todo = list(zip(a[:0:-1], b[:0:-1]))  # pairs still to unify, the next one last
+    left = _CYCLE_CHECK_AFTER
+    while todo:
+        a, b = todo.pop()
+        while type(a) is _Ref and a.value is not None:
+            a = a.value
+        while type(b) is _Ref and b.value is not None:
+            b = b.value
+        if a is b:
+            continue
+        if type(a) is _Ref:
+            a.value = b
+            trail.append(a)
+        elif type(b) is _Ref:
+            b.value = a
+            trail.append(b)
+        elif type(a) is not tuple:
+            if a != b:
                 return False
-        return True
-    return a == b
+        elif type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
+            return False
+        else:
+            left -= 1
+            if not left:
+                return _unify_checked(*top, trail)
+            todo += zip(a[:0:-1], b[:0:-1])
+    return True
+
+
+def _unify_checked(a, b, trail: list) -> bool:
+    """`_unify` for large terms: each pair of compounds is unified once,
+    however often it is shared, and meeting a pair again while its own
+    arguments are being unified, which only cyclic terms can make happen,
+    raises LogicError. The bindings already made stay; unifying again
+    over them makes the same bindings a single walk would."""
+    inside: set = set()  # pairs of compounds whose arguments are being unified
+    done: set = set()  # pairs of compounds unified
+    todo: list = [(a, b)]
+    while todo:
+        item = todo.pop()
+        if type(item) is list:  # the arguments of this pair are unified
+            inside.discard(item[0])
+            done.add(item[0])
+            continue
+        a, b = item
+        while type(a) is _Ref and a.value is not None:
+            a = a.value
+        while type(b) is _Ref and b.value is not None:
+            b = b.value
+        if a is b:
+            continue
+        if type(a) is _Ref:
+            a.value = b
+            trail.append(a)
+        elif type(b) is _Ref:
+            b.value = a
+            trail.append(b)
+        elif type(a) is not tuple:
+            if a != b:
+                return False
+        elif type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
+            return False
+        else:
+            pair = id(a), id(b)
+            if pair in done:
+                continue
+            if pair in inside:
+                raise LogicError("cyclic term: unification would not terminate")
+            inside.add(pair)
+            todo.append([pair])
+            todo += zip(a[:0:-1], b[:0:-1])
+    return True
 
 
 # --- entries and goal nodes ----------------------------------------------------

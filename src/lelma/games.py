@@ -110,14 +110,37 @@ class Outcome:
 
 
 @dataclass(frozen=True)
+class PayoffSummary:
+    """What verification derives from a game's payoff view, once per game.
+
+    Labels are prompt labels and payoffs are the reasoner's (the row
+    player's) unless the field says otherwise; every tuple and mapping
+    is in labels_in_move_order order.
+    """
+
+    guaranteed: "Mapping[str, int]"  # label -> worst payoff for committing to it
+    best: "Mapping[str, int]"  # label -> best payoff for committing to it
+    highest: int  # over every cell
+    lowest: int
+    best_guaranteed: int  # max of `guaranteed`
+    guaranteed_choices: "tuple[str, ...]"  # the labels that guarantee it
+    mutual: "Mapping[tuple[str, str], int]"  # label pair -> both players' payoffs summed
+    highest_mutual: int
+    highest_mutual_pairs: "tuple[tuple[str, str], ...]"
+    lowest_mutual: int
+    lowest_mutual_pairs: "tuple[tuple[str, str], ...]"
+
+
+@dataclass(frozen=True)
 class GameSpec:
     """One validated game, read-only once built.
 
     Everything derived from the game alone is built on first use and
-    cached on the instance: the rule base, and the payoff view (the
-    matrix in prompt-label space) that verification and the prompts
-    read. Mutating `move_labels` or `payoffs.entries` would leave those
-    caches stale.
+    cached on the instance: the rule base, the payoff view (the matrix
+    in prompt-label space) that verification and the prompts read, and
+    the payoff summary that verification derives from that view.
+    Mutating `move_labels` or `payoffs.entries` would leave those caches
+    stale.
     """
 
     name: str
@@ -156,6 +179,31 @@ class GameSpec:
             for own in labels
             for other in labels
         })
+
+    @cached_property
+    def payoff_summary(self) -> PayoffSummary:
+        """The guaranteed, best, extreme and mutual payoffs of the payoff
+        view, so no verdict scans the matrix."""
+        labels, cells = self.labels_in_move_order, self.label_payoffs
+        guaranteed = {own: min(cells[own, other][0] for other in labels) for own in labels}
+        best = {own: max(cells[own, other][0] for other in labels) for own in labels}
+        own_payoffs = [u1 for u1, _ in cells.values()]
+        mutual = {pair: u1 + u2 for pair, (u1, u2) in cells.items()}
+        best_guaranteed = max(guaranteed.values())
+        highest_mutual, lowest_mutual = max(mutual.values()), min(mutual.values())
+        return PayoffSummary(
+            guaranteed=MappingProxyType(guaranteed),
+            best=MappingProxyType(best),
+            highest=max(own_payoffs),
+            lowest=min(own_payoffs),
+            best_guaranteed=best_guaranteed,
+            guaranteed_choices=tuple(l for l, v in guaranteed.items() if v == best_guaranteed),
+            mutual=MappingProxyType(mutual),
+            highest_mutual=highest_mutual,
+            highest_mutual_pairs=tuple(p for p, v in mutual.items() if v == highest_mutual),
+            lowest_mutual=lowest_mutual,
+            lowest_mutual_pairs=tuple(p for p, v in mutual.items() if v == lowest_mutual),
+        )
 
 
 def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":

@@ -172,10 +172,10 @@ def _word_count(text: str) -> int:
 
 
 def _mock_usage(messages: Sequence[ChatMessage], text: str) -> Usage:
-    return Usage(
-        prompt_tokens=sum(_word_count(m.content) for m in messages),
-        completion_tokens=_word_count(text),
-    )
+    prompt_tokens = 0
+    for m in messages:
+        prompt_tokens += _word_count(m.content)
+    return Usage(prompt_tokens, _word_count(text))
 
 
 class Gateway:
@@ -206,27 +206,34 @@ class Gateway:
             "gemini": self._complete_gemini,
         }[cfg.provider]
         self.calls = 0
-        self.totals = Usage()
+        # The usage totals, kept as counts; `totals` builds the Usage.
+        self._prompt_tokens = 0
+        self._completion_tokens = 0
+
+    @property
+    def totals(self) -> Usage:
+        return Usage(self._prompt_tokens, self._completion_tokens)
 
     def complete(self, messages: Sequence[ChatMessage]) -> CompletionResult:
-        self._check_budget()
+        cfg = self.cfg
+        if cfg.max_calls is not None or cfg.max_total_tokens is not None:
+            self._check_budget()
         result = self._complete_provider(tuple(messages))
         self.calls += 1
-        self.totals = self.totals + result.usage
-        if self.cfg.record_to:
+        usage = result.usage
+        self._prompt_tokens += usage.prompt_tokens
+        self._completion_tokens += usage.completion_tokens
+        if cfg.record_to:
             self._record(messages, result)
         return result
 
     def _check_budget(self) -> None:
         if self.cfg.max_calls is not None and self.calls >= self.cfg.max_calls:
             raise BudgetExceededError(f"call budget of {self.cfg.max_calls} spent")
-        if (
-            self.cfg.max_total_tokens is not None
-            and self.totals.total_tokens >= self.cfg.max_total_tokens
-        ):
+        used = self._prompt_tokens + self._completion_tokens
+        if self.cfg.max_total_tokens is not None and used >= self.cfg.max_total_tokens:
             raise BudgetExceededError(
-                f"token budget of {self.cfg.max_total_tokens} spent "
-                f"({self.totals.total_tokens} used)"
+                f"token budget of {self.cfg.max_total_tokens} spent ({used} used)"
             )
 
     # --- providers ---------------------------------------------------------

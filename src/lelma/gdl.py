@@ -4,13 +4,15 @@ Grammar (one clause per `.`-terminated statement):
 
     clause   := term ( ":-" body )? "."
     body     := literal ( "," literal )*
-    literal  := "\\+" term | term "=" term | term
-    term     := integer | variable | atom | atom "(" term ("," term)* ")"
+    literal  := "\\+"? ( term "=" term | term )
+    term     := integer | variable | name | name "(" term ("," term)* ")"
 
-Atoms are lowercase identifiers or single-quoted strings; variables
-start with an uppercase letter or underscore; `_` alone is anonymous
-(each occurrence a fresh variable, normalized to `_1`, `_2`, ... when
-the clause is built). `%` starts a line comment; `%!` lines carry
+A name (an atom or a functor) is a lowercase identifier or a
+single-quoted string, in which `\\'`, `\\\\` and `\\n` stand for a quote, a
+backslash and a newline. `\\+ A = B` negates the equation, as in Prolog.
+Variables start with an uppercase letter or underscore; `_` alone is
+anonymous (each occurrence a fresh variable, normalized to `_1`, `_2`,
+... when the clause is built). `%` starts a line comment; `%!` lines carry
 `key: value` metadata and are collected separately.
 """
 
@@ -52,11 +54,15 @@ _TOKEN_RE = re.compile(
   | (?P<int>-?\d+)
   | (?P<atom>[a-z][a-zA-Z0-9_]*)
   | (?P<var>[A-Z_][a-zA-Z0-9_]*)
-  | (?P<quoted>'[^'\n]*')
+  | (?P<quoted>'(?:[^'\\\n]|\\[\\'n])*')
   | (?P<punct>[().,=])
     """,
     re.VERBOSE,
 )
+
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"\\": "\\", "'": "'", "n": "\n"}  # what each escape in a quoted name stands for
 
 
 def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
@@ -93,7 +99,10 @@ def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
         elif m.lastgroup == "var":
             tokens.append(_Token("VAR", m.group(), line, column))
         elif m.lastgroup == "quoted":
-            tokens.append(_Token("QUOTED", m.group()[1:-1], line, column))
+            name = m.group()[1:-1]
+            if "\\" in name:
+                name = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], name)
+            tokens.append(_Token("QUOTED", name, line, column))
         else:
             tokens.append(_Token("PUNCT", m.group(), line, column))
         pos = m.end()
@@ -113,6 +122,12 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def at(self, text: str) -> bool:
+        """Whether the next token is the punctuation `text`, not a quoted
+        name that reads the same."""
+        tok = self.tokens[self.pos]
+        return tok.kind == "PUNCT" and tok.text == text
+
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -120,7 +135,7 @@ class _Parser:
 
     def expect(self, text: str) -> _Token:
         tok = self.take()
-        if tok.kind == "END" or tok.text != text:
+        if tok.kind != "PUNCT" or tok.text != text:
             got = "end of input" if tok.kind == "END" else repr(tok.text)
             raise ClauseSyntaxError(f"unexpected {got}", tok.line, tok.column, expected=repr(text))
         return tok
@@ -143,7 +158,7 @@ class _Parser:
                 expected="atom or compound",
             )
         body: tuple[Literal, ...] = ()
-        if self.peek().text == ":-":
+        if self.at(":-"):
             self.take()
             body = self.parse_body()
         self.expect(".")
@@ -151,21 +166,21 @@ class _Parser:
 
     def parse_body(self) -> "tuple[Literal, ...]":
         literals = [self.parse_literal()]
-        while self.peek().text == ",":
+        while self.at(","):
             self.take()
             literals.append(self.parse_literal())
         return tuple(literals)
 
     def parse_literal(self) -> Literal:
-        if self.peek().text == "\\+":
+        negated = self.at("\\+")
+        if negated:
             self.take()
-            return Literal(self.parse_term(), negated=True)
         left = self.parse_term()
-        if self.peek().text == "=":
+        if self.at("="):
             self.take()
             right = self.parse_term()
-            return Literal(Struct("=", (left, right)), negated=False)
-        return Literal(left, negated=False)
+            return Literal(Struct("=", (left, right)), negated)
+        return Literal(left, negated)
 
     def parse_term(self) -> Term:
         tok = self.take()
@@ -176,13 +191,11 @@ class _Parser:
                 self.anon_serial += 1
                 return Var(_ANON, self.anon_serial)
             return Var(tok.text)
-        if tok.kind == "QUOTED":
-            return Atom(tok.text)
-        if tok.kind == "ATOM":
-            if self.peek().text == "(":
+        if tok.kind in ("ATOM", "QUOTED"):
+            if self.at("("):
                 self.take()
                 args = [self.parse_term()]
-                while self.peek().text == ",":
+                while self.at(","):
                     self.take()
                     args.append(self.parse_term())
                 self.expect(")")
@@ -250,7 +263,7 @@ def parse_goal(text: str) -> "tuple[Literal, ...]":
     tokens, _ = _tokenize(text)
     parser = _Parser(tokens)
     body = parser.parse_body()
-    if parser.peek().text == ".":
+    if parser.at("."):
         parser.take()
     tail = parser.peek()
     if tail.kind != "END":

@@ -38,7 +38,7 @@ class Atom:
     name: str
 
     def __str__(self) -> str:
-        return self.name if _BARE_ATOM.fullmatch(self.name) else f"'{self.name}'"
+        return _name_text(self.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,14 +56,23 @@ class Struct:
 
     def __str__(self) -> str:
         inner = ",".join(str(a) for a in self.args)
-        head = self.functor if _BARE_ATOM.fullmatch(self.functor) else f"'{self.functor}'"
-        return f"{head}({inner})"
+        return f"{_name_text(self.functor)}({inner})"
 
 
 Term = Union[Var, Atom, Int, Struct]
 Substitution = "dict[Var, Term]"
 
 _BARE_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
+
+def _name_text(name: str) -> str:
+    """An atom's name or a functor as the `gdl` parser reads it back: bare
+    when it can be, else single-quoted with its quotes, backslashes and
+    newlines escaped."""
+    if _BARE_ATOM.fullmatch(name):
+        return name
+    escaped = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
+    return f"'{escaped}'"
 
 
 def struct(functor: str, *args: Term) -> Struct:

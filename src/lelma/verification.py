@@ -4,16 +4,24 @@ A Query is one formal claim about a game, in one of the catalogue
 kinds. Outcome claims are decided by running the resolution engine
 over the full game program, once per verdict, with no memo; every
 other kind is decided on the payoff view (the 2x2 matrix seen from the
-reasoner's side, in prompt-label space). The view is built once per
-game, on first use, as the cached GameSpec properties label_payoffs and
-labels_in_move_order; the helpers below only read it. Failed queries
+reasoner's side, in prompt-label space). The view, and what the judges
+derive from it (guaranteed and best payoffs per label, the extremes,
+the mutual sums and theirs), are built once per game, on first use, as
+the cached GameSpec properties label_payoffs and payoff_summary; the
+helpers and judges below only read them, so no verdict scans the
+matrix. Nothing is memoized per line or per query. Failed queries
 carry corrections: (role, value) pairs that, substituted back via
 apply_corrections, always produce a holding query. The wording of the
 correction sentences lives in an editable resource file,
 resources/feedback_templates.json.
 
+A translator line is parsed in one pass: it is stripped once, matched
+against the one-level template before the outcome template (they
+cannot both match), and its arguments are checked without a second
+regex.
+
 Each kind is described once. A new kind needs a QueryKind member, its
-argument schema in SCHEMAS, a branch in _judge (verdict, corrections
+argument schema in SCHEMAS, a judge in _JUDGES (verdict, corrections
 and sentence fields), a template in feedback_templates.json and its
 form in the translator prompt, resources/translation_prompt.txt.
 
@@ -94,13 +102,18 @@ class QueryResult:
 class VerificationReport:
     results: "tuple[QueryResult, ...]"
 
+    def __post_init__(self) -> None:
+        # Computed once: the session loop and the feedback read it per attempt.
+        failed = tuple(r for r in self.results if r.error is None and not r.holds)
+        object.__setattr__(self, "_failed", failed)
+
     @property
     def queries(self) -> "tuple[Query, ...]":
         return tuple(r.query for r in self.results)
 
     @property
     def failed(self) -> "tuple[QueryResult, ...]":
-        return tuple(r for r in self.results if r.error is None and not r.holds)
+        return self._failed
 
     @property
     def errors(self) -> "tuple[QueryResult, ...]":
@@ -131,6 +144,9 @@ SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {
 # Kinds parsed by predicate name; outcome claims have their own regex.
 _PARSED_KINDS = {k.value: k for k in SCHEMAS if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}
 
+# Each kind's name, read once here rather than through `Enum.value` per call.
+_NAMES = {k: k.value for k in QueryKind}
+
 _OUTCOME_RE = re.compile(
     r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>'?[A-Za-z][A-Za-z0-9_]*'?)\s*,
         \s*(?P<n>-?\d+)\s*,\s*them\s*,\s*(?P<o>'?[A-Za-z][A-Za-z0-9_]*'?)\s*,\s*_\s*\)
@@ -138,12 +154,13 @@ _OUTCOME_RE = re.compile(
     re.IGNORECASE | re.VERBOSE,
 )
 
+# Takes no nested parentheses, so it never matches an outcome line.
 _SIMPLE_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^()]*?)\s*\)\s*")
-
-_INT_RE = re.compile(r"-?\d+")
 
 
 def _parse_move_label(token: str, g: GameSpec) -> str:
+    if token in g.move_labels:  # an exact label, the usual case
+        return token
     label = token.strip().strip("'\"").upper()
     if label not in g.move_labels:
         raise UnknownMoveError(token.strip(), sorted(g.move_labels))
@@ -157,42 +174,39 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
     ignored; a trailing period is allowed. Raises MalformedQueryError or
     UnknownMoveError on anything outside the catalogue.
     """
-    text = line.strip()
+    source = text = line.strip()
     if text.endswith("."):
         text = text[:-1].rstrip()
     if not text:
         raise MalformedQueryError("empty line")
 
-    m = _OUTCOME_RE.fullmatch(text)
-    if m:
-        return Query(
-            QueryKind.OUTCOME,
-            (_parse_move_label(m["m"], g), int(m["n"]), _parse_move_label(m["o"], g)),
-            source_text=line.strip(),
-        )
-
     m = _SIMPLE_RE.fullmatch(text)
-    if not m:
-        raise MalformedQueryError(f"not a recognized query template: {line.strip()!r}")
-    name = m["name"].lower()
-    if name not in _PARSED_KINDS:
-        raise MalformedQueryError(f"unknown query predicate {m['name']!r}")
-    kind = _PARSED_KINDS[name]
+    if m is None:
+        m = _OUTCOME_RE.fullmatch(text)
+        if m is None:
+            raise MalformedQueryError(f"not a recognized query template: {source!r}")
+        args = (_parse_move_label(m["m"], g), int(m["n"]), _parse_move_label(m["o"], g))
+        return Query(QueryKind.OUTCOME, args, source)
+
+    name, raw_args = m.group("name", "args")
+    kind = _PARSED_KINDS.get(name.lower())
+    if kind is None:
+        raise MalformedQueryError(f"unknown query predicate {name!r}")
     schema = SCHEMAS[kind]
-    raw_args = [a.strip() for a in m["args"].split(",")] if m["args"].strip() else []
-    if len(raw_args) != len(schema):
+    tokens = [a.strip() for a in raw_args.split(",")] if raw_args else []
+    if len(tokens) != len(schema):
         raise MalformedQueryError(
-            f"{name} takes {len(schema)} argument(s), got {len(raw_args)}"
+            f"{_NAMES[kind]} takes {len(schema)} argument(s), got {len(tokens)}"
         )
     args: list[object] = []
-    for raw, want in zip(raw_args, schema):
-        if want == "int":
-            if not _INT_RE.fullmatch(raw):
-                raise MalformedQueryError(f"{name}: expected an integer, got {raw!r}")
+    for raw, want in zip(tokens, schema):
+        if want == "move":
+            args.append(_parse_move_label(raw, g))
+        elif raw.isdecimal() or (raw[:1] == "-" and raw[1:].isdecimal()):  # -?\d+
             args.append(int(raw))
         else:
-            args.append(_parse_move_label(raw, g))
-    return Query(kind, tuple(args), source_text=line.strip())
+            raise MalformedQueryError(f"{_NAMES[kind]}: expected an integer, got {raw!r}")
+    return Query(kind, tuple(args), source)
 
 
 def query_to_text(q: Query) -> str:
@@ -200,11 +214,12 @@ def query_to_text(q: Query) -> str:
     if q.kind is QueryKind.OUTCOME:
         m, n, o = q.args
         return f"finally(outcome(you,{m},{n},them,{o},_),S)"
-    return f"{q.kind.value}({', '.join(str(a) for a in q.args)})"
+    return f"{_NAMES[q.kind]}({', '.join(map(str, q.args))})"
 
 
 # Payoff view helpers. All take and return prompt labels, reasoner = row.
-# They read the view GameSpec caches (label_payoffs, labels_in_move_order).
+# They read the payoff view GameSpec caches (label_payoffs) and the
+# summary it derives from it (payoff_summary).
 
 
 def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
@@ -213,41 +228,31 @@ def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
 
 def guaranteed_payoff(g: GameSpec, own: str) -> int:
     """Worst-case (maximin component) payoff for committing to `own`."""
-    cells = g.label_payoffs
-    return min(cells[own, other][0] for other in g.labels_in_move_order)
+    return g.payoff_summary.guaranteed[own]
 
 
 def best_payoff_for_choice(g: GameSpec, own: str) -> int:
-    cells = g.label_payoffs
-    return max(cells[own, other][0] for other in g.labels_in_move_order)
+    return g.payoff_summary.best[own]
 
 
 def mutual_payoff(g: GameSpec, own: str, other: str) -> int:
-    u1, u2 = g.label_payoffs[own, other]
-    return u1 + u2
+    return g.payoff_summary.mutual[own, other]
 
 
 def all_reasoner_payoffs(g: GameSpec) -> "list[int]":
     return [u1 for u1, _ in g.label_payoffs.values()]
 
 
-# What a claimed-value kind's number must equal, given the game and the other args.
-_CORRECT_VALUE = {
-    QueryKind.HIGHEST_POSSIBLE: lambda g: max(all_reasoner_payoffs(g)),
-    QueryKind.LOWEST_POSSIBLE: lambda g: min(all_reasoner_payoffs(g)),
-    QueryKind.HIGHEST_FOR_CHOICE: best_payoff_for_choice,
-    QueryKind.LOWEST_FOR_CHOICE: guaranteed_payoff,
-}
-
-
 def _validate(q: Query, g: GameSpec) -> None:
+    # The exact types are checked first, as they are the usual case.
     schema = SCHEMAS.get(q.kind)
     if schema is None or len(q.args) != len(schema):
         raise MalformedQueryError(f"bad arity for {q.kind.value}: {q.args}")
     for arg, want in zip(q.args, schema):
-        if want == "int" and (not isinstance(arg, int) or isinstance(arg, bool)):
-            raise MalformedQueryError(f"{q.kind.value}: expected int, got {arg!r}")
-        if want == "move":
+        if want == "int":
+            if type(arg) is not int and (not isinstance(arg, int) or isinstance(arg, bool)):
+                raise MalformedQueryError(f"{q.kind.value}: expected int, got {arg!r}")
+        elif type(arg) is not str or arg not in g.move_labels:
             if not isinstance(arg, str):
                 raise MalformedQueryError(f"{q.kind.value}: expected move label, got {arg!r}")
             if arg not in g.move_labels:
@@ -280,84 +285,113 @@ def _relation(a: int, b: int) -> str:
     return "higher" if a > b else ("lower" if a < b else "equal")
 
 
-_HOLDS = ((), "", {})  # _judge's answer for a query that holds
+# --- the judges -----------------------------------------------------------------
+#
+# A judge decides one validated query from the game, its kind and its args:
+# it returns (corrections, template key, template fields), with corrections
+# () when the query holds. On failure the key names the feedback template and
+# the fields fill it in. Every kind but outcome reads the game's payoff
+# summary, never the matrix.
+
+_HOLDS = ((), "", {})  # a judge's answer for a query that holds
 
 
-def _judge(q: Query, g: GameSpec) -> "tuple[tuple[tuple[str, object], ...], str, dict]":
-    """Decide a validated query: (corrections, template key, template fields).
+def _judge_outcome(g: GameSpec, kind: QueryKind, args: tuple):
+    own, n, other = args
+    if _outcome_holds(g, own, n, other):
+        return _HOLDS
+    correct = reasoner_payoff(g, own, other)
+    fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
+    return (("payoff", correct),), "outcome", fields
 
-    Corrections are () when the query holds. On failure the key names
-    the feedback template and the fields fill it in.
-    """
-    kind, args = q.kind, q.args
 
-    if kind is QueryKind.OUTCOME:
-        own, n, other = args
-        if _outcome_holds(g, own, n, other):
-            return _HOLDS
-        correct = reasoner_payoff(g, own, other)
-        fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
-        return (("payoff", correct),), "outcome", fields
+def _judge_comparison(g: GameSpec, kind: QueryKind, args: tuple):
+    a, b = args
+    claimed, relation = _NAMES[kind], _relation(a, b)
+    if relation == claimed:
+        return _HOLDS
+    return (("relation", relation),), f"{claimed}.{relation}", {"a": a, "b": b}
 
-    if kind in (QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL):
-        a, b = args
-        relation = _relation(a, b)
-        if relation == kind.value:
-            return _HOLDS
-        return (("relation", relation),), f"{kind.value}.{relation}", {"a": a, "b": b}
 
-    if kind in _CORRECT_VALUE:
-        n, *rest = args
-        correct = _CORRECT_VALUE[kind](g, *rest)
-        if n == correct:
-            return _HOLDS
-        fields = {"claimed": n, "correct": correct, "move": rest[0] if rest else None}
-        return (("payoff", correct),), kind.value, fields
+# What a claimed-value kind's number must equal, given the payoff summary
+# and the kind's move argument (None for a kind without one).
+_CORRECT_VALUE = {
+    QueryKind.HIGHEST_POSSIBLE: lambda summary, move: summary.highest,
+    QueryKind.LOWEST_POSSIBLE: lambda summary, move: summary.lowest,
+    QueryKind.HIGHEST_FOR_CHOICE: lambda summary, move: summary.best[move],
+    QueryKind.LOWEST_FOR_CHOICE: lambda summary, move: summary.guaranteed[move],
+}
 
-    if kind is QueryKind.HIGHEST_GUARANTEED_CHOICE:
-        (move,) = args
-        guaranteed = {label: guaranteed_payoff(g, label) for label in g.labels_in_move_order}
-        best = max(guaranteed.values())
-        if guaranteed[move] == best:
-            return _HOLDS
-        winners = [label for label, value in guaranteed.items() if value == best]
-        fields = {
-            "claimed": move,
-            "claimed_value": guaranteed[move],
-            "correct": winners[0],
-            "correct_value": best,
-        }
-        return tuple(("choice", w) for w in winners), kind.value, fields
 
-    if kind in (QueryKind.HIGHER_GUARANTEED, QueryKind.LOWER_GUARANTEED):
-        m1, m2 = args
-        g1, g2 = guaranteed_payoff(g, m1), guaranteed_payoff(g, m2)
-        relation = _relation(g1, g2)
-        if relation == kind.value.partition("_")[0]:  # the claimed relation leads the name
-            return _HOLDS
-        corrections = (("relation", relation),)
-        if relation == "equal":
-            corrections += (("payoff", g1),)
-        return corrections, f"{kind.value}.{relation}", {"m1": m1, "m2": m2, "g1": g1, "g2": g2}
+def _judge_claimed_value(g: GameSpec, kind: QueryKind, args: tuple):
+    n = args[0]
+    move = args[1] if len(args) > 1 else None
+    correct = _CORRECT_VALUE[kind](g.payoff_summary, move)
+    if n == correct:
+        return _HOLDS
+    return (("payoff", correct),), _NAMES[kind], {"claimed": n, "correct": correct, "move": move}
 
-    if kind in (QueryKind.HIGHEST_MUTUAL, QueryKind.LOWEST_MUTUAL):
-        m1, m2 = args
-        sums = {pair: u1 + u2 for pair, (u1, u2) in g.label_payoffs.items()}
-        best = (max if kind is QueryKind.HIGHEST_MUTUAL else min)(sums.values())
-        if sums[(m1, m2)] == best:
-            return _HOLDS
-        winners = [pair for pair, total in sums.items() if total == best]
-        pairs = ", ".join(f"({a}, {b})" for a, b in winners)
-        fields = {"m1": m1, "m2": m2, "got": sums[(m1, m2)], "best": best, "pairs": pairs}
-        return tuple(("choices", pair) for pair in winners), kind.value, fields
 
-    raise MalformedQueryError(f"unhandled query kind {kind!r}")
+def _judge_guaranteed_choice(g: GameSpec, kind: QueryKind, args: tuple):
+    (move,) = args
+    summary = g.payoff_summary
+    claimed_value, best = summary.guaranteed[move], summary.best_guaranteed
+    if claimed_value == best:
+        return _HOLDS
+    winners = summary.guaranteed_choices
+    fields = {
+        "claimed": move,
+        "claimed_value": claimed_value,
+        "correct": winners[0],
+        "correct_value": best,
+    }
+    return tuple(("choice", w) for w in winners), _NAMES[kind], fields
+
+
+def _judge_guaranteed_comparison(g: GameSpec, kind: QueryKind, args: tuple):
+    m1, m2 = args
+    guaranteed = g.payoff_summary.guaranteed
+    g1, g2 = guaranteed[m1], guaranteed[m2]
+    name, relation = _NAMES[kind], _relation(g1, g2)
+    if relation == name.partition("_")[0]:  # the claimed relation leads the name
+        return _HOLDS
+    corrections = (("relation", relation),)
+    if relation == "equal":
+        corrections += (("payoff", g1),)
+    return corrections, f"{name}.{relation}", {"m1": m1, "m2": m2, "g1": g1, "g2": g2}
+
+
+def _judge_mutual(g: GameSpec, kind: QueryKind, args: tuple):
+    m1, m2 = args
+    summary = g.payoff_summary
+    if kind is QueryKind.HIGHEST_MUTUAL:
+        best, winners = summary.highest_mutual, summary.highest_mutual_pairs
+    else:
+        best, winners = summary.lowest_mutual, summary.lowest_mutual_pairs
+    got = summary.mutual[m1, m2]
+    if got == best:
+        return _HOLDS
+    pairs = ", ".join(f"({a}, {b})" for a, b in winners)
+    fields = {"m1": m1, "m2": m2, "got": got, "best": best, "pairs": pairs}
+    return tuple(("choices", pair) for pair in winners), _NAMES[kind], fields
+
+
+_JUDGES = {
+    QueryKind.OUTCOME: _judge_outcome,
+    **dict.fromkeys((QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL), _judge_comparison),
+    **dict.fromkeys(_CORRECT_VALUE, _judge_claimed_value),
+    QueryKind.HIGHEST_GUARANTEED_CHOICE: _judge_guaranteed_choice,
+    QueryKind.HIGHER_GUARANTEED: _judge_guaranteed_comparison,
+    QueryKind.LOWER_GUARANTEED: _judge_guaranteed_comparison,
+    QueryKind.HIGHEST_MUTUAL: _judge_mutual,
+    QueryKind.LOWEST_MUTUAL: _judge_mutual,
+}
 
 
 def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
     """Decide one query against the game and build corrections on failure."""
     _validate(q, g)
-    corrections, key, fields = _judge(q, g)
+    corrections, key, fields = _JUDGES[q.kind](g, q.kind, q.args)
     if not corrections:
         return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")
     return QueryResult(q, False, corrections, feedback_templates()[key].format(**fields))

@@ -447,6 +447,43 @@ def test_a_deep_goal_term_is_converted_without_recursion():
     assert solve_all(base, goal) == [{Var("Y"): Atom("z")}]
 
 
+def test_unifying_two_cyclic_terms_is_a_logic_error():
+    with pytest.raises(LogicError) as err:
+        answers(rb("eq(X, X)."), "eq(A, f(A)), eq(B, f(B)), A = B")
+    assert str(err.value) == "cyclic term: unification would not terminate"
+
+
+def test_two_deep_terms_unify_without_recursion():
+    # Built through the API: the parser reads nested terms by recursion.
+    def deep(term):
+        for _ in range(5_000):
+            term = struct("s", term)
+        return term
+
+    x, y, w = Var("X"), Var("Y"), Var("W")
+    goal = [
+        pos(struct("=", x, deep(Atom("z")))),
+        pos(struct("=", y, deep(w))),
+        pos(struct("=", x, y)),
+    ]
+    (answer,) = solve_all(RuleBase([]), goal)
+    assert answer[w] == Atom("z")
+    term, depth = answer[y], 0
+    while isinstance(term, Struct):
+        term, depth = term.args[0], depth + 1
+    assert (term, depth) == (Atom("z"), 5_000)
+
+
+def test_a_wide_unification_past_the_cycle_check_binds_as_before():
+    # 12,000 pairs of compounds: the walk starts over with its cycle check
+    # after 10,000 of them, over the bindings it has made so far.
+    n = 12_000
+    a = struct("f", *(struct("g", Var(f"A{i}")) for i in range(n)))
+    b = struct("f", *(struct("g", Int(i)) for i in range(n)))
+    (answer,) = solve_all(RuleBase([]), [pos(struct("=", a, b))])
+    assert answer == {Var(f"A{i}"): Int(i) for i in range(n)}
+
+
 # --- `=/2` in clause bodies -------------------------------------------------------
 
 
@@ -483,7 +520,6 @@ def test_body_equation_can_bind_a_cyclic_term():
 
 
 def test_negated_body_equation_flounders_as_before():
-    # The parser takes no `\\+ X = f(Y)`; the clause is built directly.
     x, y = Var("X"), Var("Y")
     base = RuleBase([Clause(struct("p", x), (neg(struct("=", x, struct("f", y))),))])
     with pytest.raises(FlounderedNegation) as err:
@@ -511,8 +547,6 @@ def test_program_text_never_becomes_code(monkeypatch):
     monkeypatch.setattr(builtins, "compile", recording_compile)
     text = " ".join(f"tag('{name}', {n})." for n, name in enumerate(ODD_ATOMS, 1))
     clauses, _ = parse_program(text)
-    # The parser takes no quote or newline inside a quoted atom, nor a
-    # quoted functor; these clauses are built directly.
     clauses += [Clause(struct("tag", Atom(name), Int(n))) for n, name in enumerate(BUILT_ATOMS, 4)]
     clauses.append(
         Clause(
@@ -528,8 +562,8 @@ def test_program_text_never_becomes_code(monkeypatch):
         "T = 'say \"hi\"', N = 1",
         "T = 'three \"\"\" quotes', N = 2",
         "T = '); import os', N = 3",
-        "T = 'it's', N = 4",
-        "T = 'two\nlines', N = 5",
+        "T = 'it\\'s', N = 4",
+        "T = 'two\\nlines', N = 5",
     ]
     goal = (Literal(struct(ODD_FUNCTOR, Var("A"), Var("B"))),)
     assert solve_all(base, goal) == [

@@ -119,6 +119,45 @@ def test_printing_quotes_only_when_needed():
     assert str(clause) == "payoff('D',ok_atom,1,-2)."
 
 
+def test_negated_equation_parses_and_prints_back():
+    text = "p(X) :- \\+ X = f(Y)."
+    clause = parse_clause(text)
+    x, y = Var("X"), Var("Y")
+    assert clause.body == (Literal(Struct("=", (x, Struct("f", (y,)))), negated=True),)
+    assert str(clause) == text
+    assert parse_clause(str(clause)) == clause
+    assert parse_goal("\\+ a = b, c = d") == (
+        Literal(Struct("=", (Atom("a"), Atom("b"))), negated=True),
+        Literal(Struct("=", (Atom("c"), Atom("d")))),
+    )
+
+
+@pytest.mark.parametrize(
+    "term, text",
+    [
+        (Atom("it's"), "'it\\'s'"),
+        (Atom("back\\slash"), "'back\\\\slash'"),
+        (Atom("two\nlines"), "'two\\nlines'"),
+        (Atom("\\'"), "'\\\\\\''"),
+        (Atom(""), "''"),
+        (Struct("a b", (Atom("c"),)), "'a b'(c)"),
+        (Struct("it's", (Atom("("), Atom(","), Atom(")"))), "'it\\'s'('(',',',')')"),
+    ],
+)
+def test_quoted_names_print_escaped_and_parse_back(term, text):
+    assert str(term) == text
+    (literal,) = parse_goal(f"p({text})")
+    assert literal.term == Struct("p", (term,))
+
+
+def test_quoted_punctuation_is_a_name_not_punctuation():
+    for text in ("p(a ',' b)", "p(a ')'", "p(a) '.'"):
+        with pytest.raises(ClauseSyntaxError):
+            parse_clause(text)
+    with pytest.raises(ClauseSyntaxError):
+        parse_goal("p('a\\b')")  # \b is no escape
+
+
 # --- round-trip property ---------------------------------------------------
 
 _WORD = string.ascii_letters + string.digits + "_"
@@ -132,7 +171,8 @@ def _names(first: str, rest: str, max_rest: int):
 
 
 _atom_names = _names(string.ascii_lowercase, _WORD, 6)
-_quoted_names = _names(string.ascii_uppercase, _WORD + " ", 6)
+_quoted_names = _names(string.ascii_uppercase, _WORD + " '\\\n", 6)
+_functors = st.one_of(_atom_names, _quoted_names)
 _var_names = _names(string.ascii_uppercase, _WORD, 4)
 
 _leaf_terms = st.one_of(
@@ -146,7 +186,7 @@ _terms = st.recursive(
     _leaf_terms,
     lambda inner: st.builds(
         lambda f, args: Struct(f, tuple(args)),
-        _atom_names,
+        _functors,
         st.lists(inner, min_size=1, max_size=3),
     ),
     max_leaves=6,
@@ -156,7 +196,7 @@ _callable_terms = st.one_of(
     st.builds(Atom, _atom_names),
     st.builds(
         lambda f, args: Struct(f, tuple(args)),
-        _atom_names,
+        _functors,
         st.lists(_terms, min_size=1, max_size=4),
     ),
 )
@@ -165,6 +205,7 @@ _literals = st.one_of(
     st.builds(lambda t: Literal(t, False), _terms),
     st.builds(lambda t: Literal(t, True), _terms),
     st.builds(lambda a, b: Literal(Struct("=", (a, b)), False), _terms, _terms),
+    st.builds(lambda a, b: Literal(Struct("=", (a, b)), True), _terms, _terms),
 )
 
 clauses_strategy = st.builds(

@@ -58,3 +58,34 @@ def test_no_module_imports_a_private_name_from_another():
     found = {p.name: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert "verification.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_attributes(path: Path) -> "tuple[set[str], set[str]]":
+    """The `_`-prefixed names `path` binds (functions, classes, variables
+    and attributes) and the `_`-prefixed attributes it reads. Dunder names
+    are left out."""
+    bound: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name, names = node.name, bound
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name, names = node.id, bound
+        elif isinstance(node, ast.Attribute):
+            name, names = node.attr, bound if isinstance(node.ctx, ast.Store) else read
+        else:
+            continue
+        if name.startswith("_") and not name.startswith("__"):
+            names.add(name)
+    return bound, read
+
+
+def test_no_module_reads_a_private_attribute_another_module_defines():
+    found = {p.name: private_attributes(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {"_callee", "_preds"} <= found["engine.py"][1]  # the check sees attribute reads
+    crossing = {}
+    for name, (bound, read) in found.items():
+        elsewhere = set().union(*(b for other, (b, _) in found.items() if other != name))
+        if (read - bound) & elsewhere:
+            crossing[name] = sorted((read - bound) & elsewhere)
+    assert crossing == {}

@@ -12,11 +12,13 @@ from oracles import oracle_holds
 from lelma.games import parse_game
 from lelma.orchestrator import payoff_rules_text
 from lelma.verification import (
+    SCHEMAS,
     EmptyFailureSetError,
     MalformedQueryError,
     Query,
     QueryKind,
     UnknownMoveError,
+    VerificationError,
     apply_corrections,
     best_payoff_for_choice,
     evaluate_all,
@@ -392,3 +394,102 @@ def test_swapped_labels_feedback_matches_recorded_file(swapped):
         line for line in SWAPPED_FEEDBACK.read_text().splitlines() if not line.startswith("#")
     ]
     assert list(feedback_records({"swapped": swapped})) == recorded
+
+
+# --- the parsing and validation table ------------------------------------------
+
+PARSED = [  # (line, kind, args) on pd, whose labels are B and R
+    ("higher(5, 0)", QueryKind.HIGHER, (5, 0)),
+    ("HIGHER(5,0)", QueryKind.HIGHER, (5, 0)),
+    ("  Higher ( 5 ,\t0 )  ", QueryKind.HIGHER, (5, 0)),
+    ("lower(0, 5).", QueryKind.LOWER, (0, 5)),
+    ("lower( 0 , 5 ) . ", QueryKind.LOWER, (0, 5)),
+    ("higher(007, -0)", QueryKind.HIGHER, (7, 0)),
+    ("highest_individual_payoff_for_choice(-3, R)", QueryKind.HIGHEST_FOR_CHOICE, (-3, "R")),
+    ("highest_possible_individual_payoff(٣)", QueryKind.HIGHEST_POSSIBLE, (3,)),
+    ("lowest_possible_individual_payoff(-١٢)", QueryKind.LOWEST_POSSIBLE, (-12,)),
+    ("highest_guaranteed_payoff_choice('B')", QueryKind.HIGHEST_GUARANTEED_CHOICE, ("B",)),
+    ("highest_guaranteed_payoff_choice(b)", QueryKind.HIGHEST_GUARANTEED_CHOICE, ("B",)),
+    ('highest_guaranteed_payoff_choice( "r" )', QueryKind.HIGHEST_GUARANTEED_CHOICE, ("R",)),
+    ("lowest_mutual_payoff(R,'b')", QueryKind.LOWEST_MUTUAL, ("R", "B")),
+    ("finally(outcome(you,'b',-1,them,R,_),S).", QueryKind.OUTCOME, ("B", -1, "R")),
+    ("FINALLY( OUTCOME( YOU , R , 3 , THEM , B , _ ) , s )", QueryKind.OUTCOME, ("R", 3, "B")),
+]
+
+REJECTED = [  # (line, exception type, message) on pd
+    ("", MalformedQueryError, "empty line"),
+    ("  .  ", MalformedQueryError, "empty line"),
+    ("higher(5,)", MalformedQueryError, "higher: expected an integer, got ''"),
+    ("higher(5, 0) x", MalformedQueryError, "not a recognized query template: 'higher(5, 0) x'"),
+    ("higher(1, 2))", MalformedQueryError, "not a recognized query template: 'higher(1, 2))'"),
+    ("Nash(B)", MalformedQueryError, "unknown query predicate 'Nash'"),
+    ("equal(1, 1)", MalformedQueryError, "unknown query predicate 'equal'"),
+    ("higher(1)", MalformedQueryError, "higher takes 2 argument(s), got 1"),
+    ("HIGHER(1, 2, 3)", MalformedQueryError, "higher takes 2 argument(s), got 3"),
+    ("higher()", MalformedQueryError, "higher takes 2 argument(s), got 0"),
+    ("higher(one, 2)", MalformedQueryError, "higher: expected an integer, got 'one'"),
+    ("higher(1.5, 2)", MalformedQueryError, "higher: expected an integer, got '1.5'"),
+    ("higher(+1, 2)", MalformedQueryError, "higher: expected an integer, got '+1'"),
+    ("higher(- 1, 2)", MalformedQueryError, "higher: expected an integer, got '- 1'"),
+    ("highest_guaranteed_payoff_choice(Hawk)", UnknownMoveError,
+     "unknown move label 'Hawk' (valid: B, R)"),
+    ("highest_guaranteed_payoff_choice( 'Q' )", UnknownMoveError,
+     "unknown move label \"'Q'\" (valid: B, R)"),
+    ("finally(outcome(you,X,1,them,B,_),S)", UnknownMoveError,
+     "unknown move label 'X' (valid: B, R)"),
+    (
+        "finally(outcome(you,B,x,them,B,_),S)",
+        MalformedQueryError,
+        "not a recognized query template: 'finally(outcome(you,B,x,them,B,_),S)'",
+    ),
+]
+
+INVALID = [  # hand-built queries: (kind, args, exception type, message) on pd
+    (QueryKind.HIGHER, (True, 0), MalformedQueryError, "higher: expected int, got True"),
+    (QueryKind.HIGHEST_POSSIBLE, (False,), MalformedQueryError,
+     "highest_possible_individual_payoff: expected int, got False"),
+    (QueryKind.HIGHER, (1.0, 0), MalformedQueryError, "higher: expected int, got 1.0"),
+    (QueryKind.OUTCOME, ("B", "3", "R"), MalformedQueryError, "outcome: expected int, got '3'"),
+    (QueryKind.HIGHEST_GUARANTEED_CHOICE, (1,), MalformedQueryError,
+     "highest_guaranteed_payoff_choice: expected move label, got 1"),
+    (QueryKind.HIGHER_GUARANTEED, ("B", "X"), UnknownMoveError,
+     "unknown move label 'X' (valid: B, R)"),
+    (QueryKind.HIGHER_GUARANTEED, ("b", "R"), UnknownMoveError,
+     "unknown move label 'b' (valid: B, R)"),
+    (QueryKind.HIGHER, (1,), MalformedQueryError, "bad arity for higher: (1,)"),
+]
+
+
+@pytest.mark.parametrize("line, kind, args", PARSED)
+def test_parse_table(pd, line, kind, args):
+    q = parse_query_line(line, pd)
+    assert (q.kind, q.args, q.source_text) == (kind, args, line.strip())
+    assert all(type(a) is (int if s == "int" else str) for a, s in zip(q.args, SCHEMAS[kind]))
+    assert evaluate_query(q, pd).error is None
+
+
+@pytest.mark.parametrize("line, error, message", REJECTED)
+def test_parse_rejection_table(pd, line, error, message):
+    with pytest.raises(VerificationError) as err:
+        parse_query_line(line, pd)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+@pytest.mark.parametrize("kind, args, error, message", INVALID)
+def test_validation_table(pd, kind, args, error, message):
+    with pytest.raises(VerificationError) as err:
+        evaluate_query(Query(kind, args), pd)
+    assert (type(err.value), str(err.value)) == (error, message)
+    (result,) = evaluate_all([Query(kind, args)], pd).results
+    assert (result.holds, result.error) == (False, message)
+
+
+def test_evaluation_table(pd):
+    held = evaluate_query(Query(QueryKind.HIGHER, (5, 0)), pd)
+    assert (held.holds, held.explanation) == (True, "Confirmed: higher(5, 0)")
+    outcome = evaluate_query(Query(QueryKind.OUTCOME, ("B", 3, "B")), pd)
+    assert (outcome.holds, outcome.explanation) == (
+        True, "Confirmed: finally(outcome(you,B,3,them,B,_),S)"
+    )
+    failed = evaluate_query(Query(QueryKind.LOWEST_FOR_CHOICE, (3, "B")), pd)
+    assert (failed.holds, failed.corrections) == (False, (("payoff", 0),))
