@@ -287,7 +287,8 @@ def _to_term(t) -> Term:
     return out[0]
 
 
-# Compounds `_is_ground` walks before it hands the term to `_is_ground_checked`.
+# Compounds `_is_ground` walks before it hands the term to `_is_ground_checked`,
+# and pairs of compounds `_unify` walks before it checks for cycles.
 _CYCLE_CHECK_AFTER = 10_000
 
 
@@ -356,9 +357,11 @@ def _unify(a, b, trail: list) -> bool:
 
     Iterative, so deep terms cannot exhaust Python's stack. Pairs of
     arguments are unified left to right, depth first, as a recursive
-    unification would. A walk that meets `_CYCLE_CHECK_AFTER` pairs of
-    compounds starts over in `_unify_checked`, which raises LogicError
-    on the cyclic terms that would make it loop forever.
+    unification would. Once the walk has met `_CYCLE_CHECK_AFTER` pairs
+    of compounds it also keeps the pairs it is inside and the pairs it
+    has unified: a shared pair is then unified once, and meeting a pair
+    again inside itself, which only cyclic terms can make happen, raises
+    LogicError instead of looping forever.
     """
     while type(a) is _Ref and a.value is not None:
         a = a.value
@@ -378,48 +381,14 @@ def _unify(a, b, trail: list) -> bool:
         return a == b
     if type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
         return False
-    top = a, b
-    todo = list(zip(a[:0:-1], b[:0:-1]))  # pairs still to unify, the next one last
+    todo: list = list(zip(a[:0:-1], b[:0:-1]))  # pairs still to unify, the next one last
     left = _CYCLE_CHECK_AFTER
-    while todo:
-        a, b = todo.pop()
-        while type(a) is _Ref and a.value is not None:
-            a = a.value
-        while type(b) is _Ref and b.value is not None:
-            b = b.value
-        if a is b:
-            continue
-        if type(a) is _Ref:
-            a.value = b
-            trail.append(a)
-        elif type(b) is _Ref:
-            b.value = a
-            trail.append(b)
-        elif type(a) is not tuple:
-            if a != b:
-                return False
-        elif type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
-            return False
-        else:
-            left -= 1
-            if not left:
-                return _unify_checked(*top, trail)
-            todo += zip(a[:0:-1], b[:0:-1])
-    return True
-
-
-def _unify_checked(a, b, trail: list) -> bool:
-    """`_unify` for large terms: each pair of compounds is unified once,
-    however often it is shared, and meeting a pair again while its own
-    arguments are being unified, which only cyclic terms can make happen,
-    raises LogicError. The bindings already made stay; unifying again
-    over them makes the same bindings a single walk would."""
-    inside: set = set()  # pairs of compounds whose arguments are being unified
-    done: set = set()  # pairs of compounds unified
-    todo: list = [(a, b)]
+    # Once the walk checks for cycles: the ids of the pairs of compounds
+    # whose arguments are being unified, and of those already unified.
+    inside = done = None
     while todo:
         item = todo.pop()
-        if type(item) is list:  # the arguments of this pair are unified
+        if type(item) is list:  # the end of a checked pair's arguments
             inside.discard(item[0])
             done.add(item[0])
             continue
@@ -442,13 +411,18 @@ def _unify_checked(a, b, trail: list) -> bool:
         elif type(b) is not tuple or len(a) != len(b) or a[0] != b[0]:
             return False
         else:
-            pair = id(a), id(b)
-            if pair in done:
-                continue
-            if pair in inside:
-                raise LogicError("cyclic term: unification would not terminate")
-            inside.add(pair)
-            todo.append([pair])
+            if inside is not None:
+                pair = id(a), id(b)
+                if pair in done:
+                    continue
+                if pair in inside:
+                    raise LogicError("cyclic term: unification would not terminate")
+                inside.add(pair)
+                todo.append([pair])
+            else:
+                left -= 1
+                if not left:
+                    inside, done = set(), set()
             todo += zip(a[:0:-1], b[:0:-1])
     return True
 

@@ -447,6 +447,14 @@ def test_a_deep_goal_term_is_converted_without_recursion():
     assert solve_all(base, goal) == [{Var("Y"): Atom("z")}]
 
 
+def test_unifying_two_large_shared_terms():
+    # A20 and B20 each unfold to 2**20 - 1 compounds; past the cycle check
+    # each pair of shared compounds is unified once.
+    doublings = ", ".join(f"d(A{i}, A{i + 1}), d(B{i}, B{i + 1})" for i in range(20))
+    base = rb(f"d(X, f(X, X)). t(B0) :- A0 = leaf, {doublings}, A20 = B20.")
+    assert answers(base, "t(B)") == [{Var("B"): Atom("leaf")}]
+
+
 def test_unifying_two_cyclic_terms_is_a_logic_error():
     with pytest.raises(LogicError) as err:
         answers(rb("eq(X, X)."), "eq(A, f(A)), eq(B, f(B)), A = B")
@@ -475,8 +483,7 @@ def test_two_deep_terms_unify_without_recursion():
 
 
 def test_a_wide_unification_past_the_cycle_check_binds_as_before():
-    # 12,000 pairs of compounds: the walk starts over with its cycle check
-    # after 10,000 of them, over the bindings it has made so far.
+    # 12,000 pairs of compounds: the walk checks for cycles after 10,000.
     n = 12_000
     a = struct("f", *(struct("g", Var(f"A{i}")) for i in range(n)))
     b = struct("f", *(struct("g", Int(i)) for i in range(n)))
