@@ -27,10 +27,11 @@ generated source holds the clause's shape only: its atoms, integers,
 functors and variable names are closure values, so program text never
 becomes code and clauses of one shape share one code object. Each
 selected goal draws one renaming ordinal per clause of its predicate, in
-source order, so a variable that an answer or an error prints is named
-as `rename_apart(clause, ordinal)` names it. When a goal variable meets
-a clause variable the goal variable is bound, as
-`terms.unify(goal, head)` would bind it. There is no occurs check; an
+source order, and a variable that an answer or an error prints is
+`Var(name, ordinal)`: the clause variable's name with that ordinal, as
+`terms.rename_term` stamps it. When a goal variable meets a clause
+variable the goal variable is bound, as `terms.unify(goal, head)` would
+bind it. There is no occurs check; an
 answer, an error message or a ground check that meets a variable bound
 to a term containing it raises LogicError, and so does a unification
 of cyclic terms that would never end.
@@ -57,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .terms import Atom, Int, Struct, Substitution, Term, Var, is_ground, rename_term, term_vars
+from .terms import Atom, Int, Struct, Substitution, Term, Var, is_ground, term_vars
 
 
 class LogicError(Exception):
@@ -124,19 +125,6 @@ class Clause:
         if not self.body:
             return f"{self.head}."
         return f"{self.head} :- {', '.join(str(l) for l in self.body)}."
-
-
-def rename_apart(clause: Clause, ordinal: int) -> Clause:
-    """Standardize a clause apart by stamping `ordinal` on every variable.
-
-    Distinct variables in a parsed clause always have distinct names, so a
-    shared ordinal keeps them distinct while guaranteeing freshness against
-    every other renaming step. The search renames clauses while unifying
-    their heads, into the same names and ordinals as this function.
-    """
-    head = rename_term(clause.head, ordinal)
-    body = tuple(Literal(rename_term(l.term, ordinal), l.negated) for l in clause.body)
-    return Clause(head, body)
 
 
 class RuleBase:

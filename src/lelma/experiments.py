@@ -28,18 +28,13 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .games import GameSpec, load_game
-from .gateway import ModelConfig
+from .gateway import ModelConfig, replay_config
 from .orchestrator import (
     LoopConfig,
     SessionTranscript,
     read_transcript,
     run_session,
     write_transcript,
-)
-from .verification import (
-    all_reasoner_payoffs,
-    best_payoff_for_choice,
-    guaranteed_payoff,
 )
 
 
@@ -87,24 +82,51 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    """INI config. Credentials are named by env var only, never inline."""
+    """INI config. Credentials are named by env var only, never inline.
+
+    A file configparser rejects, or a value that cannot be read, such as
+    `repetitions = many` or an empty `games =`, raises ExperimentError
+    naming the line or the section and key.
+    """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ExperimentError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ExperimentError(f"cannot read config file {path}")
+        return _experiment_from(parser)
+    except configparser.Error as exc:  # a malformed line, a bad %-interpolation, ...
+        raise ExperimentError(str(exc)) from None
+
+
+def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     exp = parser["experiment"] if parser.has_section("experiment") else {}
     games = tuple(
         name.strip() for name in exp.get("games", "pd,sh,hd").split(",") if name.strip()
     )
+    if not games:
+        raise ExperimentError("[experiment] games: no game given")
     return ExperimentConfig(
         games=games,
         reasoner=_model_from_section(parser, "reasoner"),
         translator=_model_from_section(parser, "translator"),
-        repetitions=int(exp.get("repetitions", 30)),
-        parallelism=int(exp.get("parallelism", 0)),
+        repetitions=_number(exp, "experiment", "repetitions", int, 30),
+        parallelism=_number(exp, "experiment", "parallelism", int, 0),
         output_dir=exp.get("output_dir", "runs"),
         cassette_dir=exp.get("cassette_dir", None) or None,
-        max_attempts=int(exp.get("max_attempts", 5)),
+        max_attempts=_number(exp, "experiment", "max_attempts", int, 5),
     )
+
+
+def _number(values: Mapping[str, str], section: str, key: str, kind: type, default):
+    """`values[key]` read as an int or a float, or `default` if it is unset."""
+    if key not in values:
+        return default
+    try:
+        return kind(values[key])
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ExperimentError(
+            f"[{section}] {key}: expected {expected}, got {values[key]!r}"
+        ) from None
 
 
 def _model_from_section(parser: configparser.ConfigParser, section: str) -> ModelConfig:
@@ -117,16 +139,19 @@ def _model_from_section(parser: configparser.ConfigParser, section: str) -> Mode
                 f"[{section}] must not contain credentials; "
                 "set api_key_env to the NAME of an environment variable instead"
             )
-    return ModelConfig(
-        provider=sec.get("provider", "mock"),
-        model_id=sec.get("model_id", "mock-model"),
-        endpoint=sec.get("endpoint", ""),
-        temperature=sec.getfloat("temperature", 1.0),
-        max_output_tokens=sec.getint("max_output_tokens", 1024),
-        timeout=sec.getfloat("timeout", 60.0),
-        retries=sec.getint("retries", 3),
-        api_key_env=sec.get("api_key_env", None) or None,
-    )
+    try:
+        return ModelConfig(
+            provider=sec.get("provider", "mock"),
+            model_id=sec.get("model_id", "mock-model"),
+            endpoint=sec.get("endpoint", ""),
+            temperature=_number(sec, section, "temperature", float, 1.0),
+            max_output_tokens=_number(sec, section, "max_output_tokens", int, 1024),
+            timeout=_number(sec, section, "timeout", float, 60.0),
+            retries=_number(sec, section, "retries", int, 3),
+            api_key_env=sec.get("api_key_env", None) or None,
+        )
+    except ValueError as exc:  # ModelConfig's one check: an unknown provider
+        raise ExperimentError(f"[{section}] provider: {exc}") from None
 
 
 # --- scripted offline scenarios ------------------------------------------------
@@ -142,12 +167,12 @@ def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple
     and repetitions (identical requests would collapse to one cassette
     record).
     """
-    payoffs = all_reasoner_payoffs(g)
-    top, bottom = max(payoffs), min(payoffs)
+    summary = g.payoff_summary
+    top, bottom = summary.highest, summary.lowest
     scenario = SCENARIOS[rep % len(SCENARIOS)]
     tag = f"[{g.name} rep {rep}]"
     if scenario == "clean":
-        best_b = best_payoff_for_choice(g, "B")
+        best_b = summary.best["B"]
         reasoner = (
             f"{tag} The best case for B pays ${best_b} and the overall payoffs "
             f"range from ${bottom} to ${top}. I will cooperate with myself here.\n"
@@ -164,7 +189,7 @@ def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple
         reasoner = (f"{tag} I simply have a gut feeling about this one.\nCHOICE: R",)
         translator = ("The reasoning makes no claims I can turn into queries.",)
     else:  # stubborn
-        wrong = guaranteed_payoff(g, "R") + guaranteed_payoff(g, "B") + top + 1
+        wrong = summary.guaranteed["R"] + summary.guaranteed["B"] + top + 1
         reasoner = tuple(
             f"{tag} attempt {k}: I still insist the guaranteed payoff for R is ${wrong}.\n"
             "CHOICE: R"
@@ -175,40 +200,24 @@ def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple
 
 
 def _session_loop_config(
-    cfg: ExperimentConfig, g: GameSpec, rep: int, provider: Optional[str]
+    cfg: ExperimentConfig, g: GameSpec, rep: int, session_id: str, provider: Optional[str]
 ) -> LoopConfig:
-    session_id = f"{g.name}_{rep:03d}"
-    reasoner, translator = cfg.reasoner, cfg.translator
-    mode = provider or reasoner.provider
+    models = {"reasoner": cfg.reasoner, "translator": cfg.translator}
+    mode = provider or cfg.reasoner.provider
     if mode == "mock":
-        r_script, t_script = mock_session_scripts(g, rep)
-        reasoner = replace(reasoner, provider="mock", script=r_script)
-        translator = replace(translator, provider="mock", script=t_script)
+        scripts = mock_session_scripts(g, rep)
+        for (role, model), script in zip(models.items(), scripts):
+            models[role] = replace(model, provider="mock", script=script)
+    if cfg.cassette_dir:
+        for role, model in models.items():
+            tape = str(Path(cfg.cassette_dir) / f"{session_id}.{role}.jsonl")
+            if mode == "replay":
+                models[role] = replay_config(model, tape)
+            else:
+                models[role] = replace(model, record_to=tape)
     elif mode == "replay":
-        if not cfg.cassette_dir:
-            raise ExperimentError("replay mode needs cassette_dir in the config")
-        reasoner = replace(
-            reasoner,
-            provider="replay",
-            cassette=str(Path(cfg.cassette_dir) / f"{session_id}.reasoner.jsonl"),
-            record_to=None,
-        )
-        translator = replace(
-            translator,
-            provider="replay",
-            cassette=str(Path(cfg.cassette_dir) / f"{session_id}.translator.jsonl"),
-            record_to=None,
-        )
-    if mode != "replay" and cfg.cassette_dir:
-        reasoner = replace(
-            reasoner,
-            record_to=str(Path(cfg.cassette_dir) / f"{session_id}.reasoner.jsonl"),
-        )
-        translator = replace(
-            translator,
-            record_to=str(Path(cfg.cassette_dir) / f"{session_id}.translator.jsonl"),
-        )
-    return LoopConfig(reasoner=reasoner, translator=translator, max_attempts=cfg.max_attempts)
+        raise ExperimentError("replay mode needs cassette_dir in the config")
+    return LoopConfig(**models, max_attempts=cfg.max_attempts)
 
 
 def _run_game(cfg: ExperimentConfig, name: str, provider: Optional[str]):
@@ -216,7 +225,7 @@ def _run_game(cfg: ExperimentConfig, name: str, provider: Optional[str]):
     transcripts = []
     for rep in range(cfg.repetitions):
         session_id = f"{g.name}_{rep:03d}"
-        loop_cfg = _session_loop_config(cfg, g, rep, provider)
+        loop_cfg = _session_loop_config(cfg, g, rep, session_id, provider)
         transcript = run_session(g, loop_cfg, session_id=session_id)
         write_transcript(str(Path(cfg.output_dir) / f"{session_id}.jsonl"), transcript)
         transcripts.append(transcript)
@@ -308,15 +317,7 @@ def summarize(transcripts: Sequence[SessionTranscript], max_attempts: int = 5) -
             "completion_tokens": sum(t.usage.completion_tokens for t in usable),
         },
         "avg_tokens_per_attempt": tokens_total / attempts_total if attempts_total else 0.0,
-        "choices": {
-            game: {
-                "initial_b": stats["initial_b"],
-                "final_b": stats["final_b"],
-                "counted": stats["counted"],
-                "excluded": stats["excluded"],
-            }
-            for game, stats in sorted(choice_distribution(transcripts).items())
-        },
+        "choices": dict(sorted(choice_distribution(transcripts).items())),
     }
 
 

@@ -12,14 +12,14 @@ kept verbatim in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.resources import files
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .engine import Clause, Literal, ResolutionLimits, RuleBase, pos, solve
-from .gdl import parse_program
+from .gdl import parse_program, read_name
 from .terms import Atom, Int, Struct, Term, Var, is_ground
 
 PROMPT_LABELS = ("R", "B")  # R = first table row's move, B = second row's
@@ -49,15 +49,11 @@ holds(F, do(M, S)):- effect(F, M, S).
 holds(F, do(M, S)):- holds(F, S), \\+ abnormal(F, M, S).
 """
 
-_INDEPENDENT_CACHE: "tuple[Clause, ...] | None" = None
 
-
+@cache
 def game_independent_rules() -> "tuple[Clause, ...]":
-    global _INDEPENDENT_CACHE
-    if _INDEPENDENT_CACHE is None:
-        clauses, _ = parse_program(_GAME_INDEPENDENT_SOURCE)
-        _INDEPENDENT_CACHE = tuple(clauses)
-    return _INDEPENDENT_CACHE
+    clauses, _ = parse_program(_GAME_INDEPENDENT_SOURCE)
+    return tuple(clauses)
 
 
 class GameSpecError(Exception):
@@ -155,18 +151,10 @@ class GameSpec:
     def rulebase(self) -> RuleBase:
         return RuleBase(game_independent_rules() + self.clauses)
 
-    def move_for_label(self, label: str) -> str:
-        return self.move_labels[label]
-
-    def label_for_move(self, move: str) -> str:
-        for label, atom in self.move_labels.items():
-            if atom == move:
-                return label
-        raise KeyError(move)
-
     @cached_property
     def labels_in_move_order(self) -> "tuple[str, ...]":
-        return tuple(self.label_for_move(m) for m in self.payoffs.moves)
+        label_of = {atom: label for label, atom in self.move_labels.items()}
+        return tuple(label_of[m] for m in self.payoffs.moves)
 
     @cached_property
     def label_payoffs(self) -> "Mapping[tuple[str, str], tuple[int, int]]":
@@ -216,12 +204,6 @@ def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":
     return meta
 
 
-def _unquote(value: str) -> str:
-    if len(value) >= 2 and value[0] == "'" and value[-1] == "'":
-        return value[1:-1]
-    return value
-
-
 def _extract_payoffs(clauses: Iterable[Clause]) -> PayoffMatrix:
     moves: list[str] = []
     entries: dict[tuple[str, str], tuple[int, int]] = {}
@@ -255,7 +237,7 @@ def _extract_label_map(meta: "dict[str, str]", payoffs: PayoffMatrix) -> "dict[s
         key = f"label {label}"
         if key not in meta:
             raise InvalidLabelMapError(f"metadata header is missing '{key}'")
-        labels[label] = _unquote(meta[key])
+        labels[label] = read_name(meta[key])
     if len(set(labels.values())) != len(labels):
         raise InvalidLabelMapError(f"labels must map to distinct moves, got {labels}")
     unknown = set(labels.values()) - set(payoffs.moves)
@@ -316,28 +298,15 @@ def load_game(name_or_path: str) -> GameSpec:
     return parse_game(text)
 
 
-def game_to_text(g: GameSpec) -> str:
-    """Render a GameSpec back to file syntax (metadata header plus clauses)."""
-    lines = [f"%! name: {g.name}"]
-    for label in PROMPT_LABELS:
-        lines.append(f"%! label {label}: {Atom(g.move_labels[label])}")
-    lines.append(f"%! reasoner: {g.reasoner}")
-    lines.append(f"%! opponent: {g.opponent}")
-    lines.append("")
-    for c in g.clauses:
-        lines.append(str(c))
-    return "\n".join(lines) + "\n"
-
-
-def _outcome_goal(g: GameSpec) -> "tuple[Literal, ...]":
+def outcome_goal(g: GameSpec, outcome: "tuple[Term, ...]") -> "tuple[Literal, ...]":
+    """The goal `game(S0, S), finally(outcome(...), S)`: some play from
+    g's initial situation S0 ends in a situation S with the outcome whose
+    six arguments (p1, p1's move, p1's payoff, p2, p2's move, p2's payoff)
+    are given."""
     situation = Var("S")
-    outcome = Struct(
-        "outcome",
-        (Var("P1"), Var("M1"), Var("U1"), Var("P2"), Var("M2"), Var("U2")),
-    )
     return (
         pos(Struct("game", (g.initial_situation, situation))),
-        pos(Struct("finally", (outcome, situation))),
+        pos(Struct("finally", (Struct("outcome", outcome), situation))),
     )
 
 
@@ -351,7 +320,8 @@ def enumerate_outcomes(
     """
     outcomes: list[Outcome] = []
     seen: set[tuple[str, str]] = set()
-    for answer in solve(g.rulebase, _outcome_goal(g), limits):
+    goal = outcome_goal(g, tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2")))
+    for answer in solve(g.rulebase, goal, limits):
         p1_move = answer[Var("M1")]
         p2_move = answer[Var("M2")]
         u1 = answer[Var("U1")]
@@ -365,28 +335,4 @@ def enumerate_outcomes(
         outcomes.append(
             Outcome(p1_move.name, p2_move.name, u1.value, u2.value, answer[Var("S")])
         )
-    return outcomes
-
-
-def enumerate_outcomes_direct(g: GameSpec) -> "list[Outcome]":
-    """Brute-force enumerator over play orders and move pairs.
-
-    Bypasses the solver entirely: builds each two-move situation by hand
-    and reads payoffs straight from the matrix. Used as the oracle the
-    solver's answers are checked against.
-    """
-    outcomes: list[Outcome] = []
-    players = (g.reasoner, g.opponent)
-    for first, second in (players, players[::-1]):
-        for m_first in g.payoffs.moves:
-            for m_second in g.payoffs.moves:
-                situation: Term = g.initial_situation
-                for player, move in ((first, m_first), (second, m_second)):
-                    situation = Struct(
-                        "do", (Struct("choice", (Atom(player), Atom(move))), situation)
-                    )
-                p1_move = m_first if first == g.reasoner else m_second
-                p2_move = m_second if first == g.reasoner else m_first
-                u1, u2 = g.payoffs.payoff(p1_move, p2_move)
-                outcomes.append(Outcome(p1_move, p2_move, u1, u2, situation))
     return outcomes

@@ -386,15 +386,6 @@ class Gateway:
             handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def complete(
-    cfg: ModelConfig,
-    messages: Sequence[ChatMessage],
-    transport: Optional[Transport] = None,
-) -> CompletionResult:
-    """One-shot completion for callers that do not need gateway state."""
-    return Gateway(cfg, transport=transport).complete(messages)
-
-
 def replay_config(cfg: ModelConfig, cassette: str) -> ModelConfig:
     """The same model config pointed at a cassette instead of a live provider."""
     return replace(cfg, provider="replay", cassette=cassette, record_to=None)

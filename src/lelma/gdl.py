@@ -1,4 +1,4 @@
-"""Parser and printer for the Prolog-style game description dialect.
+"""Parser for the Prolog-style game description dialect.
 
 Grammar (one clause per `.`-terminated statement):
 
@@ -65,6 +65,21 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n"}  # what each escape in a quoted name stands for
 
 
+def _unquote(quoted: str) -> str:
+    """The name a quoted-name token stands for."""
+    name = quoted[1:-1]
+    if "\\" in name:
+        name = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], name)
+    return name
+
+
+def read_name(text: str) -> str:
+    """The name `text` stands for: a single-quoted name read as the
+    tokenizer reads it, any other text as is."""
+    m = _TOKEN_RE.fullmatch(text)
+    return _unquote(text) if m and m.lastgroup == "quoted" else text
+
+
 def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
     tokens: list[_Token] = []
     metadata: list[tuple[int, str]] = []
@@ -99,10 +114,7 @@ def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
         elif m.lastgroup == "var":
             tokens.append(_Token("VAR", m.group(), line, column))
         elif m.lastgroup == "quoted":
-            name = m.group()[1:-1]
-            if "\\" in name:
-                name = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], name)
-            tokens.append(_Token("QUOTED", name, line, column))
+            tokens.append(_Token("QUOTED", _unquote(m.group()), line, column))
         else:
             tokens.append(_Token("PUNCT", m.group(), line, column))
         pos = m.end()
@@ -271,7 +283,3 @@ def parse_goal(text: str) -> "tuple[Literal, ...]":
             f"trailing input {tail.text!r}", tail.line, tail.column, expected="end of input"
         )
     return _normalize_anonymous(Clause(Atom("goal"), body)).body
-
-
-def program_to_text(clauses: "list[Clause]") -> str:
-    return "\n".join(str(c) for c in clauses) + "\n"

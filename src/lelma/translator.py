@@ -15,7 +15,7 @@ from importlib import resources
 
 from .games import GameSpec
 from .gateway import ChatMessage
-from .verification import Query, VerificationError, parse_query_line, query_to_text
+from .verification import Query, VerificationError, parse_query_line
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _system_message(b_move: str, r_move: str) -> ChatMessage:
 
 def build_translation_prompt(reasoning: str, g: GameSpec) -> "tuple[ChatMessage, ...]":
     """System prompt carrying the catalogue, user prompt carrying the reasoning verbatim."""
-    system = _system_message(g.move_for_label("B"), g.move_for_label("R"))
+    system = _system_message(g.move_labels["B"], g.move_labels["R"])
     return (system, ChatMessage("user", reasoning))
 
 
@@ -59,8 +59,3 @@ def parse_queries(llm_output: str, g: GameSpec) -> "tuple[list[Query], ParseDiag
         except VerificationError as exc:
             skipped.append((line, str(exc)))
     return queries, ParseDiagnostics(len(queries), tuple(skipped))
-
-
-def queries_to_text(queries: "list[Query]") -> str:
-    """Canonical one-query-per-line rendering; parse_queries inverts it."""
-    return "\n".join(query_to_text(q) for q in queries)

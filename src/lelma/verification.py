@@ -8,12 +8,11 @@ reasoner's side, in prompt-label space). The view, and what the judges
 derive from it (guaranteed and best payoffs per label, the extremes,
 the mutual sums and theirs), are built once per game, on first use, as
 the cached GameSpec properties label_payoffs and payoff_summary; the
-helpers and judges below only read them, so no verdict scans the
-matrix. Nothing is memoized per line or per query. Failed queries
-carry corrections: (role, value) pairs that, substituted back via
-apply_corrections, always produce a holding query. The wording of the
-correction sentences lives in an editable resource file,
-resources/feedback_templates.json.
+judges below only read them, so no verdict scans the matrix. Nothing is
+memoized per line or per query. Failed queries carry corrections:
+(role, value) pairs that, substituted back via apply_corrections, always
+produce a holding query. The wording of the correction sentences lives
+in an editable resource file, resources/feedback_templates.json.
 
 A translator line is parsed in one pass: it is stripped once, matched
 against the one-level template before the outcome template (they
@@ -41,9 +40,9 @@ from enum import Enum
 from importlib.resources import files
 from typing import Optional, Sequence
 
-from .engine import LogicError, pos, solve
-from .games import GameSpec
-from .terms import Atom, Int, Struct, Var
+from .engine import LogicError, solve
+from .games import GameSpec, outcome_goal
+from .terms import Atom, Int, Var
 
 
 class VerificationError(Exception):
@@ -108,16 +107,8 @@ class VerificationReport:
         object.__setattr__(self, "_failed", failed)
 
     @property
-    def queries(self) -> "tuple[Query, ...]":
-        return tuple(r.query for r in self.results)
-
-    @property
     def failed(self) -> "tuple[QueryResult, ...]":
         return self._failed
-
-    @property
-    def errors(self) -> "tuple[QueryResult, ...]":
-        return tuple(r for r in self.results if r.error is not None)
 
     @property
     def all_hold(self) -> bool:
@@ -217,32 +208,6 @@ def query_to_text(q: Query) -> str:
     return f"{_NAMES[q.kind]}({', '.join(map(str, q.args))})"
 
 
-# Payoff view helpers. All take and return prompt labels, reasoner = row.
-# They read the payoff view GameSpec caches (label_payoffs) and the
-# summary it derives from it (payoff_summary).
-
-
-def reasoner_payoff(g: GameSpec, own: str, other: str) -> int:
-    return g.label_payoffs[own, other][0]
-
-
-def guaranteed_payoff(g: GameSpec, own: str) -> int:
-    """Worst-case (maximin component) payoff for committing to `own`."""
-    return g.payoff_summary.guaranteed[own]
-
-
-def best_payoff_for_choice(g: GameSpec, own: str) -> int:
-    return g.payoff_summary.best[own]
-
-
-def mutual_payoff(g: GameSpec, own: str, other: str) -> int:
-    return g.payoff_summary.mutual[own, other]
-
-
-def all_reasoner_payoffs(g: GameSpec) -> "list[int]":
-    return [u1 for u1, _ in g.label_payoffs.values()]
-
-
 def _validate(q: Query, g: GameSpec) -> None:
     # The exact types are checked first, as they are the usual case.
     schema = SCHEMAS.get(q.kind)
@@ -257,28 +222,6 @@ def _validate(q: Query, g: GameSpec) -> None:
                 raise MalformedQueryError(f"{q.kind.value}: expected move label, got {arg!r}")
             if arg not in g.move_labels:
                 raise UnknownMoveError(arg, sorted(g.move_labels))
-
-
-def _outcome_holds(g: GameSpec, own: str, n: int, other: str) -> bool:
-    # Dispatched through the engine over the full game program, not the
-    # payoff view: this is the route the published worked query takes.
-    situation = Var("S")
-    outcome = Struct(
-        "outcome",
-        (
-            Atom(g.reasoner),
-            Atom(g.move_for_label(own)),
-            Int(n),
-            Atom(g.opponent),
-            Atom(g.move_for_label(other)),
-            Var("U2"),
-        ),
-    )
-    goal = (
-        pos(Struct("game", (g.initial_situation, situation))),
-        pos(Struct("finally", (outcome, situation))),
-    )
-    return next(solve(g.rulebase, goal), None) is not None
 
 
 def _relation(a: int, b: int) -> str:
@@ -297,10 +240,14 @@ _HOLDS = ((), "", {})  # a judge's answer for a query that holds
 
 
 def _judge_outcome(g: GameSpec, kind: QueryKind, args: tuple):
+    # Decided by the engine over the full game program, not the payoff
+    # view: this is the route the published worked query takes.
     own, n, other = args
-    if _outcome_holds(g, own, n, other):
+    own_move, other_move = Atom(g.move_labels[own]), Atom(g.move_labels[other])
+    outcome = (Atom(g.reasoner), own_move, Int(n), Atom(g.opponent), other_move, Var("U2"))
+    if next(solve(g.rulebase, outcome_goal(g, outcome)), None) is not None:
         return _HOLDS
-    correct = reasoner_payoff(g, own, other)
+    correct = g.label_payoffs[own, other][0]
     fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
     return (("payoff", correct),), "outcome", fields
 

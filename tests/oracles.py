@@ -1,14 +1,75 @@
-"""Independent brute-force oracles the implementation is checked against.
+"""Independent brute-force oracles the implementation is checked against,
+and the renamer and printer the tests need.
 
 Everything here is written directly from first principles over the raw
-payoff entries (or the bare agreement-statistic formula) and must not
-import the modules under test beyond plain data types. Kept deliberately
-naive: correctness over elegance.
+payoff entries, terms and clauses (or the bare agreement-statistic
+formula) and must not import the modules under test beyond plain data
+types. Kept deliberately naive: correctness over elegance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from lelma.engine import Clause, Literal
+from lelma.games import Outcome
+from lelma.terms import Atom, Struct, Term, Var
+
+
+def rename_apart(clause: Clause, ordinal: int) -> Clause:
+    """Standardize a clause apart by stamping `ordinal` on every variable.
+
+    Distinct variables in a parsed clause always have distinct names, so a
+    shared ordinal keeps them distinct while guaranteeing freshness against
+    every other renaming step. The engine renames clauses while unifying
+    their heads, into the same names and ordinals as this function.
+    """
+
+    def rename(term: Term) -> Term:
+        if isinstance(term, Var):
+            return Var(term.name, ordinal)
+        if isinstance(term, Struct):
+            return Struct(term.functor, tuple(rename(a) for a in term.args))
+        return term
+
+    body = tuple(Literal(rename(l.term), l.negated) for l in clause.body)
+    return Clause(rename(clause.head), body)
+
+
+def game_to_text(g) -> str:
+    """A game in file syntax (metadata header plus clauses)."""
+    lines = [f"%! name: {g.name}"]
+    for label in ("R", "B"):
+        lines.append(f"%! label {label}: {Atom(g.move_labels[label])}")
+    lines.append(f"%! reasoner: {g.reasoner}")
+    lines.append(f"%! opponent: {g.opponent}")
+    lines.append("")
+    for c in g.clauses:
+        lines.append(str(c))
+    return "\n".join(lines) + "\n"
+
+
+def enumerate_outcomes_direct(g) -> "list[Outcome]":
+    """Brute-force enumerator over play orders and move pairs.
+
+    Bypasses the solver entirely: builds each two-move situation by hand
+    and reads payoffs straight from the matrix.
+    """
+    outcomes: list[Outcome] = []
+    players = (g.reasoner, g.opponent)
+    for first, second in (players, players[::-1]):
+        for m_first in g.payoffs.moves:
+            for m_second in g.payoffs.moves:
+                situation: Term = g.initial_situation
+                for player, move in ((first, m_first), (second, m_second)):
+                    situation = Struct(
+                        "do", (Struct("choice", (Atom(player), Atom(move))), situation)
+                    )
+                p1_move = m_first if first == g.reasoner else m_second
+                p2_move = m_second if first == g.reasoner else m_first
+                u1, u2 = g.payoffs.entries[(p1_move, p2_move)]
+                outcomes.append(Outcome(p1_move, p2_move, u1, u2, situation))
+    return outcomes
 
 
 def outcome_rows(g) -> "list[tuple[str, str, int, int]]":

@@ -154,6 +154,45 @@ class TestRunAndStats:
         assert "Traceback" not in err
         assert (out / "summary.json").is_file()
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("experiment", "games =", "error: [experiment] games: no game given"),
+            (
+                "experiment",
+                "repetitions = many",
+                "error: [experiment] repetitions: expected an integer, got 'many'",
+            ),
+            (
+                "reasoner",
+                "temperature = hot",
+                "error: [reasoner] temperature: expected a number, got 'hot'",
+            ),
+            ("translator", "provider = anthropic", "error: [translator] provider: unknown"),
+            ("experiment", "output_dir = elsewhere", "error: While reading from"),
+            ("reasoner", "model_id = 100%", "error: '%' must be followed by '%' or '('"),
+        ],
+        ids=["empty-games", "non-integer", "non-number", "unknown-provider", "repeated-key",
+             "bad-interpolation"],
+    )
+    def test_an_unreadable_config_value_is_an_error(
+        self, tmp_path, capsys, section, line, message
+    ):
+        # Each config would run but for `line`, which is added to `section`
+        # (a second `output_dir` repeats a key).
+        config, out = tmp_path / "exp.ini", tmp_path / "runs"
+        body = {"experiment": [f"output_dir = {out}"]}
+        body.setdefault(section, []).append(line)
+        config.write_text("".join(
+            f"[{name}]\n" + "".join(f"{entry}\n" for entry in entries)
+            for name, entries in body.items()
+        ))
+        code, _, err = run_cli("run", "--config", str(config), capsys=capsys)
+        assert code == 2
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEvalAndKappa:
     def fill_sheet(self, sheet_path, verdict_for):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import enumerate_outcomes_direct, rename_apart
 from lelma import engine, verification
 from lelma.engine import (
     Clause,
@@ -17,11 +18,9 @@ from lelma.engine import (
     UnknownPredicate,
     neg,
     pos,
-    rename_apart,
     solve,
     solve_all,
 )
-from lelma.games import enumerate_outcomes_direct
 from lelma.gdl import parse_clause, parse_goal, parse_program
 from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, struct, term_vars
 from lelma.verification import Query, QueryKind

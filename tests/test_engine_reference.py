@@ -1,22 +1,23 @@
 """The engine against a naive reference SLD interpreter.
 
 The reference below resolves over plain dict substitutions with
-`terms.unify` and renames each clause with `rename_apart`, the textbook
-way. It follows the engine's documented contract: depth-first, clauses in
-source order, one step per selected goal, `\\+` subproofs spending from the
-same step budget at the same depth, one renaming ordinal per clause of the
-selected predicate (counted from 1), builtins before the clause index, and
-the depth check after it. The depth of a goal is the number of clauses
-resolved on the way to it, the goals after a resolved literal included.
-Hypothesis draws small programs and goals, and the engine must give the
-same answers as text, in the same order, and end with the same
-`LogicError` class and text.
+`terms.unify` and renames each clause with `oracles.rename_apart`, the
+textbook way. It follows the engine's documented contract: depth-first,
+clauses in source order, one step per selected goal, `\\+` subproofs
+spending from the same step budget at the same depth, one renaming
+ordinal per clause of the selected predicate (counted from 1), builtins
+before the clause index, and the depth check after it. The depth of a
+goal is the number of clauses resolved on the way to it, the goals after
+a resolved literal included. Hypothesis draws small programs and goals,
+and the engine must give the same answers as text, in the same order,
+and end with the same `LogicError` class and text.
 """
 
 from __future__ import annotations
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from oracles import rename_apart
 from lelma.engine import (
     Clause,
     FlounderedNegation,
@@ -26,7 +27,6 @@ from lelma.engine import (
     ResolutionLimits,
     RuleBase,
     UnknownPredicate,
-    rename_apart,
     solve,
 )
 from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, term_vars, unify, walk

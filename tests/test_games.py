@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import enumerate_outcomes_direct, game_to_text
 from lelma.engine import solve_all
 from lelma.games import (
     GameSpecError,
@@ -11,9 +12,7 @@ from lelma.games import (
     InvalidLabelMapError,
     MissingPredicateError,
     enumerate_outcomes,
-    enumerate_outcomes_direct,
     game_independent_rules,
-    game_to_text,
     load_game,
     parse_game,
 )
@@ -114,6 +113,16 @@ def test_game_independent_rules_shape():
 def test_round_trip_through_text(games):
     for g in games.values():
         assert parse_game(game_to_text(g)) == g
+
+
+def test_a_label_move_with_an_escaped_quote_loads_and_round_trips(pd):
+    # 'D\'s' in the label line and in every clause names the move D's.
+    text = game_to_text(pd).replace("'D'", "'D\\'s'")
+    assert "%! label R: 'D\\'s'" in text
+    g = parse_game(text)
+    assert g.move_labels["R"] == "D's"
+    assert g.payoffs.moves == ("D's", "C")
+    assert parse_game(game_to_text(g)) == g
 
 
 def test_load_game_by_path(tmp_path, pd):

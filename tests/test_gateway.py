@@ -17,7 +17,6 @@ from lelma.gateway import (
     TransportError,
     Usage,
     canonical_request_key,
-    complete,
     load_cassette,
     replay_config,
 )
@@ -305,11 +304,6 @@ class TestRetries:
             Gateway(cfg, transport=transport, sleep=lambda s: None).complete(MESSAGES)
         assert excinfo.value.status == 401
         assert calls["n"] == 1
-
-
-def test_module_level_complete():
-    cfg = ModelConfig(script=("short reply",))
-    assert complete(cfg, MESSAGES, transport=exploding_transport).text == "short reply"
 
 
 def test_unknown_provider_rejected():

@@ -12,7 +12,6 @@ from lelma.gdl import (
     parse_clause,
     parse_goal,
     parse_program,
-    program_to_text,
 )
 from lelma.terms import Atom, Int, Struct, Var
 
@@ -222,6 +221,6 @@ def test_clause_round_trip(clause):
 
 @given(st.lists(clauses_strategy, min_size=0, max_size=5))
 def test_program_round_trip(clauses):
-    reparsed, meta = parse_program(program_to_text(clauses))
+    reparsed, meta = parse_program("".join(f"{c}\n" for c in clauses))
     assert reparsed == clauses
     assert meta == []

@@ -89,3 +89,88 @@ def test_no_module_reads_a_private_attribute_another_module_defines():
         if (read - bound) & elsewhere:
             crossing[name] = sorted((read - bound) & elsewhere)
     assert crossing == {}
+
+
+# Public names that no package code reads and `lelma.__all__` does not
+# export, each kept on purpose.
+KEPT_UNREAD = {
+    "terms.unify": "criterion 7's unification properties and perfbench's terms.* rows read it",
+    "terms.resolve": "criterion 7's unification properties and perfbench's terms.* rows read it",
+    "terms.rename_term": "perfbench's terms.rename row reads it; the engine names variables so",
+    "terms.struct": "the tests' shorthand for building a compound",
+    "engine.neg": "the counterpart of engine.pos, for building a negated literal",
+    "verification.apply_corrections": "the perfbench sweep and the output checks read it",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) for each public top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        yield from ((name, node) for name in targets if not name.startswith("_"))
+
+
+def names_read(nodes) -> "set[str]":
+    """The names the nodes read, `module.name` for an attribute of a bare
+    name, string annotations included."""
+    read = set()
+    for node in (part for n in nodes for part in ast.walk(n)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.add(f"{node.value.id}.{node.attr}")
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return read
+
+
+def unread_public_names(package: Path, exported) -> "list[str]":
+    """`module.name` for each public top-level definition of a package module
+    that is neither read by package code outside its own definition nor
+    in `exported`. Another module reads a name through its import of it."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    trees.pop("__init__")
+    # What each top-level statement reads, and the name each module binds
+    # to each `from .module import name`.
+    reads = {m: [(node, names_read([node])) for node in tree.body] for m, tree in trees.items()}
+    binds = {
+        m: {
+            (node.module, alias.name): alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for m, tree in trees.items()
+    }
+    unread = []
+    for module, tree in trees.items():
+        for name, definition in public_definitions(tree):
+            if name in exported:
+                continue
+            read = False
+            for other in trees:
+                wanted = {binds[other].get((module, name)), f"{module}.{name}"}
+                if other == module:
+                    wanted.add(name)
+                read = read or any(
+                    wanted & names for node, names in reads[other] if node is not definition
+                )
+            if not read:
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_is_read_by_the_package_or_exported():
+    unread = unread_public_names(PACKAGE, set(lelma.__all__))
+    assert sorted(set(unread) - set(KEPT_UNREAD)) == []
+    assert sorted(set(KEPT_UNREAD) - set(unread)) == []  # the allowlist holds no stale name

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lelma.games import load_game
-from lelma.translator import build_translation_prompt, parse_queries, queries_to_text
-from lelma.verification import Query, QueryKind
+from lelma.translator import build_translation_prompt, parse_queries
+from lelma.verification import Query, QueryKind, query_to_text
 
 CATALOGUE_EXAMPLES = [
     "finally(outcome(you,B,1,them,R,_),S)",
@@ -42,8 +42,8 @@ class TestPrompt:
     def test_prompt_names_the_concrete_moves(self, games):
         for g in games.values():
             system, _ = build_translation_prompt("x", g)
-            assert f"B stands for the move '{g.move_for_label('B')}'" in system.content
-            assert f"R stands for the move '{g.move_for_label('R')}'" in system.content
+            assert f"B stands for the move '{g.move_labels['B']}'" in system.content
+            assert f"R stands for the move '{g.move_labels['R']}'" in system.content
 
 
 class TestParseQueries:
@@ -119,7 +119,7 @@ _PD = load_game("pd")
 @given(query_lists)
 def check_translator_round_trip(batch):
     """Canonical text of any query batch parses back to the same batch."""
-    text = queries_to_text(batch)
+    text = "\n".join(query_to_text(q) for q in batch)
     parsed, diag = parse_queries(text, _PD)
     assert parsed == batch
     assert diag.skipped == ()

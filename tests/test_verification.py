@@ -20,12 +20,9 @@ from lelma.verification import (
     UnknownMoveError,
     VerificationError,
     apply_corrections,
-    best_payoff_for_choice,
     evaluate_all,
     evaluate_query,
     feedback_templates,
-    guaranteed_payoff,
-    mutual_payoff,
     parse_query_line,
     query_to_text,
     render_feedback,
@@ -132,13 +129,13 @@ def test_equal_ties_get_equal_corrections(pd):
 
 
 def test_payoff_view_helpers(games):
-    pd, sh, hd = games["pd"], games["sh"], games["hd"]
-    assert guaranteed_payoff(pd, "R") == 1 and guaranteed_payoff(pd, "B") == 0
-    assert guaranteed_payoff(sh, "R") == 1 and guaranteed_payoff(sh, "B") == 0
-    assert guaranteed_payoff(hd, "R") == 0 and guaranteed_payoff(hd, "B") == 1
-    assert best_payoff_for_choice(pd, "R") == 5 and best_payoff_for_choice(pd, "B") == 3
-    assert mutual_payoff(pd, "B", "B") == 6 and mutual_payoff(pd, "R", "R") == 2
-    assert mutual_payoff(hd, "R", "B") == 6  # tied with (B,R) and (B,B)
+    pd, sh, hd = (games[name].payoff_summary for name in ("pd", "sh", "hd"))
+    assert pd.guaranteed == {"R": 1, "B": 0}
+    assert sh.guaranteed == {"R": 1, "B": 0}
+    assert hd.guaranteed == {"R": 0, "B": 1}
+    assert pd.best["R"] == 5 and pd.best["B"] == 3
+    assert pd.mutual["B", "B"] == 6 and pd.mutual["R", "R"] == 2
+    assert hd.mutual["R", "B"] == 6  # tied with (B,R) and (B,B)
 
 
 def test_guaranteed_payoff_choice_example(pd):
