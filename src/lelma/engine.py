@@ -31,10 +31,10 @@ source order, and a variable that an answer or an error prints is
 `Var(name, ordinal)`: the clause variable's name with that ordinal, as
 `terms.rename_term` stamps it. When a goal variable meets a clause
 variable the goal variable is bound, as `terms.unify(goal, head)` would
-bind it. There is no occurs check; an
-answer, an error message or a ground check that meets a variable bound
-to a term containing it raises LogicError, and so does a unification
-of cyclic terms that would never end.
+bind it. There is no occurs check; an answer, an error message or a
+ground check that meets a variable bound to a term containing it raises
+LogicError, and so does a unification of cyclic terms that would never
+end.
 
 `RuleBase` also builds one entry per predicate. The entry switches on
 the principal functor or constant of a goal's first argument, as the
