@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .terms import Atom, Int, Struct, Substitution, Term, Var, is_ground, term_vars
+from .terms import Atom, Int, Struct, Substitution, Term, Var, fold, is_ground, term_vars
 
 
 class LogicError(Exception):
@@ -129,7 +129,8 @@ class Clause:
 
 class RuleBase:
     """An immutable, source-ordered program indexed by functor/arity,
-    with each predicate compiled once into an entry for the search."""
+    with each predicate compiled once into an entry for the search. A
+    clause nested deeper than the compiler can emit raises LogicError."""
 
     def __init__(self, clauses: Iterable[Clause]):
         self._clauses: tuple[Clause, ...] = tuple(clauses)
@@ -209,32 +210,17 @@ _FAIL = object()  # what a clause function returns when its head does not unify
 
 def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
     """The cell term of `term`; its variables are looked up in `cells`,
-    and added to it in the order they occur.
+    and added to it in the order they occur."""
 
-    Iterative, so a deep term cannot exhaust Python's stack.
-    """
-    out: list = []  # converted terms; a compound takes its args off the end
-    todo: list = [term]
-    while todo:
-        t = todo.pop()
-        if type(t) is list:  # the arguments of a compound are converted
-            functor, n = t
-            args = out[len(out) - n :]
-            del out[len(out) - n :]
-            out.append((functor, *args))
-        elif isinstance(t, Var):
+    def leaf(t):
+        if isinstance(t, Var):
             ref = cells.get(t)
             if ref is None:
                 ref = cells[t] = _Ref(t.name, t.ordinal)
-            out.append(ref)
-        elif isinstance(t, Struct):
-            todo.append([t.functor, len(t.args)])
-            todo.extend(reversed(t.args))
-        elif isinstance(t, Atom):
-            out.append(t.name)
-        else:
-            out.append(t.value)
-    return out[0]
+            return ref
+        return t.name if isinstance(t, Atom) else t.value
+
+    return fold(term, leaf, lambda functor, args: (functor, *args))
 
 
 def _to_term(t) -> Term:
@@ -531,6 +517,12 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 # on a new shape just compile it twice.
 _MAKERS: "dict[str, object]" = {}
 
+# How deep a clause's terms may nest, counting compounds. The code of a
+# head argument or of a compiled `=` literal nests one indentation level
+# per level of its term, and Python reads at most 100; a deeper clause
+# raises LogicError before any code is written.
+_MAX_CLAUSE_DEPTH = 90
+
 
 class _ClauseCompiler:
     """Writes the source of one clause's `make` factory and collects the
@@ -538,10 +530,17 @@ class _ClauseCompiler:
 
     def __init__(self, clause: Clause, callee_of) -> None:
         terms = (clause.head, *(l.term for l in clause.body))
-        names = dict.fromkeys(v.name for t in terms for v in term_vars(t))
-        self.local = {name: f"v{i}" for i, name in enumerate(names)}
+        depth = max(fold(t, lambda _: 0, lambda f, args: 1 + max(args, default=0)) for t in terms)
+        if depth > _MAX_CLAUSE_DEPTH:
+            name, arity = clause.key()
+            raise LogicError(
+                f"clause of {name}/{arity} nests {depth} deep; "
+                f"a clause may nest at most {_MAX_CLAUSE_DEPTH} deep"
+            )
+        found = [v.name for t in terms for v in term_vars(t)]
+        self.local = {name: f"v{i}" for i, name in enumerate(dict.fromkeys(found))}
         # variable -> how many of the head and body literals it occurs in
-        self.uses = Counter(v.name for t in terms for v in term_vars(t))
+        self.uses = Counter(found)
         self.met: set[str] = set()  # variables whose local holds their value
         self.name_of: dict[str, str] = {}  # variable -> constant holding its name
         self.consts: list = []

@@ -84,9 +84,10 @@ class ExperimentConfig:
 def load_experiment_config(path: str) -> ExperimentConfig:
     """INI config. Credentials are named by env var only, never inline.
 
-    A file configparser rejects, or a value that cannot be read, such as
-    `repetitions = many` or an empty `games =`, raises ExperimentError
-    naming the line or the section and key.
+    A file configparser rejects, or a value that cannot be read or is out
+    of range, such as `repetitions = many`, `max_attempts = 0` or an empty
+    `games =`, raises ExperimentError naming the line or the section and
+    key.
     """
     parser = configparser.ConfigParser()
     try:
@@ -108,25 +109,29 @@ def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
         games=games,
         reasoner=_model_from_section(parser, "reasoner"),
         translator=_model_from_section(parser, "translator"),
-        repetitions=_number(exp, "experiment", "repetitions", int, 30),
-        parallelism=_number(exp, "experiment", "parallelism", int, 0),
+        repetitions=_number(exp, "experiment", "repetitions", int, 30, least=1),
+        parallelism=_number(exp, "experiment", "parallelism", int, 0, least=0),
         output_dir=exp.get("output_dir", "runs"),
         cassette_dir=exp.get("cassette_dir", None) or None,
-        max_attempts=_number(exp, "experiment", "max_attempts", int, 5),
+        max_attempts=_number(exp, "experiment", "max_attempts", int, 5, least=1),
     )
 
 
-def _number(values: Mapping[str, str], section: str, key: str, kind: type, default):
-    """`values[key]` read as an int or a float, or `default` if it is unset."""
+def _number(values: Mapping[str, str], section: str, key: str, kind: type, default, least=None):
+    """`values[key]` read as an int or a float, or `default` if it is unset.
+    A value below `least`, when that is given, is an error."""
     if key not in values:
         return default
     try:
-        return kind(values[key])
+        value = kind(values[key])
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ExperimentError(
             f"[{section}] {key}: expected {expected}, got {values[key]!r}"
         ) from None
+    if least is not None and value < least:
+        raise ExperimentError(f"[{section}] {key}: expected at least {least}, got {values[key]!r}")
+    return value
 
 
 def _model_from_section(parser: configparser.ConfigParser, section: str) -> ModelConfig:

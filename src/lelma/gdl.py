@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import Clause, Literal
-from .terms import Atom, Int, Struct, Term, Var, term_vars
+from .terms import Atom, Int, Struct, Term, Var, fold, term_vars
 
 
 class ClauseSyntaxError(Exception):
@@ -195,26 +195,41 @@ class _Parser:
         return Literal(left, negated)
 
     def parse_term(self) -> Term:
-        tok = self.take()
-        if tok.kind == "INT":
-            return Int(int(tok.text))
-        if tok.kind == "VAR":
-            if tok.text == "_":
+        """Read one term. Compounds being read wait on a stack, so a deep
+        term cannot exhaust Python's stack."""
+        open_compounds: list[tuple[str, list[Term]]] = []  # (functor, args read so far)
+        while True:
+            tok = self.take()
+            if tok.kind == "INT":
+                term: Term = Int(int(tok.text))
+            elif tok.kind == "VAR" and tok.text == "_":
                 self.anon_serial += 1
-                return Var(_ANON, self.anon_serial)
-            return Var(tok.text)
-        if tok.kind in ("ATOM", "QUOTED"):
-            if self.at("("):
+                term = Var(_ANON, self.anon_serial)
+            elif tok.kind == "VAR":
+                term = Var(tok.text)
+            elif tok.kind in ("ATOM", "QUOTED") and self.at("("):
                 self.take()
-                args = [self.parse_term()]
-                while self.at(","):
+                open_compounds.append((tok.text, []))
+                continue
+            elif tok.kind in ("ATOM", "QUOTED"):
+                term = Atom(tok.text)
+            else:
+                got = "end of input" if tok.kind == "END" else repr(tok.text)
+                raise ClauseSyntaxError(
+                    f"unexpected {got}", tok.line, tok.column, expected="a term"
+                )
+            # `term` ends an argument: close each compound it completes.
+            while open_compounds:
+                functor, args = open_compounds[-1]
+                args.append(term)
+                if self.at(","):
                     self.take()
-                    args.append(self.parse_term())
+                    break
                 self.expect(")")
-                return Struct(tok.text, tuple(args))
-            return Atom(tok.text)
-        got = "end of input" if tok.kind == "END" else repr(tok.text)
-        raise ClauseSyntaxError(f"unexpected {got}", tok.line, tok.column, expected="a term")
+                open_compounds.pop()
+                term = Struct(functor, tuple(args))
+            else:
+                return term
 
 
 def _normalize_anonymous(clause: Clause) -> Clause:
@@ -236,19 +251,15 @@ def _normalize_anonymous(clause: Clause) -> Clause:
         counter += 1
         return name
 
-    def rewrite(term: Term) -> Term:
-        if isinstance(term, Var):
-            if term.name != _ANON:
-                return term
-            if term not in mapping:
-                mapping[term] = Var(fresh())
-            return mapping[term]
-        if isinstance(term, Struct):
-            return Struct(term.functor, tuple(rewrite(a) for a in term.args))
-        return term
+    def rename(t: Term) -> Term:
+        if not isinstance(t, Var) or t.name != _ANON:
+            return t
+        if t not in mapping:
+            mapping[t] = Var(fresh())
+        return mapping[t]
 
-    head = rewrite(clause.head)
-    body = tuple(Literal(rewrite(l.term), l.negated) for l in clause.body)
+    head = fold(clause.head, rename, Struct)
+    body = tuple(Literal(fold(l.term, rename, Struct), l.negated) for l in clause.body)
     return Clause(head, body)
 
 

@@ -164,6 +164,10 @@ class LoopConfig:
     translator: ModelConfig
     max_attempts: int = 5
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
+
 
 def run_session(
     g: GameSpec,

@@ -13,6 +13,11 @@ searches over mutable variable cells of its own (see `engine`). The dict
 substitutions and `unify`, `resolve` and `rename_term` serve the public
 API and the engine's callers, not its inner loop; the engine binds
 variables in the same direction as `unify`.
+
+`fold` is the one walk over a term's structure. Printing, `term_vars`,
+`is_ground`, `rename_term`, the parser's renaming of `_` and the
+engine's conversion of a goal into cells are folds, so none of them
+recurses once per nesting level, and a term of any depth prints.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ class Struct:
     args: "tuple[Term, ...]"
 
     def __str__(self) -> str:
-        inner = ",".join(str(a) for a in self.args)
-        return f"{_name_text(self.functor)}({inner})"
+        return fold(self, str, lambda functor, args: f"{_name_text(functor)}({','.join(args)})")
 
 
 Term = Union[Var, Atom, Int, Struct]
@@ -123,36 +127,43 @@ def _unify_into(t1: Term, t2: Term, subst: "dict[Var, Term]") -> bool:
     return False
 
 
+def fold(term: Term, leaf, node):
+    """Fold `term` bottom-up: `leaf(t)` maps each variable, atom and
+    integer, left to right, and `node(functor, args)` maps each compound,
+    `args` being the tuple of its arguments' results.
+
+    Iterative, so a deep term cannot exhaust Python's stack.
+    """
+    open_compounds: list = []  # (functor, args, results of the args folded so far)
+    while True:
+        while isinstance(term, Struct) and term.args:
+            open_compounds.append((term.functor, term.args, []))
+            term = term.args[0]
+        value = node(term.functor, ()) if isinstance(term, Struct) else leaf(term)
+        # `value` ends an argument: fold each compound it completes.
+        while open_compounds:
+            functor, args, done = open_compounds[-1]
+            done.append(value)
+            if len(done) < len(args):
+                term = args[len(done)]
+                break
+            open_compounds.pop()
+            value = node(functor, tuple(done))
+        else:
+            return value
+
+
 def term_vars(term: Term) -> "list[Var]":
     """Variables in first-occurrence (left-to-right, depth-first) order."""
-    out: list[Var] = []
-    seen: set[Var] = set()
-    _collect_vars(term, out, seen)
-    return out
-
-
-def _collect_vars(term: Term, out: "list[Var]", seen: "set[Var]") -> None:
-    if isinstance(term, Var):
-        if term not in seen:
-            seen.add(term)
-            out.append(term)
-    elif isinstance(term, Struct):
-        for a in term.args:
-            _collect_vars(a, out, seen)
+    found: dict[Var, None] = {}  # keeps the order of first insertion
+    fold(term, lambda t: found.setdefault(t) if isinstance(t, Var) else None, lambda f, a: None)
+    return list(found)
 
 
 def is_ground(term: Term) -> bool:
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Struct):
-        return all(is_ground(a) for a in term.args)
-    return True
+    return not term_vars(term)
 
 
 def rename_term(term: Term, ordinal: int) -> Term:
     """Give every variable in `term` the renaming ordinal `ordinal`."""
-    if isinstance(term, Var):
-        return Var(term.name, ordinal)
-    if isinstance(term, Struct):
-        return Struct(term.functor, tuple(rename_term(a, ordinal) for a in term.args))
-    return term
+    return fold(term, lambda t: Var(t.name, ordinal) if isinstance(t, Var) else t, Struct)

@@ -1,8 +1,12 @@
 import csv
+from importlib.resources import files
 
 import pytest
 
 from lelma.cli import main
+
+
+PD_TEXT = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
 
 
 def run_cli(*argv, capsys=None):
@@ -47,6 +51,38 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == "error: cyclic term: X occurs in its own binding\n"
+
+    def test_a_deep_goal_reaches_the_engine(self, capsys):
+        goal = "p(" * 2_000 + "a" + ")" * 2_000
+        code, out, err = run_cli("solve", "pd", goal, capsys=capsys)
+        assert (code, out, err) == (2, "", "error: unknown predicate p/1\n")
+
+    def test_deep_answers_print_until_the_depth_limit(self, tmp_path, capsys):
+        # Answer k of app(X, X, Y) has k list cells in X and 2k in Y.
+        game = tmp_path / "pd_app.gdl"
+        game.write_text(PD_TEXT + "app(nil, L, L).\napp(c(H, T), L, c(H, R)) :- app(T, L, R).\n")
+        code, out, err = run_cli("solve", str(game), "app(X, X, Y)", capsys=capsys)
+        assert code == 2
+        assert err == "error: resolution depth limit exceeded (512)\n"
+        lines = out.splitlines()
+        assert len(lines) == 512
+        assert lines[0] == "X = nil, Y = nil"
+        assert lines[-1].count("c(") == 3 * 511
+
+    def test_a_clause_too_deep_to_compile_is_an_error(self, tmp_path, capsys):
+        game = tmp_path / "pd_deep.gdl"
+        game.write_text(PD_TEXT + "deep(" + "s(" * 100 + "z" + ")" * 101 + ".\n")
+        message = "clause of deep/1 nests 101 deep; a clause may nest at most 90 deep"
+        code, out, err = run_cli("solve", str(game), "deep(X)", capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        queries = tmp_path / "q.txt"
+        queries.write_text("finally(outcome(you,B,3,them,B,_),S)\n")
+        code, out, err = run_cli("verify", str(game), "--queries", str(queries), capsys=capsys)
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [
+            f"ERROR: finally(outcome(you,B,3,them,B,_),S) ({message})",
+            "0 held, 0 failed, 0 skipped, 1 errors.",
+        ]
 
     def test_unknown_game(self, capsys):
         code, _, err = run_cli("solve", "nope", "initial(X)", capsys=capsys)
@@ -160,6 +196,21 @@ class TestRunAndStats:
             ("experiment", "games =", "error: [experiment] games: no game given"),
             (
                 "experiment",
+                "max_attempts = 0",
+                "error: [experiment] max_attempts: expected at least 1, got '0'\n",
+            ),
+            (
+                "experiment",
+                "repetitions = 0",
+                "error: [experiment] repetitions: expected at least 1, got '0'\n",
+            ),
+            (
+                "experiment",
+                "parallelism = -1",
+                "error: [experiment] parallelism: expected at least 0, got '-1'\n",
+            ),
+            (
+                "experiment",
                 "repetitions = many",
                 "error: [experiment] repetitions: expected an integer, got 'many'",
             ),
@@ -172,7 +223,8 @@ class TestRunAndStats:
             ("experiment", "output_dir = elsewhere", "error: While reading from"),
             ("reasoner", "model_id = 100%", "error: '%' must be followed by '%' or '('"),
         ],
-        ids=["empty-games", "non-integer", "non-number", "unknown-provider", "repeated-key",
+        ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
+             "non-integer", "non-number", "unknown-provider", "repeated-key",
              "bad-interpolation"],
     )
     def test_an_unreadable_config_value_is_an_error(

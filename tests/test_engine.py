@@ -460,22 +460,15 @@ def test_unifying_two_cyclic_terms_is_a_logic_error():
     assert str(err.value) == "cyclic term: unification would not terminate"
 
 
-def test_two_deep_terms_unify_without_recursion():
-    # Built through the API: the parser reads nested terms by recursion.
-    def deep(term):
-        for _ in range(5_000):
-            term = struct("s", term)
-        return term
+def nested(depth: int, inner: str) -> str:
+    return "s(" * depth + inner + ")" * depth
 
-    x, y, w = Var("X"), Var("Y"), Var("W")
-    goal = [
-        pos(struct("=", x, deep(Atom("z")))),
-        pos(struct("=", y, deep(w))),
-        pos(struct("=", x, y)),
-    ]
+
+def test_two_deep_terms_unify_without_recursion():
+    goal = parse_goal(f"X = {nested(5_000, 'z')}, Y = {nested(5_000, 'W')}, X = Y")
     (answer,) = solve_all(RuleBase([]), goal)
-    assert answer[w] == Atom("z")
-    term, depth = answer[y], 0
+    assert answer[Var("W")] == Atom("z")
+    term, depth = answer[Var("Y")], 0
     while isinstance(term, Struct):
         term, depth = term.args[0], depth + 1
     assert (term, depth) == (Atom("z"), 5_000)
@@ -488,6 +481,44 @@ def test_a_wide_unification_past_the_cycle_check_binds_as_before():
     b = struct("f", *(struct("g", Int(i)) for i in range(n)))
     (answer,) = solve_all(RuleBase([]), [pos(struct("=", a, b))])
     assert answer == {Var(f"A{i}"): Int(i) for i in range(n)}
+
+
+# The deepest a clause may nest, counting compounds; the code of a head
+# argument or of a compiled `=` literal nests one indentation level per level.
+CLAUSE_DEPTH_LIMIT = 90
+
+
+@pytest.mark.parametrize(
+    "clause, predicate, depth",
+    [
+        (f"deep({nested(100, 'z')}).", "deep/1", 101),
+        (f"deep(Y, {nested(399, 'f(X, Y)')}).", "deep/2", 401),
+        (f"p(X) :- q(X), X = {nested(90, 'Y')}.", "p/1", 91),
+        (f"p(X) :- q({nested(200, 'X')}).", "p/1", 201),
+    ],
+    ids=["ground-head", "non-ground-head", "body-equation", "body-goal"],
+)
+def test_a_clause_too_deep_to_compile_is_a_logic_error(clause, predicate, depth):
+    with pytest.raises(LogicError) as err:
+        rb(f"q(a). {clause}")
+    assert str(err.value) == (
+        f"clause of {predicate} nests {depth} deep; "
+        f"a clause may nest at most {CLAUSE_DEPTH_LIMIT} deep"
+    )
+
+
+def test_a_clause_at_the_depth_limit_compiles():
+    n = CLAUSE_DEPTH_LIMIT - 1
+    base = rb(
+        f"deep({nested(n, 'z')}). open({nested(n, 'X')}, X). "
+        f"eq(X, Y) :- X = {nested(n, 'Y')}."
+    )
+    assert answers(base, f"deep({nested(n, 'z')})") == [{}]
+    assert answers(base, f"deep({nested(n, 'a')})") == []
+    assert printed_answers(base, f"open({nested(n, 'a')}, Y)") == ["Y = a"]
+    assert printed_answers(base, "open(T, b)") == [f"T = {nested(n, 'b')}"]
+    assert printed_answers(base, "eq(T, c)") == [f"T = {nested(n, 'c')}"]
+    assert printed_answers(base, f"eq({nested(n, 'd')}, Y)") == ["Y = d"]
 
 
 # --- `=/2` in clause bodies -------------------------------------------------------

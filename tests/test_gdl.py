@@ -149,6 +149,17 @@ def test_quoted_names_print_escaped_and_parse_back(term, text):
     assert literal.term == Struct("p", (term,))
 
 
+def test_a_deep_term_parses_and_prints_back():
+    # 5,000 compounds deep; the parser keeps the compounds it is reading
+    # on a stack of its own, not Python's.
+    n = 5_000
+    text = "p(" + "".join(f"f(A{i % 100}," for i in range(n)) + "z" + ")" * (n + 1)
+    (literal,) = parse_goal(text)
+    assert str(literal) == text
+    (literal,) = parse_goal("p(" + "f(_," * n + "z" + ")" * (n + 1))  # n variables `_`
+    assert str(literal) == "p(" + "".join(f"f(_{i + 1}," for i in range(n)) + "z" + ")" * (n + 1)
+
+
 def test_quoted_punctuation_is_a_name_not_punctuation():
     for text in ("p(a ',' b)", "p(a ')'", "p(a) '.'"):
         with pytest.raises(ClauseSyntaxError):

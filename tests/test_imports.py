@@ -174,3 +174,67 @@ def test_every_public_name_is_read_by_the_package_or_exported():
     unread = unread_public_names(PACKAGE, set(lelma.__all__))
     assert sorted(set(unread) - set(KEPT_UNREAD)) == []
     assert sorted(set(KEPT_UNREAD) - set(unread)) == []  # the allowlist holds no stale name
+
+
+# Functions that call themselves, each kept on purpose. Every other walk
+# is a loop, so no input nests deep enough to exhaust Python's stack.
+KEPT_RECURSIVE = {
+    "terms.resolve": "the dict-substitution API; perfbench's terms.* rows time it as it is",
+    "terms._unify_into": "the dict-substitution API; perfbench's terms.* rows time it as it is",
+    "engine._ClauseCompiler.build": "bounded by the clause depth limit the compiler checks",
+    "engine._ClauseCompiler.unify": "bounded by the clause depth limit the compiler checks",
+    "orchestrator._detuple": "walks the arguments of a JSON query, which `json` read by recursion",
+}
+
+
+def calls_itself(function: ast.AST, method: bool) -> bool:
+    """Whether `function` calls itself by name anywhere in its body, nested
+    lambdas, generators and defs included: as `name(...)`, or, for a
+    method, as `self.name(...)` or `cls.name(...)`."""
+    for node in ast.walk(function):
+        f = node.func if isinstance(node, ast.Call) else None
+        if method and isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            if f.attr == function.name and f.value.id in ("self", "cls"):
+                return True
+        elif not method and isinstance(f, ast.Name) and f.id == function.name:
+            return True
+    return False
+
+
+def self_calling_functions(tree: ast.Module, module: str) -> "list[str]":
+    """`module.qualified.name` of each function in `tree` that calls itself."""
+    found = []
+    todo = [(tree, module, False)]  # (node, qualified name of its scope, whether a class)
+    while todo:
+        node, scope, in_class = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                todo.append((child, f"{scope}.{child.name}", True))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if calls_itself(child, in_class):
+                    found.append(f"{scope}.{child.name}")
+                todo.append((child, f"{scope}.{child.name}", False))
+            else:
+                todo.append((child, scope, in_class))
+    return found
+
+
+def test_no_function_calls_itself_but_the_kept_ones():
+    sample = ast.parse(
+        "def f(x):\n    return lambda: f(x)\n"
+        "def g(x):\n    return [g(y) for y in x]\n"
+        "def h(x):\n    def inner():\n        return h(x)\n    def inner2():\n"
+        "        return inner2()\n    return inner\n"
+        "class C:\n    def m(self):\n        return self.m()\n"
+        "    def n(self):\n        return n(self)\n"
+        "def k(x):\n    return f(x)\n"
+    )
+    assert sorted(self_calling_functions(sample, "sample")) == [
+        "sample.C.m", "sample.f", "sample.g", "sample.h", "sample.h.inner2",
+    ]
+    found = [
+        name
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in self_calling_functions(ast.parse(p.read_text()), p.stem)
+    ]
+    assert sorted(found) == sorted(KEPT_RECURSIVE)

@@ -136,6 +136,12 @@ class TestRunSession:
         assert t.exit is ExitReason.MAX_ATTEMPTS
         assert [a.index for a in t.attempts] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_a_loop_without_an_attempt_is_rejected(self, max_attempts):
+        with pytest.raises(ValueError) as err:
+            loop([], [], max_attempts=max_attempts)
+        assert str(err.value) == f"max_attempts must be at least 1, got {max_attempts}"
+
     def test_gateway_failure_aborts_with_partial_transcript(self, pd):
         cfg = loop(
             ["Payoff 1 is higher than 3. CHOICE: R"],  # script exhausted on attempt 2

@@ -80,6 +80,26 @@ def test_rename_term_stamps_ordinal():
     assert rename_term(Atom("a"), 3) == Atom("a")
 
 
+def test_a_deep_term_is_walked_without_recursion():
+    # 5,000 compounds deep, f(A99, f(A98, ... f(A0, f(A99, ... z)))). Results
+    # are checked by text and by walking: `==` on such a term recurses.
+    n = 5_000
+    term = Atom("z")
+    for i in range(n):
+        term = struct("f", Var(f"A{i % 100}"), term)
+    text = "".join(f"f(A{i % 100}," for i in reversed(range(n))) + "z" + ")" * n
+    assert str(term) == text
+    assert term_vars(term) == [Var(f"A{i}") for i in reversed(range(100))]
+    assert not is_ground(term)
+    renamed = rename_term(term, 7)
+    assert str(renamed) == text.replace(",", "_7,")
+    assert term_vars(renamed) == [Var(f"A{i}", 7) for i in reversed(range(100))]
+    ground = Atom("z")
+    for _ in range(n):
+        ground = struct("s", ground)
+    assert is_ground(ground)
+
+
 def test_var_printing_includes_ordinal():
     assert str(Var("P")) == "P"
     assert str(Var("P", 4)) == "P_4"
