@@ -14,10 +14,10 @@ substitutions and `unify`, `resolve` and `rename_term` serve the public
 API and the engine's callers, not its inner loop; the engine binds
 variables in the same direction as `unify`.
 
-`fold` is the one walk over a term's structure. Printing, `term_vars`,
-`is_ground`, `rename_term`, the parser's renaming of `_` and the
-engine's conversion of a goal into cells are folds, so none of them
-recurses once per nesting level, and a term of any depth prints.
+`fold` walks a term's structure without recursion. Printing,
+`term_vars`, `is_ground`, `rename_term`, the parser's renaming of `_`
+and the engine's conversion of a goal into cells are folds, so a term
+of any depth prints; `resolve` and `_unify_into` still recurse.
 """
 
 from __future__ import annotations
