@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .terms import Atom, Int, Struct, Substitution, Term, Var, fold, is_ground, term_vars
+from .terms import Atom, Int, Struct, Substitution, Term, Var, fold, term_vars
 
 
 class LogicError(Exception):
@@ -130,7 +130,8 @@ class Clause:
 class RuleBase:
     """An immutable, source-ordered program indexed by functor/arity,
     with each predicate compiled once into an entry for the search. A
-    clause nested deeper than the compiler can emit raises LogicError."""
+    clause whose head or compiled `=` literal nests deeper than
+    _MAX_MATCH_DEPTH raises LogicError."""
 
     def __init__(self, clauses: Iterable[Clause]):
         self._clauses: tuple[Clause, ...] = tuple(clauses)
@@ -517,11 +518,16 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 # on a new shape just compile it twice.
 _MAKERS: "dict[str, object]" = {}
 
-# How deep a clause's terms may nest, counting compounds. The code of a
-# head argument or of a compiled `=` literal nests one indentation level
-# per level of its term, and Python reads at most 100; a deeper clause
-# raises LogicError before any code is written.
-_MAX_CLAUSE_DEPTH = 90
+# How deep a head argument or the right side of a compiled `=` literal may
+# nest, counting compounds. Its code nests one indentation level per
+# compound, and Python reads at most 99; a deeper clause raises LogicError.
+_MAX_MATCH_DEPTH = 90
+
+# How many brackets deep an expression that builds a term may nest. It nests
+# one per compound that holds a variable (a ground part is one constant),
+# and Python's parser reads fewer than 200; a part that reaches this depth
+# is first assigned to a temporary of its own.
+_MAX_BRACKETS = 64
 
 
 class _ClauseCompiler:
@@ -529,14 +535,8 @@ class _ClauseCompiler:
     values it is called with."""
 
     def __init__(self, clause: Clause, callee_of) -> None:
+        self.key = clause.key()
         terms = (clause.head, *(l.term for l in clause.body))
-        depth = max(fold(t, lambda _: 0, lambda f, args: 1 + max(args, default=0)) for t in terms)
-        if depth > _MAX_CLAUSE_DEPTH:
-            name, arity = clause.key()
-            raise LogicError(
-                f"clause of {name}/{arity} nests {depth} deep; "
-                f"a clause may nest at most {_MAX_CLAUSE_DEPTH} deep"
-            )
         found = [v.name for t in terms for v in term_vars(t)]
         self.local = {name: f"v{i}" for i, name in enumerate(dict.fromkeys(found))}
         # variable -> how many of the head and body literals it occurs in
@@ -557,8 +557,12 @@ class _ClauseCompiler:
             self.emit(3, "return _FAIL")
         for i, a in enumerate(head.args if isinstance(head, Struct) else (), 1):
             self.unify(2, a, f"goal[{i}]")
-        chain = "rest"
+        # The body's nodes are consed onto `rest` one statement each, last
+        # first, so a long body nests no brackets.
+        node = "rest"
         for l in reversed(clause.body):
+            if node != "rest":
+                self.emit(2, f"rest = {node}")
             t = l.term
             if (
                 not l.negated
@@ -567,11 +571,11 @@ class _ClauseCompiler:
                 and isinstance(t.args[0], Var)
                 and not isinstance(t.args[1], Var)
             ):
-                chain = f"({self.equation(*t.args)}, {chain})"
+                node = f"({self.equation(*t.args)}, rest)"
             else:
                 self.fresh(2, t)
-                chain = f"({self.build(t)}, {self.const(callee_of(l))}, {chain})"
-        self.emit(2, f"return {chain}")
+                node = f"({self.build(2, t)}, {self.const(callee_of(l))}, rest)"
+        self.emit(2, f"return {node}")
 
     def source(self) -> str:
         params = ", ".join(f"k{i}" for i in range(len(self.consts)))
@@ -621,14 +625,36 @@ class _ClauseCompiler:
         self.lines, self.met, self.fail = outer
         return f"(ordinal, {cells}), {name}"
 
-    def build(self, term: Term) -> str:
-        """An expression for the cell term of `term`, whose variables are met."""
-        if isinstance(term, Var):
-            return self.local[term.name]
-        if isinstance(term, Struct) and not is_ground(term):
-            args = "".join(f", {self.build(a)}" for a in term.args)
-            return f"({self.const(term.functor)}{args})"
-        return self.const(_to_cells(term, {}))
+    def build(self, indent: int, term: Term) -> str:
+        """An expression for the cell term of `term`, whose variables are met.
+
+        A ground part is one constant; a compound that holds a variable is
+        a tuple of its functor's constant and its arguments' expressions.
+        A part _MAX_BRACKETS deep is assigned to a temporary at `indent`.
+        """
+
+        # A part folds to (None, its cell term) if it is ground, else to
+        # (its expression, how many brackets deep that nests).
+        def leaf(t):
+            if isinstance(t, Var):
+                return self.local[t.name], 0
+            return None, t.name if isinstance(t, Atom) else t.value
+
+        def node(functor, args):
+            if all(text is None for text, _ in args):
+                return None, (functor, *(cell for _, cell in args))
+            f = self.const(functor)
+            parts = "".join(f", {self.const(v) if text is None else text}" for text, v in args)
+            depth = 1 + max(depth for text, depth in args if text is not None)
+            if depth < _MAX_BRACKETS:
+                return f"({f}{parts})", depth
+            t = f"t{self.temps}"
+            self.temps += 1
+            self.emit(indent, f"{t} = ({f}{parts})")
+            return t, 0
+
+        text, value = fold(term, leaf, node) if isinstance(term, Struct) else leaf(term)
+        return self.const(value) if text is None else text
 
     def unify(self, indent: int, h: Term, g: str) -> None:
         """Code that unifies clause term `h` with the goal cell term `g`,
@@ -640,6 +666,13 @@ class _ClauseCompiler:
         first time, or is matched against an atom, integer or compound `h`
         part by part.
         """
+        if isinstance(h, Struct) and indent - 1 > _MAX_MATCH_DEPTH:
+            # `h` is compound number indent - 1 of its head argument or `=` term
+            name, arity = self.key
+            raise LogicError(
+                f"clause of {name}/{arity} is too deep to compile: a head argument "
+                f"or `=` term nests more than {_MAX_MATCH_DEPTH} compounds"
+            )
         emit = self.emit
         if isinstance(h, Var) and h.name in self.met:
             v = self.local[h.name]
@@ -653,7 +686,7 @@ class _ClauseCompiler:
         emit(indent + 1, f"if {t}.value is None:")
         met = set(self.met)
         self.fresh(indent + 2, h)
-        built = self.build(h)
+        built = self.build(indent + 2, h)
         emit(indent + 2, f"{t}.value = {built}")
         emit(indent + 2, f"trail.append({t})")
         emit(indent + 2, "break")

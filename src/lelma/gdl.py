@@ -234,12 +234,10 @@ class _Parser:
 
 def _normalize_anonymous(clause: Clause) -> Clause:
     """Rename `_` occurrences to `_1`, `_2`, ... skipping names already used."""
-    taken = {
-        v.name
-        for lit_term in (clause.head, *(l.term for l in clause.body))
-        for v in term_vars(lit_term)
-        if v.name != _ANON
-    }
+    found = {v.name for t in (clause.head, *(l.term for l in clause.body)) for v in term_vars(t)}
+    if _ANON not in found:
+        return clause
+    taken = found - {_ANON}
     mapping: dict[Var, Var] = {}
     counter = 1
 

@@ -155,6 +155,8 @@ def fold(term: Term, leaf, node):
 
 def term_vars(term: Term) -> "list[Var]":
     """Variables in first-occurrence (left-to-right, depth-first) order."""
+    if not isinstance(term, Struct):
+        return [term] if isinstance(term, Var) else []
     found: dict[Var, None] = {}  # keeps the order of first insertion
     fold(term, lambda t: found.setdefault(t) if isinstance(t, Var) else None, lambda f, a: None)
     return list(found)

@@ -72,7 +72,10 @@ class TestSolve:
     def test_a_clause_too_deep_to_compile_is_an_error(self, tmp_path, capsys):
         game = tmp_path / "pd_deep.gdl"
         game.write_text(PD_TEXT + "deep(" + "s(" * 100 + "z" + ")" * 101 + ".\n")
-        message = "clause of deep/1 nests 101 deep; a clause may nest at most 90 deep"
+        message = (
+            "clause of deep/1 is too deep to compile: "
+            "a head argument or `=` term nests more than 90 compounds"
+        )
         code, out, err = run_cli("solve", str(game), "deep(X)", capsys=capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         queries = tmp_path / "q.txt"

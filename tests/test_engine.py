@@ -483,32 +483,31 @@ def test_a_wide_unification_past_the_cycle_check_binds_as_before():
     assert answer == {Var(f"A{i}"): Int(i) for i in range(n)}
 
 
-# The deepest a clause may nest, counting compounds; the code of a head
-# argument or of a compiled `=` literal nests one indentation level per level.
-CLAUSE_DEPTH_LIMIT = 90
+# The deepest a head argument or the right side of a compiled `=` literal may
+# nest, counting compounds: its code nests one indentation level per compound.
+MATCH_DEPTH_LIMIT = 90
 
 
 @pytest.mark.parametrize(
-    "clause, predicate, depth",
+    "clause, predicate",
     [
-        (f"deep({nested(100, 'z')}).", "deep/1", 101),
-        (f"deep(Y, {nested(399, 'f(X, Y)')}).", "deep/2", 401),
-        (f"p(X) :- q(X), X = {nested(90, 'Y')}.", "p/1", 91),
-        (f"p(X) :- q({nested(200, 'X')}).", "p/1", 201),
+        (f"deep({nested(91, 'z')}).", "deep/1"),
+        (f"deep(Y, {nested(399, 'f(X, Y)')}).", "deep/2"),
+        (f"p(X) :- q(X), X = {nested(91, 'Y')}.", "p/1"),
     ],
-    ids=["ground-head", "non-ground-head", "body-equation", "body-goal"],
+    ids=["ground-head", "non-ground-head", "body-equation"],
 )
-def test_a_clause_too_deep_to_compile_is_a_logic_error(clause, predicate, depth):
+def test_a_clause_too_deep_to_compile_is_a_logic_error(clause, predicate):
     with pytest.raises(LogicError) as err:
         rb(f"q(a). {clause}")
     assert str(err.value) == (
-        f"clause of {predicate} nests {depth} deep; "
-        f"a clause may nest at most {CLAUSE_DEPTH_LIMIT} deep"
+        f"clause of {predicate} is too deep to compile: a head argument "
+        f"or `=` term nests more than {MATCH_DEPTH_LIMIT} compounds"
     )
 
 
 def test_a_clause_at_the_depth_limit_compiles():
-    n = CLAUSE_DEPTH_LIMIT - 1
+    n = MATCH_DEPTH_LIMIT
     base = rb(
         f"deep({nested(n, 'z')}). open({nested(n, 'X')}, X). "
         f"eq(X, Y) :- X = {nested(n, 'Y')}."
@@ -519,6 +518,22 @@ def test_a_clause_at_the_depth_limit_compiles():
     assert printed_answers(base, "open(T, b)") == [f"T = {nested(n, 'b')}"]
     assert printed_answers(base, "eq(T, c)") == [f"T = {nested(n, 'c')}"]
     assert printed_answers(base, f"eq({nested(n, 'd')}, Y)") == ["Y = d"]
+
+
+def test_deep_body_goals_compile():
+    # A body goal is built, not matched, so the depth limit leaves it alone:
+    # a ground part is one constant, and a part that holds a variable nests
+    # brackets, which the compiler splits into temporaries.
+    ground, mixed = nested(5_000, "z"), f"f({nested(200, 'g(X,k)')},{nested(300, 'z')})"
+    base = rb(f"id(T, T). g(Y) :- id({ground}, Y). m(X, Y) :- id({mixed}, Y).")
+    assert printed_answers(base, "g(Y)") == [f"Y = {ground}"]
+    assert printed_answers(base, "m(a, Y)") == [f"Y = {mixed.replace('X', 'a')}"]
+
+
+def test_a_long_body_compiles():
+    # The body's goal nodes are built one statement each, not nested.
+    base = rb("q. p :- " + ", ".join(["q"] * 300) + ".")
+    assert answers(base, "p") == [{}]
 
 
 # --- `=/2` in clause bodies -------------------------------------------------------

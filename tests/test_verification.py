@@ -266,7 +266,10 @@ def test_evaluate_all_captures_a_clause_too_deep_to_compile():
     q = parse_query_line("finally(outcome(you,B,3,them,B,_),S)", g)
     report = evaluate_all([q, Query(QueryKind.HIGHER, (5, 0))], g)
     too_deep, held = report.results
-    assert too_deep.error == "clause of deep/1 nests 101 deep; a clause may nest at most 90 deep"
+    assert too_deep.error == (
+        "clause of deep/1 is too deep to compile: "
+        "a head argument or `=` term nests more than 90 compounds"
+    )
     assert not too_deep.holds and too_deep.corrections == ()
     assert held.holds
 
