@@ -129,9 +129,9 @@ class Clause:
 
 class RuleBase:
     """An immutable, source-ordered program indexed by functor/arity,
-    with each predicate compiled once into an entry for the search. A
-    clause whose head or compiled `=` literal nests deeper than
-    _MAX_MATCH_DEPTH raises LogicError."""
+    with each predicate compiled once into an entry for the search. Every
+    clause compiles, in time linear in its size, however deep its terms
+    nest (see `_MAX_NESTING`)."""
 
     def __init__(self, clauses: Iterable[Clause]):
         self._clauses: tuple[Clause, ...] = tuple(clauses)
@@ -518,16 +518,14 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 # on a new shape just compile it twice.
 _MAKERS: "dict[str, object]" = {}
 
-# How deep a head argument or the right side of a compiled `=` literal may
-# nest, counting compounds. Its code nests one indentation level per
-# compound, and Python reads at most 99; a deeper clause raises LogicError.
-_MAX_MATCH_DEPTH = 90
-
-# How many brackets deep an expression that builds a term may nest. It nests
-# one per compound that holds a variable (a ground part is one constant),
-# and Python's parser reads fewer than 200; a part that reaches this depth
-# is first assigned to a temporary of its own.
-_MAX_BRACKETS = 64
+# How deep a term may nest in the code of a clause: a head argument or the
+# right side of a compiled `=` literal is matched in straight-line code that
+# nests one indentation level per compound, and Python reads at most 99; an
+# expression that builds a term nests one bracket per compound that holds a
+# variable, and Python reads fewer than 200. A deeper head argument or `=`
+# side is built and unified by `_unify`, and a deeper expression is a call
+# of `_to_cells` on the term, so every clause compiles.
+_MAX_NESTING = 90
 
 
 class _ClauseCompiler:
@@ -535,7 +533,6 @@ class _ClauseCompiler:
     values it is called with."""
 
     def __init__(self, clause: Clause, callee_of) -> None:
-        self.key = clause.key()
         terms = (clause.head, *(l.term for l in clause.body))
         found = [v.name for t in terms for v in term_vars(t)]
         self.local = {name: f"v{i}" for i, name in enumerate(dict.fromkeys(found))}
@@ -547,7 +544,7 @@ class _ClauseCompiler:
         self.lines: list[str] = []  # the body of the function being written
         self.fail = "return _FAIL"  # how that function fails
         self.functions: list[list[str]] = []  # the compiled `=` literals' functions
-        self.temps = 0
+        self.temps = 0  # walk variables t<n> of `unify`
         head = clause.head
         if isinstance(head, Atom):
             self.emit(2, "if type(goal) is not str:")
@@ -556,7 +553,7 @@ class _ClauseCompiler:
             self.emit(2, "if type(goal) is not tuple:")
             self.emit(3, "return _FAIL")
         for i, a in enumerate(head.args if isinstance(head, Struct) else (), 1):
-            self.unify(2, a, f"goal[{i}]")
+            self.match(a, f"goal[{i}]")
         # The body's nodes are consed onto `rest` one statement each, last
         # first, so a long body nests no brackets.
         node = "rest"
@@ -574,7 +571,7 @@ class _ClauseCompiler:
                 node = f"({self.equation(*t.args)}, rest)"
             else:
                 self.fresh(2, t)
-                node = f"({self.build(2, t)}, {self.const(callee_of(l))}, rest)"
+                node = f"({self.build(t)}, {self.const(callee_of(l))}, rest)"
         self.emit(2, f"return {node}")
 
     def source(self) -> str:
@@ -619,18 +616,31 @@ class _ClauseCompiler:
         self.lines, self.met, self.fail = [], {v.name for v in shared}, "return False"
         self.emit(1, f"def {name}(node, trail):")
         self.emit(2, f"ordinal, {cells} = node")
-        self.unify(2, rhs, self.local[lhs.name])
+        self.match(rhs, self.local[lhs.name])
         self.emit(2, "return True")
         self.functions.append(self.lines)
         self.lines, self.met, self.fail = outer
         return f"(ordinal, {cells}), {name}"
 
-    def build(self, indent: int, term: Term) -> str:
+    def match(self, h: Term, g: str) -> None:
+        """Code at the top of a function that unifies clause term `h` with
+        the goal cell term `g` as `unify` does. A term nesting more than
+        _MAX_NESTING compounds gets its new cells, is built, and is unified
+        by `_unify`, which binds the same way."""
+        if fold(h, lambda t: 0, lambda f, depths: 1 + max(depths, default=0)) <= _MAX_NESTING:
+            self.unify(2, h, g)
+            return
+        self.fresh(2, h)
+        self.emit(2, f"if not _unify({g}, {self.build(h)}, trail):")
+        self.emit(3, self.fail)
+
+    def build(self, term: Term) -> str:
         """An expression for the cell term of `term`, whose variables are met.
 
         A ground part is one constant; a compound that holds a variable is
         a tuple of its functor's constant and its arguments' expressions.
-        A part _MAX_BRACKETS deep is assigned to a temporary at `indent`.
+        A tuple that would nest more than _MAX_NESTING brackets is instead
+        `_to_cells` of the term, given the cells of its variables.
         """
 
         # A part folds to (None, its cell term) if it is ground, else to
@@ -643,18 +653,22 @@ class _ClauseCompiler:
         def node(functor, args):
             if all(text is None for text, _ in args):
                 return None, (functor, *(cell for _, cell in args))
+            depth = 1 + max(depth for text, depth in args if text is not None)
+            if depth > _MAX_NESTING:
+                return "", depth  # the term is made by `_to_cells`, below
             f = self.const(functor)
             parts = "".join(f", {self.const(v) if text is None else text}" for text, v in args)
-            depth = 1 + max(depth for text, depth in args if text is not None)
-            if depth < _MAX_BRACKETS:
-                return f"({f}{parts})", depth
-            t = f"t{self.temps}"
-            self.temps += 1
-            self.emit(indent, f"{t} = ({f}{parts})")
-            return t, 0
+            return f"({f}{parts})", depth
 
+        mark = len(self.consts)
         text, value = fold(term, leaf, node) if isinstance(term, Struct) else leaf(term)
-        return self.const(value) if text is None else text
+        if text is None:
+            return self.const(value)
+        if value <= _MAX_NESTING:
+            return text
+        del self.consts[mark:]  # the constants of the expression not used
+        cells = ", ".join(f"{self.const(v)}: {self.local[v.name]}" for v in term_vars(term))
+        return f"_to_cells({self.const(term)}, {{{cells}}})"
 
     def unify(self, indent: int, h: Term, g: str) -> None:
         """Code that unifies clause term `h` with the goal cell term `g`,
@@ -664,15 +678,8 @@ class _ClauseCompiler:
         is walked: an unbound goal variable is bound to `h` built with new
         cells; a bound goal term stands for a variable `h` met here for the
         first time, or is matched against an atom, integer or compound `h`
-        part by part.
+        part by part. `h` nests at most _MAX_NESTING compounds (see `match`).
         """
-        if isinstance(h, Struct) and indent - 1 > _MAX_MATCH_DEPTH:
-            # `h` is compound number indent - 1 of its head argument or `=` term
-            name, arity = self.key
-            raise LogicError(
-                f"clause of {name}/{arity} is too deep to compile: a head argument "
-                f"or `=` term nests more than {_MAX_MATCH_DEPTH} compounds"
-            )
         emit = self.emit
         if isinstance(h, Var) and h.name in self.met:
             v = self.local[h.name]
@@ -686,7 +693,7 @@ class _ClauseCompiler:
         emit(indent + 1, f"if {t}.value is None:")
         met = set(self.met)
         self.fresh(indent + 2, h)
-        built = self.build(indent + 2, h)
+        built = self.build(h)
         emit(indent + 2, f"{t}.value = {built}")
         emit(indent + 2, f"trail.append({t})")
         emit(indent + 2, "break")
@@ -721,7 +728,7 @@ def _compile(clause: Clause, callee_of):
     source = compiler.source()
     make = _MAKERS.get(source)
     if make is None:
-        namespace = {"_Ref": _Ref, "_unify": _unify, "_FAIL": _FAIL}
+        namespace = {"_Ref": _Ref, "_unify": _unify, "_FAIL": _FAIL, "_to_cells": _to_cells}
         exec(compile(source, "<lelma clause>", "exec"), namespace)
         make = _MAKERS[source] = namespace["make"]
     return make(*compiler.consts)

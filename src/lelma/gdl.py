@@ -19,7 +19,7 @@ anonymous (each occurrence a fresh variable, normalized to `_1`, `_2`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import Clause, Literal
 from .terms import Atom, Int, Struct, Term, Var, fold, term_vars
@@ -36,12 +36,10 @@ class ClauseSyntaxError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ATOM QUOTED VAR INT PUNCT END
     text: str
-    line: int
-    column: int
+    pos: int  # offset in the text read
 
 
 _TOKEN_RE = re.compile(
@@ -59,6 +57,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# The kind of token each group of _TOKEN_RE reads; the other groups read
+# whitespace, comments and metadata, which are not tokens.
+_KINDS = {
+    "neck": "PUNCT", "naf": "PUNCT", "punct": "PUNCT",
+    "int": "INT", "atom": "ATOM", "var": "VAR", "quoted": "QUOTED",
+}
 
 
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -80,45 +85,28 @@ def read_name(text: str) -> str:
     return _unquote(text) if m and m.lastgroup == "quoted" else text
 
 
+def _line_column(text: str, pos: int) -> "tuple[int, int]":
+    """The line and the column, both from 1, of offset `pos` in `text`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
     tokens: list[_Token] = []
     metadata: list[tuple[int, str]] = []
-    line = 1
-    line_start = 0
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ClauseSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        column = pos - line_start + 1
-        if m.lastgroup == "ws":
-            segment = m.group()
-            newlines = segment.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + segment.rindex("\n") + 1
-        elif m.lastgroup == "meta":
-            metadata.append((line, m.group()[2:].strip()))
-        elif m.lastgroup == "comment":
-            pass
-        elif m.lastgroup == "neck":
-            tokens.append(_Token("PUNCT", ":-", line, column))
-        elif m.lastgroup == "naf":
-            tokens.append(_Token("PUNCT", "\\+", line, column))
-        elif m.lastgroup == "int":
-            tokens.append(_Token("INT", m.group(), line, column))
-        elif m.lastgroup == "atom":
-            tokens.append(_Token("ATOM", m.group(), line, column))
-        elif m.lastgroup == "var":
-            tokens.append(_Token("VAR", m.group(), line, column))
-        elif m.lastgroup == "quoted":
-            tokens.append(_Token("QUOTED", _unquote(m.group()), line, column))
-        else:
-            tokens.append(_Token("PUNCT", m.group(), line, column))
+            message = f"unexpected character {text[pos]!r}"
+            raise ClauseSyntaxError(message, *_line_column(text, pos))
+        group = m.lastgroup
+        if group in _KINDS:
+            token = _unquote(m.group()) if group == "quoted" else m.group()
+            tokens.append(_Token(_KINDS[group], token, pos))
+        elif group == "meta":
+            metadata.append((_line_column(text, pos)[0], m.group()[2:].strip()))
         pos = m.end()
-    tokens.append(_Token("END", "", line, len(text) - line_start + 1))
+    tokens.append(_Token("END", "", len(text)))
     return tokens, metadata
 
 
@@ -126,10 +114,18 @@ _ANON = "\x00anon"  # internal marker name for `_` occurrences, fixed up per cla
 
 
 class _Parser:
-    def __init__(self, tokens: "list[_Token]"):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens, self.metadata = _tokenize(text)
         self.pos = 0
         self.anon_serial = 0
+
+    def error(self, tok: _Token, message: str, expected: str = "") -> ClauseSyntaxError:
+        return ClauseSyntaxError(message, *_line_column(self.text, tok.pos), expected)
+
+    def unexpected(self, tok: _Token, expected: str) -> ClauseSyntaxError:
+        got = "end of input" if tok.kind == "END" else repr(tok.text)
+        return self.error(tok, f"unexpected {got}", expected)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -148,9 +144,14 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.take()
         if tok.kind != "PUNCT" or tok.text != text:
-            got = "end of input" if tok.kind == "END" else repr(tok.text)
-            raise ClauseSyntaxError(f"unexpected {got}", tok.line, tok.column, expected=repr(text))
+            raise self.unexpected(tok, repr(text))
         return tok
+
+    def end(self) -> None:
+        """Check that the input ends at the next token."""
+        tail = self.peek()
+        if tail.kind != "END":
+            raise self.error(tail, f"trailing input {tail.text!r}", "end of input")
 
     def parse_program(self) -> "list[Clause]":
         clauses = []
@@ -163,12 +164,8 @@ class _Parser:
         head_tok = self.peek()
         head = self.parse_term()
         if not isinstance(head, (Atom, Struct)):
-            raise ClauseSyntaxError(
-                "clause head must be an atom or compound",
-                head_tok.line,
-                head_tok.column,
-                expected="atom or compound",
-            )
+            message = "clause head must be an atom or compound"
+            raise self.error(head_tok, message, "atom or compound")
         body: tuple[Literal, ...] = ()
         if self.at(":-"):
             self.take()
@@ -214,10 +211,7 @@ class _Parser:
             elif tok.kind in ("ATOM", "QUOTED"):
                 term = Atom(tok.text)
             else:
-                got = "end of input" if tok.kind == "END" else repr(tok.text)
-                raise ClauseSyntaxError(
-                    f"unexpected {got}", tok.line, tok.column, expected="a term"
-                )
+                raise self.unexpected(tok, "a term")
             # `term` ends an argument: close each compound it completes.
             while open_compounds:
                 functor, args = open_compounds[-1]
@@ -263,32 +257,22 @@ def _normalize_anonymous(clause: Clause) -> Clause:
 
 def parse_program(text: str) -> "tuple[list[Clause], list[tuple[int, str]]]":
     """Parse a program; returns (clauses, metadata lines as (line, text))."""
-    tokens, metadata = _tokenize(text)
-    return _Parser(tokens).parse_program(), metadata
+    parser = _Parser(text)
+    return parser.parse_program(), parser.metadata
 
 
 def parse_clause(text: str) -> Clause:
-    tokens, _ = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     clause = parser.parse_clause()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ClauseSyntaxError(
-            f"trailing input {tail.text!r}", tail.line, tail.column, expected="end of input"
-        )
+    parser.end()
     return clause
 
 
 def parse_goal(text: str) -> "tuple[Literal, ...]":
     """Parse a comma-separated goal (query) with an optional trailing period."""
-    tokens, _ = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     body = parser.parse_body()
     if parser.at("."):
         parser.take()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ClauseSyntaxError(
-            f"trailing input {tail.text!r}", tail.line, tail.column, expected="end of input"
-        )
+    parser.end()
     return _normalize_anonymous(Clause(Atom("goal"), body)).body

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import time
 from pathlib import Path
 
 import pytest
@@ -483,27 +484,55 @@ def test_a_wide_unification_past_the_cycle_check_binds_as_before():
     assert answer == {Var(f"A{i}"): Int(i) for i in range(n)}
 
 
-# The deepest a head argument or the right side of a compiled `=` literal may
-# nest, counting compounds: its code nests one indentation level per compound.
+# The deepest a head argument or the right side of a compiled `=` literal is
+# matched part by part, counting compounds: its code nests one indentation
+# level per compound. A deeper one is built and unified by `_unify`.
 MATCH_DEPTH_LIMIT = 90
 
 
 @pytest.mark.parametrize(
-    "clause, predicate",
+    "clause, printed",
     [
-        (f"deep({nested(91, 'z')}).", "deep/1"),
-        (f"deep(Y, {nested(399, 'f(X, Y)')}).", "deep/2"),
-        (f"p(X) :- q(X), X = {nested(91, 'Y')}.", "p/1"),
+        (
+            f"deep({nested(91, 'z')}).",
+            {
+                f"deep({nested(91, 'z')})": [""],
+                f"deep({nested(91, 'a')})": [],
+                "deep(T)": [f"T = {nested(91, 'z')}"],
+            },
+        ),
+        (
+            f"deep(Y, {nested(399, 'f(X, Y)')}).",
+            {
+                f"deep(b, {nested(399, 'f(a, b)')})": [""],
+                f"deep(b, {nested(399, 'f(a, c)')})": [],
+                "deep(A, T)": [f"A = Y_1, T = {nested(399, 'f(X_1,Y_1)')}"],
+                f"deep(A, {nested(399, 'f(a, B)')})": ["A = Y_1, B = Y_1"],
+            },
+        ),
+        (
+            f"deep(X, Y) :- X = {nested(91, 'Y')}.",
+            {
+                "deep(T, c)": [f"T = {nested(91, 'c')}"],
+                "deep(T, U)": [f"T = {nested(91, 'Y_1')}, U = Y_1"],
+                f"deep({nested(91, 'd')}, Y)": ["Y = d"],
+                f"deep({nested(90, 'd')}, Y)": [],
+            },
+        ),
     ],
     ids=["ground-head", "non-ground-head", "body-equation"],
 )
-def test_a_clause_too_deep_to_compile_is_a_logic_error(clause, predicate):
-    with pytest.raises(LogicError) as err:
-        rb(f"q(a). {clause}")
-    assert str(err.value) == (
-        f"clause of {predicate} is too deep to compile: a head argument "
-        f"or `=` term nests more than {MATCH_DEPTH_LIMIT} compounds"
-    )
+def test_a_clause_past_the_depth_limit_compiles(clause, printed):
+    base = rb(f"q(a). {clause}")
+    assert {goal: printed_answers(base, goal) for goal in printed} == printed
+
+
+def test_a_very_deep_head_compiles_in_linear_time():
+    clause = parse_clause(f"p(Y, {nested(20_000, 'f(X, Y)')}).")
+    started = time.perf_counter()
+    base = RuleBase([clause])
+    assert time.perf_counter() - started < 1.0
+    assert printed_answers(base, f"p(a, {nested(20_000, 'f(b, W)')})") == ["W = a"]
 
 
 def test_a_clause_at_the_depth_limit_compiles():
@@ -521,9 +550,9 @@ def test_a_clause_at_the_depth_limit_compiles():
 
 
 def test_deep_body_goals_compile():
-    # A body goal is built, not matched, so the depth limit leaves it alone:
-    # a ground part is one constant, and a part that holds a variable nests
-    # brackets, which the compiler splits into temporaries.
+    # A body goal is built, not matched: a ground part is one constant, and
+    # a part that holds a variable nests brackets, so past the depth limit
+    # the goal is converted from its term when the body is built.
     ground, mixed = nested(5_000, "z"), f"f({nested(200, 'g(X,k)')},{nested(300, 'z')})"
     base = rb(f"id(T, T). g(Y) :- id({ground}, Y). m(X, Y) :- id({mixed}, Y).")
     assert printed_answers(base, "g(Y)") == [f"Y = {ground}"]
@@ -660,3 +689,10 @@ def test_clauses_that_differ_only_in_constants_share_code(games):
         for f in clause_functions(g.rulebase, key)
     ]
     assert len({f.__code__ for f in bundled}) * 2 < len(bundled)
+
+
+def test_no_bundled_clause_is_converted_at_run_time(games):
+    # Every term of the bundled games is shallow enough for straight-line code.
+    for g in games.values():
+        for c in g.rulebase.clauses:
+            assert "_to_cells" not in engine._ClauseCompiler(c, g.rulebase._callee).source()

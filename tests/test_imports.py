@@ -181,7 +181,10 @@ def test_every_public_name_is_read_by_the_package_or_exported():
 KEPT_RECURSIVE = {
     "terms.resolve": "the dict-substitution API; perfbench's terms.* rows time it as it is",
     "terms._unify_into": "the dict-substitution API; perfbench's terms.* rows time it as it is",
-    "engine._ClauseCompiler.unify": "recurses once per compound, at most _MAX_MATCH_DEPTH deep",
+    "engine._ClauseCompiler.unify": (
+        "recurses once per compound, at most _MAX_NESTING deep: `match` hands a deeper "
+        "head argument or `=` side to `_unify`"
+    ),
     "orchestrator._detuple": "walks the arguments of a JSON query, which `json` read by recursion",
 }
 

@@ -260,20 +260,6 @@ def test_evaluate_all_captures_engine_errors(pd):
     assert held.holds
 
 
-def test_evaluate_all_captures_a_clause_too_deep_to_compile():
-    pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
-    g = parse_game(pd_text + "deep(" + "s(" * 100 + "z" + ")" * 101 + ".\n")
-    q = parse_query_line("finally(outcome(you,B,3,them,B,_),S)", g)
-    report = evaluate_all([q, Query(QueryKind.HIGHER, (5, 0))], g)
-    too_deep, held = report.results
-    assert too_deep.error == (
-        "clause of deep/1 is too deep to compile: "
-        "a head argument or `=` term nests more than 90 compounds"
-    )
-    assert not too_deep.holds and too_deep.corrections == ()
-    assert held.holds
-
-
 def test_render_feedback_joins_failed_explanations(pd):
     report = evaluate_all(
         [Query(QueryKind.HIGHER, (1, 3)), Query(QueryKind.HIGHEST_POSSIBLE, (9,))], pd
