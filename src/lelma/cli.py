@@ -232,6 +232,7 @@ def main(argv=None) -> int:
         ExperimentError,
         TranscriptFormatError,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -329,47 +329,23 @@ class TranscriptFormatError(ValueError):
     pass
 
 
-def read_transcript(path: str) -> SessionTranscript:
-    attempts: "list[AttemptRecord]" = []
-    session: Optional[dict] = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TranscriptFormatError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-        if record.get("type") == "attempt":
-            if session is not None:
-                raise TranscriptFormatError(f"{path}:{lineno}: attempt after session summary")
-            try:
-                results = tuple(_result_from_json(r) for r in record["results"])
-                attempts.append(
-                    AttemptRecord(
-                        index=record["index"],
-                        instruction=record["instruction"],
-                        reasoning=record["reasoning"],
-                        translator_output=record["translator_output"],
-                        queries=tuple(r.query for r in results),
-                        report=VerificationReport(results),
-                        extracted_choice=record["extracted_choice"],
-                        exit=ExitReason(record["exit"]),
-                    )
-                )
-            except KeyError as exc:
-                raise TranscriptFormatError(
-                    f"{path}:{lineno}: attempt record missing field {exc}"
-                ) from exc
-        elif record.get("type") == "session":
-            session = record
-        else:
-            raise TranscriptFormatError(f"{path}:{lineno}: unknown record type")
-    if session is None:
-        raise TranscriptFormatError(f"{path}: no session summary record")
+def _attempt_from_json(record: dict) -> AttemptRecord:
+    results = tuple(_result_from_json(r) for r in record["results"])
+    return AttemptRecord(
+        index=record["index"],
+        instruction=record["instruction"],
+        reasoning=record["reasoning"],
+        translator_output=record["translator_output"],
+        queries=tuple(r.query for r in results),
+        report=VerificationReport(results),
+        extracted_choice=record["extracted_choice"],
+        exit=ExitReason(record["exit"]),
+    )
+
+
+def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
     if session["attempt_count"] != len(attempts):
-        raise TranscriptFormatError(
-            f"{path}: summary says {session['attempt_count']} attempts, found {len(attempts)}"
-        )
+        raise ValueError(f"summary says {session['attempt_count']} attempts, found {len(attempts)}")
     return SessionTranscript(
         session_id=session["session_id"],
         game=session["game"],
@@ -382,3 +358,38 @@ def read_transcript(path: str) -> SessionTranscript:
         aborted=session["aborted"],
         error=session["error"],
     )
+
+
+def _decoded(where: str, kind: str, decode, *args):
+    """`decode(*args)`, with a record it cannot read reported at `where`."""
+    try:
+        return decode(*args)
+    except KeyError as exc:
+        raise TranscriptFormatError(f"{where}: {kind} record missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise TranscriptFormatError(f"{where}: {kind} record cannot be read ({exc})") from exc
+
+
+def read_transcript(path: str) -> SessionTranscript:
+    attempts: "list[AttemptRecord]" = []
+    session: Optional[tuple[str, dict]] = None  # where the summary record is, and the record
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TranscriptFormatError(f"{where}: not valid JSON ({exc})") from exc
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind == "attempt":
+            if session is not None:
+                raise TranscriptFormatError(f"{where}: attempt after session summary")
+            attempts.append(_decoded(where, "attempt", _attempt_from_json, record))
+        elif kind == "session":
+            session = where, record
+        else:
+            raise TranscriptFormatError(f"{where}: unknown record type")
+    if session is None:
+        raise TranscriptFormatError(f"{path}: no session summary record")
+    return _decoded(session[0], "session", _session_from_json, session[1], attempts)

@@ -14,10 +14,11 @@ substitutions and `unify`, `resolve` and `rename_term` serve the public
 API and the engine's callers, not its inner loop; the engine binds
 variables in the same direction as `unify`.
 
-`fold` walks a term's structure without recursion. Printing,
+`fold` walks a term's structure without recursion. Printing, hashing,
 `term_vars`, `is_ground`, `rename_term`, the parser's renaming of `_`
-and the engine's conversion of a goal into cells are folds, so a term
-of any depth prints; `resolve` and `_unify_into` still recurse.
+and the engine's conversion of a goal into cells are folds, and `==`
+compares with a stack of pairs, so a term of any depth prints and
+compares; `resolve` and `_unify_into` still recurse.
 """
 
 from __future__ import annotations
@@ -61,6 +62,24 @@ class Struct:
 
     def __str__(self) -> str:
         return fold(self, str, lambda functor, args: f"{_name_text(functor)}({','.join(args)})")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Struct:
+            return NotImplemented
+        todo = [(self, other)]  # pairs of terms still to compare
+        while todo:
+            a, b = todo.pop()
+            if type(a) is not Struct or type(b) is not Struct:
+                if a != b:
+                    return False
+            elif a is not b:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                todo += zip(a.args, b.args)
+        return True
+
+    def __hash__(self) -> int:
+        return fold(self, hash, lambda functor, args: hash((functor, args)))
 
 
 Term = Union[Var, Atom, Int, Struct]

@@ -1,5 +1,5 @@
 """Independent brute-force oracles the implementation is checked against,
-and the renamer and printer the tests need.
+and the renamer, substitution and printer the tests need.
 
 Everything here is written directly from first principles over the raw
 payoff entries, terms and clauses (or the bare agreement-statistic
@@ -34,6 +34,15 @@ def rename_apart(clause: Clause, ordinal: int) -> Clause:
 
     body = tuple(Literal(rename(l.term), l.negated) for l in clause.body)
     return Clause(rename(clause.head), body)
+
+
+def resolve(term: Term, subst: "dict[Var, Term]") -> Term:
+    """Apply a substitution all the way down."""
+    while isinstance(term, Var) and term in subst:
+        term = subst[term]
+    if isinstance(term, Struct):
+        return Struct(term.functor, tuple(resolve(a, subst) for a in term.args))
+    return term
 
 
 def game_to_text(g) -> str:

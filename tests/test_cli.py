@@ -159,6 +159,17 @@ class TestRunAndStats:
         assert code == 2
         assert "no transcripts" in err
 
+    def test_a_transcript_that_cannot_be_read_is_an_error(self, experiment_dir, capsys):
+        config, out = experiment_dir
+        assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+        transcript = sorted(out.glob("*.jsonl"))[0]
+        transcript.write_text(transcript.read_text().replace('"kind":"', '"kind":"bogus', 1))
+        for argv in (("stats", str(out)), ("eval", "export", str(out), str(out / "s.csv"))):
+            code, _, err = run_cli(*argv, capsys=capsys)
+            assert code == 2
+            assert err.startswith(f"error: {transcript}:1: attempt record cannot be read (")
+            assert "Traceback" not in err
+
     def test_run_missing_config(self, tmp_path, capsys):
         code, _, err = run_cli(
             "run", "--config", str(tmp_path / "nope.ini"), capsys=capsys
@@ -304,3 +315,26 @@ class TestEvalAndKappa:
         code, _, err = run_cli("kappa", str(sheet), capsys=capsys)
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{bad}.gdl", "initial(X)"),
+        ("verify", "{bad}.gdl", "--queries", "-"),
+        ("verify", "pd", "--queries", "{bad}.txt"),
+        ("run", "--config", "{bad}.ini"),
+        ("stats", "{dir}"),
+        ("eval", "import", "{bad}.csv"),
+        ("kappa", "{bad}.csv"),
+    ],
+    ids=["solve", "verify-game", "verify-queries", "run", "stats", "eval-import", "kappa"],
+)
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv):
+    for suffix in (".gdl", ".txt", ".ini", ".jsonl", ".csv"):
+        (tmp_path / f"bad{suffix}").write_bytes(b"\xff\xfe" + "p.\n".encode("utf-16-le"))
+    argv = [a.format(bad=tmp_path / "bad", dir=tmp_path) for a in argv]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert "Traceback" not in err

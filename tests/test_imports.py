@@ -94,8 +94,8 @@ def test_no_module_reads_a_private_attribute_another_module_defines():
 # Public names that no package code reads and `lelma.__all__` does not
 # export, each kept on purpose.
 KEPT_UNREAD = {
-    "terms.unify": "criterion 7's unification properties and perfbench's terms.* rows read it",
-    "terms.resolve": "criterion 7's unification properties and perfbench's terms.* rows read it",
+    "terms.unify": "the oracle criterion 7's engine unifier is checked against; perfbench reads it",
+    "terms.resolve": "the engine's reference tests and perfbench's terms.* rows read it",
     "terms.rename_term": "perfbench's terms.rename row reads it; the engine names variables so",
     "terms.struct": "the tests' shorthand for building a compound",
     "engine.neg": "the counterpart of engine.pos, for building a negated literal",

@@ -195,7 +195,7 @@ class TestTranscripts:
         assert back.attempts[0].queries[0].args == (1, 3)
         assert back.attempts[0].report.failed[0].corrections == (("relation", "lower"),)
 
-    def test_malformed_transcript_errors(self, tmp_path):
+    def test_malformed_transcript_errors(self, pd, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         with pytest.raises(TranscriptFormatError, match="bad.jsonl:1"):
@@ -203,6 +203,19 @@ class TestTranscripts:
         path.write_text('{"type":"attempt","index":1}\n')
         with pytest.raises(TranscriptFormatError):
             read_transcript(str(path))
+        # Two attempt records, then the session record.
+        write_transcript(str(path), self.make_transcript(pd))
+        good = path.read_text()
+        for bad, where in [
+            (good.replace('"kind":"higher"', '"kind":"bogus"', 1), "bad.jsonl:1:"),
+            (good.replace('"exit":"none"', '"exit":"weird"', 1), "bad.jsonl:1:"),
+            ("[1,2]\n" + good, "bad.jsonl:1:"),
+            (good.replace('"game":"pd",', ""), "bad.jsonl:3:"),
+        ]:
+            assert bad != good
+            path.write_text(bad)
+            with pytest.raises(TranscriptFormatError, match=where):
+                read_transcript(str(path))
 
     def test_replay_reproduces_transcript_byte_for_byte(self, pd, tmp_path):
         reasoner_cassette = str(tmp_path / "reasoner.jsonl")

@@ -5,6 +5,8 @@ import string
 
 from hypothesis import given, strategies as st
 
+import oracles
+from lelma.engine import RuleBase, pos, solve_all
 from lelma.terms import (
     Atom,
     Int,
@@ -81,8 +83,7 @@ def test_rename_term_stamps_ordinal():
 
 
 def test_a_deep_term_is_walked_without_recursion():
-    # 5,000 compounds deep, f(A99, f(A98, ... f(A0, f(A99, ... z)))). Results
-    # are checked by text and by walking: `==` on such a term recurses.
+    # 5,000 compounds deep, f(A99, f(A98, ... f(A0, f(A99, ... z)))).
     n = 5_000
     term = Atom("z")
     for i in range(n):
@@ -98,6 +99,11 @@ def test_a_deep_term_is_walked_without_recursion():
     for _ in range(n):
         ground = struct("s", ground)
     assert is_ground(ground)
+    # Equal terms built apart compare and hash equal.
+    twin = rename_term(renamed, 0)
+    assert twin is not term and twin == term and hash(twin) == hash(term)
+    assert renamed != term and ground != term and term != Atom("z")
+    assert rename_term(ground, 1) == ground and hash(rename_term(ground, 1)) == hash(ground)
 
 
 def test_var_printing_includes_ordinal():
@@ -154,21 +160,39 @@ def linear_terms(prefix: str):
     return trees.map(lambda t: _linearize(t, prefix))
 
 
+# The unification properties hold of the unifier lelma runs: the engine's
+# answer to the goal `t1 = t2`, applied with the oracle's `resolve`.
+
+
+def engine_unify(t1, t2):
+    """The engine's answer to `t1 = t2` on an empty program, or None."""
+    answers = solve_all(RuleBase(()), (pos(struct("=", t1, t2)),))
+    return answers[0] if answers else None
+
+
 @given(linear_terms("L"), linear_terms("R"))
 def test_unify_symmetric_success(t1, t2):
-    assert (unify(t1, t2, {}) is None) == (unify(t2, t1, {}) is None)
+    assert (engine_unify(t1, t2) is None) == (engine_unify(t2, t1) is None)
 
 
 @given(linear_terms("L"), linear_terms("R"))
 def test_unifier_makes_terms_equal(t1, t2):
-    s = unify(t1, t2, {})
+    s = engine_unify(t1, t2)
     if s is not None:
-        assert resolve(t1, s) == resolve(t2, s)
+        assert oracles.resolve(t1, s) == oracles.resolve(t2, s)
 
 
 @given(linear_terms("L"), linear_terms("R"))
 def test_unifier_application_is_idempotent(t1, t2):
-    s = unify(t1, t2, {})
+    s = engine_unify(t1, t2)
     if s is not None:
-        applied = resolve(t1, s)
-        assert resolve(applied, s) == applied
+        applied = oracles.resolve(t1, s)
+        assert oracles.resolve(applied, s) == applied
+
+
+@given(linear_terms("L"), linear_terms("R"))
+def test_the_engine_unifies_as_the_dict_unifier_does(t1, t2):
+    s, expected = engine_unify(t1, t2), unify(t1, t2, {})
+    assert (s is None) == (expected is None)
+    if s is not None:
+        assert oracles.resolve(t1, s) == oracles.resolve(t1, expected)
