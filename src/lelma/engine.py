@@ -518,19 +518,19 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 # on a new shape just compile it twice.
 _MAKERS: "dict[str, object]" = {}
 
-# How deep a term may nest in the code of a clause: a head argument or the
-# right side of a compiled `=` literal is matched in straight-line code that
-# nests one indentation level per compound, and Python reads at most 99; an
-# expression that builds a term nests one bracket per compound that holds a
-# variable, and Python reads fewer than 200. A deeper head argument or `=`
-# side is built and unified by `_unify`, and a deeper expression is a call
-# of `_to_cells` on the term, so every clause compiles.
+# How deep the code of a term may nest. Code that matches a term nests one
+# indentation level per compound, and Python reads at most 99; an expression
+# that builds a term nests one bracket per compound that holds a variable,
+# and Python reads fewer than 200.
 _MAX_NESTING = 90
 
 
 class _ClauseCompiler:
     """Writes the source of one clause's `make` factory and collects the
-    values it is called with."""
+    values it is called with. The code of a term nests at most
+    _MAX_NESTING deep: a deeper head argument or `=` side is unified by
+    `_unify` (see `match`), and a deeper term is made by `_to_cells` (see
+    `build`)."""
 
     def __init__(self, clause: Clause, callee_of) -> None:
         terms = (clause.head, *(l.term for l in clause.body))

@@ -120,7 +120,7 @@ class _Parser:
         self.pos = 0
         self.anon_serial = 0
 
-    def error(self, tok: _Token, message: str, expected: str = "") -> ClauseSyntaxError:
+    def error(self, tok: _Token, message: str, expected: str) -> ClauseSyntaxError:
         return ClauseSyntaxError(message, *_line_column(self.text, tok.pos), expected)
 
     def unexpected(self, tok: _Token, expected: str) -> ClauseSyntaxError:

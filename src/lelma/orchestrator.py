@@ -372,7 +372,7 @@ def _decoded(where: str, kind: str, decode, *args):
 
 def read_transcript(path: str) -> SessionTranscript:
     attempts: "list[AttemptRecord]" = []
-    session: Optional[tuple[str, dict]] = None  # where the summary record is, and the record
+    transcript: Optional[SessionTranscript] = None  # read from the session summary record
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -383,13 +383,13 @@ def read_transcript(path: str) -> SessionTranscript:
             raise TranscriptFormatError(f"{where}: not valid JSON ({exc})") from exc
         kind = record.get("type") if isinstance(record, dict) else None
         if kind == "attempt":
-            if session is not None:
+            if transcript is not None:
                 raise TranscriptFormatError(f"{where}: attempt after session summary")
             attempts.append(_decoded(where, "attempt", _attempt_from_json, record))
         elif kind == "session":
-            session = where, record
+            transcript = _decoded(where, "session", _session_from_json, record, attempts)
         else:
             raise TranscriptFormatError(f"{where}: unknown record type")
-    if session is None:
+    if transcript is None:
         raise TranscriptFormatError(f"{path}: no session summary record")
-    return _decoded(session[0], "session", _session_from_json, session[1], attempts)
+    return transcript
