@@ -84,12 +84,14 @@ class ExperimentConfig:
 def load_experiment_config(path: str) -> ExperimentConfig:
     """INI config. Credentials are named by env var only, never inline.
 
-    A file configparser rejects, or a value that cannot be read or is out
-    of range, such as `repetitions = many`, `max_attempts = 0` or an empty
-    `games =`, raises ExperimentError naming the line or the section and
-    key.
+    A file configparser rejects, a section or key lelma does not read, or
+    a value that cannot be read or is out of range, such as
+    `repetitions = many`, `max_attempts = 0` or an empty `games =`, raises
+    ExperimentError naming the line or the section and key. `[DEFAULT]` is
+    not copied into the other sections: it is a section lelma does not read.
     """
-    parser = configparser.ConfigParser()
+    # No section header can name "", so `[DEFAULT]` is read as an ordinary section.
+    parser = configparser.ConfigParser(default_section="")
     try:
         if not parser.read(path):
             raise ExperimentError(f"cannot read config file {path}")
@@ -99,45 +101,49 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
+    # Each reader pops the keys it reads, so what is left in the end went unread.
+    settings = {name: dict(parser[name]) for name in parser.sections()}
+    exp = settings.setdefault("experiment", {})
     games = tuple(
-        name.strip() for name in exp.get("games", "pd,sh,hd").split(",") if name.strip()
+        name.strip() for name in exp.pop("games", "pd,sh,hd").split(",") if name.strip()
     )
     if not games:
         raise ExperimentError("[experiment] games: no game given")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         games=games,
-        reasoner=_model_from_section(parser, "reasoner"),
-        translator=_model_from_section(parser, "translator"),
+        reasoner=_model_from(settings.setdefault("reasoner", {}), "reasoner"),
+        translator=_model_from(settings.setdefault("translator", {}), "translator"),
         repetitions=_number(exp, "experiment", "repetitions", int, 30, least=1),
         parallelism=_number(exp, "experiment", "parallelism", int, 0, least=0),
-        output_dir=exp.get("output_dir", "runs"),
-        cassette_dir=exp.get("cassette_dir", None) or None,
+        output_dir=exp.pop("output_dir", "runs"),
+        cassette_dir=exp.pop("cassette_dir", None) or None,
         max_attempts=_number(exp, "experiment", "max_attempts", int, 5, least=1),
     )
+    for section, unread in settings.items():
+        if section not in ("experiment", "reasoner", "translator"):
+            raise ExperimentError(f"[{section}]: unknown section")
+        if unread:
+            raise ExperimentError(f"[{section}] {next(iter(unread))}: unknown setting")
+    return cfg
 
 
-def _number(values: Mapping[str, str], section: str, key: str, kind: type, default, least=None):
-    """`values[key]` read as an int or a float, or `default` if it is unset.
-    A value below `least`, when that is given, is an error."""
+def _number(values: "dict[str, str]", section: str, key: str, kind: type, default, least=None):
+    """`values[key]`, popped and read as an int or a float, or `default` if
+    it is unset. A value below `least`, when that is given, is an error."""
     if key not in values:
         return default
+    text = values.pop(key)
     try:
-        value = kind(values[key])
+        value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        raise ExperimentError(
-            f"[{section}] {key}: expected {expected}, got {values[key]!r}"
-        ) from None
+        raise ExperimentError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
     if least is not None and value < least:
-        raise ExperimentError(f"[{section}] {key}: expected at least {least}, got {values[key]!r}")
+        raise ExperimentError(f"[{section}] {key}: expected at least {least}, got {text!r}")
     return value
 
 
-def _model_from_section(parser: configparser.ConfigParser, section: str) -> ModelConfig:
-    if not parser.has_section(section):
-        return ModelConfig()
-    sec = parser[section]
+def _model_from(sec: "dict[str, str]", section: str) -> ModelConfig:
     for key in sec:
         if key in ("api_key", "apikey", "key", "token", "secret"):
             raise ExperimentError(
@@ -146,14 +152,14 @@ def _model_from_section(parser: configparser.ConfigParser, section: str) -> Mode
             )
     try:
         return ModelConfig(
-            provider=sec.get("provider", "mock"),
-            model_id=sec.get("model_id", "mock-model"),
-            endpoint=sec.get("endpoint", ""),
+            provider=sec.pop("provider", "mock"),
+            model_id=sec.pop("model_id", "mock-model"),
+            endpoint=sec.pop("endpoint", ""),
             temperature=_number(sec, section, "temperature", float, 1.0),
             max_output_tokens=_number(sec, section, "max_output_tokens", int, 1024),
             timeout=_number(sec, section, "timeout", float, 60.0),
             retries=_number(sec, section, "retries", int, 3),
-            api_key_env=sec.get("api_key_env", None) or None,
+            api_key_env=sec.pop("api_key_env", None) or None,
         )
     except ValueError as exc:  # ModelConfig's one check: an unknown provider
         raise ExperimentError(f"[{section}] provider: {exc}") from None
@@ -164,13 +170,15 @@ def _model_from_section(parser: configparser.ConfigParser, section: str) -> Mode
 SCENARIOS = ("clean", "corrected", "untranslatable", "stubborn")
 
 
-def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple[str, ...]]":
+def mock_session_scripts(
+    g: GameSpec, rep: int, max_attempts: int = 5
+) -> "tuple[tuple[str, ...], tuple[str, ...]]":
     """Deterministic (reasoner_script, translator_script) for repetition rep.
 
     Cycles through four scenarios so exits all_true, no_queries and
     max_attempts all occur, and reasoner texts differ across attempts
     and repetitions (identical requests would collapse to one cassette
-    record).
+    record). The stubborn scenario answers all `max_attempts` attempts.
     """
     summary = g.payoff_summary
     top, bottom = summary.highest, summary.lowest
@@ -198,9 +206,9 @@ def mock_session_scripts(g: GameSpec, rep: int) -> "tuple[tuple[str, ...], tuple
         reasoner = tuple(
             f"{tag} attempt {k}: I still insist the guaranteed payoff for R is ${wrong}.\n"
             "CHOICE: R"
-            for k in range(1, 6)
+            for k in range(1, max_attempts + 1)
         )
-        translator = (f"lowest_individual_payoff_for_choice({wrong},R)",) * 5
+        translator = (f"lowest_individual_payoff_for_choice({wrong},R)",) * max_attempts
     return reasoner, translator
 
 
@@ -210,7 +218,7 @@ def _session_loop_config(
     models = {"reasoner": cfg.reasoner, "translator": cfg.translator}
     mode = provider or cfg.reasoner.provider
     if mode == "mock":
-        scripts = mock_session_scripts(g, rep)
+        scripts = mock_session_scripts(g, rep, cfg.max_attempts)
         for (role, model), script in zip(models.items(), scripts):
             models[role] = replace(model, provider="mock", script=script)
     if cfg.cassette_dir:

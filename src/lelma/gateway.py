@@ -138,6 +138,8 @@ def load_cassette(path: str) -> "dict[str, dict]":
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CassetteParseError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise CassetteParseError(f"{path}:{lineno}: not a JSON object")
         key = record.get("key")
         if not isinstance(key, str) or "request" not in record or "response" not in record:
             raise CassetteParseError(f"{path}:{lineno}: missing key/request/response fields")

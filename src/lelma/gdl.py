@@ -11,9 +11,9 @@ A name (an atom or a functor) is a lowercase identifier or a
 single-quoted string, in which `\\'`, `\\\\` and `\\n` stand for a quote, a
 backslash and a newline. `\\+ A = B` negates the equation, as in Prolog.
 Variables start with an uppercase letter or underscore; `_` alone is
-anonymous (each occurrence a fresh variable, normalized to `_1`, `_2`,
-... when the clause is built). `%` starts a line comment; `%!` lines carry
-`key: value` metadata and are collected separately.
+anonymous: each occurrence is named as it is read, by the next `_1`,
+`_2`, ... that its clause or goal does not write. `%` starts a line comment;
+`%!` lines carry `key: value` metadata and are collected separately.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 from typing import NamedTuple
 
 from .engine import Clause, Literal
-from .terms import Atom, Int, Struct, Term, Var, fold, term_vars
+from .terms import Atom, Int, Struct, Term, Var
 
 
 class ClauseSyntaxError(Exception):
@@ -110,15 +110,13 @@ def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
     return tokens, metadata
 
 
-_ANON = "\x00anon"  # internal marker name for `_` occurrences, fixed up per clause
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens, self.metadata = _tokenize(text)
         self.pos = 0
-        self.anon_serial = 0
+        self.taken: set[str] = set()  # variable names written in the clause being read
+        self.anon_serial = 0  # the number in the name last given to a `_`
 
     def error(self, tok: _Token, message: str, expected: str) -> ClauseSyntaxError:
         return ClauseSyntaxError(message, *_line_column(self.text, tok.pos), expected)
@@ -153,6 +151,20 @@ class _Parser:
         if tail.kind != "END":
             raise self.error(tail, f"trailing input {tail.text!r}", "end of input")
 
+    def start_clause(self) -> None:
+        """Note the variable names written from the next token to the clause's
+        `.` or the end of input: each `_` then takes the next `_<n>` not among them."""
+        self.taken.clear()
+        self.anon_serial = 0
+        tokens, i = self.tokens, self.pos
+        while True:
+            kind, text, _ = tokens[i]
+            if kind == "VAR":
+                self.taken.add(text)
+            elif kind == "END" or (kind == "PUNCT" and text == "."):
+                return
+            i += 1
+
     def parse_program(self) -> "list[Clause]":
         clauses = []
         while self.peek().kind != "END":
@@ -160,7 +172,7 @@ class _Parser:
         return clauses
 
     def parse_clause(self) -> Clause:
-        self.anon_serial = 0
+        self.start_clause()
         head_tok = self.peek()
         head = self.parse_term()
         if not isinstance(head, (Atom, Struct)):
@@ -171,7 +183,7 @@ class _Parser:
             self.take()
             body = self.parse_body()
         self.expect(".")
-        return _normalize_anonymous(Clause(head, body))
+        return Clause(head, body)
 
     def parse_body(self) -> "tuple[Literal, ...]":
         literals = [self.parse_literal()]
@@ -201,7 +213,9 @@ class _Parser:
                 term: Term = Int(int(tok.text))
             elif tok.kind == "VAR" and tok.text == "_":
                 self.anon_serial += 1
-                term = Var(_ANON, self.anon_serial)
+                while f"_{self.anon_serial}" in self.taken:
+                    self.anon_serial += 1
+                term = Var(f"_{self.anon_serial}")
             elif tok.kind == "VAR":
                 term = Var(tok.text)
             elif tok.kind in ("ATOM", "QUOTED") and self.at("("):
@@ -226,35 +240,6 @@ class _Parser:
                 return term
 
 
-def _normalize_anonymous(clause: Clause) -> Clause:
-    """Rename `_` occurrences to `_1`, `_2`, ... skipping names already used."""
-    found = {v.name for t in (clause.head, *(l.term for l in clause.body)) for v in term_vars(t)}
-    if _ANON not in found:
-        return clause
-    taken = found - {_ANON}
-    mapping: dict[Var, Var] = {}
-    counter = 1
-
-    def fresh() -> str:
-        nonlocal counter
-        while f"_{counter}" in taken:
-            counter += 1
-        name = f"_{counter}"
-        counter += 1
-        return name
-
-    def rename(t: Term) -> Term:
-        if not isinstance(t, Var) or t.name != _ANON:
-            return t
-        if t not in mapping:
-            mapping[t] = Var(fresh())
-        return mapping[t]
-
-    head = fold(clause.head, rename, Struct)
-    body = tuple(Literal(fold(l.term, rename, Struct), l.negated) for l in clause.body)
-    return Clause(head, body)
-
-
 def parse_program(text: str) -> "tuple[list[Clause], list[tuple[int, str]]]":
     """Parse a program; returns (clauses, metadata lines as (line, text))."""
     parser = _Parser(text)
@@ -271,8 +256,9 @@ def parse_clause(text: str) -> Clause:
 def parse_goal(text: str) -> "tuple[Literal, ...]":
     """Parse a comma-separated goal (query) with an optional trailing period."""
     parser = _Parser(text)
+    parser.start_clause()
     body = parser.parse_body()
     if parser.at("."):
         parser.take()
     parser.end()
-    return _normalize_anonymous(Clause(Atom("goal"), body)).body
+    return body

@@ -283,6 +283,25 @@ def _result_from_json(d: dict) -> QueryResult:
     )
 
 
+def _session_to_json(transcript: SessionTranscript) -> dict:
+    return {
+        "type": "session",
+        "version": TRANSCRIPT_VERSION,
+        "session_id": transcript.session_id,
+        "game": transcript.game,
+        "model": transcript.model,
+        "attempt_count": transcript.attempt_count,
+        "initial_choice": transcript.initial_choice,
+        "final_choice": transcript.final_choice,
+        "prompt_tokens": transcript.usage.prompt_tokens,
+        "completion_tokens": transcript.usage.completion_tokens,
+        "wall_time": transcript.wall_time,
+        "aborted": transcript.aborted,
+        "error": transcript.error,
+        "exit": transcript.exit.value,
+    }
+
+
 def write_transcript(path: str, transcript: SessionTranscript) -> None:
     lines = []
     for attempt in transcript.attempts:
@@ -300,26 +319,7 @@ def write_transcript(path: str, transcript: SessionTranscript) -> None:
                 }
             )
         )
-    lines.append(
-        _dumps(
-            {
-                "type": "session",
-                "version": TRANSCRIPT_VERSION,
-                "session_id": transcript.session_id,
-                "game": transcript.game,
-                "model": transcript.model,
-                "attempt_count": transcript.attempt_count,
-                "initial_choice": transcript.initial_choice,
-                "final_choice": transcript.final_choice,
-                "prompt_tokens": transcript.usage.prompt_tokens,
-                "completion_tokens": transcript.usage.completion_tokens,
-                "wall_time": transcript.wall_time,
-                "aborted": transcript.aborted,
-                "error": transcript.error,
-                "exit": transcript.exit.value,
-            }
-        )
-    )
+    lines.append(_dumps(_session_to_json(transcript)))
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(lines) + "\n")
@@ -344,20 +344,29 @@ def _attempt_from_json(record: dict) -> AttemptRecord:
 
 
 def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
-    if session["attempt_count"] != len(attempts):
-        raise ValueError(f"summary says {session['attempt_count']} attempts, found {len(attempts)}")
-    return SessionTranscript(
+    """The transcript the attempts and the session record describe; the
+    record's summary fields must agree with what the attempts give."""
+    for field, kind in [("session_id", str), ("game", str), ("model", str), ("aborted", bool),
+                        ("prompt_tokens", int), ("completion_tokens", int), ("wall_time", float)]:
+        if type(session[field]) is not kind:  # a bool is not an int here
+            raise TypeError(f"{field} must be {kind.__name__}, not {type(session[field]).__name__}")
+    transcript = SessionTranscript(
         session_id=session["session_id"],
         game=session["game"],
         model=session["model"],
         attempts=tuple(attempts),
-        initial_choice=session["initial_choice"],
-        final_choice=session["final_choice"],
+        initial_choice=attempts[0].extracted_choice if attempts else None,
+        final_choice=attempts[-1].extracted_choice if attempts else None,
         usage=Usage(session["prompt_tokens"], session["completion_tokens"]),
         wall_time=session["wall_time"],
         aborted=session["aborted"],
         error=session["error"],
     )
+    summary = _session_to_json(transcript)
+    for field in ("attempt_count", "exit", "initial_choice", "final_choice"):
+        if session[field] != summary[field]:
+            raise ValueError(f"summary says {field} {session[field]!r}, attempts give {summary[field]!r}")
+    return transcript
 
 
 def _decoded(where: str, kind: str, decode, *args):
@@ -373,7 +382,11 @@ def _decoded(where: str, kind: str, decode, *args):
 def read_transcript(path: str) -> SessionTranscript:
     attempts: "list[AttemptRecord]" = []
     transcript: Optional[SessionTranscript] = None  # read from the session summary record
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

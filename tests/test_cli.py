@@ -1,4 +1,5 @@
 import csv
+import json
 from importlib.resources import files
 
 import pytest
@@ -170,6 +171,34 @@ class TestRunAndStats:
             assert err.startswith(f"error: {transcript}:1: attempt record cannot be read (")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("prompt_tokens", "x", "prompt_tokens must be int, not str"),
+            ("game", 5, "game must be str, not int"),
+            ("final_choice", "flipped", "summary says final_choice "),
+        ],
+        ids=["text-token-count", "numeric-game", "final-choice-not-the-attempts"],
+    )
+    def test_a_session_record_that_cannot_be_used_is_an_error(
+        self, experiment_dir, capsys, field, value, message
+    ):
+        config, out = experiment_dir
+        assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+        transcript = sorted(out.glob("pd_*.jsonl"))[0]
+        *attempts, summary = transcript.read_text().splitlines()
+        record = json.loads(summary)
+        if value == "flipped":
+            value = "R" if record[field] == "B" else "B"
+        record[field] = value
+        lines = [*attempts, json.dumps(record, sort_keys=True, separators=(",", ":"))]
+        transcript.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli("stats", str(out), capsys=capsys)
+        assert code == 2
+        where = f"{transcript}:{len(lines)}"
+        assert err.startswith(f"error: {where}: session record cannot be read ({message}")
+        assert "Traceback" not in err
+
     def test_run_missing_config(self, tmp_path, capsys):
         code, _, err = run_cli(
             "run", "--config", str(tmp_path / "nope.ini"), capsys=capsys
@@ -233,10 +262,17 @@ class TestRunAndStats:
             ("translator", "provider = anthropic", "error: [translator] provider: unknown"),
             ("experiment", "output_dir = elsewhere", "error: While reading from"),
             ("reasoner", "model_id = 100%", "error: '%' must be followed by '%' or '('"),
+            ("experiment", "max_attempt = 2", "error: [experiment] max_attempt: unknown setting\n"),
+            ("reasoner", "temprature = 0.2", "error: [reasoner] temprature: unknown setting\n"),
+            ("translator", "max_calls = 3", "error: [translator] max_calls: unknown setting\n"),
+            ("reasonr", "provider = openai", "error: [reasonr]: unknown section\n"),
+            # [DEFAULT] is not copied into the other sections, so its keys would go unread.
+            ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n"),
         ],
         ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
              "non-integer", "non-number", "unknown-provider", "repeated-key",
-             "bad-interpolation"],
+             "bad-interpolation", "misspelt-key", "misspelt-model-key", "api-only-key",
+             "misspelt-section", "default-section"],
     )
     def test_an_unreadable_config_value_is_an_error(
         self, tmp_path, capsys, section, line, message
@@ -337,4 +373,6 @@ def test_a_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv):
     code, _, err = run_cli(*argv, capsys=capsys)
     assert code == 2
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    if argv[0] == "stats":
+        assert err.startswith(f"error: {tmp_path / 'bad.jsonl'}: not UTF-8 text (")
     assert "Traceback" not in err

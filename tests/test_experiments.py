@@ -180,6 +180,18 @@ def test_mock_experiment_bytes_match_recorded_digests(tmp_path):
     assert mock_experiment_digests(tmp_path) == recorded
 
 
+def test_the_stubborn_mock_session_lasts_the_whole_attempt_budget(tmp_path):
+    cfg = ExperimentConfig(
+        games=("pd",), repetitions=4, output_dir=str(tmp_path), max_attempts=7
+    )
+    transcripts, summary = run_experiment(cfg, provider="mock")
+    assert summary["aborted"] == 0
+    stubborn = transcripts[3]  # the fourth scenario
+    assert stubborn.attempt_count == 7
+    assert stubborn.exit is ExitReason.MAX_ATTEMPTS
+    assert summary["attempts_distribution"]["7"] == 1
+
+
 def test_an_error_of_any_type_aborts_its_session_and_the_summary_is_written(tmp_path, monkeypatch):
     def failing_complete(self, messages):
         raise RuntimeError("model backend fell over")

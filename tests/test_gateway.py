@@ -163,6 +163,12 @@ class TestCassette:
         with pytest.raises(CassetteParseError, match="latin1.jsonl: not UTF-8"):
             load_cassette(str(path))
 
+    def test_a_record_that_is_not_an_object_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1,2]\n")
+        with pytest.raises(CassetteParseError, match="list.jsonl:1: not a JSON object"):
+            load_cassette(str(path))
+
     def test_recording_survives_gateway_restart(self, tmp_path):
         cassette = str(tmp_path / "resume.jsonl")
         cfg = ModelConfig(script=("same reply",), record_to=cassette)

@@ -60,6 +60,25 @@ def test_anonymous_naming_avoids_user_variables():
     named, anon = clause.head.args
     assert named == Var("_1")
     assert anon == Var("_2")
+    # Each `_` takes the next `_<n>` its own clause or goal does not write,
+    # wherever in it that name is written.
+    for read, text, printed in [
+        (parse_clause, "p(_, _1).", "p(_2,_1)."),
+        (parse_clause, "p(_) :- q(_1, _2).", "p(_3) :- q(_1,_2)."),
+        (parse_clause, "p(X) :- \\+ X = f(_, _).", "p(X) :- \\+ X = f(_1,_2)."),
+        (parse_goal, "p(_, _1), q(_)", "p(_2,_1), q(_3)"),
+        (parse_goal, "p(_, _1), q(_).", "p(_2,_1), q(_3)"),
+        (parse_goal, "\\+ X = f(_, _1)", "\\+ X = f(_2,_1)"),
+        (parse_program, "p(_, _1) :- q(_).\nr(_) :- s(_2, _).",
+         "p(_2,_1) :- q(_3). r(_1) :- s(_2,_3)."),
+    ]:
+        result = read(text)
+        if read is parse_clause:
+            assert str(result) == printed, text
+        elif read is parse_goal:
+            assert ", ".join(map(str, result)) == printed, text
+        else:
+            assert " ".join(map(str, result[0])) == printed, text
 
 
 def test_comments_and_metadata():
@@ -90,6 +109,19 @@ def test_syntax_error_position_and_expectation():
     with pytest.raises(ClauseSyntaxError) as err:
         parse_program("p(#).")
     assert "unexpected character" in str(err.value)
+
+    # An error just after a `_` is reported at the token it is at.
+    for read, text, message in [
+        (parse_clause, "p(_ _).", "line 1, column 5: unexpected '_' (expected ')')"),
+        (parse_clause, "p(_,\n _) :- q(_ =).", "line 2, column 12: unexpected '=' (expected ')')"),
+        (parse_goal, "p(_) q", "line 1, column 6: trailing input 'q' (expected end of input)"),
+        (parse_program, "p(_).\nq(_, \n  _ :- r.",
+         "line 3, column 5: unexpected ':-' (expected ')')"),
+    ]:
+        with pytest.raises(ClauseSyntaxError) as err:
+            read(text)
+        assert str(err.value) == message
+        assert message.startswith(f"line {err.value.line}, column {err.value.column}:")
 
 
 def test_clause_head_must_be_callable():

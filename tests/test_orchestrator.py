@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lelma.gateway import Gateway, ModelConfig, Usage, replay_config
@@ -211,6 +213,16 @@ class TestTranscripts:
             (good.replace('"exit":"none"', '"exit":"weird"', 1), "bad.jsonl:1:"),
             ("[1,2]\n" + good, "bad.jsonl:1:"),
             (good.replace('"game":"pd",', ""), "bad.jsonl:3:"),
+            (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":"x"', good), "bad.jsonl:3:"),
+            (re.sub(r'"completion_tokens":\d+', '"completion_tokens":true', good), "bad.jsonl:3:"),
+            (good.replace('"game":"pd"', '"game":5'), "bad.jsonl:3:"),
+            (good.replace('"model":"mock-model"', '"model":null'), "bad.jsonl:3:"),
+            (good.replace('"aborted":false', '"aborted":"no"'), "bad.jsonl:3:"),
+            # Summary fields that disagree with the attempts.
+            (good.replace('"final_choice":"B"', '"final_choice":"R"'), "bad.jsonl:3:"),
+            (good.replace('"initial_choice":"R"', '"initial_choice":null'), "bad.jsonl:3:"),
+            (good.replace('"attempt_count":2', '"attempt_count":3'), "bad.jsonl:3:"),
+            (good.replace('"exit":"all_true","final', '"exit":"none","final'), "bad.jsonl:3:"),
         ]:
             assert bad != good
             path.write_text(bad)
