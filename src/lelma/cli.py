@@ -109,7 +109,9 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     transcripts = read_transcripts_dir(args.transcripts)
-    summary = summarize(transcripts)
+    # The run's attempt budget is not recorded; the longest usable session bounds it.
+    longest = max([1] + [t.attempt_count for t in transcripts if not t.aborted])
+    summary = summarize(transcripts, max_attempts=longest)
     print(f"sessions: {summary['sessions']} (aborted: {summary['aborted']})")
     buckets = summary["attempts_distribution"]
     histogram = "  ".join(f"{k}:{buckets[k]}" for k in sorted(buckets, key=int))

@@ -102,23 +102,25 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     # Each reader pops the keys it reads, so what is left in the end went unread.
+    # Only the keys a section sets are passed on; the dataclasses supply the rest.
     settings = {name: dict(parser[name]) for name in parser.sections()}
     exp = settings.setdefault("experiment", {})
-    games = tuple(
-        name.strip() for name in exp.pop("games", "pd,sh,hd").split(",") if name.strip()
-    )
-    if not games:
-        raise ExperimentError("[experiment] games: no game given")
-    cfg = ExperimentConfig(
-        games=games,
-        reasoner=_model_from(settings.setdefault("reasoner", {}), "reasoner"),
-        translator=_model_from(settings.setdefault("translator", {}), "translator"),
-        repetitions=_number(exp, "experiment", "repetitions", int, 30, least=1),
-        parallelism=_number(exp, "experiment", "parallelism", int, 0, least=0),
-        output_dir=exp.pop("output_dir", "runs"),
-        cassette_dir=exp.pop("cassette_dir", None) or None,
-        max_attempts=_number(exp, "experiment", "max_attempts", int, 5, least=1),
-    )
+    fields: "dict[str, object]" = {}
+    if "games" in exp:
+        games = tuple(name.strip() for name in exp.pop("games").split(",") if name.strip())
+        if not games:
+            raise ExperimentError("[experiment] games: no game given")
+        fields["games"] = games
+    for section in ("reasoner", "translator"):
+        fields[section] = _model_from(settings.setdefault(section, {}), section)
+    for key, least in (("repetitions", 1), ("parallelism", 0), ("max_attempts", 1)):
+        if key in exp:
+            fields[key] = _number(exp, "experiment", key, int, least)
+    if "output_dir" in exp:
+        fields["output_dir"] = exp.pop("output_dir")
+    if cassette_dir := exp.pop("cassette_dir", None):  # empty reads as unset
+        fields["cassette_dir"] = cassette_dir
+    cfg = ExperimentConfig(**fields)
     for section, unread in settings.items():
         if section not in ("experiment", "reasoner", "translator"):
             raise ExperimentError(f"[{section}]: unknown section")
@@ -127,11 +129,9 @@ def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     return cfg
 
 
-def _number(values: "dict[str, str]", section: str, key: str, kind: type, default, least=None):
-    """`values[key]`, popped and read as an int or a float, or `default` if
-    it is unset. A value below `least`, when that is given, is an error."""
-    if key not in values:
-        return default
+def _number(values: "dict[str, str]", section: str, key: str, kind: type, least=None):
+    """`values[key]`, popped and read as an int or a float. A value below
+    `least`, when that is given, is an error."""
     text = values.pop(key)
     try:
         value = kind(text)
@@ -150,17 +150,18 @@ def _model_from(sec: "dict[str, str]", section: str) -> ModelConfig:
                 f"[{section}] must not contain credentials; "
                 "set api_key_env to the NAME of an environment variable instead"
             )
+    fields: "dict[str, object]" = {
+        key: sec.pop(key) for key in ("provider", "model_id", "endpoint") if key in sec
+    }
+    for key, kind in (
+        ("temperature", float), ("max_output_tokens", int), ("timeout", float), ("retries", int)
+    ):
+        if key in sec:
+            fields[key] = _number(sec, section, key, kind)
+    if api_key_env := sec.pop("api_key_env", None):  # empty reads as unset
+        fields["api_key_env"] = api_key_env
     try:
-        return ModelConfig(
-            provider=sec.pop("provider", "mock"),
-            model_id=sec.pop("model_id", "mock-model"),
-            endpoint=sec.pop("endpoint", ""),
-            temperature=_number(sec, section, "temperature", float, 1.0),
-            max_output_tokens=_number(sec, section, "max_output_tokens", int, 1024),
-            timeout=_number(sec, section, "timeout", float, 60.0),
-            retries=_number(sec, section, "retries", int, 3),
-            api_key_env=sec.pop("api_key_env", None) or None,
-        )
+        return ModelConfig(**fields)
     except ValueError as exc:  # ModelConfig's one check: an unknown provider
         raise ExperimentError(f"[{section}] provider: {exc}") from None
 

@@ -30,7 +30,9 @@ from .verification import (
     Query,
     QueryKind,
     QueryResult,
+    VerificationError,
     VerificationReport,
+    check_query,
     evaluate_all,
     render_feedback,
 )
@@ -249,18 +251,15 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _detuple(value):
-    if isinstance(value, list):
-        return tuple(_detuple(v) for v in value)
-    return value
-
-
 def _query_to_json(q: Query) -> dict:
     return {"kind": q.kind.value, "args": list(q.args), "source_text": q.source_text}
 
 
 def _query_from_json(d: dict) -> Query:
-    return Query(QueryKind(d["kind"]), _detuple(d["args"]), source_text=d["source_text"])
+    _check_types(d, {"args": (list,), "source_text": (str,)})
+    q = Query(QueryKind(d["kind"]), tuple(d["args"]), source_text=d["source_text"])
+    check_query(q)
+    return q
 
 
 def _result_to_json(r: QueryResult) -> dict:
@@ -274,10 +273,13 @@ def _result_to_json(r: QueryResult) -> dict:
 
 
 def _result_from_json(d: dict) -> QueryResult:
+    _check_types(d, {"holds": (bool,), "corrections": (list,), "explanation": (str,),
+                     "error": (str, type(None))})
     return QueryResult(
         query=_query_from_json(d["query"]),
         holds=d["holds"],
-        corrections=tuple((role, _detuple(value)) for role, value in d["corrections"]),
+        # A correction value is an int, a label or a pair of labels.
+        corrections=tuple((r, tuple(v) if type(v) is list else v) for r, v in d["corrections"]),
         explanation=d["explanation"],
         error=d["error"],
     )
@@ -329,7 +331,21 @@ class TranscriptFormatError(ValueError):
     pass
 
 
+def _check_types(record: dict, fields: "dict[str, tuple[type, ...]]") -> None:
+    """Each of `fields` in `record` must have exactly one of its types: a
+    bool is no int here, and an int no float."""
+    for field, kinds in fields.items():
+        if type(record[field]) not in kinds:
+            wanted = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"{field} must be {wanted}, not {type(record[field]).__name__}")
+
+
 def _attempt_from_json(record: dict) -> AttemptRecord:
+    _check_types(record, {"index": (int,), "instruction": (str,), "reasoning": (str,),
+                          "translator_output": (str,), "results": (list,)})
+    choice = record["extracted_choice"]
+    if choice not in (*PROMPT_LABELS, None):
+        raise ValueError(f"extracted_choice must be B, R or null, not {choice!r}")
     results = tuple(_result_from_json(r) for r in record["results"])
     return AttemptRecord(
         index=record["index"],
@@ -338,7 +354,7 @@ def _attempt_from_json(record: dict) -> AttemptRecord:
         translator_output=record["translator_output"],
         queries=tuple(r.query for r in results),
         report=VerificationReport(results),
-        extracted_choice=record["extracted_choice"],
+        extracted_choice=choice,
         exit=ExitReason(record["exit"]),
     )
 
@@ -346,10 +362,9 @@ def _attempt_from_json(record: dict) -> AttemptRecord:
 def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
     """The transcript the attempts and the session record describe; the
     record's summary fields must agree with what the attempts give."""
-    for field, kind in [("session_id", str), ("game", str), ("model", str), ("aborted", bool),
-                        ("prompt_tokens", int), ("completion_tokens", int), ("wall_time", float)]:
-        if type(session[field]) is not kind:  # a bool is not an int here
-            raise TypeError(f"{field} must be {kind.__name__}, not {type(session[field]).__name__}")
+    _check_types(session, {"session_id": (str,), "game": (str,), "model": (str,),
+                           "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
+                           "wall_time": (float,), "error": (str, type(None))})
     transcript = SessionTranscript(
         session_id=session["session_id"],
         game=session["game"],
@@ -375,7 +390,7 @@ def _decoded(where: str, kind: str, decode, *args):
         return decode(*args)
     except KeyError as exc:
         raise TranscriptFormatError(f"{where}: {kind} record missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, VerificationError) as exc:
         raise TranscriptFormatError(f"{where}: {kind} record cannot be read ({exc})") from exc
 
 

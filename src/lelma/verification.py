@@ -16,13 +16,13 @@ in an editable resource file, resources/feedback_templates.json.
 
 A translator line is parsed in one pass: it is stripped once, matched
 against the one-level template before the outcome template (they
-cannot both match), and its arguments are checked without a second
-regex.
+cannot both match), and its tokens, read by slot, go to check_query.
 
-Each kind is described once. A new kind needs a QueryKind member, its
-argument schema in SCHEMAS, a judge in _JUDGES (verdict, corrections
-and sentence fields), a template in feedback_templates.json and its
-form in the translator prompt, resources/translation_prompt.txt.
+Each kind is described once. A new kind needs a QueryKind member, one
+_KINDS entry (its argument schema and its judge, which gives the
+verdict, corrections and sentence fields), a template in
+feedback_templates.json and its form in the translator prompt,
+resources/translation_prompt.txt.
 
 Comparisons are strict. A failed comparison between equal values is
 corrected to an internal `equal` form that the translator never
@@ -41,7 +41,7 @@ from importlib.resources import files
 from typing import Optional, Sequence
 
 from .engine import LogicError, solve
-from .games import GameSpec, outcome_goal
+from .games import PROMPT_LABELS, GameSpec, outcome_goal
 from .terms import Atom, Int, Var
 
 
@@ -115,25 +115,8 @@ class VerificationReport:
         return all(r.holds for r in self.results if r.error is None)
 
 
-# Argument schema of every kind, in template argument order.
-SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {
-    QueryKind.OUTCOME: ("move", "int", "move"),
-    QueryKind.HIGHER: ("int", "int"),
-    QueryKind.LOWER: ("int", "int"),
-    QueryKind.EQUAL: ("int", "int"),
-    QueryKind.HIGHEST_POSSIBLE: ("int",),
-    QueryKind.LOWEST_POSSIBLE: ("int",),
-    QueryKind.HIGHEST_FOR_CHOICE: ("int", "move"),
-    QueryKind.LOWEST_FOR_CHOICE: ("int", "move"),
-    QueryKind.HIGHEST_GUARANTEED_CHOICE: ("move",),
-    QueryKind.HIGHER_GUARANTEED: ("move", "move"),
-    QueryKind.LOWER_GUARANTEED: ("move", "move"),
-    QueryKind.HIGHEST_MUTUAL: ("move", "move"),
-    QueryKind.LOWEST_MUTUAL: ("move", "move"),
-}
-
 # Kinds parsed by predicate name; outcome claims have their own regex.
-_PARSED_KINDS = {k.value: k for k in SCHEMAS if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}
+_PARSED_KINDS = {k.value: k for k in QueryKind if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}
 
 # Each kind's name, read once here rather than through `Enum.value` per call.
 _NAMES = {k: k.value for k in QueryKind}
@@ -149,17 +132,22 @@ _OUTCOME_RE = re.compile(
 _SIMPLE_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^()]*?)\s*\)\s*")
 
 
-def _parse_move_label(token: str, g: GameSpec) -> str:
-    if token in g.move_labels:  # an exact label, the usual case
-        return token
-    label = token.strip().strip("'\"").upper()
-    if label not in g.move_labels:
-        raise UnknownMoveError(token.strip(), sorted(g.move_labels))
-    return label
+def _read_token(token: str, slot: str) -> object:
+    """`token` as an int in an int slot, or as the label it names in a move
+    slot; any other token as it is, for check_query to reject."""
+    if slot == "int":
+        if token.isdecimal() or (token[:1] == "-" and token[1:].isdecimal()):  # -?\d+
+            return int(token)
+    elif token not in PROMPT_LABELS:  # an exact label is the usual case
+        label = token.strip("'\"").upper()
+        if label in PROMPT_LABELS:
+            return label
+    return token
 
 
 def parse_query_line(line: str, g: GameSpec) -> Query:
-    """Parse one line of translator output into a Query.
+    """Parse one line of translator output into a Query; `g` is not read,
+    as every game's move labels are the prompt labels.
 
     Predicate names are case-insensitive and whitespace between tokens is
     ignored; a trailing period is allowed. Raises MalformedQueryError or
@@ -172,32 +160,41 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
         raise MalformedQueryError("empty line")
 
     m = _SIMPLE_RE.fullmatch(text)
-    if m is None:
+    if m is not None:
+        name, raw_args = m.group("name", "args")
+        kind = _PARSED_KINDS.get(name.lower())
+        if kind is None:
+            raise MalformedQueryError(f"unknown query predicate {name!r}")
+        tokens = [a.strip() for a in raw_args.split(",")] if raw_args else []
+    else:
         m = _OUTCOME_RE.fullmatch(text)
         if m is None:
             raise MalformedQueryError(f"not a recognized query template: {source!r}")
-        args = (_parse_move_label(m["m"], g), int(m["n"]), _parse_move_label(m["o"], g))
-        return Query(QueryKind.OUTCOME, args, source)
-
-    name, raw_args = m.group("name", "args")
-    kind = _PARSED_KINDS.get(name.lower())
-    if kind is None:
-        raise MalformedQueryError(f"unknown query predicate {name!r}")
+        kind, tokens = QueryKind.OUTCOME, m.group("m", "n", "o")
+    # Tokens past the schema are kept as they are, so check_query sees the arity.
     schema = SCHEMAS[kind]
-    tokens = [a.strip() for a in raw_args.split(",")] if raw_args else []
-    if len(tokens) != len(schema):
-        raise MalformedQueryError(
-            f"{_NAMES[kind]} takes {len(schema)} argument(s), got {len(tokens)}"
-        )
-    args: list[object] = []
-    for raw, want in zip(tokens, schema):
-        if want == "move":
-            args.append(_parse_move_label(raw, g))
-        elif raw.isdecimal() or (raw[:1] == "-" and raw[1:].isdecimal()):  # -?\d+
-            args.append(int(raw))
-        else:
-            raise MalformedQueryError(f"{_NAMES[kind]}: expected an integer, got {raw!r}")
-    return Query(kind, tuple(args), source)
+    q = Query(kind, (*map(_read_token, tokens, schema), *tokens[len(schema) :]), source)
+    check_query(q)
+    return q
+
+
+def check_query(q: Query) -> None:
+    """Check q's arguments against its kind's schema: MalformedQueryError
+    for a wrong arity, a non-integer payoff or a move that is no string,
+    UnknownMoveError for a string that names no prompt label."""
+    schema, n = SCHEMAS[q.kind], len(q.args)
+    if n != len(schema):
+        raise MalformedQueryError(f"{q.kind.value} takes {len(schema)} argument(s), got {n}")
+    # The exact types are checked first, as they are the usual case.
+    for arg, want in zip(q.args, schema):
+        if want == "int":
+            if type(arg) is not int and (not isinstance(arg, int) or isinstance(arg, bool)):
+                raise MalformedQueryError(f"{q.kind.value}: expected an integer, got {arg!r}")
+        elif type(arg) is not str or arg not in PROMPT_LABELS:
+            if not isinstance(arg, str):
+                raise MalformedQueryError(f"{q.kind.value}: expected move label, got {arg!r}")
+            if arg not in PROMPT_LABELS:
+                raise UnknownMoveError(arg, sorted(PROMPT_LABELS))
 
 
 def query_to_text(q: Query) -> str:
@@ -206,22 +203,6 @@ def query_to_text(q: Query) -> str:
         m, n, o = q.args
         return f"finally(outcome(you,{m},{n},them,{o},_),S)"
     return f"{_NAMES[q.kind]}({', '.join(map(str, q.args))})"
-
-
-def _validate(q: Query, g: GameSpec) -> None:
-    # The exact types are checked first, as they are the usual case.
-    schema = SCHEMAS.get(q.kind)
-    if schema is None or len(q.args) != len(schema):
-        raise MalformedQueryError(f"bad arity for {q.kind.value}: {q.args}")
-    for arg, want in zip(q.args, schema):
-        if want == "int":
-            if type(arg) is not int and (not isinstance(arg, int) or isinstance(arg, bool)):
-                raise MalformedQueryError(f"{q.kind.value}: expected int, got {arg!r}")
-        elif type(arg) is not str or arg not in g.move_labels:
-            if not isinstance(arg, str):
-                raise MalformedQueryError(f"{q.kind.value}: expected move label, got {arg!r}")
-            if arg not in g.move_labels:
-                raise UnknownMoveError(arg, sorted(g.move_labels))
 
 
 def _relation(a: int, b: int) -> str:
@@ -260,23 +241,19 @@ def _judge_comparison(g: GameSpec, kind: QueryKind, args: tuple):
     return (("relation", relation),), f"{claimed}.{relation}", {"a": a, "b": b}
 
 
-# What a claimed-value kind's number must equal, given the payoff summary
-# and the kind's move argument (None for a kind without one).
-_CORRECT_VALUE = {
-    QueryKind.HIGHEST_POSSIBLE: lambda summary, move: summary.highest,
-    QueryKind.LOWEST_POSSIBLE: lambda summary, move: summary.lowest,
-    QueryKind.HIGHEST_FOR_CHOICE: lambda summary, move: summary.best[move],
-    QueryKind.LOWEST_FOR_CHOICE: lambda summary, move: summary.guaranteed[move],
-}
+def _claimed_value(correct_value):
+    """The judge of a kind whose number must equal `correct_value(summary,
+    move)`, move being the kind's move argument (None for a kind without one)."""
+    def judge(g: GameSpec, kind: QueryKind, args: tuple):
+        n = args[0]
+        move = args[1] if len(args) > 1 else None
+        correct = correct_value(g.payoff_summary, move)
+        if n == correct:
+            return _HOLDS
+        fields = {"claimed": n, "correct": correct, "move": move}
+        return (("payoff", correct),), _NAMES[kind], fields
 
-
-def _judge_claimed_value(g: GameSpec, kind: QueryKind, args: tuple):
-    n = args[0]
-    move = args[1] if len(args) > 1 else None
-    correct = _CORRECT_VALUE[kind](g.payoff_summary, move)
-    if n == correct:
-        return _HOLDS
-    return (("payoff", correct),), _NAMES[kind], {"claimed": n, "correct": correct, "move": move}
+    return judge
 
 
 def _judge_guaranteed_choice(g: GameSpec, kind: QueryKind, args: tuple):
@@ -323,22 +300,30 @@ def _judge_mutual(g: GameSpec, kind: QueryKind, args: tuple):
     return tuple(("choices", pair) for pair in winners), _NAMES[kind], fields
 
 
-_JUDGES = {
-    QueryKind.OUTCOME: _judge_outcome,
-    **dict.fromkeys((QueryKind.HIGHER, QueryKind.LOWER, QueryKind.EQUAL), _judge_comparison),
-    **dict.fromkeys(_CORRECT_VALUE, _judge_claimed_value),
-    QueryKind.HIGHEST_GUARANTEED_CHOICE: _judge_guaranteed_choice,
-    QueryKind.HIGHER_GUARANTEED: _judge_guaranteed_comparison,
-    QueryKind.LOWER_GUARANTEED: _judge_guaranteed_comparison,
-    QueryKind.HIGHEST_MUTUAL: _judge_mutual,
-    QueryKind.LOWEST_MUTUAL: _judge_mutual,
+# Each kind's argument schema, in template argument order, and its judge.
+_KINDS = {
+    QueryKind.OUTCOME: (("move", "int", "move"), _judge_outcome),
+    QueryKind.HIGHER: (("int", "int"), _judge_comparison),
+    QueryKind.LOWER: (("int", "int"), _judge_comparison),
+    QueryKind.EQUAL: (("int", "int"), _judge_comparison),
+    QueryKind.HIGHEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.highest)),
+    QueryKind.LOWEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.lowest)),
+    QueryKind.HIGHEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.best[m])),
+    QueryKind.LOWEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.guaranteed[m])),
+    QueryKind.HIGHEST_GUARANTEED_CHOICE: (("move",), _judge_guaranteed_choice),
+    QueryKind.HIGHER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison),
+    QueryKind.LOWER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison),
+    QueryKind.HIGHEST_MUTUAL: (("move", "move"), _judge_mutual),
+    QueryKind.LOWEST_MUTUAL: (("move", "move"), _judge_mutual),
 }
+
+SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {k: schema for k, (schema, _) in _KINDS.items()}
 
 
 def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
     """Decide one query against the game and build corrections on failure."""
-    _validate(q, g)
-    corrections, key, fields = _JUDGES[q.kind](g, q.kind, q.args)
+    check_query(q)
+    corrections, key, fields = _KINDS[q.kind][1](g, q.kind, q.args)
     if not corrections:
         return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")
     return QueryResult(q, False, corrections, feedback_templates()[key].format(**fields))

@@ -171,6 +171,30 @@ class TestRunAndStats:
             assert err.startswith(f"error: {transcript}:1: attempt record cannot be read (")
             assert "Traceback" not in err
 
+    def test_stats_histogram_stops_at_the_longest_session(self, tmp_path, capsys):
+        config, out = tmp_path / "exp.ini", tmp_path / "runs"
+        config.write_text(
+            f"[experiment]\noutput_dir = {out}\ngames = pd\nrepetitions = 4\nmax_attempts = 3\n"
+        )
+        assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["attempts_distribution"] == {"1": 2, "2": 1, "3": 1}
+        code, stdout, _ = run_cli("stats", str(out), capsys=capsys)
+        assert code == 0
+        assert "attempts histogram: 1:2  2:1  3:1\n" in stdout
+
+    def test_an_attempt_field_of_the_wrong_type_is_an_error(self, experiment_dir, capsys):
+        config, out = experiment_dir
+        assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+        transcript = out / "pd_000.jsonl"
+        transcript.write_text(transcript.read_text().replace('"holds":true', '"holds":"yes"', 1))
+        code, _, err = run_cli("stats", str(out), capsys=capsys)
+        assert code == 2
+        assert err == (
+            f"error: {transcript}:1: attempt record cannot be read (holds must be bool, not str)\n"
+        )
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

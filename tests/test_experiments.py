@@ -38,7 +38,7 @@ from lelma.experiments import (
     read_transcripts_dir,
     run_experiment,
 )
-from lelma.gateway import Gateway, Usage
+from lelma.gateway import Gateway, ModelConfig, Usage
 from lelma.orchestrator import (
     AttemptRecord,
     ExitReason,
@@ -523,6 +523,14 @@ class TestConfigLoading:
         assert cfg.games == ("pd", "sh", "hd")
         assert cfg.repetitions == 2
         assert cfg.reasoner.provider == "mock"
+
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\ngames = pd\n")
+        assert load_experiment_config(str(path)) == ExperimentConfig(games=("pd",))
+        path.write_text("[reasoner]\nmodel_id = m\n")
+        cfg = load_experiment_config(str(path))
+        assert (cfg.reasoner, cfg.translator) == (ModelConfig(model_id="m"), ModelConfig())
 
     def test_inline_credentials_rejected(self, tmp_path):
         path = tmp_path / "leaky.ini"

@@ -185,7 +185,6 @@ KEPT_RECURSIVE = {
         "recurses once per compound, at most _MAX_NESTING deep: `match` hands a deeper "
         "head argument or `=` side to `_unify`"
     ),
-    "orchestrator._detuple": "walks the arguments of a JSON query, which `json` read by recursion",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -18,6 +19,17 @@ from lelma.orchestrator import (
     write_transcript,
 )
 from lelma.verification import QueryKind
+
+
+def with_first_record_field(text, *path, value):
+    """`text` with the field at `path` in its first JSON record set to `value`."""
+    first, rest = text.split("\n", 1)
+    record = json.loads(first)
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(record) + "\n" + rest
 
 
 def loop(reasoner_script, translator_script, max_attempts=5, **kwargs):
@@ -223,6 +235,27 @@ class TestTranscripts:
             (good.replace('"initial_choice":"R"', '"initial_choice":null'), "bad.jsonl:3:"),
             (good.replace('"attempt_count":2', '"attempt_count":3'), "bad.jsonl:3:"),
             (good.replace('"exit":"all_true","final', '"exit":"none","final'), "bad.jsonl:3:"),
+            (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'), "bad.jsonl:3:"),
+            # Attempt, result and query fields of the wrong type.
+            *(
+                (with_first_record_field(good, *path, value=value), "bad.jsonl:1:")
+                for *path, value in [
+                    ("index", True),
+                    ("instruction", None),
+                    ("reasoning", 7),
+                    ("translator_output", []),
+                    ("extracted_choice", 5),
+                    ("extracted_choice", "b"),
+                    ("results", {}),
+                    ("results", 0, "holds", "yes"),
+                    ("results", 0, "corrections", "lower"),
+                    ("results", 0, "explanation", 0),
+                    ("results", 0, "error", 5),
+                    ("results", 0, "query", "source_text", False),
+                    ("results", 0, "query", "args", [True, "x"]),
+                    ("results", 0, "query", "args", [1]),
+                ]
+            ),
         ]:
             assert bad != good
             path.write_text(bad)

@@ -19,6 +19,7 @@ from lelma.verification import (
     QueryKind,
     UnknownMoveError,
     VerificationError,
+    _KINDS,
     apply_corrections,
     evaluate_all,
     evaluate_query,
@@ -442,18 +443,19 @@ REJECTED = [  # (line, exception type, message) on pd
 ]
 
 INVALID = [  # hand-built queries: (kind, args, exception type, message) on pd
-    (QueryKind.HIGHER, (True, 0), MalformedQueryError, "higher: expected int, got True"),
+    (QueryKind.HIGHER, (True, 0), MalformedQueryError, "higher: expected an integer, got True"),
     (QueryKind.HIGHEST_POSSIBLE, (False,), MalformedQueryError,
-     "highest_possible_individual_payoff: expected int, got False"),
-    (QueryKind.HIGHER, (1.0, 0), MalformedQueryError, "higher: expected int, got 1.0"),
-    (QueryKind.OUTCOME, ("B", "3", "R"), MalformedQueryError, "outcome: expected int, got '3'"),
+     "highest_possible_individual_payoff: expected an integer, got False"),
+    (QueryKind.HIGHER, (1.0, 0), MalformedQueryError, "higher: expected an integer, got 1.0"),
+    (QueryKind.OUTCOME, ("B", "3", "R"), MalformedQueryError,
+     "outcome: expected an integer, got '3'"),
     (QueryKind.HIGHEST_GUARANTEED_CHOICE, (1,), MalformedQueryError,
      "highest_guaranteed_payoff_choice: expected move label, got 1"),
     (QueryKind.HIGHER_GUARANTEED, ("B", "X"), UnknownMoveError,
      "unknown move label 'X' (valid: B, R)"),
     (QueryKind.HIGHER_GUARANTEED, ("b", "R"), UnknownMoveError,
      "unknown move label 'b' (valid: B, R)"),
-    (QueryKind.HIGHER, (1,), MalformedQueryError, "bad arity for higher: (1,)"),
+    (QueryKind.HIGHER, (1,), MalformedQueryError, "higher takes 2 argument(s), got 1"),
 ]
 
 
@@ -480,6 +482,44 @@ def test_validation_table(pd, kind, args, error, message):
     (result,) = evaluate_all([Query(kind, args)], pd).results
     assert (result.holds, result.error) == (False, message)
 
+
+
+def malformed_queries():
+    """(kind, args, error) for each parseable kind: a wrong arity, a
+    non-integer payoff and an unknown label, where the kind has the slot
+    and its text form reaches the argument check. An outcome line of
+    another arity or with a non-integer payoff is no template at all."""
+    for kind, schema in SCHEMAS.items():
+        if kind is QueryKind.EQUAL:
+            continue
+        good = [1 if slot == "int" else "B" for slot in schema]
+        outcome = kind is QueryKind.OUTCOME
+        if not outcome:
+            yield pytest.param(kind, (*good, 1), MalformedQueryError, id=f"{kind.value}-arity")
+        for slot, bad, error in [("int", "x", MalformedQueryError),
+                                 ("move", "X", UnknownMoveError)]:
+            if slot in schema and not (outcome and slot == "int"):
+                i = schema.index(slot)
+                args = (*good[:i], bad, *good[i + 1 :])
+                yield pytest.param(kind, args, error, id=f"{kind.value}-{slot}")
+
+
+@pytest.mark.parametrize("kind, args, error", malformed_queries())
+def test_parsed_and_hand_built_queries_fail_alike(pd, kind, args, error):
+    q = Query(kind, args)
+    with pytest.raises(VerificationError) as parsed:
+        parse_query_line(query_to_text(q), pd)
+    with pytest.raises(VerificationError) as built:
+        evaluate_query(q, pd)
+    message = str(parsed.value)
+    assert (type(parsed.value), type(built.value), str(built.value)) == (error, error, message)
+    (result,) = evaluate_all([q], pd).results
+    assert (result.holds, result.error) == (False, message)
+
+
+def test_one_kind_table_entry_per_kind():
+    assert list(_KINDS) == list(QueryKind)
+    assert {slot for schema, _ in _KINDS.values() for slot in schema} == {"int", "move"}
 
 def test_evaluation_table(pd):
     held = evaluate_query(Query(QueryKind.HIGHER, (5, 0)), pd)
