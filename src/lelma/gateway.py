@@ -7,6 +7,9 @@ hash of (model_id, messages); replay is exact-match and offline.
 Recording is first-wins per key: if an identical request repeats, only
 the first response is stored, and replay will serve it to both.
 
+Cassettes and session transcripts share one NDJSON record format:
+`dumps` writes a line, `read_records` reads them, `check_types` checks.
+
 The mock performs no network activity whatsoever: its token counts are
 a deterministic function of the message texts and its latency is zero,
 so recorded mock sessions replay byte-identically.
@@ -17,11 +20,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class GatewayError(Exception):
@@ -36,10 +40,6 @@ class ProviderError(GatewayError):
     def __init__(self, message: str, status: Optional[int] = None):
         super().__init__(message)
         self.status = status
-
-
-class BudgetExceededError(GatewayError):
-    pass
 
 
 class CassetteError(GatewayError):
@@ -89,7 +89,6 @@ class CompletionResult:
     latency: float
 
 
-PROVIDERS = ("openai", "gemini", "mock", "replay")
 TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 
 
@@ -106,46 +105,87 @@ class ModelConfig:
     script: "tuple[str, ...]" = ()  # mock provider responses, in order
     cassette: Optional[str] = None  # replay source
     record_to: Optional[str] = None  # cassette to append records to
-    max_calls: Optional[int] = None
-    max_total_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r} (valid: {PROVIDERS})")
 
 
+def dumps(record: dict) -> str:
+    """`record` as one canonical JSON line: sorted keys, no whitespace."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def read_records(path: str, error: "type[Exception]") -> "Iterator[tuple[str, dict]]":
+    """`(f"{path}:{line}", record)` for each non-blank line of the NDJSON
+    file at `path`. Text that is not UTF-8, or a line that is not a JSON
+    object, raises `error` naming the file or the line; an OSError passes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
+            raise error(f"{where}: not valid JSON ({exc})") from exc
+        if type(record) is not dict:
+            raise error(f"{where}: not a JSON object")
+        yield where, record
+
+
+def check_types(record: dict, fields: "dict[str, tuple[type, ...]]") -> None:
+    """Each of `fields` in `record` must have exactly one of its types: a
+    bool is no int here, and an int no float. Raises KeyError or TypeError."""
+    for field, kinds in fields.items():
+        if type(record[field]) not in kinds:
+            wanted = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"{field} must be {wanted}, not {type(record[field]).__name__}")
+
+
+# A completion as a cassette stores it, and the type each field may have.
+_RESPONSE_FIELDS = {
+    "text": (str,), "prompt_tokens": (int,), "completion_tokens": (int,), "latency": (float, int),
+}
+
+
+def _completion(response: dict) -> CompletionResult:
+    """The completion a cassette response, or an HTTP reply read into that
+    shape, describes. Raises KeyError or TypeError as `check_types` does."""
+    check_types(response, _RESPONSE_FIELDS)
+    usage = Usage(response["prompt_tokens"], response["completion_tokens"])
+    return CompletionResult(response["text"], usage, response["latency"])
+
+
 def canonical_request_key(model_id: str, messages: Sequence[ChatMessage]) -> str:
-    payload = json.dumps(
-        {"model": model_id, "messages": [[m.role, m.content] for m in messages]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    payload = dumps({"model": model_id, "messages": [[m.role, m.content] for m in messages]})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def load_cassette(path: str) -> "dict[str, dict]":
+    """The records of the cassette at `path` by request key. A record that
+    cannot be replayed raises CassetteParseError naming its line."""
     records: dict[str, dict] = {}
     try:
-        text = Path(path).read_text()
+        for where, record in read_records(path, CassetteParseError):
+            key = record.get("key")
+            if not isinstance(key, str) or "request" not in record or "response" not in record:
+                raise CassetteParseError(f"{where}: missing key/request/response fields")
+            try:
+                check_types(record, {"response": (dict,)})
+                check_types(record["response"], _RESPONSE_FIELDS)
+            except KeyError as exc:
+                raise CassetteParseError(f"{where}: response missing field {exc}") from exc
+            except TypeError as exc:
+                raise CassetteParseError(f"{where}: response cannot be read ({exc})") from exc
+            if key in records:
+                raise DuplicateRequestKeyError(f"{where}: duplicate request key {key}")
+            records[key] = record
     except OSError as exc:  # missing, a directory, no permission, ...
         raise CassetteError(f"cannot read cassette {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CassetteParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CassetteParseError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise CassetteParseError(f"{path}:{lineno}: not a JSON object")
-        key = record.get("key")
-        if not isinstance(key, str) or "request" not in record or "response" not in record:
-            raise CassetteParseError(f"{path}:{lineno}: missing key/request/response fields")
-        if key in records:
-            raise DuplicateRequestKeyError(f"{path}:{lineno}: duplicate request key {key}")
-        records[key] = record
     return records
 
 
@@ -184,7 +224,7 @@ class Gateway:
     """A stateful completion client for one ModelConfig.
 
     Owns the mock script cursor, the replay cassette, the recording
-    stream, and the usage/budget accounting.
+    stream, and the usage accounting.
     """
 
     def __init__(
@@ -201,12 +241,8 @@ class Gateway:
         self._recorded_keys: set[str] = set()
         if cfg.record_to and Path(cfg.record_to).exists():
             self._recorded_keys = set(load_cassette(cfg.record_to))
-        self._complete_provider = {
-            "mock": self._complete_mock,
-            "replay": self._complete_replay,
-            "openai": self._complete_openai,
-            "gemini": self._complete_gemini,
-        }[cfg.provider]
+        # A plain function in an instance attribute: called as `(self, messages)`.
+        self._serve = _SERVE[cfg.provider]
         self.calls = 0
         # The usage totals, kept as counts; `totals` builds the Usage.
         self._prompt_tokens = 0
@@ -217,26 +253,14 @@ class Gateway:
         return Usage(self._prompt_tokens, self._completion_tokens)
 
     def complete(self, messages: Sequence[ChatMessage]) -> CompletionResult:
-        cfg = self.cfg
-        if cfg.max_calls is not None or cfg.max_total_tokens is not None:
-            self._check_budget()
-        result = self._complete_provider(tuple(messages))
+        result = self._serve(self, tuple(messages))
         self.calls += 1
         usage = result.usage
         self._prompt_tokens += usage.prompt_tokens
         self._completion_tokens += usage.completion_tokens
-        if cfg.record_to:
+        if self.cfg.record_to:
             self._record(messages, result)
         return result
-
-    def _check_budget(self) -> None:
-        if self.cfg.max_calls is not None and self.calls >= self.cfg.max_calls:
-            raise BudgetExceededError(f"call budget of {self.cfg.max_calls} spent")
-        used = self._prompt_tokens + self._completion_tokens
-        if self.cfg.max_total_tokens is not None and used >= self.cfg.max_total_tokens:
-            raise BudgetExceededError(
-                f"token budget of {self.cfg.max_total_tokens} spent ({used} used)"
-            )
 
     # --- providers ---------------------------------------------------------
 
@@ -258,38 +282,31 @@ class Gateway:
         record = self._cassette.get(key)
         if record is None:
             raise ReplayMissError(key)
-        response = record["response"]
-        return CompletionResult(
-            text=response["text"],
-            usage=Usage(response["prompt_tokens"], response["completion_tokens"]),
-            latency=response["latency"],
-        )
+        return _completion(record["response"])
 
-    def _api_key(self) -> Optional[str]:
-        if not self.cfg.api_key_env:
-            return None
-        import os
-
-        key = os.environ.get(self.cfg.api_key_env)
-        if not key:
-            raise ProviderError(
-                f"api key environment variable {self.cfg.api_key_env} is not set"
-            )
-        return key
-
-    def _http(self, url: str, headers: dict, payload: dict) -> dict:
-        attempts = max(1, self.cfg.retries)
+    def _post(self, payload: dict, key_header: str, key_prefix: str = "") -> "tuple[dict, float]":
+        """POST `payload` to the endpoint, with the API key, if the config
+        names its variable, in `key_header`, retrying transient failures with
+        backoff. Returns the reply body and the seconds it took, retries included."""
+        cfg = self.cfg
+        headers = {"Content-Type": "application/json"}
+        if cfg.api_key_env:
+            key = os.environ.get(cfg.api_key_env)
+            if not key:
+                raise ProviderError(f"api key environment variable {cfg.api_key_env} is not set")
+            headers[key_header] = key_prefix + key
+        started = time.monotonic()
         last_error: Optional[GatewayError] = None
-        for attempt in range(attempts):
+        for attempt in range(max(1, cfg.retries)):
             if attempt:
                 self._sleep(0.5 * 2 ** (attempt - 1))
             try:
-                status, body = self._transport(url, headers, payload, self.cfg.timeout)
+                status, body = self._transport(cfg.endpoint, headers, payload, cfg.timeout)
             except TransportError as exc:
                 last_error = exc
                 continue
             if status == 200:
-                return body
+                return body, time.monotonic() - started
             error = ProviderError(f"provider returned status {status}: {body}", status)
             if status not in TRANSIENT_STATUSES:
                 raise error
@@ -298,35 +315,25 @@ class Gateway:
         raise last_error
 
     def _complete_openai(self, messages: "tuple[ChatMessage, ...]") -> CompletionResult:
-        headers = {"Content-Type": "application/json"}
-        key = self._api_key()
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": self.cfg.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": self.cfg.temperature,
             "max_tokens": self.cfg.max_output_tokens,
         }
-        started = time.monotonic()
-        body = self._http(self.cfg.endpoint, headers, payload)
-        latency = time.monotonic() - started
+        body, latency = self._post(payload, "Authorization", "Bearer ")
         try:
-            text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            usage = body.get("usage") or {}  # a null usage reads as an absent one
+            return _completion({
+                "text": body["choices"][0]["message"]["content"],
+                "prompt_tokens": usage.get("prompt_tokens", 0),
+                "completion_tokens": usage.get("completion_tokens", 0),
+                "latency": latency,
+            })
+        except (LookupError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed openai-style response: {body}") from exc
-        usage = body.get("usage", {})
-        return CompletionResult(
-            text=text,
-            usage=Usage(usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)),
-            latency=latency,
-        )
 
     def _complete_gemini(self, messages: "tuple[ChatMessage, ...]") -> CompletionResult:
-        headers = {"Content-Type": "application/json"}
-        key = self._api_key()
-        if key:
-            headers["x-goog-api-key"] = key
         contents = []
         system_parts = []
         for m in messages:
@@ -344,20 +351,18 @@ class Gateway:
         }
         if system_parts:
             payload["systemInstruction"] = {"parts": system_parts}
-        started = time.monotonic()
-        body = self._http(self.cfg.endpoint, headers, payload)
-        latency = time.monotonic() - started
+        body, latency = self._post(payload, "x-goog-api-key")
         try:
+            usage = body.get("usageMetadata") or {}  # a null usage reads as an absent one
             parts = body["candidates"][0]["content"]["parts"]
-            text = "".join(p.get("text", "") for p in parts)
-        except (KeyError, IndexError, TypeError) as exc:
+            return _completion({
+                "text": "".join(p.get("text", "") for p in parts),
+                "prompt_tokens": usage.get("promptTokenCount", 0),
+                "completion_tokens": usage.get("candidatesTokenCount", 0),
+                "latency": latency,
+            })
+        except (LookupError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed gemini-style response: {body}") from exc
-        usage = body.get("usageMetadata", {})
-        return CompletionResult(
-            text=text,
-            usage=Usage(usage.get("promptTokenCount", 0), usage.get("candidatesTokenCount", 0)),
-            latency=latency,
-        )
 
     # --- recording -----------------------------------------------------------
 
@@ -385,7 +390,17 @@ class Gateway:
         path = Path(self.cfg.record_to)  # type: ignore[arg-type]
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            handle.write(dumps(record) + "\n")
+
+
+# Each provider ModelConfig accepts, with the Gateway method that serves it.
+_SERVE = {
+    "openai": Gateway._complete_openai,
+    "gemini": Gateway._complete_gemini,
+    "mock": Gateway._complete_mock,
+    "replay": Gateway._complete_replay,
+}
+PROVIDERS = tuple(_SERVE)
 
 
 def replay_config(cfg: ModelConfig, cassette: str) -> ModelConfig:

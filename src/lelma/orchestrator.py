@@ -16,7 +16,6 @@ against a recorded cassette reproduces the transcript byte for byte.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .games import PROMPT_LABELS, GameSpec
-from .gateway import ChatMessage, Gateway, ModelConfig, Usage
+from .gateway import ChatMessage, Gateway, ModelConfig, Usage, check_types, dumps, read_records
 from .translator import build_translation_prompt, parse_queries
 from .verification import (
     Query,
@@ -247,16 +246,12 @@ def run_session(
 # --- transcript serialization (NDJSON, deterministic) -------------------------
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def _query_to_json(q: Query) -> dict:
     return {"kind": q.kind.value, "args": list(q.args), "source_text": q.source_text}
 
 
 def _query_from_json(d: dict) -> Query:
-    _check_types(d, {"args": (list,), "source_text": (str,)})
+    check_types(d, {"args": (list,), "source_text": (str,)})
     q = Query(QueryKind(d["kind"]), tuple(d["args"]), source_text=d["source_text"])
     check_query(q)
     return q
@@ -273,8 +268,8 @@ def _result_to_json(r: QueryResult) -> dict:
 
 
 def _result_from_json(d: dict) -> QueryResult:
-    _check_types(d, {"holds": (bool,), "corrections": (list,), "explanation": (str,),
-                     "error": (str, type(None))})
+    check_types(d, {"holds": (bool,), "corrections": (list,), "explanation": (str,),
+                    "error": (str, type(None))})
     return QueryResult(
         query=_query_from_json(d["query"]),
         holds=d["holds"],
@@ -308,7 +303,7 @@ def write_transcript(path: str, transcript: SessionTranscript) -> None:
     lines = []
     for attempt in transcript.attempts:
         lines.append(
-            _dumps(
+            dumps(
                 {
                     "type": "attempt",
                     "index": attempt.index,
@@ -321,7 +316,7 @@ def write_transcript(path: str, transcript: SessionTranscript) -> None:
                 }
             )
         )
-    lines.append(_dumps(_session_to_json(transcript)))
+    lines.append(dumps(_session_to_json(transcript)))
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(lines) + "\n")
@@ -331,18 +326,12 @@ class TranscriptFormatError(ValueError):
     pass
 
 
-def _check_types(record: dict, fields: "dict[str, tuple[type, ...]]") -> None:
-    """Each of `fields` in `record` must have exactly one of its types: a
-    bool is no int here, and an int no float."""
-    for field, kinds in fields.items():
-        if type(record[field]) not in kinds:
-            wanted = " or ".join(kind.__name__ for kind in kinds)
-            raise TypeError(f"{field} must be {wanted}, not {type(record[field]).__name__}")
-
-
-def _attempt_from_json(record: dict) -> AttemptRecord:
-    _check_types(record, {"index": (int,), "instruction": (str,), "reasoning": (str,),
-                          "translator_output": (str,), "results": (list,)})
+def _attempt_from_json(record: dict, earlier: "list[AttemptRecord]") -> AttemptRecord:
+    """The attempt `record` describes, which must come next after `earlier`."""
+    check_types(record, {"index": (int,), "instruction": (str,), "reasoning": (str,),
+                         "translator_output": (str,), "results": (list,)})
+    if record["index"] != len(earlier) + 1:
+        raise ValueError(f"index must be {len(earlier) + 1}, its position, not {record['index']}")
     choice = record["extracted_choice"]
     if choice not in (*PROMPT_LABELS, None):
         raise ValueError(f"extracted_choice must be B, R or null, not {choice!r}")
@@ -362,9 +351,9 @@ def _attempt_from_json(record: dict) -> AttemptRecord:
 def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
     """The transcript the attempts and the session record describe; the
     record's summary fields must agree with what the attempts give."""
-    _check_types(session, {"session_id": (str,), "game": (str,), "model": (str,),
-                           "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
-                           "wall_time": (float,), "error": (str, type(None))})
+    check_types(session, {"session_id": (str,), "game": (str,), "model": (str,),
+                          "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
+                          "wall_time": (float,), "error": (str, type(None))})
     transcript = SessionTranscript(
         session_id=session["session_id"],
         game=session["game"],
@@ -397,23 +386,12 @@ def _decoded(where: str, kind: str, decode, *args):
 def read_transcript(path: str) -> SessionTranscript:
     attempts: "list[AttemptRecord]" = []
     transcript: Optional[SessionTranscript] = None  # read from the session summary record
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TranscriptFormatError(f"{where}: not valid JSON ({exc})") from exc
-        kind = record.get("type") if isinstance(record, dict) else None
+    for where, record in read_records(path, TranscriptFormatError):
+        kind = record.get("type")
         if kind == "attempt":
             if transcript is not None:
                 raise TranscriptFormatError(f"{where}: attempt after session summary")
-            attempts.append(_decoded(where, "attempt", _attempt_from_json, record))
+            attempts.append(_decoded(where, "attempt", _attempt_from_json, record, attempts))
         elif kind == "session":
             transcript = _decoded(where, "session", _session_from_json, record, attempts)
         else:

@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -531,6 +531,25 @@ class TestConfigLoading:
         path.write_text("[reasoner]\nmodel_id = m\n")
         cfg = load_experiment_config(str(path))
         assert (cfg.reasoner, cfg.translator) == (ModelConfig(model_id="m"), ModelConfig())
+
+    def test_every_model_field_the_runner_does_not_set_is_an_ini_key(self, tmp_path):
+        # The experiment runner sets script, cassette and record_to. A field
+        # that neither it nor the INI can set keeps its default here.
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[reasoner]\n"
+            "provider = openai\n"
+            "model_id = gpt-test\n"
+            "endpoint = https://api.example/v1/chat/completions\n"
+            "temperature = 0.5\n"
+            "max_output_tokens = 9\n"
+            "timeout = 5\n"
+            "retries = 1\n"
+            "api_key_env = OPENAI_API_KEY\n"
+        )
+        model, default = load_experiment_config(str(path)).reasoner, ModelConfig()
+        unset = {f.name for f in fields(ModelConfig) if getattr(model, f.name) == getattr(default, f.name)}
+        assert unset == {"script", "cassette", "record_to"}
 
     def test_inline_credentials_rejected(self, tmp_path):
         path = tmp_path / "leaky.ini"

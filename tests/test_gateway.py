@@ -4,7 +4,6 @@ import re
 import pytest
 
 from lelma.gateway import (
-    BudgetExceededError,
     CassetteError,
     CassetteParseError,
     ChatMessage,
@@ -20,6 +19,7 @@ from lelma.gateway import (
     load_cassette,
     replay_config,
 )
+from lelma.orchestrator import LoopConfig, run_session
 
 
 def exploding_transport(url, headers, payload, timeout):
@@ -30,6 +30,12 @@ MESSAGES = (
     ChatMessage("system", "You are playing a game."),
     ChatMessage("user", "Pick a move."),
 )
+
+RESPONSE = {"text": "a reply", "prompt_tokens": 3, "completion_tokens": 2, "latency": 0.0}
+
+
+def cassette_line(key: str, response=RESPONSE) -> str:
+    return json.dumps({"key": key, "request": {}, "response": response}) + "\n"
 
 
 class TestMockProvider:
@@ -57,21 +63,6 @@ class TestMockProvider:
         gw.complete(MESSAGES)
         assert gw.calls == 2
         assert gw.totals == Usage(prompt_tokens=16, completion_tokens=3)
-
-
-class TestBudgets:
-    def test_call_budget(self):
-        gw = Gateway(ModelConfig(script=("x", "y", "z"), max_calls=2), transport=exploding_transport)
-        gw.complete(MESSAGES)
-        gw.complete(MESSAGES)
-        with pytest.raises(BudgetExceededError, match="call budget"):
-            gw.complete(MESSAGES)
-
-    def test_token_budget_blocks_next_call_once_spent(self):
-        gw = Gateway(ModelConfig(script=("a b c", "d"), max_total_tokens=5), transport=exploding_transport)
-        gw.complete(MESSAGES)  # 8 prompt + 3 completion tokens, over budget
-        with pytest.raises(BudgetExceededError, match="token budget"):
-            gw.complete(MESSAGES)
 
 
 class TestRequestKey:
@@ -129,7 +120,7 @@ class TestCassette:
 
     def test_malformed_line_raises_with_position(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"key": "k", "request": {}, "response": {}}\nnot json\n')
+        path.write_text(cassette_line("k") + "not json\n")
         with pytest.raises(CassetteParseError, match="bad.jsonl:2"):
             load_cassette(str(path))
 
@@ -141,8 +132,7 @@ class TestCassette:
 
     def test_duplicate_key_raises(self, tmp_path):
         path = tmp_path / "dup.jsonl"
-        line = '{"key": "k", "request": {}, "response": {}}\n'
-        path.write_text(line + line)
+        path.write_text(cassette_line("k") + cassette_line("k"))
         with pytest.raises(DuplicateRequestKeyError):
             load_cassette(str(path))
 
@@ -168,6 +158,32 @@ class TestCassette:
         path.write_text("[1,2]\n")
         with pytest.raises(CassetteParseError, match="list.jsonl:1: not a JSON object"):
             load_cassette(str(path))
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({**RESPONSE, "prompt_tokens": 12.0}, "prompt_tokens must be int, not float"),
+            ({**RESPONSE, "latency": "0"}, "latency must be float or int, not str"),
+            ({k: v for k, v in RESPONSE.items() if k != "text"}, "response missing field 'text'"),
+        ],
+    )
+    def test_a_response_field_replay_cannot_use_is_a_parse_error(
+        self, tmp_path, pd, response, message
+    ):
+        path = tmp_path / "fields.jsonl"
+        path.write_text(cassette_line("k") + cassette_line("k2", response))
+        with pytest.raises(CassetteParseError, match=rf"fields\.jsonl:2: .*{re.escape(message)}"):
+            load_cassette(str(path))
+        # A replayed session records the error and makes no attempt.
+        model = ModelConfig(provider="replay", cassette=str(path))
+        transcript = run_session(pd, LoopConfig(reasoner=model, translator=model))
+        assert transcript.aborted and transcript.attempts == ()
+        assert transcript.error.startswith("CassetteParseError: ") and message in transcript.error
+
+    def test_latency_may_be_an_int(self, tmp_path):
+        path = tmp_path / "int.jsonl"
+        path.write_text(cassette_line("k", {**RESPONSE, "latency": 0}))
+        assert load_cassette(str(path))["k"]["response"]["latency"] == 0
 
     def test_recording_survives_gateway_restart(self, tmp_path):
         cassette = str(tmp_path / "resume.jsonl")
@@ -259,6 +275,34 @@ class TestGeminiStyle:
             {"role": "model", "parts": [{"text": "prior turn"}]},
         ]
         assert seen["payload"]["generationConfig"] == {"temperature": 1.0, "maxOutputTokens": 1024}
+
+
+@pytest.mark.parametrize(
+    "provider, body",
+    [
+        ("openai", {**OPENAI_BODY, "choices": [{"message": {"content": None}}]}),
+        ("openai", {**OPENAI_BODY, "usage": {"prompt_tokens": 1.5}}),
+        ("openai", {**OPENAI_BODY, "usage": {"completion_tokens": True}}),
+        ("gemini", {**GEMINI_BODY, "candidates": [{"content": {"parts": [{"text": None}]}}]}),
+        ("gemini", {**GEMINI_BODY, "candidates": [{"content": {"parts": ["the answer"]}}]}),
+        ("gemini", {**GEMINI_BODY, "usageMetadata": {"promptTokenCount": 1.5}}),
+        ("gemini", {"oops": True}),
+    ],
+)
+def test_a_reply_field_of_the_wrong_type_is_a_malformed_response(provider, body):
+    cfg = ModelConfig(provider=provider, endpoint="https://x")
+    with pytest.raises(ProviderError, match=f"malformed {provider}-style response"):
+        Gateway(cfg, transport=respond(200, body)).complete(MESSAGES)
+
+
+@pytest.mark.parametrize(
+    "provider, body",
+    [("openai", {**OPENAI_BODY, "usage": None}), ("gemini", {**GEMINI_BODY, "usageMetadata": None})],
+)
+def test_a_null_usage_reads_as_no_tokens(provider, body):
+    cfg = ModelConfig(provider=provider, endpoint="https://x")
+    result = Gateway(cfg, transport=respond(200, body)).complete(MESSAGES)
+    assert (result.text, result.usage) == ("the answer", Usage(0, 0))
 
 
 class TestRetries:

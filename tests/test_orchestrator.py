@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from lelma.gateway import Gateway, ModelConfig, Usage, replay_config
+from lelma.gateway import (
+    CassetteParseError,
+    Gateway,
+    ModelConfig,
+    Usage,
+    load_cassette,
+    replay_config,
+)
 from lelma.orchestrator import (
     AttemptRecord,
     ExitReason,
@@ -236,6 +243,9 @@ class TestTranscripts:
             (good.replace('"attempt_count":2', '"attempt_count":3'), "bad.jsonl:3:"),
             (good.replace('"exit":"all_true","final', '"exit":"none","final'), "bad.jsonl:3:"),
             (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'), "bad.jsonl:3:"),
+            # Attempt indexes that are not the attempts' positions 1, 2, ...
+            (good.replace('"index":2', '"index":1'), "bad.jsonl:2:"),
+            (good.replace('"index":1', '"index":2'), "bad.jsonl:1:"),
             # Attempt, result and query fields of the wrong type.
             *(
                 (with_first_record_field(good, *path, value=value), "bad.jsonl:1:")
@@ -261,6 +271,41 @@ class TestTranscripts:
             path.write_text(bad)
             with pytest.raises(TranscriptFormatError, match=where):
                 read_transcript(str(path))
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b"", None),  # only the blank lines between the good records
+            (b"\xff\n", "{path}: not UTF-8 text"),
+            (b"not json\n", "{path}:{line}: not valid JSON"),
+            (b"[" * 100_000 + b"\n", "{path}:{line}: not valid JSON"),
+            (b"[1, 2]\n", "{path}:{line}: not a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "read, error", [(load_cassette, CassetteParseError), (read_transcript, TranscriptFormatError)]
+    )
+    def test_cassettes_and_transcripts_share_one_line_reader(
+        self, pd, tmp_path, read, error, bad_line, message
+    ):
+        # One session gives a cassette of two records and a transcript of three.
+        tape, transcript = tmp_path / "tape.jsonl", tmp_path / "t.jsonl"
+        cfg = loop(
+            ["Payoff 1 is higher than 3. CHOICE: R", "Fixed. CHOICE: B"],
+            ["higher(1, 3)", "higher(3, 1)"],
+            record_to=str(tape),
+        )
+        write_transcript(str(transcript), run_session(pd, cfg))
+        good = tape if read is load_cassette else transcript
+        spaced = "\n\n \t\n".join(good.read_text().splitlines()) + "\n"
+        path = tmp_path / "spaced.jsonl"
+        path.write_bytes(spaced.encode() + bad_line)
+        if message is None:
+            assert read(str(path)) == read(str(good))
+            return
+        line = len(spaced.splitlines()) + 1
+        with pytest.raises(error, match=re.escape(message.format(path=path, line=line))):
+            read(str(path))
 
     def test_replay_reproduces_transcript_byte_for_byte(self, pd, tmp_path):
         reasoner_cassette = str(tmp_path / "reasoner.jsonl")
