@@ -48,7 +48,7 @@ from .verification import (
     render_feedback,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChatMessage",

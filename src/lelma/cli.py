@@ -153,6 +153,8 @@ def cmd_eval_import(args) -> int:
     transcripts = read_transcripts_dir(args.transcripts)
     predicted = predicted_correctness(transcripts)
     actual = {k: v for k, v in aggregated.items() if k in predicted}
+    if not actual:
+        raise ExperimentError(f"no labeled sample is a first attempt in {args.transcripts}")
     cm = confusion_matrix(actual, {k: predicted[k] for k in actual})
     print("initial-attempt confusion (actual x predicted):")
     print(f"  correct/correct:     {cm.tt}")

@@ -2,11 +2,11 @@
 
 A game file supplies the game-dependent clauses (initial facts, move
 possibility/legality, effects, frame exceptions, terminal test, payoff
-facts, outcome/goal views) plus a metadata header naming the game,
-mapping the prompt labels R and B onto move atoms, and fixing the role
-convention (the reasoner is p1, the row player). The game-independent
-successor-state and game-tree rules are shared by every game and are
-kept verbatim in this module.
+facts, outcome/goal views) plus a metadata header naming the game and
+mapping the prompt labels R and B onto move atoms. The reasoner is the
+row player the initial facts name. The game-independent successor-state
+and game-tree rules are shared by every game and are kept verbatim in
+this module.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class PayoffMatrix:
     moves: "tuple[str, ...]"
     entries: "dict[tuple[str, str], tuple[int, int]]"
 
-    def payoff(self, row_move: str, col_move: str) -> "tuple[int, int]":
-        return self.entries[(row_move, col_move)]
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -100,9 +97,6 @@ class Outcome:
     p1_payoff: int
     p2_payoff: int
     situation: Term
-
-    def as_tuple(self) -> "tuple[str, str, int, int]":
-        return (self.p1_move, self.p2_move, self.p1_payoff, self.p2_payoff)
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,8 @@ class PayoffSummary:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """One validated game, read-only once built.
+    """One validated game, read-only once built. The reasoner is the
+    row player its program names, and the opponent the col player.
 
     Everything derived from the game alone is built on first use and
     cached on the instance: the rule base, the payoff view (the matrix
@@ -163,7 +158,7 @@ class GameSpec:
         as every caller shares it."""
         labels = self.labels_in_move_order
         return MappingProxyType({
-            (own, other): self.payoffs.payoff(self.move_labels[own], self.move_labels[other])
+            (own, other): self.payoffs.entries[self.move_labels[own], self.move_labels[other]]
             for own in labels
             for other in labels
         })
@@ -197,10 +192,11 @@ class GameSpec:
 def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":
     meta: dict[str, str] = {}
     for _, text in lines:
-        if ":" not in text:
-            raise GameSpecError(f"malformed metadata line {text!r} (expected 'key: value')")
-        key, value = text.split(":", 1)
-        meta[key.strip()] = value.strip()
+        key, colon, value = (part.strip() for part in text.partition(":"))
+        if not colon or key not in ("name", "label R", "label B"):
+            raise GameSpecError(
+                f"metadata line {text!r} is not 'key: value' with key name, label R or label B")
+        meta[key] = value
     return meta
 
 
@@ -270,13 +266,26 @@ def parse_game(text: str) -> GameSpec:
     init = initial_fact.head.args[0]
     if not is_ground(init):
         raise GameSpecError(f"initial situation must be ground, got {init}")
+    players = []  # P of the program's one fact initially(role(P, row), S0), then col's
+    for role in ("row", "col"):
+        found = [c for c in clauses if c.key() == ("initially", 2) and c.head.args[1] == init
+                 and isinstance(c.head.args[0], Struct) and c.head.args[0].functor == "role"
+                 and c.head.args[0].args[1:] == (Atom(role),)]
+        player = found[0].head.args[0].args[0] if len(found) == 1 and not found[0].body else None
+        if not isinstance(player, Atom):
+            facts = " ".join(map(str, found)) or "none"
+            raise GameSpecError(f"need one fact initially(role(P, {role}), {init}), found {facts}")
+        players.append(player.name)
+    reasoner, opponent = players
+    if reasoner == opponent:
+        raise GameSpecError(f"{reasoner} cannot be both the row and the col player")
 
     return GameSpec(
         name=meta["name"],
         clauses=tuple(clauses),
         move_labels=labels,
-        reasoner=meta.get("reasoner", "p1"),
-        opponent=meta.get("opponent", "p2"),
+        reasoner=reasoner,
+        opponent=opponent,
         payoffs=payoffs,
         initial_situation=init,
     )

@@ -131,10 +131,13 @@ class AttemptRecord:
     instruction: str
     reasoning: str
     translator_output: str
-    queries: "tuple[Query, ...]"
     report: VerificationReport
     extracted_choice: Optional[str]
     exit: ExitReason
+
+    @property
+    def queries(self) -> "tuple[Query, ...]":
+        return tuple(r.query for r in self.report.results)
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,6 @@ class SessionTranscript:
     game: str
     model: str
     attempts: "tuple[AttemptRecord, ...]"
-    initial_choice: Optional[str]
-    final_choice: Optional[str]
     usage: Usage
     wall_time: float
     aborted: bool = False
@@ -157,6 +158,14 @@ class SessionTranscript:
     @property
     def attempt_count(self) -> int:
         return len(self.attempts)
+
+    @property
+    def initial_choice(self) -> Optional[str]:
+        return self.attempts[0].extracted_choice if self.attempts else None
+
+    @property
+    def final_choice(self) -> Optional[str]:
+        return self.attempts[-1].extracted_choice if self.attempts else None
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,6 @@ def run_session(
                     instruction=instruction,
                     reasoning=reply.text,
                     translator_output=translated.text,
-                    queries=tuple(queries),
                     report=report,
                     extracted_choice=extract_choice(reply.text),
                     exit=exit_reason,
@@ -234,8 +242,6 @@ def run_session(
         game=g.name,
         model=cfg.reasoner.model_id,
         attempts=tuple(attempts),
-        initial_choice=attempts[0].extracted_choice if attempts else None,
-        final_choice=attempts[-1].extracted_choice if attempts else None,
         usage=usage,
         wall_time=wall_time,
         aborted=aborted,
@@ -299,27 +305,24 @@ def _session_to_json(transcript: SessionTranscript) -> dict:
     }
 
 
+def _attempt_to_json(attempt: AttemptRecord) -> dict:
+    return {
+        "type": "attempt",
+        "index": attempt.index,
+        "instruction": attempt.instruction,
+        "reasoning": attempt.reasoning,
+        "translator_output": attempt.translator_output,
+        "results": [_result_to_json(r) for r in attempt.report.results],
+        "extracted_choice": attempt.extracted_choice,
+        "exit": attempt.exit.value,
+    }
+
+
 def write_transcript(path: str, transcript: SessionTranscript) -> None:
-    lines = []
-    for attempt in transcript.attempts:
-        lines.append(
-            dumps(
-                {
-                    "type": "attempt",
-                    "index": attempt.index,
-                    "instruction": attempt.instruction,
-                    "reasoning": attempt.reasoning,
-                    "translator_output": attempt.translator_output,
-                    "results": [_result_to_json(r) for r in attempt.report.results],
-                    "extracted_choice": attempt.extracted_choice,
-                    "exit": attempt.exit.value,
-                }
-            )
-        )
-    lines.append(dumps(_session_to_json(transcript)))
+    records = [*map(_attempt_to_json, transcript.attempts), _session_to_json(transcript)]
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n")
+    target.write_text("\n".join(map(dumps, records)) + "\n")
 
 
 class TranscriptFormatError(ValueError):
@@ -332,17 +335,17 @@ def _attempt_from_json(record: dict, earlier: "list[AttemptRecord]") -> AttemptR
                          "translator_output": (str,), "results": (list,)})
     if record["index"] != len(earlier) + 1:
         raise ValueError(f"index must be {len(earlier) + 1}, its position, not {record['index']}")
+    if earlier and earlier[-1].exit is not ExitReason.NONE:
+        raise ValueError(f"attempt {len(earlier)} ended the session ({earlier[-1].exit.value})")
     choice = record["extracted_choice"]
     if choice not in (*PROMPT_LABELS, None):
         raise ValueError(f"extracted_choice must be B, R or null, not {choice!r}")
-    results = tuple(_result_from_json(r) for r in record["results"])
     return AttemptRecord(
         index=record["index"],
         instruction=record["instruction"],
         reasoning=record["reasoning"],
         translator_output=record["translator_output"],
-        queries=tuple(r.query for r in results),
-        report=VerificationReport(results),
+        report=VerificationReport(tuple(_result_from_json(r) for r in record["results"])),
         extracted_choice=choice,
         exit=ExitReason(record["exit"]),
     )
@@ -351,16 +354,16 @@ def _attempt_from_json(record: dict, earlier: "list[AttemptRecord]") -> AttemptR
 def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
     """The transcript the attempts and the session record describe; the
     record's summary fields must agree with what the attempts give."""
-    check_types(session, {"session_id": (str,), "game": (str,), "model": (str,),
+    check_types(session, {"version": (int,), "session_id": (str,), "game": (str,), "model": (str,),
                           "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
                           "wall_time": (float,), "error": (str, type(None))})
+    if session["version"] != TRANSCRIPT_VERSION:
+        raise ValueError(f"version must be {TRANSCRIPT_VERSION}, not {session['version']}")
     transcript = SessionTranscript(
         session_id=session["session_id"],
         game=session["game"],
         model=session["model"],
         attempts=tuple(attempts),
-        initial_choice=attempts[0].extracted_choice if attempts else None,
-        final_choice=attempts[-1].extracted_choice if attempts else None,
         usage=Usage(session["prompt_tokens"], session["completion_tokens"]),
         wall_time=session["wall_time"],
         aborted=session["aborted"],

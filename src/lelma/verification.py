@@ -110,10 +110,6 @@ class VerificationReport:
     def failed(self) -> "tuple[QueryResult, ...]":
         return self._failed
 
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.results if r.error is None)
-
 
 # Kinds parsed by predicate name; outcome claims have their own regex.
 _PARSED_KINDS = {k.value: k for k in QueryKind if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}

@@ -50,8 +50,6 @@ def game_to_text(g) -> str:
     lines = [f"%! name: {g.name}"]
     for label in ("R", "B"):
         lines.append(f"%! label {label}: {Atom(g.move_labels[label])}")
-    lines.append(f"%! reasoner: {g.reasoner}")
-    lines.append(f"%! opponent: {g.opponent}")
     lines.append("")
     for c in g.clauses:
         lines.append(str(c))

@@ -365,6 +365,22 @@ class TestEvalAndKappa:
         assert code == 0
         assert "consensus: 18 correct, 0 incorrect" in stdout
 
+    def test_import_with_no_labeled_first_attempt_is_an_error(
+        self, experiment_dir, tmp_path, capsys
+    ):
+        config, out = experiment_dir
+        assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+        sheet = tmp_path / "sheet.csv"
+        sheet.write_text(
+            "sample_id,game,model,attempt_index,reasoning,e1,e2\n"
+            "zzz:a1,pd,m,1,text,correct,correct\n"
+        )
+        code, _, err = run_cli(
+            "eval", "import", str(sheet), "--transcripts", str(out), capsys=capsys
+        )
+        assert code == 2
+        assert err == f"error: no labeled sample is a first attempt in {out}\n"
+
     def test_kappa_degenerate_is_an_error(self, tmp_path, capsys):
         sheet = tmp_path / "labels.csv"
         sheet.write_text(

@@ -43,6 +43,8 @@ from lelma.orchestrator import (
     AttemptRecord,
     ExitReason,
     SessionTranscript,
+    read_transcript,
+    write_transcript,
 )
 from lelma.verification import VerificationReport
 
@@ -55,15 +57,17 @@ def fake_transcript(
     final="B",
     aborted=False,
 ):
+    """A session whose first attempt chooses `initial` and every later one
+    `final`; the session's choices are read from these attempts."""
+    assert n_attempts != 1 or initial == final, "one attempt makes one choice"
     attempts = tuple(
         AttemptRecord(
             index=i,
             instruction="inst",
             reasoning=f"attempt {i}",
             translator_output="",
-            queries=(),
             report=VerificationReport(()),
-            extracted_choice=final if i == n_attempts else initial,
+            extracted_choice=initial if i == 1 else final,
             exit=ExitReason.ALL_TRUE if i == n_attempts else ExitReason.NONE,
         )
         for i in range(1, n_attempts + 1)
@@ -73,8 +77,6 @@ def fake_transcript(
         game=game,
         model="mock-model",
         attempts=attempts,
-        initial_choice=initial if attempts else None,
-        final_choice=final if attempts else None,
         usage=Usage(10, 10),
         wall_time=0.0,
         aborted=aborted,
@@ -234,13 +236,19 @@ class TestDistributions:
         assert format_percent(stats["final_b"]) == "100.00%"
 
     def test_sessions_without_choice_are_excluded(self):
-        from dataclasses import replace
-
-        silent = replace(
-            fake_transcript(1, session_id="s0"), initial_choice=None, final_choice=None
-        )
+        silent = fake_transcript(1, session_id="s0", initial=None, final=None)
+        assert silent.initial_choice is silent.final_choice is None
         stats = choice_distribution([silent, fake_transcript(1, session_id="s1")])["pd"]
         assert stats == {"initial_b": 1.0, "final_b": 1.0, "counted": 1, "excluded": 1}
+
+    def test_a_changed_choice_is_read_from_the_attempts_and_round_trips(self, tmp_path):
+        changed = fake_transcript(3, initial="R", final="B")
+        assert (changed.initial_choice, changed.final_choice) == ("R", "B")
+        stats = choice_distribution([changed])["pd"]
+        assert (stats["initial_b"], stats["final_b"]) == (0.0, 1.0)
+        path = str(tmp_path / "changed.jsonl")
+        write_transcript(path, changed)
+        assert read_transcript(path) == changed
 
 
 class TestConfusionMatrix:

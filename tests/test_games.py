@@ -60,10 +60,10 @@ def test_payoff_orderings(games):
     # temptation/reward/punishment/sucker orderings that type each dilemma
     def trps(g):
         defect, coop = g.move_labels["R"], g.move_labels["B"]
-        t = g.payoffs.payoff(defect, coop)[0]
-        r = g.payoffs.payoff(coop, coop)[0]
-        p = g.payoffs.payoff(defect, defect)[0]
-        s = g.payoffs.payoff(coop, defect)[0]
+        t = g.payoffs.entries[defect, coop][0]
+        r = g.payoffs.entries[coop, coop][0]
+        p = g.payoffs.entries[defect, defect][0]
+        s = g.payoffs.entries[coop, defect][0]
         return t, r, p, s
 
     t, r, p, s = trps(games["pd"])
@@ -83,13 +83,14 @@ def test_enumerate_outcomes_matches_tables(games):
 
 
 def test_solver_outcomes_agree_with_direct_enumerator(games):
+    def cell(o):
+        return (o.p1_move, o.p2_move, o.p1_payoff, o.p2_payoff)
+
     for g in games.values():
         direct = enumerate_outcomes_direct(g)
         assert len(direct) == 8
         solver = enumerate_outcomes(g)
-        assert Counter(o.as_tuple() for o in direct) == Counter(
-            {o.as_tuple(): 2 for o in solver}
-        )
+        assert Counter(map(cell, direct)) == Counter({cell(o): 2 for o in solver})
         assert {str(o.situation) for o in direct} == set(
             str(a[list(a.keys())[0]])
             for a in solve_all(g.rulebase, parse_goal("game(s0,F)"))
@@ -175,6 +176,35 @@ def test_invalid_label_map_detected(pd):
     text = game_to_text(pd).replace("%! label B: 'C'", "")
     with pytest.raises(InvalidLabelMapError):
         parse_game(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("%! name: pd", "%! name: pd\n%! reasoner: p2", "metadata line 'reasoner: p2' is not"),
+        ("%! name: pd", "%! name: pd\n%! opponent: p1", "metadata line 'opponent: p1' is not"),
+        ("%! name: pd", "%! name pd", "metadata line 'name pd' is not 'key: value'"),
+        ("initially(role(p1,row),s0).", "", r"initially\(role\(P, row\), s0\), found none"),
+        (
+            "initially(role(p1,row),s0).",
+            "initially(role(p1,row),s0).\ninitially(role(p2,row),s0).",
+            r"role\(P, row\), s0\), found initially\(role\(p1,row\),s0\). initially",
+        ),
+        ("initially(role(p2,col),s0).", "initially(role(p1,col),s0).", "p1 cannot be both"),
+        (
+            "initially(role(p2,col),s0).",
+            "initially(role(p2,col),s0) :- initial(s0).",
+            r"role\(P, col\), s0\), found initially\(role\(p2,col\),s0\) :- initial",
+        ),
+    ],
+    ids=["reasoner-header", "opponent-header", "no-colon", "no-row-fact", "two-row-facts",
+         "one-player-both-roles", "col-rule-not-fact"],
+)
+def test_roles_come_from_one_fact_each_in_the_program(pd, old, new, message):
+    text = game_to_text(pd)
+    assert text.count(old) == 1
+    with pytest.raises(GameSpecError, match=message):
+        parse_game(text.replace(old, new))
 
 
 def test_missing_name_detected(pd):

@@ -243,6 +243,12 @@ class TestTranscripts:
             (good.replace('"attempt_count":2', '"attempt_count":3'), "bad.jsonl:3:"),
             (good.replace('"exit":"all_true","final', '"exit":"none","final'), "bad.jsonl:3:"),
             (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'), "bad.jsonl:3:"),
+            # A version this reader does not know, or none at all.
+            (good.replace('"version":1,', '"version":99,'), "bad.jsonl:3:"),
+            (good.replace('"version":1,', '"version":true,'), "bad.jsonl:3:"),
+            (good.replace('"version":1,', ""), "bad.jsonl:3:"),
+            # An attempt after one whose exit ended the session.
+            (good.replace('"exit":"none"', '"exit":"all_true"', 1), "bad.jsonl:2:"),
             # Attempt indexes that are not the attempts' positions 1, 2, ...
             (good.replace('"index":2', '"index":1'), "bad.jsonl:2:"),
             (good.replace('"index":1', '"index":2'), "bad.jsonl:1:"),
