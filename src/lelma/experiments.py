@@ -1,8 +1,10 @@
 """Batch running, descriptive stats, and human-evaluation plumbing.
 
-An experiment is games x repetitions sessions. Games run on a thread
-pool; the sessions of one game run serially so their transcripts land
-in a stable order. Each session writes one NDJSON transcript named
+An experiment is games x repetitions sessions. Every game is loaded and
+every session configured before the first model call, so a bad game or
+config stops the run before anything is written. The sessions then run
+on one thread pool; the returned list and summary.json keep (game,
+repetition) order. Each session writes one NDJSON transcript named
 {game}_{rep:03d}.jsonl; aborted sessions are kept on disk and counted
 but excluded from every statistic.
 
@@ -75,7 +77,7 @@ class ExperimentConfig:
     reasoner: ModelConfig = ModelConfig()
     translator: ModelConfig = ModelConfig()
     repetitions: int = 30
-    parallelism: int = 0  # 0 means one worker per game
+    parallelism: int = 0  # sessions run at once; 0 means one worker per game
     output_dir: str = "runs"
     cassette_dir: Optional[str] = None
     max_attempts: int = 5
@@ -216,49 +218,47 @@ def mock_session_scripts(
 def _session_loop_config(
     cfg: ExperimentConfig, g: GameSpec, rep: int, session_id: str, provider: Optional[str]
 ) -> LoopConfig:
+    """Each role runs as `provider`, or else as its own configured provider."""
     models = {"reasoner": cfg.reasoner, "translator": cfg.translator}
-    mode = provider or cfg.reasoner.provider
-    if mode == "mock":
-        scripts = mock_session_scripts(g, rep, cfg.max_attempts)
-        for (role, model), script in zip(models.items(), scripts):
-            models[role] = replace(model, provider="mock", script=script)
-    if cfg.cassette_dir:
-        for role, model in models.items():
+    scripts = mock_session_scripts(g, rep, cfg.max_attempts)
+    for (role, model), script in zip(models.items(), scripts):
+        mode = provider or model.provider
+        if mode == "mock":
+            model = replace(model, provider="mock", script=script)
+        if cfg.cassette_dir:
             tape = str(Path(cfg.cassette_dir) / f"{session_id}.{role}.jsonl")
-            if mode == "replay":
-                models[role] = replay_config(model, tape)
-            else:
-                models[role] = replace(model, record_to=tape)
-    elif mode == "replay":
-        raise ExperimentError("replay mode needs cassette_dir in the config")
+            model = replay_config(model, tape) if mode == "replay" else replace(model, record_to=tape)
+        elif mode == "replay":
+            raise ExperimentError("replay mode needs cassette_dir in the config")
+        models[role] = model
     return LoopConfig(**models, max_attempts=cfg.max_attempts)
-
-
-def _run_game(cfg: ExperimentConfig, name: str, provider: Optional[str]):
-    g = load_game(name)
-    transcripts = []
-    for rep in range(cfg.repetitions):
-        session_id = f"{g.name}_{rep:03d}"
-        loop_cfg = _session_loop_config(cfg, g, rep, session_id, provider)
-        transcript = run_session(g, loop_cfg, session_id=session_id)
-        write_transcript(str(Path(cfg.output_dir) / f"{session_id}.jsonl"), transcript)
-        transcripts.append(transcript)
-    return transcripts
 
 
 def run_experiment(
     cfg: ExperimentConfig, provider: Optional[str] = None
 ) -> "tuple[list[SessionTranscript], dict]":
     """Run every session, write transcripts and summary.json, return both."""
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    workers = cfg.parallelism if cfg.parallelism > 0 else len(cfg.games)
-    transcripts: "list[SessionTranscript]" = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(lambda n: _run_game(cfg, n, provider), cfg.games):
-            transcripts.extend(batch)
+    sessions: "dict[str, tuple[GameSpec, LoopConfig]]" = {}  # by id, in (game, rep) order
+    for g in [load_game(name) for name in cfg.games]:
+        for rep in range(cfg.repetitions):
+            session_id = f"{g.name}_{rep:03d}"
+            if session_id in sessions:
+                raise ExperimentError(f"session id {session_id} repeats: two games are named {g.name}")
+            sessions[session_id] = g, _session_loop_config(cfg, g, rep, session_id, provider)
+    out = Path(cfg.output_dir)
+
+    def run(session_id: str) -> SessionTranscript:
+        g, loop_cfg = sessions[session_id]
+        transcript = run_session(g, loop_cfg, session_id=session_id)
+        write_transcript(str(out / f"{session_id}.jsonl"), transcript)
+        return transcript
+
+    out.mkdir(parents=True, exist_ok=True)
+    workers = min(cfg.parallelism or len(cfg.games), len(sessions))
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        transcripts = list(pool.map(run, sessions))
     summary = summarize(transcripts, max_attempts=cfg.max_attempts)
-    summary_path = Path(cfg.output_dir) / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return transcripts, summary
 
 

@@ -261,9 +261,10 @@ def parse_game(text: str) -> GameSpec:
     payoffs = _extract_payoffs(clauses)
     labels = _extract_label_map(meta, payoffs)
 
-    initial_fact = next(c for c in clauses if c.key() == ("initial", 1) and not c.body)
-    assert isinstance(initial_fact.head, Struct)
-    init = initial_fact.head.args[0]
+    found = [c for c in clauses if c.key() == ("initial", 1)]  # one at least, as required
+    if len(found) != 1 or found[0].body:
+        raise GameSpecError(f"need one fact initial(S0), found {' '.join(map(str, found))}")
+    init = found[0].head.args[0]
     if not is_ground(init):
         raise GameSpecError(f"initial situation must be ground, got {init}")
     players = []  # P of the program's one fact initially(role(P, row), S0), then col's

@@ -371,7 +371,7 @@ def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> Sessio
     )
     summary = _session_to_json(transcript)
     for field in ("attempt_count", "exit", "initial_choice", "final_choice"):
-        if session[field] != summary[field]:
+        if dumps(session[field]) != dumps(summary[field]):  # as JSON text, where true is not 1
             raise ValueError(f"summary says {field} {session[field]!r}, attempts give {summary[field]!r}")
     return transcript
 

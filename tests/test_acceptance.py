@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 import test_gdl
@@ -237,6 +238,7 @@ def test_criterion_6_mock_experiment(tmp_path):
         }
 
 
+@pytest.mark.slow
 def test_criterion_7_property_suites_at_1000_cases():
     with criterion(7, "unification, parser and translator round-trip properties at 1000 cases"):
         at_1000 = settings(

@@ -1,17 +1,20 @@
 import csv
 import hashlib
 import json
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lelma import gateway
 from oracles import (
     CLASSIC_RATINGS_10x14,
     CLASSIC_RATINGS_10x14_KAPPA,
     FIXED_RATINGS_10x3,
     FIXED_RATINGS_10x3_KAPPA,
+    game_to_text,
     oracle_fleiss_kappa,
 )
 from lelma.experiments import (
@@ -38,6 +41,7 @@ from lelma.experiments import (
     read_transcripts_dir,
     run_experiment,
 )
+from lelma.games import GameSpecError
 from lelma.gateway import Gateway, ModelConfig, Usage
 from lelma.orchestrator import (
     AttemptRecord,
@@ -206,6 +210,77 @@ def test_an_error_of_any_type_aborts_its_session_and_the_summary_is_written(tmp_
     assert transcripts[0].error == "RuntimeError: model backend fell over"
     assert summary["sessions"] == 2 and summary["aborted"] == 2
     assert json.loads((out / "summary.json").read_text()) == summary
+
+
+# A live model whose calls go to a monkeypatched `gateway._requests_transport`.
+LIVE = ModelConfig(provider="openai", model_id="gpt-test", endpoint="http://localhost:9", retries=1)
+
+
+def openai_reply(text):
+    return 200, {"choices": [{"message": {"content": text}}]}
+
+
+def test_parallelism_sessions_run_at_once_whatever_the_number_of_games(tmp_path, monkeypatch):
+    # Each call waits until four calls are in flight; with fewer, the barrier
+    # times out and every session aborts. Every session makes two calls.
+    barrier = threading.Barrier(4, timeout=10)
+
+    def transport(url, headers, payload, timeout):
+        barrier.wait()
+        return openai_reply("CHOICE: B")
+
+    monkeypatch.setattr(gateway, "_requests_transport", transport)
+    cfg = ExperimentConfig(games=("pd", "sh"), reasoner=LIVE, translator=LIVE, repetitions=4,
+                           parallelism=4, output_dir=str(tmp_path))
+    transcripts, summary = run_experiment(cfg)
+    assert [t.error for t in transcripts] == [None] * 8
+    assert summary["exits"] == {"no_queries": 8}
+
+
+def test_a_game_that_cannot_load_stops_the_run_before_any_file_is_written(tmp_path):
+    cfg = ExperimentConfig(games=("pd", "nosuch"), repetitions=2, output_dir=str(tmp_path / "out"))
+    with pytest.raises(GameSpecError, match="nosuch"):
+        run_experiment(cfg, provider="mock")
+    assert not (tmp_path / "out").exists()
+
+
+def test_parallelism_does_not_change_what_is_written(tmp_path):
+    written = []
+    for parallelism in (1, 12):
+        out = tmp_path / str(parallelism)
+        cfg = ExperimentConfig(repetitions=4, parallelism=parallelism, output_dir=str(out))
+        run_experiment(cfg, provider="mock")
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(written[0]) == 13  # 3 games x 4 repetitions, and summary.json
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("live_role", ["reasoner", "translator"])
+def test_each_role_runs_on_its_own_provider(tmp_path, monkeypatch, live_role):
+    requested = []
+
+    def transport(url, headers, payload, timeout):
+        requested.append(payload["model"])
+        return openai_reply("CHOICE: B")
+
+    monkeypatch.setattr(gateway, "_requests_transport", transport)
+    models = {"reasoner": ModelConfig(), "translator": ModelConfig(), live_role: LIVE}
+    cfg = ExperimentConfig(games=("pd",), repetitions=2, output_dir=str(tmp_path), **models)
+    transcripts, _ = run_experiment(cfg)
+    assert [t.error for t in transcripts] == [None, None]
+    # The live role answers once per attempt, the mock role from its script.
+    assert requested == [LIVE.model_id] * sum(t.attempt_count for t in transcripts)
+
+
+@pytest.mark.parametrize("second", ["pd", "copy"])
+def test_a_repeated_session_id_stops_the_run_before_any_file_is_written(tmp_path, pd, second):
+    copy = tmp_path / "copy.gdl"  # another file whose game is also named pd
+    copy.write_text(game_to_text(pd))
+    cfg = ExperimentConfig(games=("pd", str(copy) if second == "copy" else "pd"), repetitions=2,
+                           output_dir=str(tmp_path / "out"), cassette_dir=str(tmp_path / "tapes"))
+    with pytest.raises(ExperimentError, match="session id pd_000 repeats"):
+        run_experiment(cfg, provider="mock")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "tapes").exists()
 
 
 class TestDistributions:

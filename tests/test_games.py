@@ -196,9 +196,15 @@ def test_invalid_label_map_detected(pd):
             "initially(role(p2,col),s0) :- initial(s0).",
             r"role\(P, col\), s0\), found initially\(role\(p2,col\),s0\) :- initial",
         ),
+        ("initial(s0).", "initial(S) :- S = s0.", r"one fact initial\(S0\), found initial\(S\) :- "),
+        (
+            "initial(s0).",
+            "initial(s0).\ninitial(s1).",
+            r"one fact initial\(S0\), found initial\(s0\). initial\(s1\).",
+        ),
     ],
     ids=["reasoner-header", "opponent-header", "no-colon", "no-row-fact", "two-row-facts",
-         "one-player-both-roles", "col-rule-not-fact"],
+         "one-player-both-roles", "col-rule-not-fact", "initial-rule-not-fact", "two-initial-facts"],
 )
 def test_roles_come_from_one_fact_each_in_the_program(pd, old, new, message):
     text = game_to_text(pd)

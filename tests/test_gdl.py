@@ -262,6 +262,7 @@ def test_clause_round_trip(clause):
     assert parse_clause(str(clause)) == clause
 
 
+@pytest.mark.slow
 @given(st.lists(clauses_strategy, min_size=0, max_size=5))
 def test_program_round_trip(clauses):
     reparsed, meta = parse_program("".join(f"{c}\n" for c in clauses))

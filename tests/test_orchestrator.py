@@ -277,6 +277,14 @@ class TestTranscripts:
             path.write_text(bad)
             with pytest.raises(TranscriptFormatError, match=where):
                 read_transcript(str(path))
+        # One attempt, then the session record: its count is 1, and true is no count.
+        one = run_session(pd, loop(["Payoff 3 beats 1. CHOICE: B"], ["higher(3, 1)"]), session_id="one")
+        write_transcript(str(path), one)
+        good = path.read_text()
+        assert read_transcript(str(path)) == one
+        path.write_text(good.replace('"attempt_count":1', '"attempt_count":true'))
+        with pytest.raises(TranscriptFormatError, match="bad.jsonl:2: .*attempt_count True"):
+            read_transcript(str(path))
 
     @pytest.mark.parametrize(
         "bad_line, message",
