@@ -103,10 +103,6 @@ def pos(term: Term) -> Literal:
     return Literal(term, False)
 
 
-def neg(term: Term) -> Literal:
-    return Literal(term, True)
-
-
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: Term
@@ -134,9 +130,8 @@ class RuleBase:
     nest (see `_MAX_NESTING`)."""
 
     def __init__(self, clauses: Iterable[Clause]):
-        self._clauses: tuple[Clause, ...] = tuple(clauses)
         index: dict[tuple[str, int], list[Clause]] = {}
-        for c in self._clauses:
+        for c in clauses:
             index.setdefault(c.key(), []).append(c)
         self._index = {k: tuple(v) for k, v in index.items()}
         # Builtins shadow clauses of the same name and arity. Every entry
@@ -146,10 +141,6 @@ class RuleBase:
         for k, pred in self._preds.items():
             group = self._index[k]
             pred.fill(group, [_compile(c, self._callee) for c in group])
-
-    @property
-    def clauses(self) -> "tuple[Clause, ...]":
-        return self._clauses
 
     def matching(self, key: "tuple[str, int]") -> "tuple[Clause, ...]":
         return self._index.get(key, ())
@@ -167,9 +158,6 @@ class RuleBase:
             key = None
         callee = self._preds.get(key) or BUILTINS.get(key)
         return _Not(callee) if lit.negated else callee
-
-    def __len__(self) -> int:
-        return len(self._clauses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -155,16 +155,17 @@ def _model_from(sec: "dict[str, str]", section: str) -> ModelConfig:
     fields: "dict[str, object]" = {
         key: sec.pop(key) for key in ("provider", "model_id", "endpoint") if key in sec
     }
-    for key, kind in (
-        ("temperature", float), ("max_output_tokens", int), ("timeout", float), ("retries", int)
+    for key, kind, least in (
+        ("temperature", float, None), ("max_output_tokens", int, None), ("timeout", float, None),
+        ("retries", int, 1),
     ):
         if key in sec:
-            fields[key] = _number(sec, section, key, kind)
+            fields[key] = _number(sec, section, key, kind, least)
     if api_key_env := sec.pop("api_key_env", None):  # empty reads as unset
         fields["api_key_env"] = api_key_env
     try:
         return ModelConfig(**fields)
-    except ValueError as exc:  # ModelConfig's one check: an unknown provider
+    except ValueError as exc:  # an unknown provider; `retries` was checked above
         raise ExperimentError(f"[{section}] provider: {exc}") from None
 
 
@@ -311,7 +312,7 @@ def format_percent(fraction: float) -> str:
     return f"{fraction * 100:.2f}%"
 
 
-def summarize(transcripts: Sequence[SessionTranscript], max_attempts: int = 5) -> dict:
+def summarize(transcripts: Sequence[SessionTranscript], max_attempts: int) -> dict:
     usable = _usable(transcripts)
     attempts_total = sum(t.attempt_count for t in usable)
     tokens_total = sum(t.usage.total_tokens for t in usable)
@@ -342,16 +343,12 @@ DEFAULT_EVALUATORS = ("evaluator_1", "evaluator_2", "evaluator_3")
 LABEL_VALUES = ("correct", "incorrect")
 
 
-def export_evaluation_sheet(
-    transcripts: Sequence[SessionTranscript],
-    path: str,
-    evaluators: "tuple[str, ...]" = DEFAULT_EVALUATORS,
-) -> int:
+def export_evaluation_sheet(transcripts: Sequence[SessionTranscript], path: str) -> int:
     """One row per attempt of each non-aborted session; label cells blank."""
     rows = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SHEET_FIXED_COLUMNS + evaluators)
+        writer.writerow(SHEET_FIXED_COLUMNS + DEFAULT_EVALUATORS)
         for t in _usable(transcripts):
             for attempt in t.attempts:
                 writer.writerow(
@@ -362,7 +359,7 @@ def export_evaluation_sheet(
                         attempt.index,
                         attempt.reasoning,
                     ]
-                    + [""] * len(evaluators)
+                    + [""] * len(DEFAULT_EVALUATORS)
                 )
                 rows += 1
     return rows
@@ -371,49 +368,58 @@ def export_evaluation_sheet(
 def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...]]":
     """Read a filled evaluation sheet: {sample_id: {evaluator: label}}.
 
-    Blank cells are skipped. Unknown label values, duplicate labels and
-    header mismatches raise SheetFormatError naming the offending cell.
+    Blank cells are skipped. Unknown label values, duplicate labels,
+    header mismatches and rows csv cannot read raise SheetFormatError
+    naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
     """
     labels: "dict[str, dict[str, str]]" = {}
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
+        limit = csv.field_size_limit(2**31 - 1)
+        row_number = 0  # the last row read
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SheetFormatError(f"{path}: empty file") from None
-        if tuple(header[: len(SHEET_FIXED_COLUMNS)]) != SHEET_FIXED_COLUMNS:
-            raise SheetFormatError(
-                f"{path}: header must start with {', '.join(SHEET_FIXED_COLUMNS)}"
-            )
-        evaluators = tuple(header[len(SHEET_FIXED_COLUMNS):])
-        if not evaluators:
-            raise SheetFormatError(f"{path}: no evaluator columns after the fixed ones")
-        for row_number, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise SheetFormatError(f"{path}: empty file")
+            row_number = 1
+            if tuple(header[: len(SHEET_FIXED_COLUMNS)]) != SHEET_FIXED_COLUMNS:
                 raise SheetFormatError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: header must start with {', '.join(SHEET_FIXED_COLUMNS)}"
                 )
-            sample_id = row[0].strip()
-            if not sample_id:
-                raise SheetFormatError(f"{path}: row {row_number} has an empty sample_id")
-            sample_labels = labels.setdefault(sample_id, {})
-            for evaluator, cell in zip(evaluators, row[len(SHEET_FIXED_COLUMNS):]):
-                value = cell.strip().lower()
-                if not value:
+            evaluators = tuple(header[len(SHEET_FIXED_COLUMNS):])
+            if not evaluators:
+                raise SheetFormatError(f"{path}: no evaluator columns after the fixed ones")
+            for row_number, row in enumerate(reader, start=2):
+                if not any(cell.strip() for cell in row):
                     continue
-                if value not in LABEL_VALUES:
+                if len(row) != len(header):
                     raise SheetFormatError(
-                        f"{path}: row {row_number}, column {evaluator}: "
-                        f"label must be one of {LABEL_VALUES}, got {cell!r}"
+                        f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                     )
-                if evaluator in sample_labels:
-                    raise SheetFormatError(
-                        f"{path}: row {row_number}, column {evaluator}: "
-                        f"duplicate label for sample {sample_id}"
-                    )
-                sample_labels[evaluator] = value
+                sample_id = row[0].strip()
+                if not sample_id:
+                    raise SheetFormatError(f"{path}: row {row_number} has an empty sample_id")
+                sample_labels = labels.setdefault(sample_id, {})
+                for evaluator, cell in zip(evaluators, row[len(SHEET_FIXED_COLUMNS):]):
+                    value = cell.strip().lower()
+                    if not value:
+                        continue
+                    if value not in LABEL_VALUES:
+                        raise SheetFormatError(
+                            f"{path}: row {row_number}, column {evaluator}: "
+                            f"label must be one of {LABEL_VALUES}, got {cell!r}"
+                        )
+                    if evaluator in sample_labels:
+                        raise SheetFormatError(
+                            f"{path}: row {row_number}, column {evaluator}: "
+                            f"duplicate label for sample {sample_id}"
+                        )
+                    sample_labels[evaluator] = value
+        except csv.Error as exc:
+            raise SheetFormatError(f"{path}: row {row_number + 1}: {exc}") from None
+        finally:
+            csv.field_size_limit(limit)
     return labels, evaluators
 
 
@@ -486,16 +492,15 @@ def confusion_matrix(
 
 
 def labels_to_matrix(
-    labels: Mapping[str, Mapping[str, str]],
-    categories: "tuple[str, ...]" = LABEL_VALUES,
+    labels: Mapping[str, Mapping[str, str]]
 ) -> "tuple[list[list[int]], list[str]]":
-    """Per-sample category counts (Fleiss input), samples sorted by id."""
+    """Per-sample counts of each of LABEL_VALUES (Fleiss input), samples sorted by id."""
     samples = sorted(labels)
     rows = []
     for sample in samples:
-        counts = [0] * len(categories)
+        counts = [0] * len(LABEL_VALUES)
         for value in labels[sample].values():
-            counts[categories.index(value)] += 1
+            counts[LABEL_VALUES.index(value)] += 1
         rows.append(counts)
     return rows, samples
 

@@ -16,9 +16,9 @@ from functools import cache, cached_property
 from importlib.resources import files
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .engine import Clause, Literal, ResolutionLimits, RuleBase, pos, solve
+from .engine import Clause, Literal, RuleBase, pos, solve
 from .gdl import parse_program, read_name
 from .terms import Atom, Int, Struct, Term, Var, is_ground
 
@@ -252,6 +252,9 @@ def parse_game(text: str) -> GameSpec:
     meta = _metadata_dict(meta_lines)
     if "name" not in meta:
         raise GameSpecError("metadata header is missing 'name'")
+    name = meta["name"]  # the stem of the transcript and cassette files a run writes
+    if name[:1] in ("", ".", "-") or not all(c.isascii() and (c.isalnum() or c in "_.-") for c in name):
+        raise GameSpecError(f"game name {name!r} is not a file-name stem: [A-Za-z0-9_][A-Za-z0-9_.-]*")
 
     defined = {c.key() for c in clauses}
     for functor, arity in REQUIRED_PREDICATES:
@@ -282,7 +285,7 @@ def parse_game(text: str) -> GameSpec:
         raise GameSpecError(f"{reasoner} cannot be both the row and the col player")
 
     return GameSpec(
-        name=meta["name"],
+        name=name,
         clauses=tuple(clauses),
         move_labels=labels,
         reasoner=reasoner,
@@ -320,9 +323,7 @@ def outcome_goal(g: GameSpec, outcome: "tuple[Term, ...]") -> "tuple[Literal, ..
     )
 
 
-def enumerate_outcomes(
-    g: GameSpec, limits: Optional[ResolutionLimits] = None
-) -> "list[Outcome]":
+def enumerate_outcomes(g: GameSpec) -> "list[Outcome]":
     """All distinct move-pair outcomes, via the solver, in derivation order.
 
     Each move pair is reachable through both play orders; the first
@@ -331,7 +332,7 @@ def enumerate_outcomes(
     outcomes: list[Outcome] = []
     seen: set[tuple[str, str]] = set()
     goal = outcome_goal(g, tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2")))
-    for answer in solve(g.rulebase, goal, limits):
+    for answer in solve(g.rulebase, goal):
         p1_move = answer[Var("M1")]
         p2_move = answer[Var("M2")]
         u1 = answer[Var("U1")]

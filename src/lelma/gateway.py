@@ -100,7 +100,7 @@ class ModelConfig:
     temperature: float = 1.0
     max_output_tokens: int = 1024
     timeout: float = 60.0
-    retries: int = 3
+    retries: int = 3  # attempts per call; 1 means no retry
     api_key_env: Optional[str] = None  # env var NAME; secrets never live in config
     script: "tuple[str, ...]" = ()  # mock provider responses, in order
     cassette: Optional[str] = None  # replay source
@@ -109,6 +109,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r} (valid: {PROVIDERS})")
+        if self.retries < 1:
+            raise ValueError(f"retries must be at least 1, got {self.retries}")
 
 
 def dumps(record: dict) -> str:
@@ -297,7 +299,7 @@ class Gateway:
             headers[key_header] = key_prefix + key
         started = time.monotonic()
         last_error: Optional[GatewayError] = None
-        for attempt in range(max(1, cfg.retries)):
+        for attempt in range(cfg.retries):
             if attempt:
                 self._sleep(0.5 * 2 ** (attempt - 1))
             try:

@@ -42,28 +42,21 @@ class _Token(NamedTuple):
     pos: int  # offset in the text read
 
 
+# An upper-case group reads a token of the kind it is named after; the
+# lower-case groups read whitespace, comments and metadata, which are not tokens.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<meta>%![^\n]*)
   | (?P<comment>%[^\n]*)
-  | (?P<neck>:-)
-  | (?P<naf>\\\+)
-  | (?P<int>-?\d+)
-  | (?P<atom>[a-z][a-zA-Z0-9_]*)
-  | (?P<var>[A-Z_][a-zA-Z0-9_]*)
-  | (?P<quoted>'(?:[^'\\\n]|\\[\\'n])*')
-  | (?P<punct>[().,=])
+  | (?P<PUNCT>:-|\\\+|[().,=])
+  | (?P<INT>-?\d+)
+  | (?P<ATOM>[a-z][a-zA-Z0-9_]*)
+  | (?P<VAR>[A-Z_][a-zA-Z0-9_]*)
+  | (?P<QUOTED>'(?:[^'\\\n]|\\[\\'n])*')
     """,
     re.VERBOSE,
 )
-
-# The kind of token each group of _TOKEN_RE reads; the other groups read
-# whitespace, comments and metadata, which are not tokens.
-_KINDS = {
-    "neck": "PUNCT", "naf": "PUNCT", "punct": "PUNCT",
-    "int": "INT", "atom": "ATOM", "var": "VAR", "quoted": "QUOTED",
-}
 
 
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -82,7 +75,7 @@ def read_name(text: str) -> str:
     """The name `text` stands for: a single-quoted name read as the
     tokenizer reads it, any other text as is."""
     m = _TOKEN_RE.fullmatch(text)
-    return _unquote(text) if m and m.lastgroup == "quoted" else text
+    return _unquote(text) if m and m.lastgroup == "QUOTED" else text
 
 
 def _line_column(text: str, pos: int) -> "tuple[int, int]":
@@ -99,11 +92,11 @@ def _tokenize(text: str) -> "tuple[list[_Token], list[tuple[int, str]]]":
         if not m:
             message = f"unexpected character {text[pos]!r}"
             raise ClauseSyntaxError(message, *_line_column(text, pos))
-        group = m.lastgroup
-        if group in _KINDS:
-            token = _unquote(m.group()) if group == "quoted" else m.group()
-            tokens.append(_Token(_KINDS[group], token, pos))
-        elif group == "meta":
+        kind = m.lastgroup
+        if kind.isupper():
+            token = _unquote(m.group()) if kind == "QUOTED" else m.group()
+            tokens.append(_Token(kind, token, pos))
+        elif kind == "meta":
             metadata.append((_line_column(text, pos)[0], m.group()[2:].strip()))
         pos = m.end()
     tokens.append(_Token("END", "", len(text)))

@@ -86,7 +86,7 @@ def build_instruction_prompt(g: GameSpec) -> str:
 
 def build_feedback_prompt(prev_reasoning: str, report: VerificationReport, g: GameSpec) -> str:
     """Follow-up prompt embedding corrections and the previous reasoning verbatim."""
-    feedback = render_feedback(report, g)  # raises EmptyFailureSetError if nothing failed
+    feedback = render_feedback(report)  # raises EmptyFailureSetError if nothing failed
     return (
         "Some statements in your reasoning about the game were wrong:\n"
         f"{feedback}\n"
@@ -148,8 +148,11 @@ class SessionTranscript:
     attempts: "tuple[AttemptRecord, ...]"
     usage: Usage
     wall_time: float
-    aborted: bool = False
-    error: Optional[str] = None
+    error: Optional[str] = None  # `Type: message` of the exception that aborted the session
+
+    @property
+    def aborted(self) -> bool:
+        return self.error is not None
 
     @property
     def exit(self) -> ExitReason:
@@ -192,7 +195,6 @@ def run_session(
     attempts: "list[AttemptRecord]" = []
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
-    aborted = False
     error: Optional[str] = None
 
     try:
@@ -230,7 +232,6 @@ def run_session(
                 break
             instruction = build_feedback_prompt(reply.text, report, g)
     except Exception as exc:
-        aborted = True
         error = f"{type(exc).__name__}: {exc}"
 
     if reasoner is None or translator is None:  # building one failed, so no call was made
@@ -244,7 +245,6 @@ def run_session(
         attempts=tuple(attempts),
         usage=usage,
         wall_time=wall_time,
-        aborted=aborted,
         error=error,
     )
 
@@ -353,7 +353,7 @@ def _attempt_from_json(record: dict, earlier: "list[AttemptRecord]") -> AttemptR
 
 def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
     """The transcript the attempts and the session record describe; the
-    record's summary fields must agree with what the attempts give."""
+    record's summary fields must agree with the attempts, and `aborted` with `error`."""
     check_types(session, {"version": (int,), "session_id": (str,), "game": (str,), "model": (str,),
                           "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
                           "wall_time": (float,), "error": (str, type(None))})
@@ -366,13 +366,12 @@ def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> Sessio
         attempts=tuple(attempts),
         usage=Usage(session["prompt_tokens"], session["completion_tokens"]),
         wall_time=session["wall_time"],
-        aborted=session["aborted"],
         error=session["error"],
     )
     summary = _session_to_json(transcript)
-    for field in ("attempt_count", "exit", "initial_choice", "final_choice"):
+    for field in ("attempt_count", "exit", "initial_choice", "final_choice", "aborted"):
         if dumps(session[field]) != dumps(summary[field]):  # as JSON text, where true is not 1
-            raise ValueError(f"summary says {field} {session[field]!r}, attempts give {summary[field]!r}")
+            raise ValueError(f"summary says {field} {session[field]!r}, but it is {summary[field]!r}")
     return transcript
 
 

@@ -370,7 +370,7 @@ def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
-def render_feedback(report: VerificationReport, g: GameSpec) -> str:
+def render_feedback(report: VerificationReport) -> str:
     """The correction sentences for a report's failed queries, one per line."""
     if not report.failed:
         raise EmptyFailureSetError("no failed queries to render feedback for")

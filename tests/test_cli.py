@@ -1,6 +1,11 @@
 import csv
+import io
 import json
+import re
+import shlex
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from lelma.cli import main
 
 
 PD_TEXT = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(*argv, capsys=None):
@@ -280,6 +286,11 @@ class TestRunAndStats:
             ),
             (
                 "reasoner",
+                "retries = 0",
+                "error: [reasoner] retries: expected at least 1, got '0'\n",
+            ),
+            (
+                "reasoner",
                 "temperature = hot",
                 "error: [reasoner] temperature: expected a number, got 'hot'",
             ),
@@ -294,7 +305,7 @@ class TestRunAndStats:
             ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n"),
         ],
         ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
-             "non-integer", "non-number", "unknown-provider", "repeated-key",
+             "no-request-attempt", "non-integer", "non-number", "unknown-provider", "repeated-key",
              "bad-interpolation", "misspelt-key", "misspelt-model-key", "api-only-key",
              "misspelt-section", "default-section"],
     )
@@ -315,6 +326,34 @@ class TestRunAndStats:
         assert err.startswith(message)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def readme_blocks(language):
+    """The text of each README code block fenced as `language`, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+class TestReadmeQuickTour:
+    # The README's rule: 0 when everything holds, 1 if anything failed.
+    @pytest.mark.parametrize("program, code", [("lelma solve", 0), ("lelma verify", 1)])
+    def test_a_shell_example_prints_what_the_readme_shows(
+        self, monkeypatch, capsys, program, code
+    ):
+        [(command, *output)] = [
+            block.splitlines(keepends=True) for block in readme_blocks("sh") if program in block
+        ]
+        feed, _, command = command.removeprefix("$ ").rpartition(" | ")
+        if feed:  # printf's format, whose \n escapes the shell expands
+            _, text = shlex.split(feed)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text.replace("\\n", "\n")))
+        argv = shlex.split(command)
+        assert argv[0] == "lelma"
+        assert run_cli(*argv[1:], capsys=capsys) == (code, "".join(output), "")
+
+    def test_the_python_example_runs(self, capsys):
+        [block] = readme_blocks("python")
+        exec(block, {})
+        assert capsys.readouterr() == ("1 is not higher than 3; 3 is higher than 1.\n", "")
 
 
 class TestEvalAndKappa:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import threading
 from dataclasses import fields, replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lelma import gateway
+from lelma.cli import main
 from oracles import (
     CLASSIC_RATINGS_10x14,
     CLASSIC_RATINGS_10x14_KAPPA,
@@ -18,6 +20,7 @@ from oracles import (
     oracle_fleiss_kappa,
 )
 from lelma.experiments import (
+    DEFAULT_EVALUATORS,
     ConfusionMatrix,
     DegenerateAgreementError,
     ExperimentConfig,
@@ -59,7 +62,7 @@ def fake_transcript(
     session_id=None,
     initial="B",
     final="B",
-    aborted=False,
+    error=None,
 ):
     """A session whose first attempt chooses `initial` and every later one
     `final`; the session's choices are read from these attempts."""
@@ -83,7 +86,7 @@ def fake_transcript(
         attempts=attempts,
         usage=Usage(10, 10),
         wall_time=0.0,
-        aborted=aborted,
+        error=error,
     )
 
 
@@ -294,7 +297,7 @@ class TestDistributions:
         assert attempts_distribution(transcripts) == {1: 24, 2: 46, 3: 10, 4: 6, 5: 4}
 
     def test_aborted_sessions_excluded(self):
-        transcripts = [fake_transcript(1), fake_transcript(1, aborted=True)]
+        transcripts = [fake_transcript(1), fake_transcript(1, error="RuntimeError: boom")]
         assert attempts_distribution(transcripts) == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0}
 
     def test_29_of_30_choice_fixture(self):
@@ -477,6 +480,37 @@ class TestEvaluationSheets:
         )
         labels, _ = import_labels(str(path))
         assert labels == {"s1:a1": {"evaluator_1": "correct"}}
+
+    def test_a_reasoning_longer_than_the_csv_field_limit_reads_back(self, tmp_path):
+        limit = csv.field_size_limit()
+        session = fake_transcript(1, session_id="pd_000")
+        attempt = replace(session.attempts[0], reasoning="x" * 200_010)  # csv's default limit: 131,072
+        path = tmp_path / "sheet.csv"
+        export_evaluation_sheet([replace(session, attempts=(attempt,))], str(path))
+        assert import_labels(str(path)) == ({"pd_000:a1": {}}, DEFAULT_EVALUATORS)
+        assert csv.field_size_limit() == limit  # the csv module's, for the whole process
+
+    def test_a_row_csv_cannot_read_is_an_error_naming_it(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "sheet.csv"
+        path.write_text(
+            "sample_id,game,model,attempt_index,reasoning,evaluator_1\n"
+            "s1:a1,pd,m,1,text,correct\n"
+        )
+        rows = csv.reader
+
+        def reader(handle):  # the real reader, stopped by a csv.Error after two rows
+            yield from itertools.islice(rows(handle), 2)
+            raise csv.Error("bad row")
+
+        monkeypatch.setattr(csv, "reader", reader)
+        limit = csv.field_size_limit(16)  # reading raises it, then puts it back
+        try:
+            for argv in (["eval", "import", str(path)], ["kappa", str(path)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == f"error: {path}: row 3: bad row\n"
+                assert csv.field_size_limit() == 16
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestFleissKappa:

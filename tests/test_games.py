@@ -184,6 +184,10 @@ def test_invalid_label_map_detected(pd):
         ("%! name: pd", "%! name: pd\n%! reasoner: p2", "metadata line 'reasoner: p2' is not"),
         ("%! name: pd", "%! name: pd\n%! opponent: p1", "metadata line 'opponent: p1' is not"),
         ("%! name: pd", "%! name pd", "metadata line 'name pd' is not 'key: value'"),
+        ("%! name: pd", "%! name: ../escaped/pd", r"game name '\.\./escaped/pd' is not a file-name"),
+        ("%! name: pd", "%! name:", "game name '' is not a file-name stem"),
+        ("%! name: pd", "%! name: .pd", r"game name '\.pd' is not a file-name stem"),
+        ("%! name: pd", "%! name: p\u00e9", "game name 'p\u00e9' is not a file-name stem"),
         ("initially(role(p1,row),s0).", "", r"initially\(role\(P, row\), s0\), found none"),
         (
             "initially(role(p1,row),s0).",
@@ -203,7 +207,8 @@ def test_invalid_label_map_detected(pd):
             r"one fact initial\(S0\), found initial\(s0\). initial\(s1\).",
         ),
     ],
-    ids=["reasoner-header", "opponent-header", "no-colon", "no-row-fact", "two-row-facts",
+    ids=["reasoner-header", "opponent-header", "no-colon", "escaping-name", "empty-name",
+         "dot-name", "non-ascii-name", "no-row-fact", "two-row-facts",
          "one-player-both-roles", "col-rule-not-fact", "initial-rule-not-fact", "two-initial-facts"],
 )
 def test_roles_come_from_one_fact_each_in_the_program(pd, old, new, message):
@@ -217,3 +222,8 @@ def test_missing_name_detected(pd):
     text = game_to_text(pd).replace("%! name: pd", "")
     with pytest.raises(GameSpecError):
         parse_game(text)
+
+
+def test_a_name_may_hold_digits_underscores_dots_and_dashes(pd):
+    text = game_to_text(pd).replace("%! name: pd", "%! name: _pd-2.v1")
+    assert parse_game(text).name == "_pd-2.v1"

@@ -361,6 +361,12 @@ def test_unknown_provider_rejected():
         ModelConfig(provider="anthropic-style")
 
 
+@pytest.mark.parametrize("retries", [0, -5])
+def test_fewer_than_one_attempt_per_call_rejected(retries):
+    with pytest.raises(ValueError, match=f"retries must be at least 1, got {retries}"):
+        ModelConfig(retries=retries)
+
+
 def test_cassette_records_are_compact_json(tmp_path):
     cassette = tmp_path / "c.jsonl"
     cfg = ModelConfig(script=("r",), record_to=str(cassette))

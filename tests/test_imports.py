@@ -98,7 +98,6 @@ KEPT_UNREAD = {
     "terms.resolve": "the engine's reference tests and perfbench's terms.* rows read it",
     "terms.rename_term": "perfbench's terms.rename row reads it; the engine names variables so",
     "terms.struct": "the tests' shorthand for building a compound",
-    "engine.neg": "the counterpart of engine.pos, for building a negated literal",
     "verification.apply_corrections": "the perfbench sweep and the output checks read it",
 }
 

@@ -237,6 +237,9 @@ class TestTranscripts:
             (good.replace('"game":"pd"', '"game":5'), "bad.jsonl:3:"),
             (good.replace('"model":"mock-model"', '"model":null'), "bad.jsonl:3:"),
             (good.replace('"aborted":false', '"aborted":"no"'), "bad.jsonl:3:"),
+            # An `aborted` that disagrees with `error`.
+            (good.replace('"aborted":false', '"aborted":true'), "bad.jsonl:3:"),
+            (good.replace('"error":null,"exit":"all', '"error":"E: x","exit":"all'), "bad.jsonl:3:"),
             # Summary fields that disagree with the attempts.
             (good.replace('"final_choice":"B"', '"final_choice":"R"'), "bad.jsonl:3:"),
             (good.replace('"initial_choice":"R"', '"initial_choice":null'), "bad.jsonl:3:"),

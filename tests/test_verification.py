@@ -285,7 +285,7 @@ def test_render_feedback_joins_failed_explanations(pd):
     report = evaluate_all(
         [Query(QueryKind.HIGHER, (1, 3)), Query(QueryKind.HIGHEST_POSSIBLE, (9,))], pd
     )
-    text = render_feedback(report, pd)
+    text = render_feedback(report)
     assert text.splitlines() == [
         "1 is not higher than 3; 3 is higher than 1.",
         "The highest individual payoff you can get is 5, not 9.",
@@ -295,7 +295,7 @@ def test_render_feedback_joins_failed_explanations(pd):
 def test_render_feedback_requires_failures(pd):
     report = evaluate_all([Query(QueryKind.HIGHER, (5, 0))], pd)
     with pytest.raises(EmptyFailureSetError):
-        render_feedback(report, pd)
+        render_feedback(report)
 
 
 def test_feedback_templates_resource_is_complete():
