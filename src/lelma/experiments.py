@@ -6,7 +6,9 @@ config stops the run before anything is written. The sessions then run
 on one thread pool; the returned list and summary.json keep (game,
 repetition) order. Each session writes one NDJSON transcript named
 {game}_{rep:03d}.jsonl; aborted sessions are kept on disk and counted
-but excluded from every statistic.
+but excluded from every statistic. An output_dir holds one run: a
+transcript there that this run would not write stops it before
+anything is written.
 
 The mock provider gets per-session scripts from mock_session_scripts,
 which cycles four scenarios (clean, corrected, untranslatable,
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .games import GameSpec, load_game
-from .gateway import ModelConfig, replay_config
+from .gateway import ModelConfig
 from .orchestrator import (
     LoopConfig,
     SessionTranscript,
@@ -131,17 +133,18 @@ def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     return cfg
 
 
-def _number(values: "dict[str, str]", section: str, key: str, kind: type, least=None):
+def _number(values: "dict[str, str]", section: str, key: str, kind: type, least=None, strict=False):
     """`values[key]`, popped and read as an int or a float. A value below
-    `least`, when that is given, is an error."""
+    `least`, when that is given, is an error, and with `strict` so is `least`."""
     text = values.pop(key)
     try:
         value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ExperimentError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
-    if least is not None and value < least:
-        raise ExperimentError(f"[{section}] {key}: expected at least {least}, got {text!r}")
+    if least is not None and not (value > least if strict else value >= least):  # nan fails
+        bound = "above" if strict else "at least"
+        raise ExperimentError(f"[{section}] {key}: expected {bound} {least}, got {text!r}")
     return value
 
 
@@ -156,16 +159,17 @@ def _model_from(sec: "dict[str, str]", section: str) -> ModelConfig:
         key: sec.pop(key) for key in ("provider", "model_id", "endpoint") if key in sec
     }
     for key, kind, least in (
-        ("temperature", float, None), ("max_output_tokens", int, None), ("timeout", float, None),
-        ("retries", int, 1),
+        ("temperature", float, None), ("max_output_tokens", int, None), ("retries", int, 1),
     ):
         if key in sec:
             fields[key] = _number(sec, section, key, kind, least)
+    if "timeout" in sec:
+        fields["timeout"] = _number(sec, section, "timeout", float, 0, strict=True)
     if api_key_env := sec.pop("api_key_env", None):  # empty reads as unset
         fields["api_key_env"] = api_key_env
     try:
         return ModelConfig(**fields)
-    except ValueError as exc:  # an unknown provider; `retries` was checked above
+    except ValueError as exc:  # an unknown provider; the numbers were checked above
         raise ExperimentError(f"[{section}] provider: {exc}") from None
 
 
@@ -224,14 +228,10 @@ def _session_loop_config(
     scripts = mock_session_scripts(g, rep, cfg.max_attempts)
     for (role, model), script in zip(models.items(), scripts):
         mode = provider or model.provider
-        if mode == "mock":
-            model = replace(model, provider="mock", script=script)
-        if cfg.cassette_dir:
-            tape = str(Path(cfg.cassette_dir) / f"{session_id}.{role}.jsonl")
-            model = replay_config(model, tape) if mode == "replay" else replace(model, record_to=tape)
-        elif mode == "replay":
+        tape = cfg.cassette_dir and str(Path(cfg.cassette_dir) / f"{session_id}.{role}.jsonl")
+        if mode == "replay" and not tape:
             raise ExperimentError("replay mode needs cassette_dir in the config")
-        models[role] = model
+        models[role] = replace(model, provider=mode, script=script, record_to=tape)
     return LoopConfig(**models, max_attempts=cfg.max_attempts)
 
 
@@ -247,6 +247,12 @@ def run_experiment(
                 raise ExperimentError(f"session id {session_id} repeats: two games are named {g.name}")
             sessions[session_id] = g, _session_loop_config(cfg, g, rep, session_id, provider)
     out = Path(cfg.output_dir)
+    strays = sorted(path.name for path in out.glob("*.jsonl") if path.stem not in sessions)
+    if strays:  # `lelma stats` would read them as this run's
+        raise ExperimentError(
+            f"{out} holds {len(strays)} transcript(s) of another run, such as "
+            f"{', '.join(strays[:3])}; give each run its own output_dir"
+        )
 
     def run(session_id: str) -> SessionTranscript:
         g, loop_cfg = sessions[session_id]

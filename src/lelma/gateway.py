@@ -3,9 +3,9 @@
 Four providers: two HTTP wire formats (openai-style and gemini-style),
 a deterministic scripted mock, and a cassette replayer. A cassette is
 newline-delimited JSON, one record per request, keyed by a canonical
-hash of (model_id, messages); replay is exact-match and offline.
-Recording is first-wins per key: if an identical request repeats, only
-the first response is stored, and replay will serve it to both.
+hash of (model_id, messages). A cassette answers each request it holds
+without a provider call; the answer to any other is appended to it, and
+under replay any other is a miss. So a rerun into a cassette resumes it.
 
 Cassettes and session transcripts share one NDJSON record format:
 `dumps` writes a line, `read_records` reads them, `check_types` checks.
@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -102,15 +102,16 @@ class ModelConfig:
     timeout: float = 60.0
     retries: int = 3  # attempts per call; 1 means no retry
     api_key_env: Optional[str] = None  # env var NAME; secrets never live in config
-    script: "tuple[str, ...]" = ()  # mock provider responses, in order
-    cassette: Optional[str] = None  # replay source
-    record_to: Optional[str] = None  # cassette to append records to
+    script: "tuple[str, ...]" = ()  # mock provider responses, one per call
+    record_to: Optional[str] = None  # the cassette: answers what it holds, records the rest
 
     def __post_init__(self) -> None:
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r} (valid: {PROVIDERS})")
         if self.retries < 1:
             raise ValueError(f"retries must be at least 1, got {self.retries}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be above 0, got {self.timeout}")
 
 
 def dumps(record: dict) -> str:
@@ -225,8 +226,8 @@ def _mock_usage(messages: Sequence[ChatMessage], text: str) -> Usage:
 class Gateway:
     """A stateful completion client for one ModelConfig.
 
-    Owns the mock script cursor, the replay cassette, the recording
-    stream, and the usage accounting.
+    Owns the call count, which is the mock's place in its script, the
+    cassette, and the usage accounting.
     """
 
     def __init__(
@@ -238,11 +239,8 @@ class Gateway:
         self.cfg = cfg
         self._transport = transport or _requests_transport
         self._sleep = sleep
-        self._script_cursor = 0
-        self._cassette: Optional[dict[str, dict]] = None
-        self._recorded_keys: set[str] = set()
-        if cfg.record_to and Path(cfg.record_to).exists():
-            self._recorded_keys = set(load_cassette(cfg.record_to))
+        # The cassette's records by request key, read on the first call.
+        self._tape: Optional[dict[str, dict]] = None
         # A plain function in an instance attribute: called as `(self, messages)`.
         self._serve = _SERVE[cfg.provider]
         self.calls = 0
@@ -255,36 +253,39 @@ class Gateway:
         return Usage(self._prompt_tokens, self._completion_tokens)
 
     def complete(self, messages: Sequence[ChatMessage]) -> CompletionResult:
-        result = self._serve(self, tuple(messages))
+        messages = tuple(messages)
+        path = self.cfg.record_to
+        if not path:
+            result = self._serve(self, messages)
+        else:
+            if self._tape is None:  # a missing cassette reads as empty, but not to replay
+                missing = self.cfg.provider != "replay" and not Path(path).exists()
+                self._tape = {} if missing else load_cassette(path)
+            key = canonical_request_key(self.cfg.model_id, messages)
+            record = self._tape.get(key)
+            if record is None:
+                result = self._serve(self, messages)
+                self._tape[key] = self._record(key, messages, result)
+            else:
+                result = _completion(record["response"])
         self.calls += 1
         usage = result.usage
         self._prompt_tokens += usage.prompt_tokens
         self._completion_tokens += usage.completion_tokens
-        if self.cfg.record_to:
-            self._record(messages, result)
         return result
 
     # --- providers ---------------------------------------------------------
 
     def _complete_mock(self, messages: "tuple[ChatMessage, ...]") -> CompletionResult:
-        if self._script_cursor >= len(self.cfg.script):
-            raise ProviderError(
-                f"mock script exhausted after {self._script_cursor} response(s)"
-            )
-        text = self.cfg.script[self._script_cursor]
-        self._script_cursor += 1
+        if self.calls >= len(self.cfg.script):
+            raise ProviderError(f"mock script exhausted after {self.calls} response(s)")
+        text = self.cfg.script[self.calls]
         return CompletionResult(text, _mock_usage(messages, text), latency=0.0)
 
     def _complete_replay(self, messages: "tuple[ChatMessage, ...]") -> CompletionResult:
-        if self._cassette is None:
-            if not self.cfg.cassette:
-                raise ProviderError("replay provider needs a cassette path")
-            self._cassette = load_cassette(self.cfg.cassette)
-        key = canonical_request_key(self.cfg.model_id, messages)
-        record = self._cassette.get(key)
-        if record is None:
-            raise ReplayMissError(key)
-        return _completion(record["response"])
+        if not self.cfg.record_to:
+            raise ProviderError("replay provider needs a cassette path")
+        raise ReplayMissError(canonical_request_key(self.cfg.model_id, messages))
 
     def _post(self, payload: dict, key_header: str, key_prefix: str = "") -> "tuple[dict, float]":
         """POST `payload` to the endpoint, with the API key, if the config
@@ -368,11 +369,8 @@ class Gateway:
 
     # --- recording -----------------------------------------------------------
 
-    def _record(self, messages: Sequence[ChatMessage], result: CompletionResult) -> None:
-        key = canonical_request_key(self.cfg.model_id, messages)
-        if key in self._recorded_keys:
-            return
-        self._recorded_keys.add(key)
+    def _record(self, key: str, messages: Sequence[ChatMessage], result: CompletionResult) -> dict:
+        """Append `result`, the answer to `messages`, to the cassette; returns the record."""
         record = {
             "key": key,
             "recorded_at": datetime.now(timezone.utc).isoformat(),
@@ -393,6 +391,7 @@ class Gateway:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a") as handle:
             handle.write(dumps(record) + "\n")
+        return record
 
 
 # Each provider ModelConfig accepts, with the Gateway method that serves it.
@@ -403,8 +402,3 @@ _SERVE = {
     "replay": Gateway._complete_replay,
 }
 PROVIDERS = tuple(_SERVE)
-
-
-def replay_config(cfg: ModelConfig, cassette: str) -> ModelConfig:
-    """The same model config pointed at a cassette instead of a live provider."""
-    return replace(cfg, provider="replay", cassette=cassette, record_to=None)

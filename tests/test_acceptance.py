@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,7 +35,7 @@ from lelma.experiments import (
     run_experiment,
 )
 from lelma.games import enumerate_outcomes, load_game
-from lelma.gateway import ModelConfig, replay_config
+from lelma.gateway import ModelConfig
 from lelma.gdl import parse_goal
 from lelma.orchestrator import ExitReason, LoopConfig, run_session, write_transcript
 from lelma.verification import apply_corrections, evaluate_query, query_to_text
@@ -166,8 +167,8 @@ def test_criterion_4_loop_conformance(games, tmp_path):
                     assert live.attempt_count == 5
 
                 replay_cfg = LoopConfig(
-                    reasoner=replay_config(cfg.reasoner, tapes[0]),
-                    translator=replay_config(cfg.translator, tapes[1]),
+                    reasoner=replace(cfg.reasoner, provider="replay"),
+                    translator=replace(cfg.translator, provider="replay"),
                 )
                 replayed = run_session(g, replay_cfg, session_id=f"{g.name}_{rep}")
                 live_path = tmp_path / f"{g.name}_{rep}.live.jsonl"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lelma.cli import main
+from lelma.experiments import load_experiment_config
 
 
 PD_TEXT = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
@@ -291,6 +292,17 @@ class TestRunAndStats:
             ),
             (
                 "reasoner",
+                "timeout = 0",
+                "error: [reasoner] timeout: expected above 0, got '0'\n",
+            ),
+            (
+                "translator",
+                "timeout = -1",
+                "error: [translator] timeout: expected above 0, got '-1'\n",
+            ),
+            ("reasoner", "timeout = nan", "error: [reasoner] timeout: expected above 0, got 'nan'\n"),
+            (
+                "reasoner",
                 "temperature = hot",
                 "error: [reasoner] temperature: expected a number, got 'hot'",
             ),
@@ -305,7 +317,8 @@ class TestRunAndStats:
             ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n"),
         ],
         ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
-             "no-request-attempt", "non-integer", "non-number", "unknown-provider", "repeated-key",
+             "non-integer", "no-request-attempt", "zero-timeout", "negative-timeout", "nan-timeout",
+             "non-number", "unknown-provider", "repeated-key",
              "bad-interpolation", "misspelt-key", "misspelt-model-key", "api-only-key",
              "misspelt-section", "default-section"],
     )
@@ -354,6 +367,15 @@ class TestReadmeQuickTour:
         [block] = readme_blocks("python")
         exec(block, {})
         assert capsys.readouterr() == ("1 is not higher than 3; 3 is higher than 1.\n", "")
+
+    def test_the_ini_example_loads(self, tmp_path):
+        [block] = readme_blocks("ini")
+        config = tmp_path / "experiment.ini"
+        config.write_text(block)
+        cfg = load_experiment_config(str(config))
+        assert (cfg.games, cfg.repetitions, cfg.cassette_dir) == (("pd", "sh", "hd"), 30, "tapes")
+        assert (cfg.reasoner.provider, cfg.reasoner.api_key_env) == ("openai", "OPENAI_API_KEY")
+        assert (cfg.translator.provider, cfg.translator.model_id) == ("gemini", "gemini-1.5-pro")
 
 
 class TestEvalAndKappa:

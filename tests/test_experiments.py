@@ -286,6 +286,20 @@ def test_a_repeated_session_id_stops_the_run_before_any_file_is_written(tmp_path
     assert not (tmp_path / "out").exists() and not (tmp_path / "tapes").exists()
 
 
+def test_an_output_dir_holding_another_runs_transcripts_stops_the_run(tmp_path):
+    # Four pd sessions, then one: `lelma stats` on the directory would read
+    # all four where summary.json counts one.
+    cfg = ExperimentConfig(games=("pd",), repetitions=4, output_dir=str(tmp_path))
+    run_experiment(cfg, provider="mock")
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(ExperimentError, match=r"holds 3 transcript\(s\) of another run, such as "
+                       r"pd_001\.jsonl, pd_002\.jsonl, pd_003\.jsonl; give each run its own"):
+        run_experiment(replace(cfg, repetitions=1), provider="mock")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+    run_experiment(cfg, provider="mock")  # the same run again may write there
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+
 class TestDistributions:
     def test_attempt_histogram_fixture(self):
         counts = [24, 46, 10, 6, 4]
@@ -650,7 +664,7 @@ class TestConfigLoading:
         assert (cfg.reasoner, cfg.translator) == (ModelConfig(model_id="m"), ModelConfig())
 
     def test_every_model_field_the_runner_does_not_set_is_an_ini_key(self, tmp_path):
-        # The experiment runner sets script, cassette and record_to. A field
+        # The experiment runner sets script and record_to. A field
         # that neither it nor the INI can set keeps its default here.
         path = tmp_path / "exp.ini"
         path.write_text(
@@ -666,7 +680,7 @@ class TestConfigLoading:
         )
         model, default = load_experiment_config(str(path)).reasoner, ModelConfig()
         unset = {f.name for f in fields(ModelConfig) if getattr(model, f.name) == getattr(default, f.name)}
-        assert unset == {"script", "cassette", "record_to"}
+        assert unset == {"script", "record_to"}
 
     def test_inline_credentials_rejected(self, tmp_path):
         path = tmp_path / "leaky.ini"
@@ -722,6 +736,64 @@ class TestReplayMode:
         assert summary["sessions"] == 2 and summary["aborted"] == 1
         assert json.loads((out / "summary.json").read_text()) == summary
         assert read_transcripts_dir(str(out))[1].aborted
+
+    def test_a_rerun_is_answered_from_its_cassettes_and_replays_byte_for_byte(
+        self, tmp_path, monkeypatch
+    ):
+        # Each reply differs from the last, so a rerun that called the
+        # provider again would write a transcript its cassettes do not hold.
+        draws = itertools.count()
+        monkeypatch.setattr(gateway, "_requests_transport",
+                            lambda *args: openai_reply(f"draw {next(draws)}\nCHOICE: B"))
+        cfg = ExperimentConfig(games=("pd",), reasoner=LIVE, translator=LIVE, repetitions=2,
+                               output_dir=str(tmp_path / "live"), cassette_dir=str(tmp_path / "tapes"))
+        first, _ = run_experiment(cfg)
+        written = {path.name: path.read_bytes() for path in (tmp_path / "live").iterdir()}
+        second, _ = run_experiment(cfg)
+        assert next(draws) == 4  # two calls in each of the first run's two sessions
+        assert second == first
+
+        replayed, _ = run_experiment(replace(cfg, output_dir=str(tmp_path / "replayed")),
+                                     provider="replay")
+        assert replayed == second
+        for name, data in written.items():
+            assert (tmp_path / "live" / name).read_bytes() == data
+            assert (tmp_path / "replayed" / name).read_bytes() == data
+
+    def test_a_rerun_resumes_a_session_cut_off_by_a_provider_error(self, tmp_path, monkeypatch):
+        # The translator's claim fails, so the session runs all three attempts:
+        # six calls. The third call fails with status 400 on the first run.
+        requests, fail_at = [], 2
+
+        def transport(url, headers, payload, timeout):
+            requests.append(payload["messages"])
+            if len(requests) - 1 == fail_at:
+                return 400, {"error": "bad request"}
+            if payload["model"] == "translator":
+                return openai_reply("higher(1, 3)")
+            return openai_reply(f"draw {len(requests)}\nCHOICE: R")
+
+        monkeypatch.setattr(gateway, "_requests_transport", transport)
+        cfg = ExperimentConfig(
+            games=("pd",), repetitions=1, max_attempts=3, output_dir=str(tmp_path / "live"),
+            cassette_dir=str(tmp_path / "tapes"),
+            reasoner=replace(LIVE, model_id="reasoner"), translator=replace(LIVE, model_id="translator"),
+        )
+        [cut], _ = run_experiment(cfg)
+        assert cut.aborted and "status 400" in cut.error
+        recorded = requests[:fail_at]
+
+        [resumed], _ = run_experiment(cfg)
+        assert not resumed.aborted and resumed.attempt_count == 3
+        # The rerun asked the provider only for the calls the cassettes lacked.
+        assert len(requests) == fail_at + 1 + (6 - fail_at)
+        assert not any(messages in recorded for messages in requests[fail_at + 1:])
+
+        replay_out = tmp_path / "replayed"
+        [replayed], _ = run_experiment(replace(cfg, output_dir=str(replay_out)), provider="replay")
+        assert replayed == resumed
+        assert (replay_out / "pd_000.jsonl").read_bytes() == \
+            (tmp_path / "live" / "pd_000.jsonl").read_bytes()
 
     def test_replay_without_cassette_dir_fails(self, tmp_path):
         cfg = ExperimentConfig(games=("pd",), repetitions=1, output_dir=str(tmp_path / "o"))

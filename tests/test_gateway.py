@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,6 @@ from lelma.gateway import (
     Usage,
     canonical_request_key,
     load_cassette,
-    replay_config,
 )
 from lelma.orchestrator import LoopConfig, run_session
 
@@ -89,7 +89,7 @@ class TestCassette:
         first = recorder.complete(MESSAGES)
         second = recorder.complete(other)
 
-        player = Gateway(replay_config(recorder.cfg, cassette), transport=exploding_transport)
+        player = Gateway(replace(recorder.cfg, provider="replay"), transport=exploding_transport)
         assert player.complete(MESSAGES) == first
         assert player.complete(other) == second
 
@@ -99,24 +99,30 @@ class TestCassette:
             ModelConfig(script=("first answer", "second answer"), record_to=cassette),
             transport=exploding_transport,
         )
-        recorder.complete(MESSAGES)
-        recorder.complete(MESSAGES)  # same request again; only the first is kept
+        first = recorder.complete(MESSAGES)
+        # The same request again is answered from the cassette, as replay answers it.
+        again = recorder.complete(MESSAGES)
         records = load_cassette(cassette)
         assert len(records) == 1
         (record,) = records.values()
         assert record["response"]["text"] == "first answer"
+        player = Gateway(replace(recorder.cfg, provider="replay"), transport=exploding_transport)
+        assert again == first == player.complete(MESSAGES)
 
     def test_replay_miss_names_the_key(self, tmp_path):
         cassette = tmp_path / "empty.jsonl"
         cassette.write_text("")
         gw = Gateway(
-            ModelConfig(provider="replay", cassette=str(cassette)),
+            ModelConfig(provider="replay", record_to=str(cassette)),
             transport=exploding_transport,
         )
         expected = canonical_request_key(gw.cfg.model_id, MESSAGES)
         with pytest.raises(ReplayMissError) as excinfo:
             gw.complete(MESSAGES)
         assert excinfo.value.key == expected
+        assert cassette.read_text() == ""  # a miss is not recorded
+        with pytest.raises(ProviderError, match="replay provider needs a cassette path"):
+            Gateway(ModelConfig(provider="replay"), transport=exploding_transport).complete(MESSAGES)
 
     def test_malformed_line_raises_with_position(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -141,7 +147,7 @@ class TestCassette:
             with pytest.raises(CassetteError, match=re.escape(f"cannot read cassette {path}: ")):
                 load_cassette(str(path))
         gw = Gateway(
-            ModelConfig(provider="replay", cassette=str(tmp_path / "absent.jsonl")),
+            ModelConfig(provider="replay", record_to=str(tmp_path / "absent.jsonl")),
             transport=exploding_transport,
         )
         with pytest.raises(CassetteError, match="absent.jsonl"):
@@ -175,7 +181,7 @@ class TestCassette:
         with pytest.raises(CassetteParseError, match=rf"fields\.jsonl:2: .*{re.escape(message)}"):
             load_cassette(str(path))
         # A replayed session records the error and makes no attempt.
-        model = ModelConfig(provider="replay", cassette=str(path))
+        model = ModelConfig(provider="replay", record_to=str(path))
         transcript = run_session(pd, LoopConfig(reasoner=model, translator=model))
         assert transcript.aborted and transcript.attempts == ()
         assert transcript.error.startswith("CassetteParseError: ") and message in transcript.error
@@ -361,10 +367,19 @@ def test_unknown_provider_rejected():
         ModelConfig(provider="anthropic-style")
 
 
-@pytest.mark.parametrize("retries", [0, -5])
-def test_fewer_than_one_attempt_per_call_rejected(retries):
-    with pytest.raises(ValueError, match=f"retries must be at least 1, got {retries}"):
-        ModelConfig(retries=retries)
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"retries": 0}, "retries must be at least 1, got 0"),
+        ({"retries": -5}, "retries must be at least 1, got -5"),
+        ({"timeout": 0}, "timeout must be above 0, got 0"),
+        ({"timeout": -1.0}, "timeout must be above 0, got -1.0"),
+        ({"timeout": float("nan")}, "timeout must be above 0, got nan"),
+    ],
+)
+def test_a_setting_out_of_range_is_rejected(setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelConfig(**setting)
 
 
 def test_cassette_records_are_compact_json(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,6 @@ from lelma.gateway import (
     ModelConfig,
     Usage,
     load_cassette,
-    replay_config,
 )
 from lelma.orchestrator import (
     AttemptRecord,
@@ -175,8 +175,8 @@ class TestRunSession:
         assert t.exit is ExitReason.NONE
 
     def test_unreadable_record_cassette_aborts_the_session(self, pd, tmp_path):
-        # Building the reasoner's Gateway reads the cassette at `record_to`,
-        # here a directory.
+        # The reasoner's first call reads the cassette at `record_to`, here a
+        # directory.
         cfg = loop([REASONING_TRUE], ["higher(3, 1)"], record_to=str(tmp_path))
         t = run_session(pd, cfg, session_id="unreadable")
         assert t.aborted
@@ -345,8 +345,8 @@ class TestTranscripts:
         write_transcript(str(live_path), live)
 
         replaying = LoopConfig(
-            reasoner=replay_config(recording.reasoner, reasoner_cassette),
-            translator=replay_config(recording.translator, translator_cassette),
+            reasoner=replace(recording.reasoner, provider="replay"),
+            translator=replace(recording.translator, provider="replay"),
             max_attempts=cfg.max_attempts,
         )
         replayed = run_session(pd, replaying, session_id="replayable")
@@ -355,3 +355,32 @@ class TestTranscripts:
 
         assert replay_path.read_bytes() == live_path.read_bytes()
         assert replayed == live
+
+    @pytest.mark.parametrize("recorded", [1, 2, 3, 5])
+    def test_a_rerun_resumes_a_session_cut_off_after_some_calls(self, pd, tmp_path, recorded):
+        # Three attempts, six calls: reasoner and translator in turn.
+        reasoner = ["Payoff 1 is higher than 3. CHOICE: R", "Still 1 beats 3. CHOICE: R",
+                    "Fixed. CHOICE: B"]
+        translator = ["higher(1, 3)", "higher(1, 3)", "higher(3, 1)"]
+
+        def session(tapes, cut=6, answered=0):
+            # With `cut` calls scripted, the session stops after the `cut`-th.
+            # The first `answered` calls must come from the cassettes: their
+            # script slots hold a text no transcript may show.
+            def script(texts, calls, stop):
+                return ["CHOICE: R (from the script)"] * calls + texts[calls:stop]
+
+            cfg = loop(script(reasoner, (answered + 1) // 2, (cut + 1) // 2),
+                       script(translator, answered // 2, cut // 2), record_to=f"{tapes}.r")
+            cfg = replace(cfg, translator=replace(cfg.translator, record_to=f"{tapes}.t"))
+            return run_session(pd, cfg, session_id="resumed")
+
+        whole = session(tmp_path / "whole")
+        assert not whole.aborted and whole.attempt_count == 3
+        cut = session(tmp_path / "cut", recorded)
+        assert cut.aborted and "exhausted" in cut.error
+        assert sum(len(load_cassette(str(tape))) for tape in tmp_path.glob("cut.*")) == recorded
+        resumed = session(tmp_path / "cut", answered=recorded)
+        write_transcript(str(tmp_path / "whole.jsonl"), whole)
+        write_transcript(str(tmp_path / "resumed.jsonl"), resumed)
+        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
