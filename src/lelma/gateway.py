@@ -21,11 +21,14 @@ import functools
 import hashlib
 import json
 import os
+import random
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
+
+from ._record import record
 
 
 class GatewayError(Exception):
@@ -60,13 +63,13 @@ class ReplayMissError(CassetteError):
         self.key = key
 
 
-@dataclass(frozen=True)
+@record
 class ChatMessage:
     role: str  # system | user | assistant
     content: str
 
 
-@dataclass(frozen=True)
+@record
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -82,7 +85,7 @@ class Usage:
         return self.prompt_tokens + self.completion_tokens
 
 
-@dataclass(frozen=True)
+@record
 class CompletionResult:
     text: str
     usage: Usage
@@ -290,7 +293,9 @@ class Gateway:
     def _post(self, payload: dict, key_header: str, key_prefix: str = "") -> "tuple[dict, float]":
         """POST `payload` to the endpoint, with the API key, if the config
         names its variable, in `key_header`, retrying transient failures with
-        backoff. Returns the reply body and the seconds it took, retries included."""
+        backoff. Each wait is a random share, a half to all, of its backoff step
+        (0.5 s, 1 s, 2 s, ...), so callers that failed together do not retry in
+        lockstep. Returns the reply body and the seconds it took, retries included."""
         cfg = self.cfg
         headers = {"Content-Type": "application/json"}
         if cfg.api_key_env:
@@ -302,7 +307,8 @@ class Gateway:
         last_error: Optional[GatewayError] = None
         for attempt in range(cfg.retries):
             if attempt:
-                self._sleep(0.5 * 2 ** (attempt - 1))
+                step = 0.5 * 2 ** (attempt - 1)
+                self._sleep(random.uniform(step / 2, step))
             try:
                 status, body = self._transport(cfg.endpoint, headers, payload, cfg.timeout)
             except TransportError as exc:

@@ -22,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
+from ._record import record
 from .games import PROMPT_LABELS, GameSpec
 from .gateway import ChatMessage, Gateway, ModelConfig, Usage, check_types, dumps, read_records
 from .translator import build_translation_prompt, parse_queries
@@ -125,7 +126,7 @@ class ExitReason(str, Enum):
     MAX_ATTEMPTS = "max_attempts"
 
 
-@dataclass(frozen=True)
+@record
 class AttemptRecord:
     index: int  # 1-based
     instruction: str
@@ -140,7 +141,7 @@ class AttemptRecord:
         return tuple(r.query for r in self.report.results)
 
 
-@dataclass(frozen=True)
+@record
 class SessionTranscript:
     session_id: str
     game: str
@@ -178,6 +179,10 @@ class LoopConfig:
     max_attempts: int = 5
 
     def __post_init__(self) -> None:
+        for role in ("reasoner", "translator"):
+            model = getattr(self, role)
+            if not isinstance(model, ModelConfig):
+                raise TypeError(f"{role} must be a ModelConfig, not {type(model).__name__}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
 
@@ -196,10 +201,11 @@ def run_session(
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
     error: Optional[str] = None
+    # Building a gateway reads nothing and cannot fail: the config is checked.
+    reasoner = reasoner or Gateway(cfg.reasoner)
+    translator = translator or Gateway(cfg.translator)
 
     try:
-        reasoner = reasoner or Gateway(cfg.reasoner)
-        translator = translator or Gateway(cfg.translator)
         for index in range(1, cfg.max_attempts + 1):
             reply = reasoner.complete((ChatMessage("user", instruction),))
             wall_time += reply.latency
@@ -234,16 +240,12 @@ def run_session(
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
 
-    if reasoner is None or translator is None:  # building one failed, so no call was made
-        usage = Usage()
-    else:
-        usage = reasoner.totals + translator.totals
     return SessionTranscript(
         session_id=session_id or f"{g.name}-session",
         game=g.name,
         model=cfg.reasoner.model_id,
         attempts=tuple(attempts),
-        usage=usage,
+        usage=reasoner.totals + translator.totals,
         wall_time=wall_time,
         error=error,
     )

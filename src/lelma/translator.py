@@ -10,15 +10,15 @@ partially off-format response degrades gracefully instead of failing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import record
 from .games import GameSpec
 from .gateway import ChatMessage
 from .verification import Query, VerificationError, parse_query_line
 
 
-@dataclass(frozen=True)
+@record
 class ParseDiagnostics:
     parsed_count: int
     skipped: "tuple[tuple[str, str], ...]"  # (line, reason) pairs

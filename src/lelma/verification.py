@@ -17,6 +17,8 @@ in an editable resource file, resources/feedback_templates.json.
 A translator line is parsed in one pass: it is stripped once, matched
 against the one-level template before the outcome template (they
 cannot both match), and its tokens, read by slot, go to check_query.
+The parser marks the query it has checked, so evaluate_query checks
+only the queries it did not build.
 
 Each kind is described once. A new kind needs a QueryKind member, one
 _KINDS entry (its argument schema and its judge, which gives the
@@ -35,11 +37,12 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from importlib.resources import files
 from typing import Optional, Sequence
 
+from ._record import record
 from .engine import LogicError, solve
 from .games import PROMPT_LABELS, GameSpec, outcome_goal
 from .terms import Atom, Int, Var
@@ -79,16 +82,22 @@ class QueryKind(str, Enum):
     LOWEST_MUTUAL = "lowest_mutual_payoff"
 
 
-@dataclass(frozen=True)
+@record
 class Query:
     """One formal claim; args are in template argument order."""
 
     kind: QueryKind
     args: "tuple[object, ...]"
     source_text: str = field(default="", compare=False)
+    # Set by parse_query_line once check_query has passed, so evaluate_query
+    # checks the query no second time. `replace` builds an unmarked copy.
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+_mark_checked = Query._checked.__set__
+
+
+@record
 class QueryResult:
     query: Query
     holds: bool
@@ -97,12 +106,13 @@ class QueryResult:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     results: "tuple[QueryResult, ...]"
+    # Computed once: the session loop and the feedback read it per attempt.
+    _failed: "tuple[QueryResult, ...]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Computed once: the session loop and the feedback read it per attempt.
         failed = tuple(r for r in self.results if r.error is None and not r.holds)
         object.__setattr__(self, "_failed", failed)
 
@@ -171,6 +181,7 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
     schema = SCHEMAS[kind]
     q = Query(kind, (*map(_read_token, tokens, schema), *tokens[len(schema) :]), source)
     check_query(q)
+    _mark_checked(q, True)
     return q
 
 
@@ -317,8 +328,10 @@ SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {k: schema for k, (schema, _) in _
 
 
 def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
-    """Decide one query against the game and build corrections on failure."""
-    check_query(q)
+    """Decide one query against the game and build corrections on failure.
+    A query parse_query_line built is checked already; any other is checked here."""
+    if not q._checked:
+        check_query(q)
     corrections, key, fields = _KINDS[q.kind][1](g, q.kind, q.args)
     if not corrections:
         return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")

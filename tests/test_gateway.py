@@ -326,7 +326,21 @@ class TestRetries:
         gw = Gateway(cfg, transport=transport, sleep=sleeps.append)
         assert gw.complete(MESSAGES).text == "the answer"
         assert calls["n"] == 3
-        assert sleeps == [0.5, 1.0]
+        # Each wait is jittered within its backoff step, a half to all of it.
+        assert len(sleeps) == 2
+        assert 0.25 <= sleeps[0] <= 0.5 and 0.5 <= sleeps[1] <= 1.0
+
+    def test_backoff_waits_are_jittered(self):
+        sleeps = []
+        cfg = ModelConfig(provider="openai", endpoint="https://x", retries=4)
+        for _ in range(20):
+            gw = Gateway(cfg, transport=respond(503, {}), sleep=sleeps.append)
+            with pytest.raises(ProviderError):
+                gw.complete(MESSAGES)
+        firsts, thirds = sleeps[0::3], sleeps[2::3]
+        assert len(firsts) == len(thirds) == 20
+        assert all(0.25 <= s <= 0.5 for s in firsts) and all(1.0 <= s <= 2.0 for s in thirds)
+        assert len(set(firsts)) > 1  # not one fixed wait
 
     def test_budget_of_attempts_exhausted(self):
         cfg = ModelConfig(provider="openai", endpoint="https://x", retries=2)

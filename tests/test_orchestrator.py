@@ -163,6 +163,14 @@ class TestRunSession:
             loop([], [], max_attempts=max_attempts)
         assert str(err.value) == f"max_attempts must be at least 1, got {max_attempts}"
 
+    @pytest.mark.parametrize("role", ["reasoner", "translator"])
+    @pytest.mark.parametrize("model, name", [(None, "NoneType"), ("mock", "str"), ({}, "dict")])
+    def test_a_role_that_is_not_a_model_config_is_rejected(self, role, model, name):
+        roles = {"reasoner": ModelConfig(), "translator": ModelConfig(), role: model}
+        with pytest.raises(TypeError) as err:
+            LoopConfig(**roles)
+        assert str(err.value) == f"{role} must be a ModelConfig, not {name}"
+
     def test_gateway_failure_aborts_with_partial_transcript(self, pd):
         cfg = loop(
             ["Payoff 1 is higher than 3. CHOICE: R"],  # script exhausted on attempt 2

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 import string
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 from oracles import oracle_holds
+from lelma import verification
 from lelma.games import parse_game
 from lelma.orchestrator import payoff_rules_text
+from lelma.translator import parse_queries
 from lelma.verification import (
     SCHEMAS,
     EmptyFailureSetError,
@@ -263,6 +267,55 @@ def test_evaluate_all_captures_errors_without_aborting(pd):
     assert [r.holds for r in report.results] == [True, False, False]
     assert report.results[1].error is not None
     assert report.failed == (report.results[2],)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The queries `check_query` is called with, the calls counted through
+    the module global that parse_query_line and evaluate_query call."""
+    calls = []
+    check = verification.check_query
+
+    def counted(q):
+        calls.append(q)
+        check(q)
+
+    monkeypatch.setattr(verification, "check_query", counted)
+    return calls
+
+
+def test_a_parsed_query_is_checked_once(pd, check_calls):
+    lines = [
+        "higher(5, 3)",
+        "lowest_possible_individual_payoff(7)",
+        "highest_guaranteed_payoff_choice(R)",
+        "finally(outcome(you,B,3,them,B,_),S)",
+        "not a query",
+    ]
+    queries, diagnostics = parse_queries("\n".join(lines), pd)
+    assert diagnostics.parsed_count == 4 and len(check_calls) == 4
+    report = evaluate_all(queries, pd)
+    assert check_calls == queries  # evaluate_all checked none of them again
+    assert [(r.holds, r.error) for r in report.results] == [
+        (True, None), (False, None), (True, None), (True, None)
+    ]
+
+
+def test_a_hand_built_or_replaced_query_is_checked_when_evaluated(pd, check_calls):
+    parsed = parse_query_line("higher(5, 3)", pd)
+    malformed = Query(QueryKind.HIGHER, (5,))
+    replaced = replace(parsed, args=("B", 3))
+    copied = copy.copy(parsed)
+    del check_calls[:]
+    report = evaluate_all([malformed, replaced, copied, Query(QueryKind.HIGHER, (5, 3))], pd)
+    assert check_calls == [malformed, replaced, Query(QueryKind.HIGHER, (5, 3))]
+    assert [r.error for r in report.results] == [
+        "higher takes 2 argument(s), got 1",
+        "higher: expected an integer, got 'B'",
+        None,
+        None,
+    ]
+    assert [r.holds for r in report.results] == [False, False, True, True]
 
 
 def test_evaluate_all_captures_engine_errors(pd):
