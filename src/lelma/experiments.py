@@ -14,6 +14,10 @@ The mock provider gets per-session scripts from mock_session_scripts,
 which cycles four scenarios (clean, corrected, untranslatable,
 stubborn) so a small offline run exercises every loop exit.
 
+Its settings are an ExperimentConfig and two ModelConfigs, built in
+Python or read from an INI file by load_experiment_config. Each
+dataclass checks the range of its own fields, so both reject alike.
+
 Human evaluation goes through CSV sheets: export blank ones, collect
 labels, aggregate conservatively (a sample counts as correct only if
 every evaluator says so), compare against the verifier's prediction
@@ -27,7 +31,7 @@ import configparser
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -84,93 +88,76 @@ class ExperimentConfig:
     cassette_dir: Optional[str] = None
     max_attempts: int = 5
 
+    def __post_init__(self) -> None:
+        # Each message starts with the field's name; the INI reader adds the section.
+        if not self.games:
+            raise ValueError("games: no game given")
+        for name, least in (("repetitions", 1), ("parallelism", 0), ("max_attempts", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}: expected at least {least}, got {getattr(self, name)}")
+
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """INI config. Credentials are named by env var only, never inline.
 
-    A file configparser rejects, a section or key lelma does not read, or
-    a value that cannot be read or is out of range, such as
-    `repetitions = many`, `max_attempts = 0` or an empty `games =`, raises
-    ExperimentError naming the line or the section and key. `[DEFAULT]` is
-    not copied into the other sections: it is a section lelma does not read.
+    `[experiment]` sets an ExperimentConfig, `[reasoner]` and `[translator]`
+    each a ModelConfig, through _read_section. A file configparser rejects,
+    a section or key lelma does not read, or a value that cannot be read
+    or that the dataclass rejects, such as `repetitions = many`,
+    `max_attempts = 0` or an empty `games =`, raises ExperimentError naming
+    the line or the section and key. `[DEFAULT]` is not copied into the
+    other sections: it is a section lelma does not read.
     """
     # No section header can name "", so `[DEFAULT]` is read as an ordinary section.
     parser = configparser.ConfigParser(default_section="")
     try:
         if not parser.read(path):
             raise ExperimentError(f"cannot read config file {path}")
-        return _experiment_from(parser)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:  # a malformed line, a bad %-interpolation, ...
         raise ExperimentError(str(exc)) from None
-
-
-def _experiment_from(parser: configparser.ConfigParser) -> ExperimentConfig:
-    # Each reader pops the keys it reads, so what is left in the end went unread.
-    # Only the keys a section sets are passed on; the dataclasses supply the rest.
-    settings = {name: dict(parser[name]) for name in parser.sections()}
-    exp = settings.setdefault("experiment", {})
-    fields: "dict[str, object]" = {}
-    if "games" in exp:
-        games = tuple(name.strip() for name in exp.pop("games").split(",") if name.strip())
-        if not games:
-            raise ExperimentError("[experiment] games: no game given")
-        fields["games"] = games
-    for section in ("reasoner", "translator"):
-        fields[section] = _model_from(settings.setdefault(section, {}), section)
-    for key, least in (("repetitions", 1), ("parallelism", 0), ("max_attempts", 1)):
-        if key in exp:
-            fields[key] = _number(exp, "experiment", key, int, least)
-    if "output_dir" in exp:
-        fields["output_dir"] = exp.pop("output_dir")
-    if cassette_dir := exp.pop("cassette_dir", None):  # empty reads as unset
-        fields["cassette_dir"] = cassette_dir
-    cfg = ExperimentConfig(**fields)
-    for section, unread in settings.items():
+    for section, values in sections.items():
         if section not in ("experiment", "reasoner", "translator"):
             raise ExperimentError(f"[{section}]: unknown section")
-        if unread:
-            raise ExperimentError(f"[{section}] {next(iter(unread))}: unknown setting")
-    return cfg
-
-
-def _number(values: "dict[str, str]", section: str, key: str, kind: type, least=None, strict=False):
-    """`values[key]`, popped and read as an int or a float. A value below
-    `least`, when that is given, is an error, and with `strict` so is `least`."""
-    text = values.pop(key)
-    try:
-        value = kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ExperimentError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
-    if least is not None and not (value > least if strict else value >= least):  # nan fails
-        bound = "above" if strict else "at least"
-        raise ExperimentError(f"[{section}] {key}: expected {bound} {least}, got {text!r}")
-    return value
-
-
-def _model_from(sec: "dict[str, str]", section: str) -> ModelConfig:
-    for key in sec:
-        if key in ("api_key", "apikey", "key", "token", "secret"):
+        if section != "experiment" and {"api_key", "apikey", "key", "token", "secret"} & set(values):
             raise ExperimentError(
                 f"[{section}] must not contain credentials; "
                 "set api_key_env to the NAME of an environment variable instead"
             )
-    fields: "dict[str, object]" = {
-        key: sec.pop(key) for key in ("provider", "model_id", "endpoint") if key in sec
-    }
-    for key, kind, least in (
-        ("temperature", float, None), ("max_output_tokens", int, None), ("retries", int, 1),
-    ):
-        if key in sec:
-            fields[key] = _number(sec, section, key, kind, least)
-    if "timeout" in sec:
-        fields["timeout"] = _number(sec, section, "timeout", float, 0, strict=True)
-    if api_key_env := sec.pop("api_key_env", None):  # empty reads as unset
-        fields["api_key_env"] = api_key_env
+    models = {role: _read_section(ModelConfig, role, sections.get(role, {}))
+              for role in ("reasoner", "translator")}
+    return _read_section(ExperimentConfig, "experiment", sections.get("experiment", {}), **models)
+
+
+# Set from Python only: each model has a section of its own, and the
+# experiment runner sets a model's script and cassette.
+_NOT_IN_FILES = ("reasoner", "translator", "script", "record_to")
+
+
+def _read_section(cls: type, section: str, values: "dict[str, str]", **given):
+    """`cls(**given)`, with each of a section's `values` read as the type of its
+    field's default: int, float, a comma-separated tuple, or else text, where an
+    empty value leaves a field whose default is None unset. The section's own
+    keys are passed on; `cls` supplies the rest and checks every range."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in _NOT_IN_FILES}
+    for key, text in values.items():
+        if key not in defaults:
+            raise ExperimentError(f"[{section}] {key}: unknown setting")
+        default = defaults[key]
+        if isinstance(default, tuple):
+            given[key] = tuple(item.strip() for item in text.split(",") if item.strip())
+        elif isinstance(default, (int, float)):
+            try:
+                given[key] = type(default)(text)
+            except ValueError:
+                expected = "an integer" if isinstance(default, int) else "a number"
+                raise ExperimentError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
+        elif text or default is not None:  # empty reads as unset where the default is None
+            given[key] = text
     try:
-        return ModelConfig(**fields)
-    except ValueError as exc:  # an unknown provider; the numbers were checked above
-        raise ExperimentError(f"[{section}] provider: {exc}") from None
+        return cls(**given)
+    except ValueError as exc:  # its message starts with the key
+        raise ExperimentError(f"[{section}] {exc}") from None
 
 
 # --- scripted offline scenarios ------------------------------------------------
@@ -262,7 +249,7 @@ def run_experiment(
 
     out.mkdir(parents=True, exist_ok=True)
     workers = min(cfg.parallelism or len(cfg.games), len(sessions))
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         transcripts = list(pool.map(run, sessions))
     summary = summarize(transcripts, max_attempts=cfg.max_attempts)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -450,10 +437,6 @@ def predicted_correctness(transcripts: Sequence[SessionTranscript]) -> "dict[str
     return predictions
 
 
-def _round_half_up(value: float) -> int:
-    return int(value * 100 + 0.5)
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tt: int  # actually correct, predicted correct
@@ -471,7 +454,8 @@ class ConfusionMatrix:
 
     @property
     def accuracy_percent(self) -> int:
-        return _round_half_up(self.accuracy)
+        """Accuracy in percent, rounded half up in integers: float error took some halves down."""
+        return (200 * (self.tt + self.ff) + self.total) // (2 * self.total)
 
 
 def confusion_matrix(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import time
@@ -109,12 +110,17 @@ class ModelConfig:
     record_to: Optional[str] = None  # the cassette: answers what it holds, records the rest
 
     def __post_init__(self) -> None:
+        # Each message starts with the field's name; the INI reader adds the section.
         if self.provider not in PROVIDERS:
-            raise ValueError(f"unknown provider {self.provider!r} (valid: {PROVIDERS})")
+            raise ValueError(f"provider: expected one of {', '.join(PROVIDERS)}, got {self.provider!r}")
+        if not 0 <= self.temperature < math.inf:  # nan fails; requests cannot send nan or inf
+            raise ValueError(f"temperature: expected a finite number at least 0, got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ValueError(f"max_output_tokens: expected at least 1, got {self.max_output_tokens}")
         if self.retries < 1:
-            raise ValueError(f"retries must be at least 1, got {self.retries}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be above 0, got {self.timeout}")
+            raise ValueError(f"retries: expected at least 1, got {self.retries}")
+        if not 0 < self.timeout < math.inf:  # nan fails; requests overflows on inf
+            raise ValueError(f"timeout: expected a finite number above 0, got {self.timeout}")
 
 
 def dumps(record: dict) -> str:

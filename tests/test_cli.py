@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from lelma.cli import main
-from lelma.experiments import load_experiment_config
+from lelma.experiments import ExperimentConfig, load_experiment_config
+from lelma.gateway import ModelConfig
 
 
 PD_TEXT = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
@@ -261,69 +262,123 @@ class TestRunAndStats:
         assert "Traceback" not in err
         assert (out / "summary.json").is_file()
 
+    # `python` is the same value given to the row's dataclass, which must
+    # reject it with the same message; None where a row has no such value:
+    # the file's syntax, a section or key no dataclass has, or text that is
+    # not a number.
     @pytest.mark.parametrize(
-        "section, line, message",
+        "section, line, message, python",
         [
-            ("experiment", "games =", "error: [experiment] games: no game given"),
+            ("experiment", "games =", "error: [experiment] games: no game given", {"games": ()}),
             (
                 "experiment",
                 "max_attempts = 0",
-                "error: [experiment] max_attempts: expected at least 1, got '0'\n",
+                "error: [experiment] max_attempts: expected at least 1, got 0\n",
+                {"max_attempts": 0},
             ),
             (
                 "experiment",
                 "repetitions = 0",
-                "error: [experiment] repetitions: expected at least 1, got '0'\n",
+                "error: [experiment] repetitions: expected at least 1, got 0\n",
+                {"repetitions": 0},
             ),
             (
                 "experiment",
                 "parallelism = -1",
-                "error: [experiment] parallelism: expected at least 0, got '-1'\n",
+                "error: [experiment] parallelism: expected at least 0, got -1\n",
+                {"parallelism": -1},
             ),
             (
                 "experiment",
                 "repetitions = many",
                 "error: [experiment] repetitions: expected an integer, got 'many'",
+                None,
             ),
             (
                 "reasoner",
                 "retries = 0",
-                "error: [reasoner] retries: expected at least 1, got '0'\n",
+                "error: [reasoner] retries: expected at least 1, got 0\n",
+                {"retries": 0},
             ),
             (
                 "reasoner",
                 "timeout = 0",
-                "error: [reasoner] timeout: expected above 0, got '0'\n",
+                "error: [reasoner] timeout: expected a finite number above 0, got 0.0\n",
+                {"timeout": 0.0},
             ),
             (
                 "translator",
                 "timeout = -1",
-                "error: [translator] timeout: expected above 0, got '-1'\n",
+                "error: [translator] timeout: expected a finite number above 0, got -1.0\n",
+                {"timeout": -1.0},
             ),
-            ("reasoner", "timeout = nan", "error: [reasoner] timeout: expected above 0, got 'nan'\n"),
+            (
+                "reasoner",
+                "timeout = nan",
+                "error: [reasoner] timeout: expected a finite number above 0, got nan\n",
+                {"timeout": float("nan")},
+            ),
+            (
+                "reasoner",
+                "timeout = inf",
+                "error: [reasoner] timeout: expected a finite number above 0, got inf\n",
+                {"timeout": float("inf")},
+            ),
             (
                 "reasoner",
                 "temperature = hot",
                 "error: [reasoner] temperature: expected a number, got 'hot'",
+                None,
             ),
-            ("translator", "provider = anthropic", "error: [translator] provider: unknown"),
-            ("experiment", "output_dir = elsewhere", "error: While reading from"),
-            ("reasoner", "model_id = 100%", "error: '%' must be followed by '%' or '('"),
-            ("experiment", "max_attempt = 2", "error: [experiment] max_attempt: unknown setting\n"),
-            ("reasoner", "temprature = 0.2", "error: [reasoner] temprature: unknown setting\n"),
-            ("translator", "max_calls = 3", "error: [translator] max_calls: unknown setting\n"),
-            ("reasonr", "provider = openai", "error: [reasonr]: unknown section\n"),
+            (
+                "reasoner",
+                "temperature = nan",
+                "error: [reasoner] temperature: expected a finite number at least 0, got nan\n",
+                {"temperature": float("nan")},
+            ),
+            (
+                "translator",
+                "temperature = inf",
+                "error: [translator] temperature: expected a finite number at least 0, got inf\n",
+                {"temperature": float("inf")},
+            ),
+            (
+                "reasoner",
+                "temperature = -0.5",
+                "error: [reasoner] temperature: expected a finite number at least 0, got -0.5\n",
+                {"temperature": -0.5},
+            ),
+            (
+                "translator",
+                "max_output_tokens = 0",
+                "error: [translator] max_output_tokens: expected at least 1, got 0\n",
+                {"max_output_tokens": 0},
+            ),
+            (
+                "translator",
+                "provider = anthropic",
+                "error: [translator] provider: expected one of openai, gemini, mock, replay, "
+                "got 'anthropic'\n",
+                {"provider": "anthropic"},
+            ),
+            ("experiment", "output_dir = elsewhere", "error: While reading from", None),
+            ("reasoner", "model_id = 100%", "error: '%' must be followed by '%' or '('", None),
+            ("experiment", "max_attempt = 2", "error: [experiment] max_attempt: unknown setting\n", None),
+            ("reasoner", "temprature = 0.2", "error: [reasoner] temprature: unknown setting\n", None),
+            ("translator", "max_calls = 3", "error: [translator] max_calls: unknown setting\n", None),
+            ("reasonr", "provider = openai", "error: [reasonr]: unknown section\n", None),
             # [DEFAULT] is not copied into the other sections, so its keys would go unread.
-            ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n"),
+            ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n", None),
         ],
         ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
              "non-integer", "no-request-attempt", "zero-timeout", "negative-timeout", "nan-timeout",
-             "non-number", "unknown-provider", "repeated-key",
+             "infinite-timeout", "non-number", "nan-temperature", "infinite-temperature",
+             "negative-temperature", "no-output-token", "unknown-provider", "repeated-key",
              "bad-interpolation", "misspelt-key", "misspelt-model-key", "api-only-key",
              "misspelt-section", "default-section"],
     )
     def test_an_unreadable_config_value_is_an_error(
-        self, tmp_path, capsys, section, line, message
+        self, tmp_path, capsys, section, line, message, python
     ):
         # Each config would run but for `line`, which is added to `section`
         # (a second `output_dir` repeats a key).
@@ -339,6 +394,10 @@ class TestRunAndStats:
         assert err.startswith(message)
         assert "Traceback" not in err
         assert not out.exists()
+        if python is not None:
+            with pytest.raises(ValueError) as excinfo:
+                (ExperimentConfig if section == "experiment" else ModelConfig)(**python)
+            assert err == f"error: [{section}] {excinfo.value}\n"
 
 
 def readme_blocks(language):

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import threading
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -372,6 +374,16 @@ class TestConfusionMatrix:
         assert cm.accuracy_percent == 50
         cm = ConfusionMatrix(tt=171, tf=29, ft=0, ff=0)  # 85.5%
         assert cm.accuracy_percent == 86
+        cm = ConfusionMatrix(tt=23, tf=17, ft=0, ff=0)  # 57.5%, which float error took down
+        assert cm.accuracy_percent == 58
+        wrong = [
+            (correct, total)
+            for total in range(1, 401)
+            for correct in range(total + 1)
+            if ConfusionMatrix(correct // 2, total - correct, 0, correct - correct // 2).accuracy_percent
+            != math.floor(Fraction(100 * correct, total) + Fraction(1, 2))
+        ]
+        assert wrong == []
 
     def test_key_mismatch(self):
         with pytest.raises(KeyMismatchError) as excinfo:
@@ -681,6 +693,51 @@ class TestConfigLoading:
         model, default = load_experiment_config(str(path)).reasoner, ModelConfig()
         unset = {f.name for f in fields(ModelConfig) if getattr(model, f.name) == getattr(default, f.name)}
         assert unset == {"script", "record_to"}
+
+    # Every key each section reads, written as its field's default. A field
+    # that no file sets is set from Python: the runner sets script and record_to.
+    SETTINGS = {
+        "experiment": {
+            "games": "pd, sh, hd",
+            "repetitions": "30",
+            "parallelism": "0",
+            "output_dir": "runs",
+            "cassette_dir": "",
+            "max_attempts": "5",
+        },
+        **dict.fromkeys(("reasoner", "translator"), {
+            "provider": "mock",
+            "model_id": "mock-model",
+            "endpoint": "",
+            "temperature": "1.0",
+            "max_output_tokens": "1024",
+            "timeout": "60",
+            "retries": "3",
+            "api_key_env": "",
+        }),
+    }
+
+    def test_each_section_reads_its_keys_and_no_more(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {text}\n" for key, text in values.items())
+            for section, values in self.SETTINGS.items()
+        ))
+        assert load_experiment_config(str(path)) == ExperimentConfig()
+        python_only = {ExperimentConfig: {"reasoner", "translator"}, ModelConfig: {"script", "record_to"}}
+        for section, cls in [("experiment", ExperimentConfig), ("reasoner", ModelConfig),
+                             ("translator", ModelConfig)]:
+            assert set(self.SETTINGS[section]) == {f.name for f in fields(cls)} - python_only[cls]
+
+    @pytest.mark.parametrize("section, key", [
+        ("reasoner", "script"), ("reasoner", "record_to"), ("translator", "script"),
+        ("translator", "record_to"), ("experiment", "reasoner"), ("experiment", "translator"),
+    ])
+    def test_a_field_set_from_python_is_not_a_setting(self, tmp_path, section, key):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = x\n")
+        with pytest.raises(ExperimentError, match=rf"^\[{section}\] {key}: unknown setting$"):
+            load_experiment_config(str(path))
 
     def test_inline_credentials_rejected(self, tmp_path):
         path = tmp_path / "leaky.ini"

@@ -377,18 +377,18 @@ class TestRetries:
 
 
 def test_unknown_provider_rejected():
-    with pytest.raises(ValueError, match="unknown provider"):
+    with pytest.raises(ValueError, match="provider: expected one of openai, gemini, mock, replay"):
         ModelConfig(provider="anthropic-style")
 
 
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ({"retries": 0}, "retries must be at least 1, got 0"),
-        ({"retries": -5}, "retries must be at least 1, got -5"),
-        ({"timeout": 0}, "timeout must be above 0, got 0"),
-        ({"timeout": -1.0}, "timeout must be above 0, got -1.0"),
-        ({"timeout": float("nan")}, "timeout must be above 0, got nan"),
+        ({"retries": 0}, "retries: expected at least 1, got 0"),
+        ({"retries": -5}, "retries: expected at least 1, got -5"),
+        ({"timeout": 0}, "timeout: expected a finite number above 0, got 0"),
+        ({"timeout": -1.0}, "timeout: expected a finite number above 0, got -1.0"),
+        ({"timeout": float("nan")}, "timeout: expected a finite number above 0, got nan"),
     ],
 )
 def test_a_setting_out_of_range_is_rejected(setting, message):
