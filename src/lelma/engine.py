@@ -34,7 +34,9 @@ variable the goal variable is bound, as `terms.unify(goal, head)` would
 bind it. There is no occurs check; an answer, an error message or a
 ground check that meets a variable bound to a term containing it raises
 LogicError, and so does a unification of cyclic terms that would never
-end.
+end. Answers, error messages and ground checks past `_CYCLE_CHECK_AFTER`
+compounds fold each shared part of a cell term once (`_fold_cells`), so
+they take time linear in the term's stored size.
 
 `RuleBase` also builds one entry per predicate. The entry switches on
 the principal functor or constant of a goal's first argument, as the
@@ -212,46 +214,73 @@ def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
     return fold(term, leaf, lambda functor, args: (functor, *args))
 
 
-def _to_term(t) -> Term:
-    """The fully resolved `Term` of a cell term.
+def _fold_cells(t, leaf, node):
+    """Fold the cell term `t` bottom-up, as `terms.fold` folds a `Term`:
+    `leaf(c)` maps each atom, integer and unbound `_Ref`, left to right,
+    `node(functor, args)` maps each compound, `args` being the tuple of
+    its arguments' results, and a bound `_Ref` maps as its value does.
 
-    Iterative, so a deep term cannot exhaust Python's stack. A variable
-    bound to a term that contains it raises LogicError.
+    Iterative, so a deep term cannot exhaust Python's stack. Each compound
+    and each bound `_Ref` is folded once, however often it is shared: its
+    result is kept by object identity, which is safe because every such
+    object stays reachable from `t` during the fold. A variable met
+    inside its own binding raises LogicError.
     """
-    inside: set = set()  # bound _Refs whose compounds are being converted
-    out: list = []  # converted terms; a compound takes its args off the end
+    done: dict = {}  # a folded bound _Ref, or a folded compound's id -> its result
+    inside: set = set()  # bound _Refs whose compounds are being folded
+    out: list = []  # results; a compound takes its arguments' off the end
     todo = [t]
     while todo:
         t = todo.pop()
-        if type(t) is list:  # the arguments of a compound are converted
-            functor, n, refs = t
-            args = tuple(out[len(out) - n :])
-            del out[len(out) - n :]
-            out.append(Struct(functor, args))
+        if type(t) is list:  # the arguments of a compound are folded
+            t, refs = t
+            k = len(out) + 1 - len(t)
+            value = done[id(t)] = node(t[0], tuple(out[k:]))
+            del out[k:]
             inside.difference_update(refs)
-            continue
-        refs = []
-        while type(t) is _Ref and t.value is not None:
-            if t in inside:
-                name = Var(t.name, t.ordinal)
-                raise LogicError(f"cyclic term: {name} occurs in its own binding")
-            refs.append(t)
-            t = t.value
-        if type(t) is tuple:
-            inside.update(refs)
-            todo.append([t[0], len(t) - 1, refs])
-            todo.extend(reversed(t[1:]))
-        elif type(t) is _Ref:
-            out.append(Var(t.name, t.ordinal))
-        elif type(t) is str:
-            out.append(Atom(t))
         else:
-            out.append(Int(t))
+            refs = []  # the bound _Refs walked to reach t, not folded yet
+            while type(t) is _Ref and t.value is not None and t not in done:
+                if t in inside:
+                    name = Var(t.name, t.ordinal)
+                    raise LogicError(f"cyclic term: {name} occurs in its own binding")
+                refs.append(t)
+                t = t.value
+            if type(t) is tuple:
+                if id(t) not in done:
+                    inside.update(refs)
+                    todo.append([t, refs])
+                    todo += t[:0:-1]
+                    continue
+                value = done[id(t)]
+            elif type(t) is _Ref and t.value is not None:  # a folded one
+                value = done[t]
+            else:
+                value = leaf(t)
+        for ref in refs:
+            done[ref] = value
+        out.append(value)
     return out[0]
 
 
-# Compounds `_is_ground` walks before it hands the term to `_is_ground_checked`,
-# and pairs of compounds `_unify` walks before it checks for cycles.
+def _term_leaf(c) -> Term:
+    """The `Term` of an atom, integer or unbound `_Ref`."""
+    if type(c) is str:
+        return Atom(c)
+    if type(c) is int:
+        return Int(c)
+    return Var(c.name, c.ordinal)
+
+
+def _to_term(t) -> Term:
+    """The fully resolved `Term` of a cell term, in which a shared part is
+    one shared `Term`. A variable bound to a term that contains it raises
+    LogicError."""
+    return _fold_cells(t, _term_leaf, Struct)
+
+
+# Compounds `_is_ground` walks before it hands the term to `_fold_cells`, and
+# pairs of compounds `_unify` walks before it checks for cycles.
 _CYCLE_CHECK_AFTER = 10_000
 
 
@@ -260,8 +289,9 @@ def _is_ground(t) -> bool:
 
     Iterative, so a deep term cannot exhaust Python's stack. A walk that
     meets `_CYCLE_CHECK_AFTER` compounds, a shared one each time it is
-    met, starts over in `_is_ground_checked`, so a cyclic binding raises
-    LogicError instead of looping forever.
+    met, starts over as a `_fold_cells`, which checks each shared part
+    once and raises LogicError for a cyclic binding instead of looping
+    forever.
     """
     while type(t) is _Ref:
         t = t.value
@@ -281,37 +311,7 @@ def _is_ground(t) -> bool:
                 todo.append(a)
         left -= 1
         if not left:
-            return _is_ground_checked(t)
-    return True
-
-
-def _is_ground_checked(t) -> bool:
-    """`_is_ground` for large terms: each bound variable's term is checked
-    once, however often it is shared, and meeting a variable inside its
-    own binding raises LogicError."""
-    inside: set = set()  # bound _Refs whose terms are being checked
-    done: set = set()  # bound _Refs whose terms are ground
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is list:  # the terms of these refs are checked
-            inside.difference_update(t)
-            done.update(t)
-            continue
-        refs = []
-        while type(t) is _Ref and t not in done:
-            if t.value is None:
-                return False
-            if t in inside:
-                raise LogicError(f"cyclic term: {Var(t.name, t.ordinal)} occurs in its own binding")
-            refs.append(t)
-            t = t.value
-        if type(t) is tuple:
-            inside.update(refs)
-            todo.append(refs)
-            todo += t[:0:-1]
-        elif type(t) is not _Ref:
-            done.update(refs)
+            return _fold_cells(t, lambda c: type(c) is not _Ref, lambda f, args: all(args))
     return True
 
 
@@ -849,13 +849,11 @@ def solve(
     chain = None
     for node in [(_to_cells(l.term, cells), rulebase._callee(l)) for l in goals][::-1]:
         chain = (*node, chain)
+    # One fold converts every goal variable, so their values share parts.
+    root = ("", *cells.values())
     for _ in _search(rulebase._preds, chain, limits or ResolutionLimits()):
-        answer: Substitution = {}
-        for v, ref in cells.items():
-            value = _to_term(ref)
-            if value != v:
-                answer[v] = value
-        yield answer
+        values = _to_term(root).args
+        yield {v: value for v, value in zip(cells, values) if value != v}
 
 
 def solve_all(

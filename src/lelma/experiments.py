@@ -95,6 +95,10 @@ class ExperimentConfig:
         for name, least in (("repetitions", 1), ("parallelism", 0), ("max_attempts", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name}: expected at least {least}, got {getattr(self, name)}")
+        # Cassettes among the transcripts would read as another run's transcripts.
+        cassettes = self.cassette_dir
+        if cassettes is not None and Path(cassettes).resolve() == Path(self.output_dir).resolve():
+            raise ValueError(f"cassette_dir: expected a directory other than output_dir, got {cassettes!r}")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

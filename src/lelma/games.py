@@ -191,11 +191,13 @@ class GameSpec:
 
 def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":
     meta: dict[str, str] = {}
-    for _, text in lines:
+    for line, text in lines:
         key, colon, value = (part.strip() for part in text.partition(":"))
         if not colon or key not in ("name", "label R", "label B"):
             raise GameSpecError(
                 f"metadata line {text!r} is not 'key: value' with key name, label R or label B")
+        if key in meta:
+            raise GameSpecError(f"metadata key {key!r} given again on line {line}")
         meta[key] = value
     return meta
 

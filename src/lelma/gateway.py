@@ -23,6 +23,7 @@ import json
 import math
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -121,6 +122,8 @@ class ModelConfig:
             raise ValueError(f"retries: expected at least 1, got {self.retries}")
         if not 0 < self.timeout < math.inf:  # nan fails; requests overflows on inf
             raise ValueError(f"timeout: expected a finite number above 0, got {self.timeout}")
+        if self.timeout > threading.TIMEOUT_MAX:  # a socket's timeout overflows past it
+            raise ValueError(f"timeout: expected at most {threading.TIMEOUT_MAX:.0f}, got {self.timeout}")
 
 
 def dumps(record: dict) -> str:

@@ -397,6 +397,8 @@ def read_transcript(path: str) -> SessionTranscript:
                 raise TranscriptFormatError(f"{where}: attempt after session summary")
             attempts.append(_decoded(where, "attempt", _attempt_from_json, record, attempts))
         elif kind == "session":
+            if transcript is not None:
+                raise TranscriptFormatError(f"{where}: second session summary")
             transcript = _decoded(where, "session", _session_from_json, record, attempts)
         else:
             raise TranscriptFormatError(f"{where}: unknown record type")

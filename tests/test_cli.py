@@ -290,6 +290,13 @@ class TestRunAndStats:
             ),
             (
                 "experiment",
+                "cassette_dir = ./runs",
+                "error: [experiment] cassette_dir: expected a directory other than output_dir, "
+                "got './runs'\n",
+                {"cassette_dir": "./runs"},
+            ),
+            (
+                "experiment",
                 "repetitions = many",
                 "error: [experiment] repetitions: expected an integer, got 'many'",
                 None,
@@ -323,6 +330,12 @@ class TestRunAndStats:
                 "timeout = inf",
                 "error: [reasoner] timeout: expected a finite number above 0, got inf\n",
                 {"timeout": float("inf")},
+            ),
+            (
+                "reasoner",
+                "timeout = 1e12",
+                "error: [reasoner] timeout: expected at most 9223372036, got 1000000000000.0\n",
+                {"timeout": 1e12},
             ),
             (
                 "reasoner",
@@ -371,17 +384,19 @@ class TestRunAndStats:
             ("DEFAULT", "max_attempts = 2", "error: [DEFAULT]: unknown section\n", None),
         ],
         ids=["empty-games", "no-attempt", "no-repetition", "negative-parallelism",
-             "non-integer", "no-request-attempt", "zero-timeout", "negative-timeout", "nan-timeout",
-             "infinite-timeout", "non-number", "nan-temperature", "infinite-temperature",
-             "negative-temperature", "no-output-token", "unknown-provider", "repeated-key",
+             "cassettes-among-transcripts", "non-integer", "no-request-attempt", "zero-timeout",
+             "negative-timeout", "nan-timeout", "infinite-timeout", "huge-timeout", "non-number",
+             "nan-temperature", "infinite-temperature", "negative-temperature", "no-output-token", "unknown-provider", "repeated-key",
              "bad-interpolation", "misspelt-key", "misspelt-model-key", "api-only-key",
              "misspelt-section", "default-section"],
     )
     def test_an_unreadable_config_value_is_an_error(
-        self, tmp_path, capsys, section, line, message, python
+        self, tmp_path, monkeypatch, capsys, section, line, message, python
     ):
         # Each config would run but for `line`, which is added to `section`
-        # (a second `output_dir` repeats a key).
+        # (a second `output_dir` repeats a key). From `tmp_path`, the
+        # relative `runs` and `./runs` are `out` and ExperimentConfig's default.
+        monkeypatch.chdir(tmp_path)
         config, out = tmp_path / "exp.ini", tmp_path / "runs"
         body = {"experiment": [f"output_dir = {out}"]}
         body.setdefault(section, []).append(line)

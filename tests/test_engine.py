@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import builtins
+import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -403,7 +405,11 @@ def test_cyclic_binding_is_a_logic_error():
     assert str(err.value) == "cyclic term: A occurs in its own binding"
 
 
-@pytest.mark.parametrize("goal", ["eq(A, f(A)), ground(A)", "eq(A, f(A)), \\+ p(A)"])
+# In the third goal the check meets the unbound Z only past the cycle
+# check, which then walks the whole term and meets A inside itself.
+@pytest.mark.parametrize(
+    "goal", ["eq(A, f(A)), ground(A)", "eq(A, f(A)), \\+ p(A)", "eq(A, f(h(Z), A)), ground(A)"]
+)
 def test_ground_check_of_a_cyclic_binding_is_a_logic_error(goal):
     with pytest.raises(LogicError) as err:
         answers(rb("eq(X, X)."), goal)
@@ -418,6 +424,49 @@ def test_ground_check_of_a_large_shared_term():
         f"d(X, f(X, X)). p(leaf). t :- A0 = leaf, {doublings}, ground(A20), \\+ p(A20)."
     )
     assert answers(base, "t") == [{}]
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the body once it has run `seconds`, so a walk
+    that takes exponential time fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_answer_converts_each_shared_part_once(pd):
+    # Xn is f(X(n-1), X(n-1)): 2**n - 1 compounds unfolded, n stored. The
+    # small chain checks the sharing before the long one can take long.
+    for n in (3, 200):
+        equations = ", ".join(f"X{i} = f(X{i - 1}, X{i - 1})" for i in range(1, n + 1))
+        with time_limit(5):
+            (answer,) = answers(pd.rulebase, f"{equations}, X0 = a")
+        for i in range(1, n + 1):
+            value = answer[Var(f"X{i}")]
+            assert value.args[0] is value.args[1] is answer[Var(f"X{i - 1}")]
+        assert answer[Var("X0")] == Atom("a")
+
+
+@pytest.mark.parametrize("last, count", [("X100", 1), ("f(h(Z), X100)", 0)])
+def test_a_ground_check_walks_each_shared_part_once(last, count):
+    # The clause shares the compound X is bound to, not X's cell: X100
+    # unfolds to 2**100 - 1 compounds and is stored in 100. In the second
+    # goal the unbound Z is met only past the cycle check.
+    chain = ", ".join(f"p(X{i}, X{i + 1})" for i in range(100))
+    with time_limit(5):
+        got = answers(rb("p(X, Y) :- Y = g(X, X)."), f"X0 = a, {chain}, ground({last})")
+    assert len(got) == count
+    for answer in got:
+        assert answer[Var("X100")].args[0] is answer[Var("X99")]
 
 
 def test_deep_answers_run_into_the_depth_limit():

@@ -184,6 +184,8 @@ def test_invalid_label_map_detected(pd):
         ("%! name: pd", "%! name: pd\n%! reasoner: p2", "metadata line 'reasoner: p2' is not"),
         ("%! name: pd", "%! name: pd\n%! opponent: p1", "metadata line 'opponent: p1' is not"),
         ("%! name: pd", "%! name pd", "metadata line 'name pd' is not 'key: value'"),
+        ("%! name: pd", "%! name: pd\n%! name: other", "metadata key 'name' given again on line 2"),
+        ("%! label R: 'D'", "%! label R: 'D'\n%! label R: 'C'", "metadata key 'label R' given again"),
         ("%! name: pd", "%! name: ../escaped/pd", r"game name '\.\./escaped/pd' is not a file-name"),
         ("%! name: pd", "%! name:", "game name '' is not a file-name stem"),
         ("%! name: pd", "%! name: .pd", r"game name '\.pd' is not a file-name stem"),
@@ -207,7 +209,8 @@ def test_invalid_label_map_detected(pd):
             r"one fact initial\(S0\), found initial\(s0\). initial\(s1\).",
         ),
     ],
-    ids=["reasoner-header", "opponent-header", "no-colon", "escaping-name", "empty-name",
+    ids=["reasoner-header", "opponent-header", "no-colon", "repeated-name", "repeated-label",
+         "escaping-name", "empty-name",
          "dot-name", "non-ascii-name", "no-row-fact", "two-row-facts",
          "one-player-both-roles", "col-rule-not-fact", "initial-rule-not-fact", "two-initial-facts"],
 )

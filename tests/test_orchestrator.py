@@ -258,6 +258,11 @@ class TestTranscripts:
             (good.replace('"version":1,', '"version":99,'), "bad.jsonl:3:"),
             (good.replace('"version":1,', '"version":true,'), "bad.jsonl:3:"),
             (good.replace('"version":1,', ""), "bad.jsonl:3:"),
+            # A second session summary, here one naming another session.
+            (
+                good + re.sub(r'"session_id":"[^"]*"', '"session_id":"other"', good.splitlines()[-1]),
+                "bad.jsonl:4: second session summary",
+            ),
             # An attempt after one whose exit ended the session.
             (good.replace('"exit":"none"', '"exit":"all_true"', 1), "bad.jsonl:2:"),
             # Attempt indexes that are not the attempts' positions 1, 2, ...
