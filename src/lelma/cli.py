@@ -63,7 +63,7 @@ def cmd_verify(args) -> int:
     if args.queries == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.queries).read_text()
+        text = Path(args.queries).read_text(encoding="utf-8")
     held = failed = skipped = errors = 0
     for raw in text.splitlines():
         line = raw.strip()

@@ -27,10 +27,8 @@ Fleiss' kappa.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -112,10 +110,12 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     the line or the section and key. `[DEFAULT]` is not copied into the
     other sections: it is a section lelma does not read.
     """
+    import configparser  # only `lelma run` reads an INI file
+
     # No section header can name "", so `[DEFAULT]` is read as an ordinary section.
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ExperimentError(f"cannot read config file {path}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:  # a malformed line, a bad %-interpolation, ...
@@ -230,6 +230,8 @@ def run_experiment(
     cfg: ExperimentConfig, provider: Optional[str] = None
 ) -> "tuple[list[SessionTranscript], dict]":
     """Run every session, write transcripts and summary.json, return both."""
+    from concurrent.futures import ThreadPoolExecutor  # brings in logging; only runs use it
+
     sessions: "dict[str, tuple[GameSpec, LoopConfig]]" = {}  # by id, in (game, rep) order
     for g in [load_game(name) for name in cfg.games]:
         for rep in range(cfg.repetitions):
@@ -256,7 +258,8 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         transcripts = list(pool.map(run, sessions))
     summary = summarize(transcripts, max_attempts=cfg.max_attempts)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out / "summary.json").write_text(text, encoding="utf-8")
     return transcripts, summary
 
 
@@ -343,7 +346,7 @@ LABEL_VALUES = ("correct", "incorrect")
 def export_evaluation_sheet(transcripts: Sequence[SessionTranscript], path: str) -> int:
     """One row per attempt of each non-aborted session; label cells blank."""
     rows = 0
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SHEET_FIXED_COLUMNS + DEFAULT_EVALUATORS)
         for t in _usable(transcripts):
@@ -370,7 +373,7 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
     naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
     """
     labels: "dict[str, dict[str, str]]" = {}
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
         limit = csv.field_size_limit(2**31 - 1)
         row_number = 0  # the last row read

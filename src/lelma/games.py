@@ -300,16 +300,15 @@ def parse_game(text: str) -> GameSpec:
 def load_game(name_or_path: str) -> GameSpec:
     """Load a bundled game by id (pd, sh, hd) or any game file by path."""
     if name_or_path in BUNDLED_GAMES:
-        text = (
-            files("lelma").joinpath("resources", "games", f"{name_or_path}.gdl").read_text()
-        )
+        resource = files("lelma").joinpath("resources", "games", f"{name_or_path}.gdl")
+        text = resource.read_text(encoding="utf-8")
     else:
         path = Path(name_or_path)
         if not path.exists():
             raise GameSpecError(
                 f"unknown game {name_or_path!r}: not one of {BUNDLED_GAMES} and not a file"
             )
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     return parse_game(text)
 
 

@@ -18,7 +18,6 @@ so recorded mock sessions replay byte-identically.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -26,7 +25,6 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -145,7 +143,7 @@ def read_records(path: str, error: "type[Exception]") -> "Iterator[tuple[str, di
         where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
+        except (ValueError, RecursionError) as exc:  # or an int too long, or nested too deep
             raise error(f"{where}: not valid JSON ({exc})") from exc
         if type(record) is not dict:
             raise error(f"{where}: not a JSON object")
@@ -176,6 +174,8 @@ def _completion(response: dict) -> CompletionResult:
 
 
 def canonical_request_key(model_id: str, messages: Sequence[ChatMessage]) -> str:
+    import hashlib  # maps OpenSSL's libcrypto; only cassette record and replay hash requests
+
     payload = dumps({"model": model_id, "messages": [[m.role, m.content] for m in messages]})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -386,6 +386,8 @@ class Gateway:
 
     def _record(self, key: str, messages: Sequence[ChatMessage], result: CompletionResult) -> dict:
         """Append `result`, the answer to `messages`, to the cassette; returns the record."""
+        from datetime import datetime, timezone
+
         record = {
             "key": key,
             "recorded_at": datetime.now(timezone.utc).isoformat(),
@@ -404,7 +406,7 @@ class Gateway:
         }
         path = Path(self.cfg.record_to)  # type: ignore[arg-type]
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
+        with path.open("a", encoding="utf-8") as handle:
             handle.write(dumps(record) + "\n")
         return record
 

@@ -203,7 +203,11 @@ class _Parser:
         while True:
             tok = self.take()
             if tok.kind == "INT":
-                term: Term = Int(int(tok.text))
+                try:
+                    term: Term = Int(int(tok.text))
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    digits = len(tok.text.lstrip("-"))
+                    raise self.error(tok, f"integer of {digits} digits is too long", "") from None
             elif tok.kind == "VAR" and tok.text == "_":
                 self.anon_serial += 1
                 while f"_{self.anon_serial}" in self.taken:

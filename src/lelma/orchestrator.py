@@ -324,7 +324,7 @@ def write_transcript(path: str, transcript: SessionTranscript) -> None:
     records = [*map(_attempt_to_json, transcript.attempts), _session_to_json(transcript)]
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(map(dumps, records)) + "\n")
+    target.write_text("\n".join(map(dumps, records)) + "\n", encoding="utf-8")
 
 
 class TranscriptFormatError(ValueError):

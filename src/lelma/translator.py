@@ -31,7 +31,7 @@ class ParseDiagnostics:
 @functools.lru_cache(maxsize=1)
 def _prompt_template() -> str:
     path = resources.files("lelma.resources").joinpath("translation_prompt.txt")
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 @functools.lru_cache(maxsize=64)

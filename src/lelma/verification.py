@@ -140,10 +140,15 @@ _SIMPLE_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^()]
 
 def _read_token(token: str, slot: str) -> object:
     """`token` as an int in an int slot, or as the label it names in a move
-    slot; any other token as it is, for check_query to reject."""
+    slot; any other token as it is, for check_query to reject. An integer
+    too long for `int` raises MalformedQueryError."""
     if slot == "int":
         if token.isdecimal() or (token[:1] == "-" and token[1:].isdecimal()):  # -?\d+
-            return int(token)
+            try:
+                return int(token)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                digits = len(token.lstrip("-"))
+                raise MalformedQueryError(f"integer of {digits} digits is too long") from None
     elif token not in PROMPT_LABELS:  # an exact label is the usual case
         label = token.strip("'\"").upper()
         if label in PROMPT_LABELS:
@@ -361,8 +366,8 @@ def apply_corrections(q: Query, corrections: "tuple[tuple[str, object], ...]") -
 
 @functools.cache
 def feedback_templates() -> "dict[str, str]":
-    raw = files("lelma").joinpath("resources", "feedback_templates.json").read_text()
-    return json.loads(raw)
+    path = files("lelma").joinpath("resources", "feedback_templates.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:

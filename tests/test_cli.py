@@ -1,17 +1,26 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import lelma
 from lelma.cli import main
-from lelma.experiments import ExperimentConfig, load_experiment_config
+from lelma.experiments import (
+    ExperimentConfig,
+    export_evaluation_sheet,
+    load_experiment_config,
+    read_transcripts_dir,
+)
 from lelma.gateway import ModelConfig
+from lelma.orchestrator import LoopConfig, run_session, write_transcript
 
 
 PD_TEXT = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
@@ -528,6 +537,36 @@ class TestEvalAndKappa:
         assert "error:" in err
 
 
+def test_an_integer_too_long_for_int_is_a_skipped_line_or_an_error(experiment_dir, capsys):
+    # `int` reads at most sys.get_int_max_str_digits() digits, 4300 by default.
+    long = "9" * 5000
+    config, out = experiment_dir
+    queries, game = config.parent / "q.txt", config.parent / "long.gdl"
+    queries.write_text(f"higher({long}, 1)\nhigher(3, 1)\n")
+    code, stdout, err = run_cli("verify", "pd", "--queries", str(queries), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [
+        f"SKIPPED: higher({long}, 1) (integer of 5000 digits is too long)",
+        "HOLDS: higher(3, 1)",
+        "1 held, 0 failed, 1 skipped, 0 errors.",
+    ]
+    game.write_text(PD_TEXT + f"big({long}).\n")
+    for argv, message in [
+        (("solve", "pd", f"X = {long}"), "line 1, column 5"),
+        (("solve", str(game), "big(X)"), f"line {PD_TEXT.count(chr(10)) + 1}, column 5"),
+    ]:
+        assert run_cli(*argv, capsys=capsys) == (
+            2, "", f"error: {message}: integer of 5000 digits is too long\n"
+        )
+    assert run_cli("run", "--config", str(config), capsys=capsys)[0] == 0
+    transcript = sorted(out.glob("*.jsonl"))[0]
+    text = re.sub(r'"prompt_tokens":\d+', f'"prompt_tokens":{long}', transcript.read_text())
+    transcript.write_text(text)
+    code, stdout, err = run_cli("stats", str(out), capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {transcript}:") and ": not valid JSON (" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -551,3 +590,77 @@ def test_a_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv):
     if argv[0] == "stats":
         assert err.startswith(f"error: {tmp_path / 'bad.jsonl'}: not UTF-8 text (")
     assert "Traceback" not in err
+
+
+def run_lelma(*argv, flags=(), env=None):
+    """`lelma *argv` in a fresh interpreter started with `flags`, on an
+    environment updated by `env`, where a None value unsets the variable."""
+    environ = {**os.environ, "PYTHONPATH": str(Path(lelma.__file__).parents[1])}
+    for name, value in (env or {}).items():
+        environ.pop(name, None)
+        if value is not None:
+            environ[name] = value
+    argv = [sys.executable, *flags, "-m", "lelma.cli", *argv]
+    return subprocess.run(argv, env=environ, capture_output=True, text=True, timeout=120)
+
+
+# An ASCII locale, without the UTF-8 mode or the coercion that would mask it.
+ASCII_LOCALE = {
+    "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": None,
+}
+
+
+@pytest.fixture()
+def euro_sheet(pd, tmp_path):
+    """A transcript directory whose reasoning holds `€`, its sheet with every
+    label filled in, and the bytes of the blank sheet."""
+    out, sheet = tmp_path / "runs", tmp_path / "sheet.csv"
+    cfg = LoopConfig(
+        ModelConfig(script=("Three euros, €3, beat €1. CHOICE: B",)),
+        ModelConfig(script=("higher(3, 1)",)),
+    )
+    write_transcript(str(out / "pd_000.jsonl"), run_session(pd, cfg, session_id="pd_000"))
+    export_evaluation_sheet(read_transcripts_dir(str(out)), str(sheet))
+    blank = sheet.read_bytes()
+    assert "€3".encode("utf-8") in blank
+    sheet.write_bytes(blank.replace(b",,,\r\n", b",correct,correct,correct\r\n"))
+    return out, sheet, blank
+
+
+def test_a_sheet_is_utf8_whatever_the_locale(euro_sheet, tmp_path):
+    out, sheet, blank = euro_sheet
+    # Exported under an ASCII locale, the sheet has the bytes it has on a UTF-8 machine.
+    done = run_lelma("eval", "export", str(out), str(tmp_path / "c.csv"), env=ASCII_LOCALE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "c.csv").read_bytes() == blank
+    # Labeled, the sheet exported on a UTF-8 machine imports under an ASCII locale.
+    done = run_lelma("eval", "import", str(sheet), "--transcripts", str(out), env=ASCII_LOCALE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "accuracy: 100%" in done.stdout
+
+
+def test_no_command_opens_a_file_in_the_locale_encoding(euro_sheet, tmp_path):
+    # EncodingWarning marks an open that leaves the encoding to the locale.
+    out, sheet, _ = euro_sheet
+    (tmp_path / "exp.ini").write_text(
+        f"[experiment]\noutput_dir = {tmp_path / 'run'}\ncassette_dir = {tmp_path / 'tapes'}\n"
+        "games = pd\nrepetitions = 2\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "q.txt").write_text("higher(3, 1)\nhigher(1, 3)\n", encoding="utf-8")
+    (tmp_path / "pd.gdl").write_text(PD_TEXT, encoding="utf-8")
+    commands = {  # each command, with the status it exits with
+        "run": (("run", "--provider", "mock", "--config", str(tmp_path / "exp.ini")), 0),
+        "stats": (("stats", str(out)), 0),
+        "eval export": (("eval", "export", str(out), str(tmp_path / "export.csv")), 0),
+        "eval import": (("eval", "import", str(sheet), "--transcripts", str(out)), 0),
+        "verify": (("verify", "pd", "--queries", str(tmp_path / "q.txt")), 1),
+        "solve": (("solve", str(tmp_path / "pd.gdl"), "initial(S)"), 0),
+    }
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    failed = {}
+    for name, (argv, status) in commands.items():
+        done = run_lelma(*argv, flags=flags)
+        if (done.returncode, done.stderr) != (status, ""):
+            failed[name] = done.stderr.strip().splitlines()[-1:]
+    assert failed == {}

@@ -129,6 +129,10 @@ class TestCassette:
         path.write_text(cassette_line("k") + "not json\n")
         with pytest.raises(CassetteParseError, match="bad.jsonl:2"):
             load_cassette(str(path))
+        # An integer too long for `int`, which `json.loads` raises a ValueError on.
+        path.write_text(cassette_line("k") + '{"key": "j", "n": ' + "9" * 5000 + "}\n")
+        with pytest.raises(CassetteParseError, match="bad.jsonl:2: not valid JSON"):
+            load_cassette(str(path))
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "fields.jsonl"

@@ -124,6 +124,22 @@ def test_syntax_error_position_and_expectation():
         assert message.startswith(f"line {err.value.line}, column {err.value.column}:")
 
 
+def test_an_integer_too_long_for_int_is_a_syntax_error():
+    # `int` reads at most sys.get_int_max_str_digits() digits, 4300 by default.
+    long = "9" * 5000
+    assert parse_goal(f"X = {long[:4300]}")[0].term.args[1] == Int(int(long[:4300]))
+    for read, text, line, column in [
+        (parse_goal, f"X = {long}", 1, 5),
+        (parse_goal, f"X = 1,\n  Y = -{long}.", 2, 7),
+        (parse_clause, f"p({long}).", 1, 3),
+        (parse_program, f"p(a).\nq(b, {long}).", 2, 6),
+    ]:
+        with pytest.raises(ClauseSyntaxError) as err:
+            read(text)
+        assert str(err.value) == f"line {line}, column {column}: integer of 5000 digits is too long"
+        assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_clause_head_must_be_callable():
     with pytest.raises(ClauseSyntaxError):
         parse_clause("X :- p(a).")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lelma
@@ -238,3 +241,46 @@ def test_no_function_calls_itself_but_the_kept_ones():
         for name in self_calling_functions(ast.parse(p.read_text()), p.stem)
     ]
     assert sorted(found) == sorted(KEPT_RECURSIVE)
+
+
+# Standard-library modules that only some paths need, each loaded by the
+# one function that uses it: hashlib (with OpenSSL's libcrypto) keys
+# cassette requests, datetime stamps cassette records, and the thread pool
+# (which brings in logging) and the INI reader serve `lelma run`.
+LOADED_ON_USE = ("hashlib", "_hashlib", "concurrent.futures", "configparser", "datetime")
+
+ON_THE_VERDICT_PATH = """
+import sys
+from lelma import (
+    LoopConfig, ModelConfig, evaluate_all, load_game, parse_goal, parse_queries, run_session, solve,
+)
+from lelma.cli import main
+
+pd = load_game("pd")
+queries, _ = parse_queries("finally(outcome(you,B,3,them,B,_),S)\\nhigher(1, 5)", pd)
+assert [r.holds for r in evaluate_all(queries, pd).results] == [True, False]
+assert len(list(solve(pd.rulebase, parse_goal("game(s0, F), finally(goal(p1, 5), F)")))) == 2
+
+def loop(record_to=None):
+    return LoopConfig(
+        ModelConfig(script=("Payoff 3 beats 1. CHOICE: B",), record_to=record_to),
+        ModelConfig(script=("higher(3, 1)",)),
+    )
+assert run_session(pd, loop()).exit.value == "all_true"
+assert main(["verify", "pd", "--queries", sys.argv[1]]) == 0
+print(*[name for name in {loaded} if name in sys.modules], sep=",")
+run_session(pd, loop(record_to=sys.argv[2]))
+print("hashlib" in sys.modules)
+"""
+
+
+def test_the_verdict_path_loads_no_module_only_runs_and_cassettes_use(tmp_path):
+    # pytest's own process has hashlib loaded, so a fresh interpreter checks.
+    queries = tmp_path / "q.txt"
+    queries.write_text("finally(outcome(you,R,5,them,B,_),S)\n")
+    script = ON_THE_VERDICT_PATH.format(loaded=LOADED_ON_USE)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    argv = [sys.executable, "-c", script, str(queries), str(tmp_path / "tape.jsonl")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-2:] == ["", "True"]  # none loaded, then hashlib for the tape

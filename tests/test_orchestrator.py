@@ -242,6 +242,9 @@ class TestTranscripts:
             (good.replace('"game":"pd",', ""), "bad.jsonl:3:"),
             (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":"x"', good), "bad.jsonl:3:"),
             (re.sub(r'"completion_tokens":\d+', '"completion_tokens":true', good), "bad.jsonl:3:"),
+            # An integer too long for `int`, which `json.loads` raises a ValueError on.
+            (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":' + "9" * 5000, good),
+             "bad.jsonl:3: not valid JSON"),
             (good.replace('"game":"pd"', '"game":5'), "bad.jsonl:3:"),
             (good.replace('"model":"mock-model"', '"model":null'), "bad.jsonl:3:"),
             (good.replace('"aborted":false', '"aborted":"no"'), "bad.jsonl:3:"),

@@ -91,6 +91,15 @@ class TestParseQueries:
         ((_, reason),) = diag.skipped
         assert "B" in reason and "R" in reason
 
+    def test_an_integer_too_long_for_int_skips_its_line(self, pd):
+        # `int` reads at most sys.get_int_max_str_digits() digits, 4300 by default.
+        long = "9" * 5000
+        lines = [f"higher({long}, 1)", f"finally(outcome(you,B,-{long},them,B,_),S)"]
+        queries, diag = parse_queries("\n".join([*lines, "higher(3, 1)"]), pd)
+        assert queries == [Query(QueryKind.HIGHER, (3, 1))]
+        reason = "integer of 5000 digits is too long"
+        assert diag.skipped == ((lines[0], reason), (lines[1], reason))
+
 
 _labels = st.sampled_from(("B", "R"))
 _ints = st.integers(min_value=-999, max_value=999)
