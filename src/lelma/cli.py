@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -61,7 +62,9 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = load_game(args.game)
     if args.queries == "-":
-        text = sys.stdin.read()
+        # UTF-8 whatever the locale, as files are; a text-only stdin, a StringIO say, as it is.
+        stdin = sys.stdin
+        text = stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     else:
         text = Path(args.queries).read_text(encoding="utf-8")
     held = failed = skipped = errors = 0
@@ -225,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):
+        # Text the locale cannot encode, `€` under LC_ALL=C say, prints as escapes.
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

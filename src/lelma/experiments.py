@@ -6,7 +6,9 @@ config stops the run before anything is written. The sessions then run
 on one thread pool; the returned list and summary.json keep (game,
 repetition) order. Each session writes one NDJSON transcript named
 {game}_{rep:03d}.jsonl; aborted sessions are kept on disk and counted
-but excluded from every statistic. An output_dir holds one run: a
+but excluded from every statistic. Transcripts and summary.json are
+written to a temporary file and renamed into place, so a reader never
+finds half of one. An output_dir holds one run: a
 transcript there that this run would not write stops it before
 anything is written.
 
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .games import GameSpec, load_game
-from .gateway import ModelConfig
+from .gateway import ModelConfig, replace_text
 from .orchestrator import (
     LoopConfig,
     SessionTranscript,
@@ -258,8 +260,7 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         transcripts = list(pool.map(run, sessions))
     summary = summarize(transcripts, max_attempts=cfg.max_attempts)
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    (out / "summary.json").write_text(text, encoding="utf-8")
+    replace_text(str(out / "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return transcripts, summary
 
 

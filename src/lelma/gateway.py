@@ -9,6 +9,7 @@ under replay any other is a miss. So a rerun into a cassette resumes it.
 
 Cassettes and session transcripts share one NDJSON record format:
 `dumps` writes a line, `read_records` reads them, `check_types` checks.
+`replace_text` writes a whole file, so a reader never sees part of one.
 
 The mock performs no network activity whatsoever: its token counts are
 a deterministic function of the message texts and its latency is zero,
@@ -148,6 +149,22 @@ def read_records(path: str, error: "type[Exception]") -> "Iterator[tuple[str, di
         if type(record) is not dict:
             raise error(f"{where}: not a JSON object")
         yield where, record
+
+
+def replace_text(path: str, text: str) -> None:
+    """Write `text` as UTF-8 to a temporary file beside `path`, then move it
+    into place: a reader finds the old file or the new one, never part of
+    one. The temporary name ends in `.tmp`, so no `*.jsonl` glob sees it;
+    a failed write removes it and leaves `path` as it was."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def check_types(record: dict, fields: "dict[str, tuple[type, ...]]") -> None:

@@ -11,6 +11,9 @@ no failures, or when the attempt budget runs out.
 Transcripts are NDJSON with fully deterministic content (no ambient
 timestamps; wall time is the sum of completion latencies), so a replay
 against a recorded cassette reproduces the transcript byte for byte.
+Each record type is declared once, as a table of its JSON fields that
+writing and reading follow: a new field is one row (and, in version 2, a
+version switch).
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from operator import attrgetter
+from types import NoneType
 from typing import Optional
 
 from ._record import record
 from .games import PROMPT_LABELS, GameSpec
-from .gateway import ChatMessage, Gateway, ModelConfig, Usage, check_types, dumps, read_records
+from .gateway import (ChatMessage, Gateway, ModelConfig, Usage, check_types, dumps, read_records,
+                      replace_text)
 from .translator import build_translation_prompt, parse_queries
 from .verification import (
     Query,
@@ -253,153 +258,147 @@ def run_session(
 
 # --- transcript serialization (NDJSON, deterministic) -------------------------
 
+# One table per record, one row per JSON field: (name, types, write, read).
+# `types` are what a value read back must be (none: the reader or a check
+# decides); `write` takes the value from the record; `read` builds it
+# back, and a record's `make` gets what the readers build by field name.
+# A field with no `read`, a summary or a constant, is written, and read
+# back only to be compared with what the rebuilt record writes. The rows
+# are in the order the fields are checked. A new field is one row.
 
-def _query_to_json(q: Query) -> dict:
-    return {"kind": q.kind.value, "args": list(q.args), "source_text": q.source_text}
+
+def _as_is(value):
+    return value
 
 
-def _query_from_json(d: dict) -> Query:
-    check_types(d, {"args": (list,), "source_text": (str,)})
-    q = Query(QueryKind(d["kind"]), tuple(d["args"]), source_text=d["source_text"])
+def _field(name: str, *types: type, read=_as_is) -> tuple:
+    """The row of the record's attribute `name`, written as it is."""
+    return name, types, attrgetter(name), read
+
+
+def _write(table: tuple, record) -> dict:
+    return {name: write(record) for name, _, write, _ in table}
+
+
+def _read(table: tuple, fields: dict, make, check=lambda fields: None):
+    """`make(**built)`, `built` what the readers of `table` build from `fields`.
+    The types are checked first, then `check(fields)` runs, then the summaries."""
+    check_types(fields, {name: types for name, types, _, _ in table if types})
+    check(fields)
+    built = make(**{name: read(fields[name]) for name, _, _, read in table if read})
+    for name, value in ((name, write(built)) for name, _, write, read in table if read is None):
+        if type(fields[name]) is not type(value) or fields[name] != value:  # as JSON: true is not 1
+            raise ValueError(f"summary says {name} {fields[name]!r}, but it is {value!r}")
+    return built
+
+
+def _query(**fields) -> Query:
+    q = Query(**fields)
     check_query(q)
     return q
 
 
-def _result_to_json(r: QueryResult) -> dict:
-    return {
-        "query": _query_to_json(r.query),
-        "holds": r.holds,
-        "corrections": [[role, value] for role, value in r.corrections],
-        "explanation": r.explanation,
-        "error": r.error,
-    }
+def _attempt(results, **fields) -> AttemptRecord:
+    return AttemptRecord(report=VerificationReport(results), **fields)
 
 
-def _result_from_json(d: dict) -> QueryResult:
-    check_types(d, {"holds": (bool,), "corrections": (list,), "explanation": (str,),
-                    "error": (str, type(None))})
-    return QueryResult(
-        query=_query_from_json(d["query"]),
-        holds=d["holds"],
-        # A correction value is an int, a label or a pair of labels.
-        corrections=tuple((r, tuple(v) if type(v) is list else v) for r, v in d["corrections"]),
-        explanation=d["explanation"],
-        error=d["error"],
-    )
-
-
-def _session_to_json(transcript: SessionTranscript) -> dict:
-    return {
-        "type": "session",
-        "version": TRANSCRIPT_VERSION,
-        "session_id": transcript.session_id,
-        "game": transcript.game,
-        "model": transcript.model,
-        "attempt_count": transcript.attempt_count,
-        "initial_choice": transcript.initial_choice,
-        "final_choice": transcript.final_choice,
-        "prompt_tokens": transcript.usage.prompt_tokens,
-        "completion_tokens": transcript.usage.completion_tokens,
-        "wall_time": transcript.wall_time,
-        "aborted": transcript.aborted,
-        "error": transcript.error,
-        "exit": transcript.exit.value,
-    }
-
-
-def _attempt_to_json(attempt: AttemptRecord) -> dict:
-    return {
-        "type": "attempt",
-        "index": attempt.index,
-        "instruction": attempt.instruction,
-        "reasoning": attempt.reasoning,
-        "translator_output": attempt.translator_output,
-        "results": [_result_to_json(r) for r in attempt.report.results],
-        "extracted_choice": attempt.extracted_choice,
-        "exit": attempt.exit.value,
-    }
+_QUERY = (
+    ("kind", (), lambda q: q.kind.value, QueryKind),
+    ("args", (list,), lambda q: list(q.args), tuple),
+    _field("source_text", str),
+)
+_RESULT = (
+    ("query", (), lambda r: _write(_QUERY, r.query), lambda q: _read(_QUERY, q, _query)),
+    _field("holds", bool),
+    # A correction value is an int, a label or a pair of labels.
+    ("corrections", (list,), lambda r: [list(c) for c in r.corrections],
+     lambda cs: tuple((role, tuple(v) if type(v) is list else v) for role, v in cs)),
+    _field("explanation", str),
+    _field("error", str, NoneType),
+)
+_ATTEMPT = (
+    ("type", (), lambda a: "attempt", None),
+    _field("index", int),
+    _field("instruction", str),
+    _field("reasoning", str),
+    _field("translator_output", str),
+    ("results", (list,), lambda a: [_write(_RESULT, r) for r in a.report.results],
+     lambda results: tuple(_read(_RESULT, r, QueryResult) for r in results)),
+    _field("extracted_choice"),
+    ("exit", (), lambda a: a.exit.value, ExitReason),
+)
+_SESSION = (
+    ("type", (), lambda t: "session", None),
+    ("version", (int,), lambda t: TRANSCRIPT_VERSION, None),
+    _field("session_id", str),
+    _field("game", str),
+    _field("model", str),
+    _field("attempt_count", read=None),
+    ("exit", (), lambda t: t.exit.value, None),
+    _field("initial_choice", read=None),
+    _field("final_choice", read=None),
+    _field("aborted", bool, read=None),
+    ("prompt_tokens", (int,), lambda t: t.usage.prompt_tokens, _as_is),
+    ("completion_tokens", (int,), lambda t: t.usage.completion_tokens, _as_is),
+    _field("wall_time", float),
+    _field("error", str, NoneType),
+)
 
 
 def write_transcript(path: str, transcript: SessionTranscript) -> None:
-    records = [*map(_attempt_to_json, transcript.attempts), _session_to_json(transcript)]
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(map(dumps, records)) + "\n", encoding="utf-8")
+    records = [*(_write(_ATTEMPT, a) for a in transcript.attempts), _write(_SESSION, transcript)]
+    replace_text(path, "\n".join(map(dumps, records)) + "\n")
 
 
 class TranscriptFormatError(ValueError):
     pass
 
 
-def _attempt_from_json(record: dict, earlier: "list[AttemptRecord]") -> AttemptRecord:
-    """The attempt `record` describes, which must come next after `earlier`."""
-    check_types(record, {"index": (int,), "instruction": (str,), "reasoning": (str,),
-                         "translator_output": (str,), "results": (list,)})
-    if record["index"] != len(earlier) + 1:
-        raise ValueError(f"index must be {len(earlier) + 1}, its position, not {record['index']}")
-    if earlier and earlier[-1].exit is not ExitReason.NONE:
-        raise ValueError(f"attempt {len(earlier)} ended the session ({earlier[-1].exit.value})")
-    choice = record["extracted_choice"]
-    if choice not in (*PROMPT_LABELS, None):
-        raise ValueError(f"extracted_choice must be B, R or null, not {choice!r}")
-    return AttemptRecord(
-        index=record["index"],
-        instruction=record["instruction"],
-        reasoning=record["reasoning"],
-        translator_output=record["translator_output"],
-        report=VerificationReport(tuple(_result_from_json(r) for r in record["results"])),
-        extracted_choice=choice,
-        exit=ExitReason(record["exit"]),
-    )
-
-
-def _session_from_json(session: dict, attempts: "list[AttemptRecord]") -> SessionTranscript:
-    """The transcript the attempts and the session record describe; the
-    record's summary fields must agree with the attempts, and `aborted` with `error`."""
-    check_types(session, {"version": (int,), "session_id": (str,), "game": (str,), "model": (str,),
-                          "aborted": (bool,), "prompt_tokens": (int,), "completion_tokens": (int,),
-                          "wall_time": (float,), "error": (str, type(None))})
-    if session["version"] != TRANSCRIPT_VERSION:
-        raise ValueError(f"version must be {TRANSCRIPT_VERSION}, not {session['version']}")
-    transcript = SessionTranscript(
-        session_id=session["session_id"],
-        game=session["game"],
-        model=session["model"],
-        attempts=tuple(attempts),
-        usage=Usage(session["prompt_tokens"], session["completion_tokens"]),
-        wall_time=session["wall_time"],
-        error=session["error"],
-    )
-    summary = _session_to_json(transcript)
-    for field in ("attempt_count", "exit", "initial_choice", "final_choice", "aborted"):
-        if dumps(session[field]) != dumps(summary[field]):  # as JSON text, where true is not 1
-            raise ValueError(f"summary says {field} {session[field]!r}, but it is {summary[field]!r}")
-    return transcript
-
-
-def _decoded(where: str, kind: str, decode, *args):
-    """`decode(*args)`, with a record it cannot read reported at `where`."""
+def _decoded(where: str, kind: str, *args):
+    """`_read(*args)`, with a record it cannot read reported at `where`."""
     try:
-        return decode(*args)
+        return _read(*args)
     except KeyError as exc:
         raise TranscriptFormatError(f"{where}: {kind} record missing field {exc}") from exc
     except (TypeError, ValueError, VerificationError) as exc:
         raise TranscriptFormatError(f"{where}: {kind} record cannot be read ({exc})") from exc
 
 
+def _check_attempt(earlier: "list[AttemptRecord]", attempt: dict) -> None:
+    """An attempt record must come next after `earlier`."""
+    if attempt["index"] != len(earlier) + 1:
+        raise ValueError(f"index must be {len(earlier) + 1}, its position, not {attempt['index']}")
+    if earlier and earlier[-1].exit is not ExitReason.NONE:
+        raise ValueError(f"attempt {len(earlier)} ended the session ({earlier[-1].exit.value})")
+    choice = attempt["extracted_choice"]
+    if choice not in (*PROMPT_LABELS, None):
+        raise ValueError(f"extracted_choice must be B, R or null, not {choice!r}")
+
+
+def _check_version(session: dict) -> None:
+    if session["version"] != TRANSCRIPT_VERSION:
+        raise ValueError(f"version must be {TRANSCRIPT_VERSION}, not {session['version']}")
+
+
 def read_transcript(path: str) -> SessionTranscript:
     attempts: "list[AttemptRecord]" = []
     transcript: Optional[SessionTranscript] = None  # read from the session summary record
+
+    def session(prompt_tokens, completion_tokens, **fields) -> SessionTranscript:
+        usage = Usage(prompt_tokens, completion_tokens)
+        return SessionTranscript(attempts=tuple(attempts), usage=usage, **fields)
+
     for where, record in read_records(path, TranscriptFormatError):
         kind = record.get("type")
         if kind == "attempt":
             if transcript is not None:
                 raise TranscriptFormatError(f"{where}: attempt after session summary")
-            attempts.append(_decoded(where, "attempt", _attempt_from_json, record, attempts))
+            check = functools.partial(_check_attempt, attempts)
+            attempts.append(_decoded(where, kind, _ATTEMPT, record, _attempt, check))
         elif kind == "session":
             if transcript is not None:
                 raise TranscriptFormatError(f"{where}: second session summary")
-            transcript = _decoded(where, "session", _session_from_json, record, attempts)
+            transcript = _decoded(where, kind, _SESSION, record, session, _check_version)
         else:
             raise TranscriptFormatError(f"{where}: unknown record type")
     if transcript is None:

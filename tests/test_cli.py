@@ -592,16 +592,18 @@ def test_a_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-def run_lelma(*argv, flags=(), env=None):
+def run_lelma(*argv, flags=(), env=None, stdin=""):
     """`lelma *argv` in a fresh interpreter started with `flags`, on an
-    environment updated by `env`, where a None value unsets the variable."""
+    environment updated by `env`, where a None value unsets the variable,
+    with `stdin` as UTF-8 on its standard input."""
     environ = {**os.environ, "PYTHONPATH": str(Path(lelma.__file__).parents[1])}
     for name, value in (env or {}).items():
         environ.pop(name, None)
         if value is not None:
             environ[name] = value
     argv = [sys.executable, *flags, "-m", "lelma.cli", *argv]
-    return subprocess.run(argv, env=environ, capture_output=True, text=True, timeout=120)
+    return subprocess.run(argv, env=environ, input=stdin, capture_output=True,
+                          encoding="utf-8", timeout=120)
 
 
 # An ASCII locale, without the UTF-8 mode or the coercion that would mask it.
@@ -638,6 +640,37 @@ def test_a_sheet_is_utf8_whatever_the_locale(euro_sheet, tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert "accuracy: 100%" in done.stdout
 
+
+@pytest.mark.parametrize("argv, stdin, status, out, err", [
+    # `€` in a query file and on stdin, each read as UTF-8.
+    (("verify", "pd", "--queries", "{dir}/q.txt"), "", 0, "SKIPPED: {query}\n{tally}", ""),
+    (("verify", "pd", "--queries", "-"), "higher(€3, 1)\n", 0, "SKIPPED: {query}\n{tally}", ""),
+    # An answer holding `€`, and an error message quoting it.
+    (("solve", "{dir}/euro.gdl", "euro(X)"), "", 0, "X = '\\u20ac3'\n", ""),
+    (("solve", "{dir}/bad.gdl", "euro(X)"), "", 2, "",
+     "error: line {line}, column 6: unexpected character '\\u20ac'\n"),
+])
+def test_text_an_ascii_locale_cannot_encode_prints_as_escapes(
+    tmp_path, argv, stdin, status, out, err
+):
+    (tmp_path / "q.txt").write_text("higher(€3, 1)\n", encoding="utf-8")
+    (tmp_path / "euro.gdl").write_text(PD_TEXT + "euro('€3').\n", encoding="utf-8")
+    (tmp_path / "bad.gdl").write_text(PD_TEXT + "euro(€3).\n", encoding="utf-8")
+    done = run_lelma(*(a.format(dir=tmp_path) for a in argv), env=ASCII_LOCALE, stdin=stdin)
+    query = "higher(\\u20ac3, 1) (higher: expected an integer, got '\\u20ac3')"
+    tally = "0 held, 0 failed, 1 skipped, 0 errors.\n"
+    line = PD_TEXT.count("\n") + 1
+    assert (done.returncode, done.stdout, done.stderr) == (
+        status, out.format(query=query, tally=tally), err.format(line=line)
+    )
+
+
+def test_stdin_that_is_not_utf8_is_an_error(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"higher(3, 1)\n\xff\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli("verify", "pd", "--queries", "-", capsys=capsys) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+    )
 
 def test_no_command_opens_a_file_in_the_locale_encoding(euro_sheet, tmp_path):
     # EncodingWarning marks an open that leaves the encoding to the locale.

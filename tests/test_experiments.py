@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import threading
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -301,6 +302,32 @@ def test_an_output_dir_holding_another_runs_transcripts_stops_the_run(tmp_path):
     run_experiment(cfg, provider="mock")  # the same run again may write there
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
 
+
+
+def test_a_summary_write_that_fails_leaves_the_old_summary_and_no_temporary_file(
+    tmp_path, monkeypatch
+):
+    cfg = ExperimentConfig(games=("pd",), repetitions=4, output_dir=str(tmp_path))
+    run_experiment(cfg, provider="mock")
+    old = (tmp_path / "summary.json").read_bytes()
+    rename = os.replace
+
+    def rename_all_but_the_summary(source, target):
+        # `lelma stats` and the check for another run's transcripts read *.jsonl.
+        assert Path(source).parent == tmp_path and not Path(source).match("*.jsonl")
+        if Path(target).name == "summary.json":
+            raise OSError(28, "No space left on device")
+        rename(source, target)
+
+    monkeypatch.setattr(os, "replace", rename_all_but_the_summary)
+    # With two attempts at most, the stubborn session (the fourth) stops sooner.
+    with pytest.raises(OSError, match="No space left on device"):
+        run_experiment(replace(cfg, max_attempts=2), provider="mock")
+    assert (tmp_path / "summary.json").read_bytes() == old
+    assert read_transcript(str(tmp_path / "pd_003.jsonl")).attempt_count == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "pd_000.jsonl", "pd_001.jsonl", "pd_002.jsonl", "pd_003.jsonl", "summary.json",
+    ]
 
 class TestDistributions:
     def test_attempt_histogram_fixture(self):

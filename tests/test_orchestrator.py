@@ -1,9 +1,13 @@
 import json
+import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lelma.games import PROMPT_LABELS
 from lelma.gateway import (
     CassetteParseError,
     Gateway,
@@ -25,7 +29,7 @@ from lelma.orchestrator import (
     run_session,
     write_transcript,
 )
-from lelma.verification import QueryKind
+from lelma.verification import SCHEMAS, Query, QueryKind, QueryResult, VerificationReport
 
 
 def with_first_record_field(text, *path, value):
@@ -224,86 +228,144 @@ class TestTranscripts:
         assert back.attempts[0].queries[0].args == (1, 3)
         assert back.attempts[0].report.failed[0].corrections == (("relation", "lower"),)
 
+    def test_a_write_that_fails_leaves_the_old_transcript_and_no_temporary_file(
+        self, pd, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "t.jsonl"
+        write_transcript(str(path), self.make_transcript(pd, "old"))
+        old = path.read_bytes()
+        seen = []
+
+        def fail(source, target):
+            seen.append((Path(source).read_text(), sorted(tmp_path.glob("*.jsonl"))))
+            raise KeyboardInterrupt  # a Ctrl-C, say, between the write and the rename
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(KeyboardInterrupt):
+            write_transcript(str(path), self.make_transcript(pd, "new"))
+        # The new text was whole, and no *.jsonl glob saw it.
+        [(text, jsonl)] = seen
+        assert '"session_id":"new"' in text and text.endswith("}\n") and jsonl == [path]
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_malformed_transcript_errors(self, pd, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(TranscriptFormatError, match="bad.jsonl:1"):
-            read_transcript(str(path))
-        path.write_text('{"type":"attempt","index":1}\n')
-        with pytest.raises(TranscriptFormatError):
-            read_transcript(str(path))
+
+        def error(text):
+            """The full message reading `text` from `path` raises, less the path."""
+            path.write_text(text)
+            with pytest.raises(TranscriptFormatError) as err:
+                read_transcript(str(path))
+            assert str(err.value).startswith(f"{path}:")
+            return str(err.value)[len(str(path)):]
+
+        assert error("not json\n") == (
+            ":1: not valid JSON (Expecting value: line 1 column 1 (char 0))"
+        )
+        assert error('{"type":"attempt","index":1}\n') == (
+            ":1: attempt record missing field 'instruction'"
+        )
         # Two attempt records, then the session record.
         write_transcript(str(path), self.make_transcript(pd))
         good = path.read_text()
-        for bad, where in [
-            (good.replace('"kind":"higher"', '"kind":"bogus"', 1), "bad.jsonl:1:"),
-            (good.replace('"exit":"none"', '"exit":"weird"', 1), "bad.jsonl:1:"),
-            ("[1,2]\n" + good, "bad.jsonl:1:"),
-            (good.replace('"game":"pd",', ""), "bad.jsonl:3:"),
-            (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":"x"', good), "bad.jsonl:3:"),
-            (re.sub(r'"completion_tokens":\d+', '"completion_tokens":true', good), "bad.jsonl:3:"),
+        cannot = "attempt record cannot be read"
+        summary = "session record cannot be read"
+        for bad, message in [
+            (good.replace('"kind":"higher"', '"kind":"bogus"', 1),
+             f":1: {cannot} ('bogus' is not a valid QueryKind)"),
+            (good.replace('"exit":"none"', '"exit":"weird"', 1),
+             f":1: {cannot} ('weird' is not a valid ExitReason)"),
+            ("[1,2]\n" + good, ":1: not a JSON object"),
+            (good.replace('"game":"pd",', ""), ":3: session record missing field 'game'"),
+            (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":"x"', good),
+             f":3: {summary} (prompt_tokens must be int, not str)"),
+            (re.sub(r'"completion_tokens":\d+', '"completion_tokens":true', good),
+             f":3: {summary} (completion_tokens must be int, not bool)"),
             # An integer too long for `int`, which `json.loads` raises a ValueError on.
             (re.sub(r'"prompt_tokens":\d+', '"prompt_tokens":' + "9" * 5000, good),
-             "bad.jsonl:3: not valid JSON"),
-            (good.replace('"game":"pd"', '"game":5'), "bad.jsonl:3:"),
-            (good.replace('"model":"mock-model"', '"model":null'), "bad.jsonl:3:"),
-            (good.replace('"aborted":false', '"aborted":"no"'), "bad.jsonl:3:"),
+             ":3: not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+            (good.replace('"game":"pd"', '"game":5'), f":3: {summary} (game must be str, not int)"),
+            (good.replace('"model":"mock-model"', '"model":null'),
+             f":3: {summary} (model must be str, not NoneType)"),
+            (good.replace('"aborted":false', '"aborted":"no"'),
+             f":3: {summary} (aborted must be bool, not str)"),
             # An `aborted` that disagrees with `error`.
-            (good.replace('"aborted":false', '"aborted":true'), "bad.jsonl:3:"),
-            (good.replace('"error":null,"exit":"all', '"error":"E: x","exit":"all'), "bad.jsonl:3:"),
+            (good.replace('"aborted":false', '"aborted":true'),
+             f":3: {summary} (summary says aborted True, but it is False)"),
+            (good.replace('"error":null,"exit":"all', '"error":"E: x","exit":"all'),
+             f":3: {summary} (summary says aborted False, but it is True)"),
             # Summary fields that disagree with the attempts.
-            (good.replace('"final_choice":"B"', '"final_choice":"R"'), "bad.jsonl:3:"),
-            (good.replace('"initial_choice":"R"', '"initial_choice":null'), "bad.jsonl:3:"),
-            (good.replace('"attempt_count":2', '"attempt_count":3'), "bad.jsonl:3:"),
-            (good.replace('"exit":"all_true","final', '"exit":"none","final'), "bad.jsonl:3:"),
-            (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'), "bad.jsonl:3:"),
+            (good.replace('"final_choice":"B"', '"final_choice":"R"'),
+             f":3: {summary} (summary says final_choice 'R', but it is 'B')"),
+            (good.replace('"initial_choice":"R"', '"initial_choice":null'),
+             f":3: {summary} (summary says initial_choice None, but it is 'R')"),
+            (good.replace('"attempt_count":2', '"attempt_count":3'),
+             f":3: {summary} (summary says attempt_count 3, but it is 2)"),
+            (good.replace('"exit":"all_true","final', '"exit":"none","final'),
+             f":3: {summary} (summary says exit 'none', but it is 'all_true')"),
+            (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'),
+             f":3: {summary} (error must be str or NoneType, not int)"),
             # A version this reader does not know, or none at all.
-            (good.replace('"version":1,', '"version":99,'), "bad.jsonl:3:"),
-            (good.replace('"version":1,', '"version":true,'), "bad.jsonl:3:"),
-            (good.replace('"version":1,', ""), "bad.jsonl:3:"),
+            (good.replace('"version":1,', '"version":99,'),
+             f":3: {summary} (version must be 1, not 99)"),
+            (good.replace('"version":1,', '"version":true,'),
+             f":3: {summary} (version must be int, not bool)"),
+            (good.replace('"version":1,', ""), ":3: session record missing field 'version'"),
             # A second session summary, here one naming another session.
             (
                 good + re.sub(r'"session_id":"[^"]*"', '"session_id":"other"', good.splitlines()[-1]),
-                "bad.jsonl:4: second session summary",
+                ":4: second session summary",
             ),
             # An attempt after one whose exit ended the session.
-            (good.replace('"exit":"none"', '"exit":"all_true"', 1), "bad.jsonl:2:"),
+            (good.replace('"exit":"none"', '"exit":"all_true"', 1),
+             f":2: {cannot} (attempt 1 ended the session (all_true))"),
             # Attempt indexes that are not the attempts' positions 1, 2, ...
-            (good.replace('"index":2', '"index":1'), "bad.jsonl:2:"),
-            (good.replace('"index":1', '"index":2'), "bad.jsonl:1:"),
+            (good.replace('"index":2', '"index":1'),
+             f":2: {cannot} (index must be 2, its position, not 1)"),
+            (good.replace('"index":1', '"index":2'),
+             f":1: {cannot} (index must be 1, its position, not 2)"),
+            # Two faults in one record: the first checked is the one reported.
+            (good.replace('"aborted":false', '"aborted":true')
+                 .replace('"attempt_count":2', '"attempt_count":3'),
+             f":3: {summary} (summary says attempt_count 3, but it is 2)"),
+            (good.replace('"aborted":false', '"aborted":"no"')
+                 .replace('"wall_time":0.0', '"wall_time":"0"'),
+             f":3: {summary} (aborted must be bool, not str)"),
             # Attempt, result and query fields of the wrong type.
             *(
-                (with_first_record_field(good, *path, value=value), "bad.jsonl:1:")
-                for *path, value in [
-                    ("index", True),
-                    ("instruction", None),
-                    ("reasoning", 7),
-                    ("translator_output", []),
-                    ("extracted_choice", 5),
-                    ("extracted_choice", "b"),
-                    ("results", {}),
-                    ("results", 0, "holds", "yes"),
-                    ("results", 0, "corrections", "lower"),
-                    ("results", 0, "explanation", 0),
-                    ("results", 0, "error", 5),
-                    ("results", 0, "query", "source_text", False),
-                    ("results", 0, "query", "args", [True, "x"]),
-                    ("results", 0, "query", "args", [1]),
+                (with_first_record_field(good, *path, value=value), f":1: {cannot} ({message})")
+                for *path, value, message in [
+                    ("index", True, "index must be int, not bool"),
+                    ("instruction", None, "instruction must be str, not NoneType"),
+                    ("reasoning", 7, "reasoning must be str, not int"),
+                    ("translator_output", [], "translator_output must be str, not list"),
+                    ("extracted_choice", 5, "extracted_choice must be B, R or null, not 5"),
+                    ("extracted_choice", "b", "extracted_choice must be B, R or null, not 'b'"),
+                    ("results", {}, "results must be list, not dict"),
+                    ("results", 0, "holds", "yes", "holds must be bool, not str"),
+                    ("results", 0, "corrections", "lower", "corrections must be list, not str"),
+                    ("results", 0, "explanation", 0, "explanation must be str, not int"),
+                    ("results", 0, "error", 5, "error must be str or NoneType, not int"),
+                    ("results", 0, "query", "source_text", False,
+                     "source_text must be str, not bool"),
+                    ("results", 0, "query", "args", [True, "x"],
+                     "higher: expected an integer, got True"),
+                    ("results", 0, "query", "args", [1], "higher takes 2 argument(s), got 1"),
                 ]
             ),
         ]:
             assert bad != good
-            path.write_text(bad)
-            with pytest.raises(TranscriptFormatError, match=where):
-                read_transcript(str(path))
+            assert error(bad) == message
         # One attempt, then the session record: its count is 1, and true is no count.
         one = run_session(pd, loop(["Payoff 3 beats 1. CHOICE: B"], ["higher(3, 1)"]), session_id="one")
         write_transcript(str(path), one)
         good = path.read_text()
         assert read_transcript(str(path)) == one
-        path.write_text(good.replace('"attempt_count":1', '"attempt_count":true'))
-        with pytest.raises(TranscriptFormatError, match="bad.jsonl:2: .*attempt_count True"):
-            read_transcript(str(path))
+        assert error(good.replace('"attempt_count":1', '"attempt_count":true')) == (
+            f":2: {summary} (summary says attempt_count True, but it is 1)"
+        )
 
     @pytest.mark.parametrize(
         "bad_line, message",
@@ -400,3 +462,64 @@ class TestTranscripts:
         write_transcript(str(tmp_path / "whole.jsonl"), whole)
         write_transcript(str(tmp_path / "resumed.jsonl"), resumed)
         assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+
+# Any text, non-ASCII and JSON's escapes included; reasoning always holds some.
+texts = st.text(max_size=12)
+labels = st.sampled_from(PROMPT_LABELS)
+queries = st.sampled_from(list(QueryKind)).flatmap(
+    lambda kind: st.builds(
+        Query,
+        st.just(kind),
+        st.tuples(*(st.integers() if slot == "int" else labels for slot in SCHEMAS[kind])),
+        texts,
+    )
+)
+results = st.builds(
+    QueryResult,
+    queries,
+    st.booleans(),
+    # A correction value is an int, a label or a pair of labels.
+    st.lists(st.tuples(texts, st.integers() | labels | st.tuples(labels, labels)), max_size=2)
+    .map(tuple),
+    texts,
+    st.none() | texts,  # a result with an error could not be judged
+)
+
+
+@st.composite
+def transcripts(draw):
+    count = draw(st.integers(0, 3))
+    last_exit = draw(st.sampled_from(list(ExitReason)))
+    attempts = tuple(
+        AttemptRecord(
+            index=index,
+            instruction=draw(texts),
+            reasoning="Zwölf € " + draw(texts),
+            translator_output=draw(texts),
+            report=VerificationReport(tuple(draw(st.lists(results, max_size=3)))),
+            extracted_choice=draw(st.none() | labels),
+            exit=last_exit if index == count else ExitReason.NONE,
+        )
+        for index in range(1, count + 1)
+    )
+    return SessionTranscript(
+        session_id=draw(texts),
+        game=draw(texts),
+        model=draw(texts),
+        attempts=attempts,
+        usage=Usage(draw(st.integers(0, 10**9)), draw(st.integers(0, 10**9))),
+        wall_time=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        error=draw(st.none() | texts.map("TransportError: ".__add__)),  # aborted, or not
+    )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(transcripts())
+def test_any_transcript_reads_back_equal_and_writes_the_same_bytes(tmp_path, transcript):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_transcript(str(first), transcript)
+    back = read_transcript(str(first))
+    assert back == transcript
+    write_transcript(str(second), back)
+    assert second.read_bytes() == first.read_bytes()
