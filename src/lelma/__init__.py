@@ -48,7 +48,7 @@ from .verification import (
     render_feedback,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ChatMessage",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -44,8 +45,12 @@ from .verification import (
 
 
 def cmd_solve(args) -> int:
-    g = load_game(args.game)
-    goal = parse_goal(args.goal)
+    g = load_game(args.game)  # a path keeps the locale's decoding, so a non-ASCII one opens
+    try:  # the goal is read as UTF-8, as files are, whatever the locale decoded it with
+        text = os.fsencode(args.goal).decode("utf-8")
+    except UnicodeEncodeError:  # text the locale cannot encode, given to `main` in-process
+        text = args.goal
+    goal = parse_goal(text)
     limits = ResolutionLimits(max_steps=args.max_steps, max_depth=args.max_depth)
     found = False
     for answer in solve(g.rulebase, goal, limits):

@@ -372,9 +372,11 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
     Blank cells are skipped. Unknown label values, duplicate labels,
     header mismatches and rows csv cannot read raise SheetFormatError
     naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
+    The sheet is UTF-8, with or without the byte order mark spreadsheet
+    tools write before "CSV UTF-8".
     """
     labels: "dict[str, dict[str, str]]" = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
         limit = csv.field_size_limit(2**31 - 1)
         row_number = 0  # the last row read

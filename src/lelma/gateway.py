@@ -6,6 +6,8 @@ newline-delimited JSON, one record per request, keyed by a canonical
 hash of (model_id, messages). A cassette answers each request it holds
 without a provider call; the answer to any other is appended to it, and
 under replay any other is a miss. So a rerun into a cassette resumes it.
+A last line with no newline is a torn append, one a kill cut off: the
+reader skips it and the next append first cuts it off the file.
 
 Cassettes and session transcripts share one NDJSON record format:
 `dumps` writes a line, `read_records` reads them, `check_types` checks.
@@ -130,12 +132,16 @@ def dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def read_records(path: str, error: "type[Exception]") -> "Iterator[tuple[str, dict]]":
+def read_records(path: str, error: "type[Exception]", torn_tail=False) -> "Iterator[tuple[str, dict]]":
     """`(f"{path}:{line}", record)` for each non-blank line of the NDJSON
-    file at `path`. Text that is not UTF-8, or a line that is not a JSON
-    object, raises `error` naming the file or the line; an OSError passes."""
+    file at `path`; with `torn_tail`, a last line with no newline is
+    skipped. Text that is not UTF-8, or a line that is not a JSON object,
+    raises `error` naming the file or the line; an OSError passes."""
+    data = Path(path).read_bytes()
+    if torn_tail:
+        data = data[: data.rfind(b"\n") + 1]
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -197,28 +203,29 @@ def canonical_request_key(model_id: str, messages: Sequence[ChatMessage]) -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_cassette(path: str) -> "dict[str, dict]":
-    """The records of the cassette at `path` by request key. A record that
-    cannot be replayed raises CassetteParseError naming its line."""
-    records: dict[str, dict] = {}
+def load_cassette(path: str) -> "dict[str, CompletionResult]":
+    """The answers of the cassette at `path` by request key, checked once,
+    here. A torn last line, one with no newline, is skipped; any other
+    record that cannot be replayed raises CassetteParseError naming its line."""
+    answers: dict[str, CompletionResult] = {}
     try:
-        for where, record in read_records(path, CassetteParseError):
+        for where, record in read_records(path, CassetteParseError, torn_tail=True):
             key = record.get("key")
             if not isinstance(key, str) or "request" not in record or "response" not in record:
                 raise CassetteParseError(f"{where}: missing key/request/response fields")
             try:
                 check_types(record, {"response": (dict,)})
-                check_types(record["response"], _RESPONSE_FIELDS)
+                answer = _completion(record["response"])
             except KeyError as exc:
                 raise CassetteParseError(f"{where}: response missing field {exc}") from exc
             except TypeError as exc:
                 raise CassetteParseError(f"{where}: response cannot be read ({exc})") from exc
-            if key in records:
+            if key in answers:
                 raise DuplicateRequestKeyError(f"{where}: duplicate request key {key}")
-            records[key] = record
+            answers[key] = answer
     except OSError as exc:  # missing, a directory, no permission, ...
         raise CassetteError(f"cannot read cassette {path}: {exc.strerror or exc}") from exc
-    return records
+    return answers
 
 
 # transport(url, headers, payload, timeout) -> (status_code, response_body)
@@ -268,8 +275,8 @@ class Gateway:
         self.cfg = cfg
         self._transport = transport or _requests_transport
         self._sleep = sleep
-        # The cassette's records by request key, read on the first call.
-        self._tape: Optional[dict[str, dict]] = None
+        # The cassette's answers by request key, read on the first call.
+        self._tape: Optional[dict[str, CompletionResult]] = None
         # A plain function in an instance attribute: called as `(self, messages)`.
         self._serve = _SERVE[cfg.provider]
         self.calls = 0
@@ -291,12 +298,11 @@ class Gateway:
                 missing = self.cfg.provider != "replay" and not Path(path).exists()
                 self._tape = {} if missing else load_cassette(path)
             key = canonical_request_key(self.cfg.model_id, messages)
-            record = self._tape.get(key)
-            if record is None:
+            result = self._tape.get(key)
+            if result is None:
                 result = self._serve(self, messages)
-                self._tape[key] = self._record(key, messages, result)
-            else:
-                result = _completion(record["response"])
+                self._record(key, messages, result)
+                self._tape[key] = result
         self.calls += 1
         usage = result.usage
         self._prompt_tokens += usage.prompt_tokens
@@ -401,8 +407,9 @@ class Gateway:
 
     # --- recording -----------------------------------------------------------
 
-    def _record(self, key: str, messages: Sequence[ChatMessage], result: CompletionResult) -> dict:
-        """Append `result`, the answer to `messages`, to the cassette; returns the record."""
+    def _record(self, key: str, messages: Sequence[ChatMessage], result: CompletionResult) -> None:
+        """Append `result`, the answer to `messages`, to the cassette, first
+        cutting off a torn last line, which load_cassette skipped."""
         from datetime import datetime, timezone
 
         record = {
@@ -423,9 +430,14 @@ class Gateway:
         }
         path = Path(self.cfg.record_to)  # type: ignore[arg-type]
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(dumps(record) + "\n")
-        return record
+        with path.open("a+b") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size:
+                handle.seek(size - 1)
+                if handle.read(1) != b"\n":
+                    handle.seek(0)
+                    handle.truncate(handle.read().rfind(b"\n") + 1)
+            handle.write(dumps(record).encode("utf-8") + b"\n")
 
 
 # Each provider ModelConfig accepts, with the Gateway method that serves it.

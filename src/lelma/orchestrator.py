@@ -31,16 +31,8 @@ from .games import PROMPT_LABELS, GameSpec
 from .gateway import (ChatMessage, Gateway, ModelConfig, Usage, check_types, dumps, read_records,
                       replace_text)
 from .translator import build_translation_prompt, parse_queries
-from .verification import (
-    Query,
-    QueryKind,
-    QueryResult,
-    VerificationError,
-    VerificationReport,
-    check_query,
-    evaluate_all,
-    render_feedback,
-)
+from .verification import (Query, QueryKind, QueryResult, VerificationError, VerificationReport,
+                           evaluate_all, render_feedback)
 
 TRANSCRIPT_VERSION = 1
 
@@ -292,12 +284,6 @@ def _read(table: tuple, fields: dict, make, check=lambda fields: None):
     return built
 
 
-def _query(**fields) -> Query:
-    q = Query(**fields)
-    check_query(q)
-    return q
-
-
 def _attempt(results, **fields) -> AttemptRecord:
     return AttemptRecord(report=VerificationReport(results), **fields)
 
@@ -308,7 +294,7 @@ _QUERY = (
     _field("source_text", str),
 )
 _RESULT = (
-    ("query", (), lambda r: _write(_QUERY, r.query), lambda q: _read(_QUERY, q, _query)),
+    ("query", (), lambda r: _write(_QUERY, r.query), lambda q: _read(_QUERY, q, Query)),
     _field("holds", bool),
     # A correction value is an int, a label or a pair of labels.
     ("corrections", (list,), lambda r: [list(c) for c in r.corrections],

@@ -14,11 +14,12 @@ memoized per line or per query. Failed queries carry corrections:
 produce a holding query. The wording of the correction sentences lives
 in an editable resource file, resources/feedback_templates.json.
 
-A translator line is parsed in one pass: it is stripped once, matched
-against the one-level template before the outcome template (they
-cannot both match), and its tokens, read by slot, go to check_query.
-The parser marks the query it has checked, so evaluate_query checks
-only the queries it did not build.
+A Query runs check_query when it is built, by hand, by `replace`, by
+the parser, the transcript reader or apply_corrections, so one that
+exists is well-formed and evaluate_query checks nothing. A translator
+line is parsed in one pass: it is stripped once, matched against the
+one-level template before the outcome template (they cannot both
+match), and its tokens, read by slot, build the Query.
 
 Each kind is described once. A new kind needs a QueryKind member, one
 _KINDS entry (its argument schema and its judge, which gives the
@@ -84,17 +85,15 @@ class QueryKind(str, Enum):
 
 @record
 class Query:
-    """One formal claim; args are in template argument order."""
+    """One formal claim; args are in template argument order. Building one
+    runs check_query, which raises on arguments outside the kind's schema."""
 
     kind: QueryKind
     args: "tuple[object, ...]"
     source_text: str = field(default="", compare=False)
-    # Set by parse_query_line once check_query has passed, so evaluate_query
-    # checks the query no second time. `replace` builds an unmarked copy.
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
-
-_mark_checked = Query._checked.__set__
+    def __post_init__(self) -> None:
+        check_query(self)
 
 
 @record
@@ -184,10 +183,7 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
         kind, tokens = QueryKind.OUTCOME, m.group("m", "n", "o")
     # Tokens past the schema are kept as they are, so check_query sees the arity.
     schema = SCHEMAS[kind]
-    q = Query(kind, (*map(_read_token, tokens, schema), *tokens[len(schema) :]), source)
-    check_query(q)
-    _mark_checked(q, True)
-    return q
+    return Query(kind, (*map(_read_token, tokens, schema), *tokens[len(schema) :]), source)
 
 
 def check_query(q: Query) -> None:
@@ -334,9 +330,7 @@ SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {k: schema for k, (schema, _) in _
 
 def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
     """Decide one query against the game and build corrections on failure.
-    A query parse_query_line built is checked already; any other is checked here."""
-    if not q._checked:
-        check_query(q)
+    The query checked itself when it was built, so it is not checked again."""
     corrections, key, fields = _KINDS[q.kind][1](g, q.kind, q.args)
     if not corrections:
         return QueryResult(q, True, (), f"Confirmed: {query_to_text(q)}")
@@ -373,15 +367,15 @@ def feedback_templates() -> "dict[str, str]":
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
     """Evaluate a batch; per-query errors are captured, never raised.
 
-    A query that fails validation, or whose engine run raises a
-    LogicError (a resolution limit, say), is recorded as an errored
-    result.
+    A query whose engine run raises a LogicError (a resolution limit,
+    say) is recorded as an errored result. A malformed query never gets
+    here: building it raised.
     """
     results = []
     for q in queries:
         try:
             results.append(evaluate_query(q, g))
-        except (VerificationError, LogicError) as exc:
+        except LogicError as exc:
             results.append(
                 QueryResult(q, False, (), f"Could not verify: {exc}", error=str(exc))
             )

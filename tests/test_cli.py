@@ -64,6 +64,9 @@ class TestSolve:
         assert code == 2
         assert "step" in err
 
+    def test_a_goal_given_in_process_is_text_already(self, capsys):
+        assert run_cli("solve", "pd", "X = 'a€'", capsys=capsys) == (0, "X = 'a€'\n", "")
+
     def test_cyclic_answer_is_an_error(self, capsys):
         code, out, err = run_cli("solve", "pd", "X = f(X)", capsys=capsys)
         assert code == 2
@@ -647,14 +650,22 @@ def test_a_sheet_is_utf8_whatever_the_locale(euro_sheet, tmp_path):
     (("verify", "pd", "--queries", "-"), "higher(€3, 1)\n", 0, "SKIPPED: {query}\n{tally}", ""),
     # An answer holding `€`, and an error message quoting it.
     (("solve", "{dir}/euro.gdl", "euro(X)"), "", 0, "X = '\\u20ac3'\n", ""),
+    # A path keeps the locale's decoding, so a non-ASCII one still opens.
+    (("solve", "{dir}/€.gdl", "euro(X)"), "", 0, "X = '\\u20ac3'\n", ""),
     (("solve", "{dir}/bad.gdl", "euro(X)"), "", 2, "",
      "error: line {line}, column 6: unexpected character '\\u20ac'\n"),
+    # A goal read as UTF-8, as files are, and one that is not UTF-8 ("\udcff" is byte 0xff).
+    (("solve", "pd", "X = 'a€'"), "", 0, "X = 'a\\u20ac'\n", ""),
+    (("solve", "pd", "p(€)"), "", 2, "", "error: line 1, column 3: unexpected character '\\u20ac'\n"),
+    (("solve", "pd", "X = '\udcff'"), "", 2, "",
+     "error: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte\n"),
 ])
 def test_text_an_ascii_locale_cannot_encode_prints_as_escapes(
     tmp_path, argv, stdin, status, out, err
 ):
     (tmp_path / "q.txt").write_text("higher(€3, 1)\n", encoding="utf-8")
     (tmp_path / "euro.gdl").write_text(PD_TEXT + "euro('€3').\n", encoding="utf-8")
+    (tmp_path / "€.gdl").write_bytes((tmp_path / "euro.gdl").read_bytes())
     (tmp_path / "bad.gdl").write_text(PD_TEXT + "euro(€3).\n", encoding="utf-8")
     done = run_lelma(*(a.format(dir=tmp_path) for a in argv), env=ASCII_LOCALE, stdin=stdin)
     query = "higher(\\u20ac3, 1) (higher: expected an integer, got '\\u20ac3')"

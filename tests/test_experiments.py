@@ -467,7 +467,9 @@ class TestEvaluationSheets:
         assert len(parsed) - 1 == rows
         assert parsed[1][0] == "pd_000:a1"
 
-    def test_fill_and_import_round_trip(self, sheet):
+    # A sheet saved as "CSV UTF-8" by a spreadsheet tool starts with a byte order mark.
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_fill_and_import_round_trip(self, sheet, encoding):
         _, path, _ = sheet
         with open(path, newline="") as handle:
             parsed = list(csv.reader(handle))
@@ -475,7 +477,7 @@ class TestEvaluationSheets:
             row[5] = "correct"
             row[6] = "Incorrect" if i % 2 else "correct"
             row[7] = ""  # third evaluator abstains
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding=encoding, newline="") as handle:
             csv.writer(handle).writerows(parsed)
         labels, evaluators = import_labels(str(path))
         assert evaluators == ("evaluator_1", "evaluator_2", "evaluator_3")

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from lelma import gateway
 from lelma.gateway import (
     CassetteError,
     CassetteParseError,
@@ -93,6 +94,43 @@ class TestCassette:
         assert player.complete(MESSAGES) == first
         assert player.complete(other) == second
 
+    def test_a_replayed_call_is_not_checked_again(self, tmp_path, monkeypatch):
+        cassette = str(tmp_path / "session.jsonl")
+        recorder = Gateway(ModelConfig(script=("hello there",), record_to=cassette))
+        first = recorder.complete(MESSAGES)
+        checks, check = [], gateway.check_types
+
+        def counted(*args):
+            checks.append(args)
+            check(*args)
+
+        monkeypatch.setattr(gateway, "check_types", counted)
+        player = Gateway(replace(recorder.cfg, provider="replay"), transport=exploding_transport)
+        assert player.complete(MESSAGES) == first
+        loaded = len(checks)  # the record and its response, checked as the cassette loads
+        assert loaded == 2
+        assert player.complete(MESSAGES) == first and len(checks) == loaded
+
+    def test_a_torn_last_line_is_skipped_and_replay_misses_it(self, tmp_path):
+        cassette = tmp_path / "torn.jsonl"
+        recorder = Gateway(ModelConfig(script=("hello", "lost"), record_to=str(cassette)))
+        other = (ChatMessage("user", "different prompt"),)
+        first = recorder.complete(MESSAGES)
+        recorder.complete(other)
+        torn = cassette.read_bytes()[:-40]  # a kill mid-append leaves no newline
+        cassette.write_bytes(torn)
+        assert list(load_cassette(str(cassette)).values()) == [first]
+        player = Gateway(replace(recorder.cfg, provider="replay"), transport=exploding_transport)
+        assert player.complete(MESSAGES) == first
+        with pytest.raises(ReplayMissError) as excinfo:
+            player.complete(other)
+        assert excinfo.value.key == canonical_request_key("mock-model", other)
+        assert cassette.read_bytes() == torn  # replay never writes
+        # Only a last line with no newline is torn: a complete one stays an error.
+        cassette.write_bytes(torn + b"\n")
+        with pytest.raises(CassetteParseError, match="torn.jsonl:2: not valid JSON"):
+            load_cassette(str(cassette))
+
     def test_first_wins_on_repeated_request(self, tmp_path):
         cassette = str(tmp_path / "dup.jsonl")
         recorder = Gateway(
@@ -104,8 +142,8 @@ class TestCassette:
         again = recorder.complete(MESSAGES)
         records = load_cassette(cassette)
         assert len(records) == 1
-        (record,) = records.values()
-        assert record["response"]["text"] == "first answer"
+        (answer,) = records.values()
+        assert answer.text == "first answer"
         player = Gateway(replace(recorder.cfg, provider="replay"), transport=exploding_transport)
         assert again == first == player.complete(MESSAGES)
 
@@ -193,7 +231,7 @@ class TestCassette:
     def test_latency_may_be_an_int(self, tmp_path):
         path = tmp_path / "int.jsonl"
         path.write_text(cassette_line("k", {**RESPONSE, "latency": 0}))
-        assert load_cassette(str(path))["k"]["response"]["latency"] == 0
+        assert load_cassette(str(path))["k"].latency == 0
 
     def test_recording_survives_gateway_restart(self, tmp_path):
         cassette = str(tmp_path / "resume.jsonl")

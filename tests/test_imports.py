@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lelma
 
 PACKAGE = Path(lelma.__file__).parent
@@ -284,3 +286,12 @@ def test_the_verdict_path_loads_no_module_only_runs_and_cassettes_use(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-2:] == ["", "True"]  # none loaded, then hashlib for the tape
+
+
+def test_the_package_version_is_the_one_pyproject_declares():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("lelma is installed apart from its source tree")
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == lelma.__version__

@@ -375,6 +375,8 @@ class TestTranscripts:
             (b"not json\n", "{path}:{line}: not valid JSON"),
             (b"[" * 100_000 + b"\n", "{path}:{line}: not valid JSON"),
             (b"[1, 2]\n", "{path}:{line}: not a JSON object"),
+            # A last line with no newline: a cassette skips it as a torn append.
+            (b'{"key": "torn', "{path}:{line}: not valid JSON"),
         ],
     )
     @pytest.mark.parametrize(
@@ -395,7 +397,7 @@ class TestTranscripts:
         spaced = "\n\n \t\n".join(good.read_text().splitlines()) + "\n"
         path = tmp_path / "spaced.jsonl"
         path.write_bytes(spaced.encode() + bad_line)
-        if message is None:
+        if message is None or (read is load_cassette and not bad_line.endswith(b"\n")):
             assert read(str(path)) == read(str(good))
             return
         line = len(spaced.splitlines()) + 1
@@ -434,9 +436,11 @@ class TestTranscripts:
         assert replay_path.read_bytes() == live_path.read_bytes()
         assert replayed == live
 
-    @pytest.mark.parametrize("recorded", [1, 2, 3, 5])
-    def test_a_rerun_resumes_a_session_cut_off_after_some_calls(self, pd, tmp_path, recorded):
-        # Three attempts, six calls: reasoner and translator in turn.
+    @pytest.mark.parametrize("recorded, torn", [(1, ""), (2, ""), (3, ""), (5, ""), (6, "r"), (6, "t")])
+    def test_a_rerun_resumes_a_session_cut_off_after_some_calls(self, pd, tmp_path, recorded, torn):
+        # Three attempts, six calls: reasoner and translator in turn. With `torn`,
+        # the last record of that role's cassette (".r" or ".t") is then cut at
+        # each byte offset inside it, as a kill mid-append leaves it.
         reasoner = ["Payoff 1 is higher than 3. CHOICE: R", "Still 1 beats 3. CHOICE: R",
                     "Fixed. CHOICE: B"]
         translator = ["higher(1, 3)", "higher(1, 3)", "higher(3, 1)"]
@@ -453,15 +457,32 @@ class TestTranscripts:
             cfg = replace(cfg, translator=replace(cfg.translator, record_to=f"{tapes}.t"))
             return run_session(pd, cfg, session_id="resumed")
 
+        def resumes(answered):
+            resumed = session(tmp_path / "cut", answered=answered)
+            write_transcript(str(tmp_path / "resumed.jsonl"), resumed)
+            return (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
         whole = session(tmp_path / "whole")
         assert not whole.aborted and whole.attempt_count == 3
-        cut = session(tmp_path / "cut", recorded)
-        assert cut.aborted and "exhausted" in cut.error
-        assert sum(len(load_cassette(str(tape))) for tape in tmp_path.glob("cut.*")) == recorded
-        resumed = session(tmp_path / "cut", answered=recorded)
         write_transcript(str(tmp_path / "whole.jsonl"), whole)
-        write_transcript(str(tmp_path / "resumed.jsonl"), resumed)
-        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        cut = session(tmp_path / "cut", recorded)
+        assert (cut.error is None) if recorded == 6 else ("exhausted" in cut.error)
+        assert sum(len(load_cassette(str(tape))) for tape in tmp_path.glob("cut.*")) == recorded
+        if not torn:
+            assert resumes(answered=recorded)
+            return
+        tape, other = tmp_path / f"cut.{torn}", tmp_path / ("cut.t" if torn == "r" else "cut.r")
+        recording, kept = tape.read_bytes(), other.read_bytes()
+        start = recording.rindex(b"\n", 0, -1) + 1  # where the last record begins
+        for end in range(start + 1, len(recording)):
+            tape.write_bytes(recording[:end])
+            # The torn call is the last one this role made: the fifth or the sixth.
+            assert resumes(answered=5 if torn == "t" else 4), end
+            # It was made again and recorded in place of the torn line; the other
+            # role's cassette answered every call, so it gained no record.
+            again = tape.read_bytes()
+            assert (again[:start], again.count(b"\n")) == (recording[:start], 3), end
+            assert other.read_bytes() == kept, end
 
 
 # Any text, non-ASCII and JSON's escapes included; reasoning always holds some.

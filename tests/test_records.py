@@ -19,7 +19,9 @@ HOLDS = QueryResult(Query(QueryKind.HIGHER, (5, 3), "higher(5, 3)"), True, (), "
 FAILS = QueryResult(
     Query(QueryKind.LOWER, (5, 3), "lower(5,3)"), False, (("relation", "higher"),), "5 is higher"
 )
-ERRORED = QueryResult(Query(QueryKind.HIGHER, (5,)), False, (), "Could not verify", error="arity")
+ERRORED = QueryResult(
+    Query(QueryKind.OUTCOME, ("B", 3, "B")), False, (), "Could not verify", error="depth limit"
+)
 
 
 def report():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import re
 import string
 from dataclasses import replace
@@ -13,7 +14,9 @@ import pytest
 from oracles import oracle_holds
 from lelma import verification
 from lelma.games import parse_game
-from lelma.orchestrator import payoff_rules_text
+from lelma.gateway import Usage
+from lelma.orchestrator import (AttemptRecord, ExitReason, SessionTranscript, TranscriptFormatError,
+                                payoff_rules_text, read_transcript, write_transcript)
 from lelma.translator import parse_queries
 from lelma.verification import (
     SCHEMAS,
@@ -21,8 +24,10 @@ from lelma.verification import (
     MalformedQueryError,
     Query,
     QueryKind,
+    QueryResult,
     UnknownMoveError,
     VerificationError,
+    VerificationReport,
     _KINDS,
     apply_corrections,
     evaluate_all,
@@ -237,12 +242,12 @@ def test_parse_rejects_unknown_moves_and_predicates(pd):
         parse_query_line("this is prose, not a query", pd)
 
 
-def test_bool_is_not_an_int_argument(pd):
+def test_bool_is_not_an_int_argument():
     # bool subclasses int, but True is no payoff
     with pytest.raises(MalformedQueryError):
-        evaluate_query(Query(QueryKind.HIGHER, (True, 0)), pd)
+        Query(QueryKind.HIGHER, (True, 0))
     with pytest.raises(MalformedQueryError):
-        evaluate_query(Query(QueryKind.HIGHEST_POSSIBLE, (False,)), pd)
+        Query(QueryKind.HIGHEST_POSSIBLE, (False,))
 
 
 def test_internal_equal_kind_is_not_parseable(pd):
@@ -259,20 +264,19 @@ def test_round_trip_canonical_text(pd):
 # --- batch evaluation and feedback -------------------------------------------
 
 
-def test_evaluate_all_captures_errors_without_aborting(pd):
-    good = Query(QueryKind.HIGHER, (5, 0))
-    bad = Query(QueryKind.HIGHER, ("B", 0))  # malformed: move where int expected
-    failing = Query(QueryKind.HIGHER, (0, 5))
-    report = evaluate_all([good, bad, failing], pd)
-    assert [r.holds for r in report.results] == [True, False, False]
-    assert report.results[1].error is not None
-    assert report.failed == (report.results[2],)
+def test_a_malformed_query_raises_before_it_reaches_evaluate_all(pd):
+    with pytest.raises(MalformedQueryError, match="^higher: expected an integer, got 'B'$"):
+        Query(QueryKind.HIGHER, ("B", 0))  # a move where an int is expected
+    good, failing = Query(QueryKind.HIGHER, (5, 0)), Query(QueryKind.HIGHER, (0, 5))
+    report = evaluate_all([good, failing], pd)
+    assert [(r.holds, r.error) for r in report.results] == [(True, None), (False, None)]
+    assert report.failed == (report.results[1],)
 
 
 @pytest.fixture
 def check_calls(monkeypatch):
     """The queries `check_query` is called with, the calls counted through
-    the module global that parse_query_line and evaluate_query call."""
+    the module global that building a Query calls."""
     calls = []
     check = verification.check_query
 
@@ -301,21 +305,21 @@ def test_a_parsed_query_is_checked_once(pd, check_calls):
     ]
 
 
-def test_a_hand_built_or_replaced_query_is_checked_when_evaluated(pd, check_calls):
+def test_a_query_is_checked_once_where_it_is_built(pd, check_calls):
     parsed = parse_query_line("higher(5, 3)", pd)
-    malformed = Query(QueryKind.HIGHER, (5,))
-    replaced = replace(parsed, args=("B", 3))
-    copied = copy.copy(parsed)
+    built = Query(QueryKind.HIGHER, (5, 3))
+    replaced = replace(parsed, args=(3, 5))
+    copied = copy.copy(parsed)  # a copy is no new build: it stays the checked query
+    assert check_calls == [parsed, built, replaced]
+    assert copied == parsed and copied.source_text == "higher(5, 3)"
+    with pytest.raises(MalformedQueryError, match="^higher takes 2 argument"):
+        Query(QueryKind.HIGHER, (5,))
+    with pytest.raises(MalformedQueryError, match="^higher: expected an integer, got 'B'$"):
+        replace(parsed, args=("B", 3))
     del check_calls[:]
-    report = evaluate_all([malformed, replaced, copied, Query(QueryKind.HIGHER, (5, 3))], pd)
-    assert check_calls == [malformed, replaced, Query(QueryKind.HIGHER, (5, 3))]
-    assert [r.error for r in report.results] == [
-        "higher takes 2 argument(s), got 1",
-        "higher: expected an integer, got 'B'",
-        None,
-        None,
-    ]
-    assert [r.holds for r in report.results] == [False, False, True, True]
+    report = evaluate_all([parsed, built, replaced, copied], pd)
+    assert check_calls == []
+    assert [r.holds for r in report.results] == [True, True, False, True]
 
 
 def test_evaluate_all_captures_engine_errors(pd):
@@ -547,13 +551,35 @@ def test_parse_rejection_table(pd, line, error, message):
     assert (type(err.value), str(err.value)) == (error, message)
 
 
+def build_errors(kind, args, tmp_path):
+    """The errors, as (type, message), that building a query of `kind` over
+    `args` raises: by hand, by `replace` on a well-formed query, and by
+    reading it from a transcript, which names its check's error as cause."""
+    good = Query(kind, tuple(1 if slot == "int" else "B" for slot in SCHEMAS[kind]))
+    path = tmp_path / "t.jsonl"
+    result = QueryResult(good, True, (), "Confirmed")
+    attempt = AttemptRecord(1, "", "", "", VerificationReport((result,)), None, ExitReason.ALL_TRUE)
+    write_transcript(str(path), SessionTranscript("s", "pd", "m", (attempt,), Usage(), 0.0))
+    first, rest = path.read_text().split("\n", 1)
+    record = json.loads(first)
+    record["results"][0]["query"]["args"] = list(args)
+    path.write_text(json.dumps(record) + "\n" + rest)
+    errors = []
+    for build, raised in [
+        (lambda: Query(kind, args), VerificationError),
+        (lambda: replace(good, args=args), VerificationError),
+        (lambda: read_transcript(str(path)), TranscriptFormatError),
+    ]:
+        with pytest.raises(raised) as err:
+            build()
+        exc = err.value.__cause__ if raised is TranscriptFormatError else err.value
+        errors.append((type(exc), str(exc)))
+    return errors
+
+
 @pytest.mark.parametrize("kind, args, error, message", INVALID)
-def test_validation_table(pd, kind, args, error, message):
-    with pytest.raises(VerificationError) as err:
-        evaluate_query(Query(kind, args), pd)
-    assert (type(err.value), str(err.value)) == (error, message)
-    (result,) = evaluate_all([Query(kind, args)], pd).results
-    assert (result.holds, result.error) == (False, message)
+def test_validation_table(tmp_path, kind, args, error, message):
+    assert build_errors(kind, args, tmp_path) == [(error, message)] * 3
 
 
 
@@ -577,17 +603,20 @@ def malformed_queries():
                 yield pytest.param(kind, args, error, id=f"{kind.value}-{slot}")
 
 
+def query_line(kind, args):
+    """The template line of a query of `kind` over `args`, well-formed or not."""
+    if kind is QueryKind.OUTCOME:
+        m, n, o = args
+        return f"finally(outcome(you,{m},{n},them,{o},_),S)"
+    return f"{kind.value}({', '.join(map(str, args))})"
+
+
 @pytest.mark.parametrize("kind, args, error", malformed_queries())
-def test_parsed_and_hand_built_queries_fail_alike(pd, kind, args, error):
-    q = Query(kind, args)
+def test_parsed_and_hand_built_queries_fail_alike(pd, tmp_path, kind, args, error):
     with pytest.raises(VerificationError) as parsed:
-        parse_query_line(query_to_text(q), pd)
-    with pytest.raises(VerificationError) as built:
-        evaluate_query(q, pd)
-    message = str(parsed.value)
-    assert (type(parsed.value), type(built.value), str(built.value)) == (error, error, message)
-    (result,) = evaluate_all([q], pd).results
-    assert (result.holds, result.error) == (False, message)
+        parse_query_line(query_line(kind, args), pd)
+    assert type(parsed.value) is error
+    assert build_errors(kind, args, tmp_path) == [(error, str(parsed.value))] * 3
 
 
 def test_one_kind_table_entry_per_kind():
