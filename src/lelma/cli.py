@@ -44,10 +44,22 @@ from .verification import (
 )
 
 
+class InputError(ValueError):
+    """A goal argument or standard input that is not UTF-8 text."""
+
+
+def _utf8(data: bytes, source: str) -> str:
+    """`data` read as UTF-8, as files are; InputError naming `source` if it is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source}: not UTF-8 text ({exc})") from None
+
+
 def cmd_solve(args) -> int:
     g = load_game(args.game)  # a path keeps the locale's decoding, so a non-ASCII one opens
     try:  # the goal is read as UTF-8, as files are, whatever the locale decoded it with
-        text = os.fsencode(args.goal).decode("utf-8")
+        text = _utf8(os.fsencode(args.goal), "goal argument")
     except UnicodeEncodeError:  # text the locale cannot encode, given to `main` in-process
         text = args.goal
     goal = parse_goal(text)
@@ -69,7 +81,10 @@ def cmd_verify(args) -> int:
     if args.queries == "-":
         # UTF-8 whatever the locale, as files are; a text-only stdin, a StringIO say, as it is.
         stdin = sys.stdin
-        text = stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
+        if hasattr(stdin, "buffer"):
+            text = _utf8(stdin.buffer.read(), "standard input")
+        else:
+            text = stdin.read()
     else:
         text = Path(args.queries).read_text(encoding="utf-8")
     held = failed = skipped = errors = 0
@@ -249,6 +264,7 @@ def main(argv=None) -> int:
         TranscriptFormatError,
         OSError,
         UnicodeDecodeError,
+        InputError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,10 +101,6 @@ class Literal:
         return f"\\+ {text}" if self.negated else text
 
 
-def pos(term: Term) -> Literal:
-    return Literal(term, False)
-
-
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: Term

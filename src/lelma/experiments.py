@@ -459,10 +459,6 @@ class ConfusionMatrix:
         return self.tt + self.tf + self.ft + self.ff
 
     @property
-    def accuracy(self) -> float:
-        return (self.tt + self.ff) / self.total
-
-    @property
     def accuracy_percent(self) -> int:
         """Accuracy in percent, rounded half up in integers: float error took some halves down."""
         return (200 * (self.tt + self.ff) + self.total) // (2 * self.total)

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .engine import Clause, Literal, RuleBase, pos, solve
+from .engine import Clause, Literal, RuleBase, solve
 from .gdl import parse_program, read_name
 from .terms import Atom, Int, Struct, Term, Var, is_ground
 
@@ -105,7 +105,7 @@ class PayoffSummary:
 
     Labels are prompt labels and payoffs are the reasoner's (the row
     player's) unless the field says otherwise; every tuple and mapping
-    is in labels_in_move_order order.
+    is in the order of GameSpec.label_payoffs.
     """
 
     guaranteed: "Mapping[str, int]"  # label -> worst payoff for committing to it
@@ -147,27 +147,21 @@ class GameSpec:
         return RuleBase(game_independent_rules() + self.clauses)
 
     @cached_property
-    def labels_in_move_order(self) -> "tuple[str, ...]":
-        label_of = {atom: label for label, atom in self.move_labels.items()}
-        return tuple(label_of[m] for m in self.payoffs.moves)
-
-    @cached_property
     def label_payoffs(self) -> "Mapping[tuple[str, str], tuple[int, int]]":
-        """(reasoner label, opponent label) -> (reasoner payoff, opponent
-        payoff), with the pairs in labels_in_move_order order. Read-only,
-        as every caller shares it."""
-        labels = self.labels_in_move_order
+        """(reasoner label, opponent label) -> (reasoner payoff, opponent payoff),
+        in the order of `payoffs.moves`; read-only, as every caller shares it."""
+        label_of = {atom: label for label, atom in self.move_labels.items()}
+        moves, entries = self.payoffs.moves, self.payoffs.entries
         return MappingProxyType({
-            (own, other): self.payoffs.entries[self.move_labels[own], self.move_labels[other]]
-            for own in labels
-            for other in labels
+            (label_of[own], label_of[other]): entries[own, other] for own in moves for other in moves
         })
 
     @cached_property
     def payoff_summary(self) -> PayoffSummary:
         """The guaranteed, best, extreme and mutual payoffs of the payoff
         view, so no verdict scans the matrix."""
-        labels, cells = self.labels_in_move_order, self.label_payoffs
+        cells = self.label_payoffs
+        labels = tuple(dict.fromkeys(own for own, _ in cells))  # in the cells' order
         guaranteed = {own: min(cells[own, other][0] for other in labels) for own in labels}
         best = {own: max(cells[own, other][0] for other in labels) for own in labels}
         own_payoffs = [u1 for u1, _ in cells.values()]
@@ -319,8 +313,8 @@ def outcome_goal(g: GameSpec, outcome: "tuple[Term, ...]") -> "tuple[Literal, ..
     are given."""
     situation = Var("S")
     return (
-        pos(Struct("game", (g.initial_situation, situation))),
-        pos(Struct("finally", (Struct("outcome", outcome), situation))),
+        Literal(Struct("game", (g.initial_situation, situation))),
+        Literal(Struct("finally", (Struct("outcome", outcome), situation))),
     )
 
 

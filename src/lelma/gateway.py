@@ -77,12 +77,6 @@ class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    def __add__(self, other: "Usage") -> "Usage":
-        return Usage(
-            self.prompt_tokens + other.prompt_tokens,
-            self.completion_tokens + other.completion_tokens,
-        )
-
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
@@ -238,7 +232,13 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
     try:
         response = requests.post(url, headers=headers, json=payload, timeout=timeout)
     except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
+        if not isinstance(exc, ValueError):  # a connection error or a timeout, say: retried
+            raise TransportError(str(exc)) from exc
+        # A bad URL or header, found before any connection: no retry can send it.
+        reason = exc
+        if isinstance(exc, requests.exceptions.InvalidHeader):  # its text quotes the API key, say
+            reason = "a header value is not valid"
+        raise ProviderError(f"cannot send a request to endpoint {url!r}: {reason}") from None
     try:
         body = response.json()
     except ValueError:
@@ -262,8 +262,7 @@ def _mock_usage(messages: Sequence[ChatMessage], text: str) -> Usage:
 class Gateway:
     """A stateful completion client for one ModelConfig.
 
-    Owns the call count, which is the mock's place in its script, the
-    cassette, and the usage accounting.
+    Owns the call count, which is the mock's place in its script, and the cassette.
     """
 
     def __init__(
@@ -280,13 +279,6 @@ class Gateway:
         # A plain function in an instance attribute: called as `(self, messages)`.
         self._serve = _SERVE[cfg.provider]
         self.calls = 0
-        # The usage totals, kept as counts; `totals` builds the Usage.
-        self._prompt_tokens = 0
-        self._completion_tokens = 0
-
-    @property
-    def totals(self) -> Usage:
-        return Usage(self._prompt_tokens, self._completion_tokens)
 
     def complete(self, messages: Sequence[ChatMessage]) -> CompletionResult:
         messages = tuple(messages)
@@ -304,9 +296,6 @@ class Gateway:
                 self._record(key, messages, result)
                 self._tape[key] = result
         self.calls += 1
-        usage = result.usage
-        self._prompt_tokens += usage.prompt_tokens
-        self._completion_tokens += usage.completion_tokens
         return result
 
     # --- providers ---------------------------------------------------------

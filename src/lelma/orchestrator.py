@@ -184,30 +184,29 @@ class LoopConfig:
             raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
 
 
-def run_session(
-    g: GameSpec,
-    cfg: LoopConfig,
-    session_id: Optional[str] = None,
-    reasoner: Optional[Gateway] = None,
-    translator: Optional[Gateway] = None,
-) -> SessionTranscript:
+def run_session(g: GameSpec, cfg: LoopConfig, session_id: Optional[str] = None) -> SessionTranscript:
     """One full self-correction session. Any exception in it, a gateway
     failure or an unreadable cassette say, aborts the session instead of
     raising: the transcript records it as `Type: message`."""
     attempts: "list[AttemptRecord]" = []
     instruction = build_instruction_prompt(g)
     wall_time = 0.0
+    prompt_tokens = completion_tokens = 0  # of every reply received, an aborted session's too
     error: Optional[str] = None
     # Building a gateway reads nothing and cannot fail: the config is checked.
-    reasoner = reasoner or Gateway(cfg.reasoner)
-    translator = translator or Gateway(cfg.translator)
+    reasoner = Gateway(cfg.reasoner)
+    translator = Gateway(cfg.translator)
 
     try:
         for index in range(1, cfg.max_attempts + 1):
             reply = reasoner.complete((ChatMessage("user", instruction),))
             wall_time += reply.latency
+            prompt_tokens += reply.usage.prompt_tokens
+            completion_tokens += reply.usage.completion_tokens
             translated = translator.complete(build_translation_prompt(reply.text, g))
             wall_time += translated.latency
+            prompt_tokens += translated.usage.prompt_tokens
+            completion_tokens += translated.usage.completion_tokens
             queries, _ = parse_queries(translated.text, g)
             report = evaluate_all(queries, g)
 
@@ -242,7 +241,7 @@ def run_session(
         game=g.name,
         model=cfg.reasoner.model_id,
         attempts=tuple(attempts),
-        usage=reasoner.totals + translator.totals,
+        usage=Usage(prompt_tokens, completion_tokens),
         wall_time=wall_time,
         error=error,
     )
@@ -288,6 +287,25 @@ def _attempt(results, **fields) -> AttemptRecord:
     return AttemptRecord(report=VerificationReport(results), **fields)
 
 
+# Each correction role, with whether a value read back is one the judges make.
+_CORRECTION_VALUES = {
+    "payoff": lambda v: type(v) is int,
+    "choice": lambda v: v in PROMPT_LABELS,
+    "choices": lambda v: type(v) is list and len(v) == 2 and all(m in PROMPT_LABELS for m in v),
+    "relation": lambda v: v in ("higher", "lower", "equal"),
+}
+
+
+def _correction(pair) -> "tuple[str, object]":
+    """The correction written as the JSON `[role, value]` `pair`, a pair of
+    labels as a tuple; ValueError if it is in no shape the judges make."""
+    if type(pair) is list and len(pair) == 2 and type(pair[0]) is str:
+        role, value = pair
+        if role in _CORRECTION_VALUES and _CORRECTION_VALUES[role](value):
+            return role, tuple(value) if type(value) is list else value
+    raise ValueError(f"correction must be a [role, value] pair as a judge makes it, not {pair!r}")
+
+
 _QUERY = (
     ("kind", (), lambda q: q.kind.value, QueryKind),
     ("args", (list,), lambda q: list(q.args), tuple),
@@ -296,9 +314,8 @@ _QUERY = (
 _RESULT = (
     ("query", (), lambda r: _write(_QUERY, r.query), lambda q: _read(_QUERY, q, Query)),
     _field("holds", bool),
-    # A correction value is an int, a label or a pair of labels.
     ("corrections", (list,), lambda r: [list(c) for c in r.corrections],
-     lambda cs: tuple((role, tuple(v) if type(v) is list else v) for role, v in cs)),
+     lambda cs: tuple(map(_correction, cs))),
     _field("explanation", str),
     _field("error", str, NoneType),
 )

@@ -98,10 +98,6 @@ def _name_text(name: str) -> str:
     return f"'{escaped}'"
 
 
-def struct(functor: str, *args: Term) -> Struct:
-    return Struct(functor, tuple(args))
-
-
 def walk(term: Term, subst: "dict[Var, Term]") -> Term:
     """Chase variable bindings one level deep (no recursion into args)."""
     while isinstance(term, Var):

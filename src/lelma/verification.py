@@ -108,16 +108,10 @@ class QueryResult:
 @record
 class VerificationReport:
     results: "tuple[QueryResult, ...]"
-    # Computed once: the session loop and the feedback read it per attempt.
-    _failed: "tuple[QueryResult, ...]" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        failed = tuple(r for r in self.results if r.error is None and not r.holds)
-        object.__setattr__(self, "_failed", failed)
 
     @property
     def failed(self) -> "tuple[QueryResult, ...]":
-        return self._failed
+        return tuple(r for r in self.results if r.error is None and not r.holds)
 
 
 # Kinds parsed by predicate name; outcome claims have their own regex.
@@ -384,6 +378,7 @@ def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
 
 def render_feedback(report: VerificationReport) -> str:
     """The correction sentences for a report's failed queries, one per line."""
-    if not report.failed:
+    failed = report.failed
+    if not failed:
         raise EmptyFailureSetError("no failed queries to render feedback for")
-    return "\n".join(r.explanation for r in report.failed)
+    return "\n".join(r.explanation for r in failed)

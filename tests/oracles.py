@@ -1,5 +1,5 @@
 """Independent brute-force oracles the implementation is checked against,
-and the renamer, substitution and printer the tests need.
+and the renamer, substitution, printer and compound builder the tests need.
 
 Everything here is written directly from first principles over the raw
 payoff entries, terms and clauses (or the bare agreement-statistic
@@ -14,6 +14,11 @@ from fractions import Fraction
 from lelma.engine import Clause, Literal
 from lelma.games import Outcome
 from lelma.terms import Atom, Struct, Term, Var
+
+
+def struct(functor: str, *args: Term) -> Struct:
+    """The compound `functor(args...)`: the tests' shorthand for building one."""
+    return Struct(functor, tuple(args))
 
 
 def rename_apart(clause: Clause, ordinal: int) -> Clause:

@@ -657,8 +657,8 @@ def test_a_sheet_is_utf8_whatever_the_locale(euro_sheet, tmp_path):
     # A goal read as UTF-8, as files are, and one that is not UTF-8 ("\udcff" is byte 0xff).
     (("solve", "pd", "X = 'a€'"), "", 0, "X = 'a\\u20ac'\n", ""),
     (("solve", "pd", "p(€)"), "", 2, "", "error: line 1, column 3: unexpected character '\\u20ac'\n"),
-    (("solve", "pd", "X = '\udcff'"), "", 2, "",
-     "error: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte\n"),
+    (("solve", "pd", "X = '\udcff'"), "", 2, "", "error: goal argument: not UTF-8 text "
+     "('utf-8' codec can't decode byte 0xff in position 5: invalid start byte)\n"),
 ])
 def test_text_an_ascii_locale_cannot_encode_prints_as_escapes(
     tmp_path, argv, stdin, status, out, err
@@ -680,7 +680,8 @@ def test_stdin_that_is_not_utf8_is_an_error(monkeypatch, capsys):
     stdin = io.TextIOWrapper(io.BytesIO(b"higher(3, 1)\n\xff\n"), encoding="utf-8")
     monkeypatch.setattr(sys, "stdin", stdin)
     assert run_cli("verify", "pd", "--queries", "-", capsys=capsys) == (
-        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+        2, "", "error: standard input: not UTF-8 text "
+        "('utf-8' codec can't decode byte 0xff in position 13: invalid start byte)\n"
     )
 
 def test_no_command_opens_a_file_in_the_locale_encoding(euro_sheet, tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import enumerate_outcomes_direct, rename_apart
+from oracles import enumerate_outcomes_direct, rename_apart, struct
 from lelma import engine, verification
 from lelma.engine import (
     Clause,
@@ -19,13 +19,12 @@ from lelma.engine import (
     ResolutionLimits,
     RuleBase,
     UnknownPredicate,
-    pos,
     solve,
     solve_all,
 )
 from lelma.games import game_independent_rules
 from lelma.gdl import parse_clause, parse_goal, parse_program
-from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, struct, term_vars
+from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, term_vars
 from lelma.verification import Query, QueryKind
 
 
@@ -492,8 +491,8 @@ def test_a_deep_goal_term_is_converted_without_recursion():
         return term
 
     base = rb("p(X).")
-    assert solve_all(base, [pos(struct("p", deep(Atom("z"))))]) == [{}]
-    goal = [pos(struct("p", deep(Var("Y")))), pos(struct("=", Var("Y"), Atom("z")))]
+    assert solve_all(base, [Literal(struct("p", deep(Atom("z"))))]) == [{}]
+    goal = [Literal(struct("p", deep(Var("Y")))), Literal(struct("=", Var("Y"), Atom("z")))]
     assert solve_all(base, goal) == [{Var("Y"): Atom("z")}]
 
 
@@ -530,7 +529,7 @@ def test_a_wide_unification_past_the_cycle_check_binds_as_before():
     n = 12_000
     a = struct("f", *(struct("g", Var(f"A{i}")) for i in range(n)))
     b = struct("f", *(struct("g", Int(i)) for i in range(n)))
-    (answer,) = solve_all(RuleBase([]), [pos(struct("=", a, b))])
+    (answer,) = solve_all(RuleBase([]), [Literal(struct("=", a, b))])
     assert answer == {Var(f"A{i}"): Int(i) for i in range(n)}
 
 

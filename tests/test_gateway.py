@@ -58,12 +58,13 @@ class TestMockProvider:
         with pytest.raises(ProviderError, match="exhausted"):
             gw.complete(MESSAGES)
 
-    def test_totals_accumulate(self):
+    def test_each_call_counts_and_carries_its_own_usage(self):
         gw = Gateway(ModelConfig(script=("a b", "c")), transport=exploding_transport)
-        gw.complete(MESSAGES)
-        gw.complete(MESSAGES)
+        first = gw.complete(MESSAGES)
+        second = gw.complete(MESSAGES)
         assert gw.calls == 2
-        assert gw.totals == Usage(prompt_tokens=16, completion_tokens=3)
+        assert first.usage == Usage(prompt_tokens=8, completion_tokens=2)
+        assert second.usage == Usage(prompt_tokens=8, completion_tokens=1)
 
 
 class TestRequestKey:
@@ -403,6 +404,42 @@ class TestRetries:
         cfg = ModelConfig(provider="openai", endpoint="https://x", retries=3)
         gw = Gateway(cfg, transport=transport, sleep=lambda s: None)
         assert gw.complete(MESSAGES).text == "the answer"
+
+    @pytest.mark.parametrize("provider", ["openai", "gemini"])
+    @pytest.mark.parametrize("endpoint", ["", "http://", "localhost:8080/v1"])
+    def test_a_request_that_cannot_be_sent_is_not_retried(self, provider, endpoint):
+        # The real transport: requests rejects these URLs before it connects.
+        sleeps = []
+        gw = Gateway(ModelConfig(provider=provider, endpoint=endpoint), sleep=sleeps.append)
+        with pytest.raises(ProviderError) as excinfo:
+            gw.complete(MESSAGES)
+        assert str(excinfo.value).startswith(f"cannot send a request to endpoint {endpoint!r}: ")
+        assert excinfo.value.status is None
+        assert sleeps == []
+
+    def test_a_header_that_cannot_be_sent_is_not_retried_nor_quoted(self, monkeypatch):
+        monkeypatch.setenv("LELMA_TEST_KEY", "sk-secret\n")  # a stray newline: no valid header
+        sleeps = []
+        endpoint, key = "http://127.0.0.1:9/", "LELMA_TEST_KEY"
+        cfg = ModelConfig(provider="openai", endpoint=endpoint, api_key_env=key)
+        with pytest.raises(ProviderError) as excinfo:
+            Gateway(cfg, sleep=sleeps.append).complete(MESSAGES)
+        assert str(excinfo.value) == (
+            "cannot send a request to endpoint 'http://127.0.0.1:9/': a header value is not valid"
+        )
+        assert sleeps == []
+
+    def test_a_refused_connection_is_retried(self):
+        import socket
+
+        with socket.socket() as closed:  # bound, never listening: connecting is refused
+            closed.bind(("127.0.0.1", 0))
+            endpoint = f"http://127.0.0.1:{closed.getsockname()[1]}/"
+            sleeps = []
+            cfg = ModelConfig(provider="openai", endpoint=endpoint, retries=2, timeout=5.0)
+            with pytest.raises(TransportError):
+                Gateway(cfg, sleep=sleeps.append).complete(MESSAGES)
+        assert len(sleeps) == 1
 
     def test_non_transient_status_fails_immediately(self):
         calls = {"n": 0}

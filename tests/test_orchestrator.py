@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lelma.games import PROMPT_LABELS
 from lelma.gateway import (
     CassetteParseError,
+    ChatMessage,
     Gateway,
     ModelConfig,
     Usage,
@@ -29,6 +30,7 @@ from lelma.orchestrator import (
     run_session,
     write_transcript,
 )
+from lelma.translator import build_translation_prompt
 from lelma.verification import SCHEMAS, Query, QueryKind, QueryResult, VerificationReport
 
 
@@ -120,6 +122,20 @@ class TestExtractChoice:
 REASONING_TRUE = "Mutual B pays $3 each, which is higher than $1.\nCHOICE: B"
 
 
+def attempt_calls(a: AttemptRecord, g) -> list:
+    """The (messages, reply) of both calls of attempt `a`, as its record holds them."""
+    return [
+        ((ChatMessage("user", a.instruction),), a.reasoning),
+        (build_translation_prompt(a.reasoning, g), a.translator_output),
+    ]
+
+
+def replies_usage(calls) -> Usage:
+    """The summed usage of fresh mock gateways that reply `text` to `messages`."""
+    usages = [Gateway(ModelConfig(script=(text,))).complete(messages).usage for messages, text in calls]
+    return Usage(sum(u.prompt_tokens for u in usages), sum(u.completion_tokens for u in usages))
+
+
 class TestRunSession:
     def test_all_true_exit(self, pd):
         cfg = loop([REASONING_TRUE], ["higher(3, 1)"])
@@ -186,6 +202,20 @@ class TestRunSession:
         assert t.attempt_count == 1
         assert t.exit is ExitReason.NONE
 
+    def test_an_aborted_session_counts_every_reply_it_got(self, pd):
+        wrong = "Payoff 1 is higher than 3. CHOICE: R"
+        # The translator's script runs out on attempt 3, after the reasoner replied.
+        cfg = loop([wrong, wrong, REASONING_TRUE], ["higher(1, 3)", "higher(1, 3)"])
+        t = run_session(pd, cfg)
+        assert t.aborted and "exhausted" in t.error
+        assert t.attempt_count == 2
+        last = t.attempts[-1]
+        third = build_feedback_prompt(last.reasoning, last.report, pd)
+        calls = [*attempt_calls(t.attempts[0], pd), *attempt_calls(last, pd)]
+        calls.append(((ChatMessage("user", third),), REASONING_TRUE))
+        assert t.usage == replies_usage(calls)
+        assert t.usage != replies_usage(calls[:-1])
+
     def test_unreadable_record_cassette_aborts_the_session(self, pd, tmp_path):
         # The reasoner's first call reads the cassette at `record_to`, here a
         # directory.
@@ -198,10 +228,11 @@ class TestRunSession:
 
     def test_usage_sums_both_models(self, pd):
         cfg = loop([REASONING_TRUE], ["higher(3, 1)"])
-        reasoner = Gateway(cfg.reasoner)
-        translator = Gateway(cfg.translator)
-        t = run_session(pd, cfg, reasoner=reasoner, translator=translator)
-        assert t.usage == reasoner.totals + translator.totals
+        t = run_session(pd, cfg)
+        reasoner_call, translator_call = attempt_calls(t.attempts[0], pd)
+        assert t.usage == replies_usage([reasoner_call, translator_call])
+        assert replies_usage([reasoner_call]).total_tokens > 0
+        assert replies_usage([translator_call]).total_tokens > 0
         assert t.model == cfg.reasoner.model_id
 
 
@@ -346,6 +377,12 @@ class TestTranscripts:
                     ("results", {}, "results must be list, not dict"),
                     ("results", 0, "holds", "yes", "holds must be bool, not str"),
                     ("results", 0, "corrections", "lower", "corrections must be list, not str"),
+                    # Corrections in no shape a judge makes.
+                    *(
+                        ("results", 0, "corrections", [c], "correction must be a [role, value] "
+                         f"pair as a judge makes it, not {c!r}")
+                        for c in ([1, 2], ["nonsense", {"a": 1}], ["relation", None])
+                    ),
                     ("results", 0, "explanation", 0, "explanation must be str, not int"),
                     ("results", 0, "error", 5, "error must be str or NoneType, not int"),
                     ("results", 0, "query", "source_text", False,
@@ -496,13 +533,18 @@ queries = st.sampled_from(list(QueryKind)).flatmap(
         texts,
     )
 )
+# A correction in each shape the judges make.
+corrections = (
+    st.tuples(st.just("payoff"), st.integers())
+    | st.tuples(st.just("choice"), labels)
+    | st.tuples(st.just("choices"), st.tuples(labels, labels))
+    | st.tuples(st.just("relation"), st.sampled_from(["higher", "lower", "equal"]))
+)
 results = st.builds(
     QueryResult,
     queries,
     st.booleans(),
-    # A correction value is an int, a label or a pair of labels.
-    st.lists(st.tuples(texts, st.integers() | labels | st.tuples(labels, labels)), max_size=2)
-    .map(tuple),
+    st.lists(corrections, max_size=2).map(tuple),
     texts,
     st.none() | texts,  # a result with an error could not be judged
 )

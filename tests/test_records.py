@@ -151,3 +151,10 @@ def test_a_record_takes_no_field_it_cannot_build_in_its_init():
     for cls in (Listed, Named):
         with pytest.raises(TypeError, match="a record takes no default_factory or kw_only"):
             _record.record(cls)
+
+    class Hidden:
+        shown: int
+        hidden: int = field(default=0, init=False)
+
+    with pytest.raises(TypeError, match=r"Hidden\.hidden: a record takes no init=False field"):
+        _record.record(Hidden)

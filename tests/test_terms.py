@@ -6,7 +6,8 @@ import string
 from hypothesis import given, strategies as st
 
 import oracles
-from lelma.engine import RuleBase, pos, solve_all
+from oracles import struct
+from lelma.engine import Literal, RuleBase, solve_all
 from lelma.terms import (
     Atom,
     Int,
@@ -15,7 +16,6 @@ from lelma.terms import (
     is_ground,
     rename_term,
     resolve,
-    struct,
     term_vars,
     unify,
     walk,
@@ -166,7 +166,7 @@ def linear_terms(prefix: str):
 
 def engine_unify(t1, t2):
     """The engine's answer to `t1 = t2` on an empty program, or None."""
-    answers = solve_all(RuleBase(()), (pos(struct("=", t1, t2)),))
+    answers = solve_all(RuleBase(()), (Literal(struct("=", t1, t2)),))
     return answers[0] if answers else None
 
 

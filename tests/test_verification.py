@@ -441,7 +441,7 @@ def swapped():
         line for line in pd_text.splitlines() if not line.startswith(("%! name", "payoff("))
     ]
     g = parse_game("%! name: swapped\n" + _SWAPPED_PAYOFFS + "\n".join(rules) + "\n")
-    assert g.labels_in_move_order == ("B", "R")
+    assert tuple(g.label_payoffs) == (("B", "B"), ("B", "R"), ("R", "B"), ("R", "R"))
     return g
 
 
