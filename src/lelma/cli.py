@@ -45,7 +45,7 @@ from .verification import (
 
 
 class InputError(ValueError):
-    """A goal argument or standard input that is not UTF-8 text."""
+    """A goal argument, standard input or query file that is not UTF-8 text."""
 
 
 def _utf8(data: bytes, source: str) -> str:
@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
         else:
             text = stdin.read()
     else:
-        text = Path(args.queries).read_text(encoding="utf-8")
+        text = _utf8(Path(args.queries).read_bytes(), args.queries)
     held = failed = skipped = errors = 0
     for raw in text.splitlines():
         line = raw.strip()

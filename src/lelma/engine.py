@@ -12,8 +12,9 @@ way to it (see `ResolutionLimits`).
 
 Bindings are made in place and undone on backtracking, as in the WAM
 (Ait-Kaci, Warren's Abstract Machine: A Tutorial Reconstruction, 1991).
-During a search every variable is a mutable cell; binding one sets the
-cell and pushes it on a trail, and backtracking to a choice point clears
+During a search every variable is a mutable cell, a plain list
+[value, name, ordinal]; binding one sets the cell's value and pushes it
+on a trail, and backtracking to a choice point clears
 the cells pushed since. `RuleBase` compiles each clause once into a
 Python function that unifies the clause's head with a goal in
 straight-line code, renaming the clause's variables as it meets them,
@@ -39,19 +40,28 @@ compounds fold each shared part of a cell term once (`_fold_cells`), so
 they take time linear in the term's stored size.
 
 `RuleBase` also builds one entry per predicate. The entry switches on
-the principal functor or constant of a goal's first argument, as the
-WAM's `switch_on_term` does (Warren, An Abstract Prolog Instruction Set,
-SRI Tech. Note 309, 1983), so clauses whose first head argument cannot
-match are never tried; a skipped clause still keeps its ordinal. A
-compound keys by its functor alone, since the clause functions check
-arity anyway. Each body literal is compiled into a goal node that
-carries its callee (the entry, a builtin, a negation or the literal's
-own `=` function), so selecting a goal looks nothing up, unless the
-goal is a variable or its predicate is undefined. One loop runs a
-whole search: a `\\+` pushes a barrier choice point and runs its
-subproof in the same loop, cutting back to the barrier and failing once
-the subproof is proved. A choice point is pushed only while a later
-candidate clause is left.
+the principal functor or constant of a goal's argument at the first
+head position where the clauses' principal symbols differ, as the
+WAM's `switch_on_term` does on the first argument (Warren, An Abstract
+Prolog Instruction Set, SRI Tech. Note 309, 1983): the game rules'
+`holds(F, s0)` tries only the clause whose second head argument is a
+variable. A
+predicate of two or more clauses also guards the first position where
+every head has the same principal symbol, so a goal bound to another
+symbol there tries no clause: indexing on more than the first argument
+(Santos Costa, Sagonas & Lopes, Demand-Driven Indexing of Prolog
+Clauses, ICLP 2007), fixed once per RuleBase. A skipped clause still
+keeps its ordinal. A compound keys by its functor alone, since the
+clause functions check arity anyway. Neither uses a position after a
+head argument whose code calls `_unify`, so skipping a clause never
+skips a LogicError that unifying its head would raise. Each body
+literal is compiled into a goal node that carries its callee (the
+entry, a builtin, a negation or the literal's own `=` function), so
+selecting a goal looks nothing up, unless the goal is a variable or its
+predicate is undefined. One loop runs a whole search: a `\\+` pushes a
+barrier choice point and runs its subproof in the same loop, cutting
+back to the barrier and failing once the subproof is proved. A choice
+point is pushed only while a later candidate clause is left.
 """
 
 from __future__ import annotations
@@ -176,35 +186,33 @@ class ResolutionLimits:
 # --- cell terms -------------------------------------------------------------
 #
 # Inside a search a term is a str (atom), an int (integer), a tuple
-# (functor, arg, ...) (compound) or a _Ref (variable). A _Ref is bound by
-# setting its value and unbound by clearing it; `Term` values are
-# converted in once per goal and out once per answer or error message.
-
-
-class _Ref:
-    """A variable cell, unbound while `value` is None."""
-
-    __slots__ = ("name", "ordinal", "value")
-
-    def __init__(self, name: str, ordinal: int) -> None:
-        self.name = name
-        self.ordinal = ordinal
-        self.value = None
-
+# (functor, arg, ...) (compound) or a list [value, name, ordinal] (variable),
+# its cell. A cell is unbound while its value is None, bound by setting the
+# value and unbound by clearing it; `Term` values are converted in once per
+# goal and out once per answer or error message. A cell is a plain list
+# because a search makes one per clause variable it renames, and a list is
+# built in a fraction of the time an object's `__init__` takes.
 
 _FAIL = object()  # what a clause function returns when its head does not unify
 
 
-def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
+class _Mark(list):
+    """An entry of a walk's to-do stack that is not a term: a list, so it
+    unpacks as one, of its own type, so it is never taken for a cell."""
+
+    __slots__ = ()
+
+
+def _to_cells(term: Term, cells: "dict[Var, list]"):
     """The cell term of `term`; its variables are looked up in `cells`,
     and added to it in the order they occur."""
 
     def leaf(t):
         if isinstance(t, Var):
-            ref = cells.get(t)
-            if ref is None:
-                ref = cells[t] = _Ref(t.name, t.ordinal)
-            return ref
+            cell = cells.get(t)
+            if cell is None:
+                cell = cells[t] = [None, t.name, t.ordinal]
+            return cell
         return t.name if isinstance(t, Atom) else t.value
 
     return fold(term, leaf, lambda functor, args: (functor, *args))
@@ -212,45 +220,45 @@ def _to_cells(term: Term, cells: "dict[Var, _Ref]"):
 
 def _fold_cells(t, leaf, node):
     """Fold the cell term `t` bottom-up, as `terms.fold` folds a `Term`:
-    `leaf(c)` maps each atom, integer and unbound `_Ref`, left to right,
+    `leaf(c)` maps each atom, integer and unbound cell, left to right,
     `node(functor, args)` maps each compound, `args` being the tuple of
-    its arguments' results, and a bound `_Ref` maps as its value does.
+    its arguments' results, and a bound cell maps as its value does.
 
     Iterative, so a deep term cannot exhaust Python's stack. Each compound
-    and each bound `_Ref` is folded once, however often it is shared: its
+    and each bound cell is folded once, however often it is shared: its
     result is kept by object identity, which is safe because every such
     object stays reachable from `t` during the fold. A variable met
     inside its own binding raises LogicError.
     """
-    done: dict = {}  # a folded bound _Ref, or a folded compound's id -> its result
-    inside: set = set()  # bound _Refs whose compounds are being folded
+    done: dict = {}  # the id of a folded bound cell or compound -> its result
+    inside: set = set()  # ids of bound cells whose compounds are being folded
     out: list = []  # results; a compound takes its arguments' off the end
     todo = [t]
     while todo:
         t = todo.pop()
-        if type(t) is list:  # the arguments of a compound are folded
+        if type(t) is _Mark:  # the arguments of a compound are folded
             t, refs = t
             k = len(out) + 1 - len(t)
             value = done[id(t)] = node(t[0], tuple(out[k:]))
             del out[k:]
             inside.difference_update(refs)
         else:
-            refs = []  # the bound _Refs walked to reach t, not folded yet
-            while type(t) is _Ref and t.value is not None and t not in done:
-                if t in inside:
-                    name = Var(t.name, t.ordinal)
+            refs = []  # ids of the bound cells walked to reach t, not folded yet
+            while type(t) is list and t[0] is not None and id(t) not in done:
+                if id(t) in inside:
+                    name = Var(t[1], t[2])
                     raise LogicError(f"cyclic term: {name} occurs in its own binding")
-                refs.append(t)
-                t = t.value
+                refs.append(id(t))
+                t = t[0]
             if type(t) is tuple:
                 if id(t) not in done:
                     inside.update(refs)
-                    todo.append([t, refs])
+                    todo.append(_Mark((t, refs)))
                     todo += t[:0:-1]
                     continue
                 value = done[id(t)]
-            elif type(t) is _Ref and t.value is not None:  # a folded one
-                value = done[t]
+            elif type(t) is list and t[0] is not None:  # a folded one
+                value = done[id(t)]
             else:
                 value = leaf(t)
         for ref in refs:
@@ -260,12 +268,12 @@ def _fold_cells(t, leaf, node):
 
 
 def _term_leaf(c) -> Term:
-    """The `Term` of an atom, integer or unbound `_Ref`."""
+    """The `Term` of an atom, integer or unbound cell."""
     if type(c) is str:
         return Atom(c)
     if type(c) is int:
         return Int(c)
-    return Var(c.name, c.ordinal)
+    return Var(c[1], c[2])
 
 
 def _to_term(t) -> Term:
@@ -289,8 +297,8 @@ def _is_ground(t) -> bool:
     once and raises LogicError for a cyclic binding instead of looping
     forever.
     """
-    while type(t) is _Ref:
-        t = t.value
+    while type(t) is list:
+        t = t[0]
         if t is None:
             return False
     if type(t) is not tuple:
@@ -299,15 +307,15 @@ def _is_ground(t) -> bool:
     left = _CYCLE_CHECK_AFTER
     while todo:
         for a in todo.pop():  # the functor, a str, passes as ground
-            while type(a) is _Ref:
-                a = a.value
+            while type(a) is list:
+                a = a[0]
                 if a is None:
                     return False
             if type(a) is tuple:
                 todo.append(a)
         left -= 1
         if not left:
-            return _fold_cells(t, lambda c: type(c) is not _Ref, lambda f, args: all(args))
+            return _fold_cells(t, lambda c: type(c) is not list, lambda f, args: all(args))
     return True
 
 
@@ -322,18 +330,18 @@ def _unify(a, b, trail: list) -> bool:
     again inside itself, which only cyclic terms can make happen, raises
     LogicError instead of looping forever.
     """
-    while type(a) is _Ref and a.value is not None:
-        a = a.value
-    while type(b) is _Ref and b.value is not None:
-        b = b.value
+    while type(a) is list and a[0] is not None:
+        a = a[0]
+    while type(b) is list and b[0] is not None:
+        b = b[0]
     if a is b:
         return True
-    if type(a) is _Ref:
-        a.value = b
+    if type(a) is list:
+        a[0] = b
         trail.append(a)
         return True
-    if type(b) is _Ref:
-        b.value = a
+    if type(b) is list:
+        b[0] = a
         trail.append(b)
         return True
     if type(a) is not tuple:
@@ -347,22 +355,22 @@ def _unify(a, b, trail: list) -> bool:
     inside = done = None
     while todo:
         item = todo.pop()
-        if type(item) is list:  # the end of a checked pair's arguments
+        if type(item) is _Mark:  # the end of a checked pair's arguments
             inside.discard(item[0])
             done.add(item[0])
             continue
         a, b = item
-        while type(a) is _Ref and a.value is not None:
-            a = a.value
-        while type(b) is _Ref and b.value is not None:
-            b = b.value
+        while type(a) is list and a[0] is not None:
+            a = a[0]
+        while type(b) is list and b[0] is not None:
+            b = b[0]
         if a is b:
             continue
-        if type(a) is _Ref:
-            a.value = b
+        if type(a) is list:
+            a[0] = b
             trail.append(a)
-        elif type(b) is _Ref:
-            b.value = a
+        elif type(b) is list:
+            b[0] = a
             trail.append(b)
         elif type(a) is not tuple:
             if a != b:
@@ -377,7 +385,7 @@ def _unify(a, b, trail: list) -> bool:
                 if pair in inside:
                     raise LogicError("cyclic term: unification would not terminate")
                 inside.add(pair)
-                todo.append([pair])
+                todo.append(_Mark((pair,)))
             else:
                 left -= 1
                 if not left:
@@ -403,32 +411,46 @@ class _Pred:
     """A predicate's entry, built once per RuleBase.
 
     `clauses` chains the predicate's compiled clauses in source order
-    (see `_chain`) and `size` counts them. `switch` maps the principal
-    functor or constant of a goal's first argument to the chain of the
-    clauses that can match it: a compound keys as its functor, whatever
-    its arity, an atom as its name, an integer as its value. So `f`,
-    `f(a)` and `f(a, b)` share a bucket; the clause functions, which check
-    the constant or the functor and arity, tell them apart. `default`
-    serves a key the switch lacks. Clauses whose first head argument is a
-    variable are in every bucket and in `default`. `switch` is None when
-    no head has a nonvariable first argument.
+    (see `_chain`) and `size` counts them. `at` is the first indexed head
+    position (see `_index_keys`) where the clauses' principal symbols
+    differ, a variable counting as a symbol of its own, and 0 if there is
+    none. `switch` maps the principal functor or constant of a goal's
+    argument there to the chain of the clauses that can match it: a
+    compound keys as its functor, whatever its arity, an atom as its
+    name, an integer as its value. So `f`, `f(a)` and `f(a, b)` share a
+    bucket; the clause functions, which check the constant or the functor
+    and arity, tell them apart. `default` serves a key the switch lacks.
+    Clauses with a variable at `at` are in every bucket and in `default`.
+
+    `guard_at` is the first indexed position where every head of a
+    predicate of two or more clauses has the same principal symbol,
+    `guard`, and 0 if there is none: a goal bound to another symbol there
+    matches no clause. A goal unbound at `at` or `guard_at` tries the
+    clauses that position would otherwise have skipped.
     """
 
-    __slots__ = ("size", "clauses", "switch", "default")
+    __slots__ = ("size", "clauses", "at", "switch", "default", "guard_at", "guard")
 
     def fill(self, clauses: "Sequence[Clause]", functions: list) -> None:
         pairs = list(enumerate(functions))
-        keys = [_first_arg_key(c.head) for c in clauses]
         self.size = len(pairs)
-        self.clauses = self.default = _chain(pairs)
-        self.switch = None
-        if any(k is not None for k in keys):
-            self.default = _chain([p for p, k in zip(pairs, keys) if k is None])
-            self.switch = {
-                key: _chain([p for p, k in zip(pairs, keys) if k is None or k == key])
-                for key in dict.fromkeys(keys)
-                if key is not None
-            }
+        self.clauses = _chain(pairs)
+        self.at = self.guard_at = 0
+        self.switch = self.default = self.guard = None
+        # zip stops at the last position every clause may be indexed on.
+        for at, keys in enumerate(zip(*(_index_keys(c.head) for c in clauses)), 1):
+            if len(set(keys)) > 1:
+                if not self.at:
+                    self.at = at
+                    self.default = _chain([p for p, k in zip(pairs, keys) if k is None])
+                    self.switch = {
+                        key: _chain([p for p, k in zip(pairs, keys) if k is None or k == key])
+                        for key in dict.fromkeys(keys)
+                        if key is not None
+                    }
+            elif keys[0] is not None and len(pairs) > 1 and not self.guard_at:
+                self.guard_at = at
+                self.guard = keys[0]
 
 
 def _chain(pairs: "list[tuple[int, object]]"):
@@ -443,19 +465,43 @@ def _chain(pairs: "list[tuple[int, object]]"):
     return chain
 
 
-def _first_arg_key(head: Term):
-    """The switch key of a head's first argument; None for a variable or
-    a head without arguments."""
-    if not isinstance(head, Struct) or not head.args:
-        return None
-    a = head.args[0]
-    if isinstance(a, Struct):
-        return a.functor
-    if isinstance(a, Atom):
-        return a.name
-    if isinstance(a, Int):
-        return a.value
-    return None
+def _index_keys(head: Term) -> list:
+    """The switch keys of a head's arguments, in order, up to and including
+    the first argument whose code calls `_unify`: one that holds a variable
+    met earlier in the head, or nests deeper than _MAX_NESTING. A key is
+    the functor of a compound, the name of an atom, the value of an
+    integer, or None for a variable.
+
+    A clause function unifies its head's arguments left to right, and
+    `_unify` can raise LogicError on cyclic goal terms, so skipping a
+    clause on a later argument could lose that error. The argument that
+    calls `_unify` checks its own principal symbol before anything that
+    could raise, so it may still be indexed.
+    """
+    keys: list = []
+    met: set = set()
+    repeated = False
+
+    def leaf(t):
+        nonlocal repeated
+        if isinstance(t, Var):
+            repeated = repeated or t.name in met
+            met.add(t.name)
+        return 0
+
+    for a in head.args if isinstance(head, Struct) else ():
+        if isinstance(a, Struct):
+            keys.append(a.functor)
+        elif isinstance(a, Atom):
+            keys.append(a.name)
+        elif isinstance(a, Int):
+            keys.append(a.value)
+        else:
+            keys.append(None)
+        depth = fold(a, leaf, lambda f, depths: 1 + max(depths, default=0))
+        if repeated or depth > _MAX_NESTING:
+            break
+    return keys
 
 
 class _Not:
@@ -484,7 +530,7 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 #
 # Each clause becomes a Python function (goal, trail, ordinal, rest) that
 # unifies its head with the walked goal term in straight-line code, renaming
-# its variables to `_Ref(name, ordinal)` cells as it meets them, and returns
+# its variables to [None, name, ordinal] cells as it meets them, and returns
 # its body as a goal chain onto `rest`, or _FAIL. A positive body literal
 # `Var = NonVar` becomes a function of its own, generated next to the clause's
 # with the same `unify` code, as the WAM's `get_structure` compiles a
@@ -578,7 +624,7 @@ class _ClauseCompiler:
                 self.met.add(v.name)
                 if v.name not in self.name_of:
                     self.name_of[v.name] = self.const(v.name)
-                self.emit(indent, f"{self.local[v.name]} = _Ref({self.name_of[v.name]}, ordinal)")
+                self.emit(indent, f"{self.local[v.name]} = [None, {self.name_of[v.name]}, ordinal]")
 
     def equation(self, lhs: Var, rhs: Term) -> str:
         """Write the function of the body literal `lhs = rhs` and return the
@@ -673,15 +719,15 @@ class _ClauseCompiler:
         t = f"t{self.temps}"
         self.temps += 1
         emit(indent, f"{t} = {g}")
-        emit(indent, f"while type({t}) is _Ref:")
-        emit(indent + 1, f"if {t}.value is None:")
+        emit(indent, f"while type({t}) is list:")
+        emit(indent + 1, f"if {t}[0] is None:")
         met = set(self.met)
         self.fresh(indent + 2, h)
         built = self.build(h)
-        emit(indent + 2, f"{t}.value = {built}")
+        emit(indent + 2, f"{t}[0] = {built}")
         emit(indent + 2, f"trail.append({t})")
         emit(indent + 2, "break")
-        emit(indent + 1, f"{t} = {t}.value")
+        emit(indent + 1, f"{t} = {t}[0]")
         emit(indent, "else:")
         self.met = met
         if isinstance(h, Var):
@@ -712,7 +758,7 @@ def _compile(clause: Clause, callee_of):
     source = compiler.source()
     make = _MAKERS.get(source)
     if make is None:
-        namespace = {"_Ref": _Ref, "_unify": _unify, "_FAIL": _FAIL, "_to_cells": _to_cells}
+        namespace = {"_unify": _unify, "_FAIL": _FAIL, "_to_cells": _to_cells}
         exec(compile(source, "<lelma clause>", "exec"), namespace)
         make = _MAKERS[source] = namespace["make"]
     return make(*compiler.consts)
@@ -734,7 +780,7 @@ def _search(
     the search drops the barrier and every choice point above it, and
     fails; when backtracking pops the barrier, the negation holds.
     """
-    trail: list[_Ref] = []
+    trail: list[list] = []  # the cells bound, in order
     choices: list[tuple] = []
     barriers: list[int] = []  # barriers of the running subproofs, innermost last
     max_steps = limits.max_steps
@@ -749,8 +795,8 @@ def _search(
             steps_left -= 1
             term, callee, goals = goals
             if callee is None:
-                while type(term) is _Ref and term.value is not None:
-                    term = term.value
+                while type(term) is list and term[0] is not None:
+                    term = term[0]
                 if type(term) is tuple:
                     key = (term[0], len(term) - 1)
                 elif type(term) is str:
@@ -766,12 +812,23 @@ def _search(
                 first = ordinal
                 ordinal += callee.size
                 candidates = callee.clauses
-                if callee.switch is not None:
-                    a = term[1]
-                    while type(a) is _Ref:
-                        if a.value is None:
+                at = callee.guard_at
+                if at:
+                    a = term[at]
+                    while type(a) is list:
+                        a = a[0]
+                        if a is None:
                             break
-                        a = a.value
+                    else:
+                        if (a[0] if type(a) is tuple else a) != callee.guard:
+                            candidates = None
+                at = callee.at
+                if at and candidates is not None:
+                    a = term[at]
+                    while type(a) is list:
+                        a = a[0]
+                        if a is None:
+                            break
                     else:
                         candidates = callee.switch.get(
                             a[0] if type(a) is tuple else a, callee.default
@@ -780,8 +837,8 @@ def _search(
                 rest = goals
                 depth += 1
             elif type(callee) is _Not:
-                while type(term) is _Ref and term.value is not None:
-                    term = term.value
+                while type(term) is list and term[0] is not None:
+                    term = term[0]
                 if not _is_ground(term):
                     raise FlounderedNegation(_to_term(term))
                 barriers.append(len(choices))
@@ -810,14 +867,14 @@ def _search(
                         choices.append((mark, term, candidates, first, rest, depth))
                     break
                 if len(trail) > mark:
-                    for ref in trail[mark:]:
-                        ref.value = None
+                    for cell in trail[mark:]:
+                        cell[0] = None
                     del trail[mark:]
             elif choices:
                 mark, term, candidates, first, rest, depth = choices.pop()
                 if len(trail) > mark:
-                    for ref in trail[mark:]:
-                        ref.value = None
+                    for cell in trail[mark:]:
+                        cell[0] = None
                     del trail[mark:]
                 if candidates is None:  # a barrier: the subproof failed, so `\+` holds
                     barriers.pop()
@@ -841,7 +898,7 @@ def solve(
     goals = tuple(goal)
     if not goals:
         raise ValueError("empty goal")
-    cells: dict[Var, _Ref] = {}
+    cells: dict[Var, list] = {}
     chain = None
     for node in [(_to_cells(l.term, cells), rulebase._callee(l)) for l in goals][::-1]:
         chain = (*node, chain)

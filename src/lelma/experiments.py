@@ -30,6 +30,7 @@ Fleiss' kappa.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -101,6 +102,16 @@ class ExperimentConfig:
             raise ValueError(f"cassette_dir: expected a directory other than output_dir, got {cassettes!r}")
 
 
+def _utf8_text(path: str, error: "type[Exception]") -> str:
+    """The file at `path` read as UTF-8; `error` naming the file if it is
+    not UTF-8. The file is decoded whole, so the error gives the offset of
+    the bad byte in the file, not in a read buffer. An OSError passes."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_experiment_config(path: str) -> ExperimentConfig:
     """INI config. Credentials are named by env var only, never inline.
 
@@ -109,16 +120,21 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     a section or key lelma does not read, or a value that cannot be read
     or that the dataclass rejects, such as `repetitions = many`,
     `max_attempts = 0` or an empty `games =`, raises ExperimentError naming
-    the line or the section and key. `[DEFAULT]` is not copied into the
-    other sections: it is a section lelma does not read.
+    the line or the section and key; a file that is not UTF-8 raises it
+    naming the file. `[DEFAULT]` is not copied into the other sections: it
+    is a section lelma does not read.
     """
     import configparser  # only `lelma run` reads an INI file
 
+    try:
+        text = _utf8_text(path, ExperimentError)
+    except OSError:
+        raise ExperimentError(f"cannot read config file {path}") from None
     # No section header can name "", so `[DEFAULT]` is read as an ordinary section.
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ExperimentError(f"cannot read config file {path}")
+        # Lines end as in a file opened in text mode, as `parser.read` opens one.
+        parser.read_file(io.StringIO(text, newline=None), source=path)
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:  # a malformed line, a bad %-interpolation, ...
         raise ExperimentError(str(exc)) from None
@@ -373,10 +389,11 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
     header mismatches and rows csv cannot read raise SheetFormatError
     naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
     The sheet is UTF-8, with or without the byte order mark spreadsheet
-    tools write before "CSV UTF-8".
+    tools write before "CSV UTF-8"; other text raises SheetFormatError.
     """
+    text = _utf8_text(path, SheetFormatError).removeprefix("\ufeff")
     labels: "dict[str, dict[str, str]]" = {}
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with io.StringIO(text, newline="") as handle:  # as csv reads a file opened with newline=""
         # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
         limit = csv.field_size_limit(2**31 - 1)
         row_number = 0  # the last row read

@@ -292,7 +292,8 @@ def parse_game(text: str) -> GameSpec:
 
 
 def load_game(name_or_path: str) -> GameSpec:
-    """Load a bundled game by id (pd, sh, hd) or any game file by path."""
+    """Load a bundled game by id (pd, sh, hd) or any game file by path.
+    A file that is not UTF-8 raises GameSpecError naming it."""
     if name_or_path in BUNDLED_GAMES:
         resource = files("lelma").joinpath("resources", "games", f"{name_or_path}.gdl")
         text = resource.read_text(encoding="utf-8")
@@ -302,7 +303,10 @@ def load_game(name_or_path: str) -> GameSpec:
             raise GameSpecError(
                 f"unknown game {name_or_path!r}: not one of {BUNDLED_GAMES} and not a file"
             )
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise GameSpecError(f"{name_or_path}: not UTF-8 text ({exc})") from None
     return parse_game(text)
 
 

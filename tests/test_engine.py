@@ -362,6 +362,79 @@ def test_switch_keeps_functors_and_constants_apart(goal, printed):
     assert printed_answers(rb(SWITCHED), goal) == printed
 
 
+# `h` differs only in argument 2, as the game rules' holds/2 does: it
+# switches there. The `i` facts differ in argument 1 and share `s0` in
+# argument 2: they switch on argument 1 and guard argument 2.
+SELECTED = (
+    "h(F, s0) :- i(F, s0). h(F, do(M, S)) :- e(F, M). h(F, do(M, S)) :- i(F, S). "
+    "i(a, s0). i(b, s0). i(c(X), s0). e(m(M), M)."
+)
+
+
+@pytest.mark.parametrize(
+    "goal, printed, steps",
+    [
+        ("h(F, s0)", ["F = a", "F = b", "F = c(X_6)"], 2),
+        ("h(F, do(x, s0))", ["F = m(x)", "F = a", "F = b", "F = c(X_7)"], 3),
+        ("h(F, do(x, y))", ["F = m(x)"], 3),
+        (
+            "h(F, S)",
+            [
+                "F = a, S = s0",
+                "F = b, S = s0",
+                "F = c(X_6), S = s0",
+                "F = m(M_7), S = do(M_7,S_2)",
+                "F = a, S = do(M_3,s0)",
+                "F = b, S = do(M_3,s0)",
+                "F = c(X_10), S = do(M_3,s0)",
+            ],
+            4,
+        ),
+        ("h(F, g)", [], 1),
+        ("h(F, s0(x))", [], 1),
+        ("i(F, s0)", ["F = a", "F = b", "F = c(X_3)"], 1),
+        ("i(c(1), S)", ["S = s0"], 1),
+        ("i(z, s0)", [], 1),
+        ("i(F, do(x, s0))", [], 1),
+        ("i(a, s0(b))", [], 1),
+        ("i(F, S)", ["F = a, S = s0", "F = b, S = s0", "F = c(X_3), S = s0"], 1),
+    ],
+)
+def test_selection_on_a_later_argument_keeps_answers_and_steps(goal, printed, steps):
+    base = rb(SELECTED)
+    assert (base._preds[("h", 2)].at, base._preds[("h", 2)].guard_at) == (2, 0)
+    assert (base._preds[("i", 2)].at, base._preds[("i", 2)].guard_at) == (1, 2)
+    assert printed_answers(base, goal) == printed
+    assert steps_to_finish(base, parse_goal(goal)) == steps
+
+
+def test_the_bundled_rules_select_on_the_argument_that_tells_clauses_apart(pd):
+    entries = {
+        key: (p.at, sorted(p.switch or ()), p.guard_at, p.guard)
+        for key, p in pd.rulebase._preds.items()
+        if p.at or p.guard_at
+    }
+    assert entries == {
+        ("holds", 2): (2, ["do"], 0, None),
+        ("initially", 2): (1, ["control", "player", "role"], 2, "s0"),
+        ("possible", 2): (0, [], 1, "choice"),
+        ("payoff", 4): (1, ["C", "D"], 0, None),
+        ("finally", 2): (1, ["goal", "outcome"], 0, None),
+    }
+
+
+def test_no_argument_after_a_repeated_variable_selects_clauses():
+    # Unifying argument 2 with argument 1 raises on these cyclic terms, so
+    # argument 3 may not skip the clauses before that happens.
+    base = rb("q(X, X, a). q(Y, Y, b).")
+    assert (base._preds[("q", 3)].at, base._preds[("q", 3)].guard_at) == (0, 0)
+    with pytest.raises(LogicError) as err:
+        answers(base, "A = f(A), B = f(B), q(A, B, c)")
+    assert str(err.value) == "cyclic term: unification would not terminate"
+    assert answers(base, "A = f(a), B = f(a), q(A, B, c)") == []
+    assert steps_to_finish(base, parse_goal("A = f(a), B = f(a), q(A, B, c)")) == 3
+
+
 def test_nested_negation():
     # The clause language has no `\+ \+`; `np` puts one `\+` inside another.
     base = rb("p(a). p(b). np(X) :- \\+ p(X). nnp(X) :- \\+ np(X).")

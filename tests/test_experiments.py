@@ -778,6 +778,25 @@ class TestConfigLoading:
         with pytest.raises(ExperimentError, match="cannot read"):
             load_experiment_config(str(tmp_path / "absent.ini"))
 
+    def test_lines_may_end_in_crlf_or_cr(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"[experiment]\r\nrepetitions = 2\r[reasoner]\r\nmodel_id = m\r\n")
+        cfg = load_experiment_config(str(path))
+        assert (cfg.repetitions, cfg.reasoner.model_id) == (2, "m")
+
+
+@pytest.mark.parametrize("read, suffix", [(load_experiment_config, ".ini"), (import_labels, ".csv")])
+def test_a_byte_that_is_not_utf8_is_named_at_its_offset_in_the_file(tmp_path, read, suffix):
+    # Past the first buffer a text-mode read decodes: the offset counts from the file's start.
+    path = tmp_path / f"big{suffix}"
+    path.write_bytes(b"\xef\xbb\xbf" + b"#" * 20_000 + b"\xff\n")
+    with pytest.raises(ExperimentError) as err:
+        read(str(path))
+    assert str(err.value) == (
+        f"{path}: not UTF-8 text "
+        "('utf-8' codec can't decode byte 0xff in position 20003: invalid start byte)"
+    )
+
 
 class TestReplayMode:
     def test_record_then_replay_experiment(self, tmp_path):
