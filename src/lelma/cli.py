@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .engine import LogicError, ResolutionLimits, solve
 from .games import GameSpecError, load_game
+from .gateway import utf8_text
 from .gdl import ClauseSyntaxError, parse_goal
 from .experiments import (
     ExperimentError,
@@ -48,18 +49,10 @@ class InputError(ValueError):
     """A goal argument, standard input or query file that is not UTF-8 text."""
 
 
-def _utf8(data: bytes, source: str) -> str:
-    """`data` read as UTF-8, as files are; InputError naming `source` if it is not."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{source}: not UTF-8 text ({exc})") from None
-
-
 def cmd_solve(args) -> int:
     g = load_game(args.game)  # a path keeps the locale's decoding, so a non-ASCII one opens
     try:  # the goal is read as UTF-8, as files are, whatever the locale decoded it with
-        text = _utf8(os.fsencode(args.goal), "goal argument")
+        text = utf8_text(os.fsencode(args.goal), "goal argument", InputError)
     except UnicodeEncodeError:  # text the locale cannot encode, given to `main` in-process
         text = args.goal
     goal = parse_goal(text)
@@ -67,10 +60,9 @@ def cmd_solve(args) -> int:
     found = False
     for answer in solve(g.rulebase, goal, limits):
         found = True
-        if answer:
-            print(", ".join(f"{var} = {term}" for var, term in answer.items()))
-        else:
-            print("true.")
+        # As SWI-Prolog's toplevel, a variable named `_...` is not shown.
+        shown = [f"{var} = {term}" for var, term in answer.items() if not var.name.startswith("_")]
+        print(", ".join(shown) or "true.")
     if not found:
         print("false.")
     return 0
@@ -82,11 +74,11 @@ def cmd_verify(args) -> int:
         # UTF-8 whatever the locale, as files are; a text-only stdin, a StringIO say, as it is.
         stdin = sys.stdin
         if hasattr(stdin, "buffer"):
-            text = _utf8(stdin.buffer.read(), "standard input")
+            text = utf8_text(stdin.buffer.read(), "standard input", InputError)
         else:
             text = stdin.read()
     else:
-        text = _utf8(Path(args.queries).read_bytes(), args.queries)
+        text = utf8_text(Path(args.queries).read_bytes(), args.queries, InputError)
     held = failed = skipped = errors = 0
     for raw in text.splitlines():
         line = raw.strip()

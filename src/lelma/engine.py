@@ -52,9 +52,10 @@ symbol there tries no clause: indexing on more than the first argument
 (Santos Costa, Sagonas & Lopes, Demand-Driven Indexing of Prolog
 Clauses, ICLP 2007), fixed once per RuleBase. A skipped clause still
 keeps its ordinal. A compound keys by its functor alone, since the
-clause functions check arity anyway. Neither uses a position after a
-head argument whose code calls `_unify`, so skipping a clause never
-skips a LogicError that unifying its head would raise. Each body
+clause functions check arity anyway. The compiler notes each head
+argument's key as it writes that argument's code, and stops after one
+whose code calls `_unify`, so skipping a clause never skips a
+LogicError that unifying its head would raise. Each body
 literal is compiled into a goal node that carries its callee (the
 entry, a builtin, a negation or the literal's own `=` function), so
 selecting a goal looks nothing up, unless the goal is a variable or its
@@ -111,6 +112,15 @@ class Literal:
         return f"\\+ {text}" if self.negated else text
 
 
+def _key(term: Term) -> "Optional[tuple[str, int]]":
+    """The (name, arity) of the predicate `term` calls, if it is callable."""
+    if isinstance(term, Struct):
+        return (term.functor, len(term.args))
+    if isinstance(term, Atom):
+        return (term.name, 0)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: Term
@@ -121,9 +131,7 @@ class Clause:
             raise ValueError(f"clause head must be an atom or compound, got {self.head!r}")
 
     def key(self) -> "tuple[str, int]":
-        if isinstance(self.head, Struct):
-            return (self.head.functor, len(self.head.args))
-        return (self.head.name, 0)
+        return _key(self.head)
 
     def __str__(self) -> str:
         if not self.body:
@@ -147,8 +155,7 @@ class RuleBase:
         # nodes hold the entries of the predicates they call.
         self._preds = {k: _Pred() for k in self._index if k not in BUILTINS}
         for k, pred in self._preds.items():
-            group = self._index[k]
-            pred.fill(group, [_compile(c, self._callee) for c in group])
+            pred.fill([_compile(c, self._callee) for c in self._index[k]])
 
     def matching(self, key: "tuple[str, int]") -> "tuple[Clause, ...]":
         return self._index.get(key, ())
@@ -157,13 +164,7 @@ class RuleBase:
         """What the goal node of `lit` calls: its predicate's entry, a
         builtin, `_Not` of one of those, or None for a variable or an
         undefined predicate, which the search looks up when selected."""
-        t = lit.term
-        if isinstance(t, Struct):
-            key = (t.functor, len(t.args))
-        elif isinstance(t, Atom):
-            key = (t.name, 0)
-        else:
-            key = None
+        key = _key(lit.term)
         callee = self._preds.get(key) or BUILTINS.get(key)
         return _Not(callee) if lit.negated else callee
 
@@ -412,7 +413,7 @@ class _Pred:
 
     `clauses` chains the predicate's compiled clauses in source order
     (see `_chain`) and `size` counts them. `at` is the first indexed head
-    position (see `_index_keys`) where the clauses' principal symbols
+    position (see `_compile`) where the clauses' principal symbols
     differ, a variable counting as a symbol of its own, and 0 if there is
     none. `switch` maps the principal functor or constant of a goal's
     argument there to the chain of the clauses that can match it: a
@@ -431,14 +432,15 @@ class _Pred:
 
     __slots__ = ("size", "clauses", "at", "switch", "default", "guard_at", "guard")
 
-    def fill(self, clauses: "Sequence[Clause]", functions: list) -> None:
-        pairs = list(enumerate(functions))
+    def fill(self, compiled: "list[tuple[object, list]]") -> None:
+        """Build the entry from its clauses' `_compile` results, in order."""
+        pairs = [(offset, function) for offset, (function, _) in enumerate(compiled)]
         self.size = len(pairs)
         self.clauses = _chain(pairs)
         self.at = self.guard_at = 0
         self.switch = self.default = self.guard = None
         # zip stops at the last position every clause may be indexed on.
-        for at, keys in enumerate(zip(*(_index_keys(c.head) for c in clauses)), 1):
+        for at, keys in enumerate(zip(*(keys for _, keys in compiled)), 1):
             if len(set(keys)) > 1:
                 if not self.at:
                     self.at = at
@@ -463,45 +465,6 @@ def _chain(pairs: "list[tuple[int, object]]"):
     for offset, function in reversed(pairs):
         chain = (offset, function, chain)
     return chain
-
-
-def _index_keys(head: Term) -> list:
-    """The switch keys of a head's arguments, in order, up to and including
-    the first argument whose code calls `_unify`: one that holds a variable
-    met earlier in the head, or nests deeper than _MAX_NESTING. A key is
-    the functor of a compound, the name of an atom, the value of an
-    integer, or None for a variable.
-
-    A clause function unifies its head's arguments left to right, and
-    `_unify` can raise LogicError on cyclic goal terms, so skipping a
-    clause on a later argument could lose that error. The argument that
-    calls `_unify` checks its own principal symbol before anything that
-    could raise, so it may still be indexed.
-    """
-    keys: list = []
-    met: set = set()
-    repeated = False
-
-    def leaf(t):
-        nonlocal repeated
-        if isinstance(t, Var):
-            repeated = repeated or t.name in met
-            met.add(t.name)
-        return 0
-
-    for a in head.args if isinstance(head, Struct) else ():
-        if isinstance(a, Struct):
-            keys.append(a.functor)
-        elif isinstance(a, Atom):
-            keys.append(a.name)
-        elif isinstance(a, Int):
-            keys.append(a.value)
-        else:
-            keys.append(None)
-        depth = fold(a, leaf, lambda f, depths: 1 + max(depths, default=0))
-        if repeated or depth > _MAX_NESTING:
-            break
-    return keys
 
 
 class _Not:
@@ -575,6 +538,8 @@ class _ClauseCompiler:
         self.fail = "return _FAIL"  # how that function fails
         self.functions: list[list[str]] = []  # the compiled `=` literals' functions
         self.temps = 0  # walk variables t<n> of `unify`
+        self.calls_unify = False  # whether the code written so far calls `_unify`
+        self.keys: list = []  # the head arguments' switch keys (see `_compile`)
         head = clause.head
         if isinstance(head, Atom):
             self.emit(2, "if type(goal) is not str:")
@@ -583,6 +548,9 @@ class _ClauseCompiler:
             self.emit(2, "if type(goal) is not tuple:")
             self.emit(3, "return _FAIL")
         for i, a in enumerate(head.args if isinstance(head, Struct) else (), 1):
+            if not self.calls_unify:
+                key = a.value if isinstance(a, Int) else a.name if isinstance(a, Atom) else None
+                self.keys.append(a.functor if isinstance(a, Struct) else key)
             self.match(a, f"goal[{i}]")
         # The body's nodes are consed onto `rest` one statement each, last
         # first, so a long body nests no brackets.
@@ -661,6 +629,7 @@ class _ClauseCompiler:
             self.unify(2, h, g)
             return
         self.fresh(2, h)
+        self.calls_unify = True
         self.emit(2, f"if not _unify({g}, {self.build(h)}, trail):")
         self.emit(3, self.fail)
 
@@ -713,6 +682,7 @@ class _ClauseCompiler:
         emit = self.emit
         if isinstance(h, Var) and h.name in self.met:
             v = self.local[h.name]
+            self.calls_unify = True
             emit(indent, f"if {g} is not {v} and not _unify({g}, {v}, trail):")
             emit(indent + 1, self.fail)
             return
@@ -745,14 +715,21 @@ class _ClauseCompiler:
             emit(indent + 2, self.fail)
 
 
-def _compile(clause: Clause, callee_of):
-    """The clause's function (goal, trail, ordinal, rest) -> goal chain | _FAIL.
+def _compile(clause: Clause, callee_of) -> "tuple[object, list]":
+    """The clause's function (goal, trail, ordinal, rest) -> goal chain | _FAIL,
+    and its head arguments' switch keys, None for a variable (see `_Pred`).
 
     `goal` is a walked goal term of the clause's predicate. The function
     renames the clause's variables with `ordinal` and returns the body
     literals as (cell term, callee, rest) nodes ahead of `rest`, each
     with the callee `callee_of(literal)` gives, or, for a compiled `=`
     literal, with its own function (see `_ClauseCompiler.equation`).
+
+    The keys end at the first argument whose code calls `_unify`: one that
+    holds a variable met earlier in the head, or nests deeper than
+    _MAX_NESTING. `_unify` can raise LogicError on cyclic goal terms, so
+    skipping a clause on a later argument could lose that error; the
+    argument that calls it checks its own principal symbol first.
     """
     compiler = _ClauseCompiler(clause, callee_of)
     source = compiler.source()
@@ -761,7 +738,7 @@ def _compile(clause: Clause, callee_of):
         namespace = {"_unify": _unify, "_FAIL": _FAIL, "_to_cells": _to_cells}
         exec(compile(source, "<lelma clause>", "exec"), namespace)
         make = _MAKERS[source] = namespace["make"]
-    return make(*compiler.consts)
+    return make(*compiler.consts), compiler.keys
 
 
 def _search(

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .games import GameSpec, load_game
-from .gateway import ModelConfig, replace_text
+from .gateway import ModelConfig, replace_text, utf8_text
 from .orchestrator import (
     LoopConfig,
     SessionTranscript,
@@ -102,16 +102,6 @@ class ExperimentConfig:
             raise ValueError(f"cassette_dir: expected a directory other than output_dir, got {cassettes!r}")
 
 
-def _utf8_text(path: str, error: "type[Exception]") -> str:
-    """The file at `path` read as UTF-8; `error` naming the file if it is
-    not UTF-8. The file is decoded whole, so the error gives the offset of
-    the bad byte in the file, not in a read buffer. An OSError passes."""
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from None
-
-
 def load_experiment_config(path: str) -> ExperimentConfig:
     """INI config. Credentials are named by env var only, never inline.
 
@@ -127,7 +117,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     import configparser  # only `lelma run` reads an INI file
 
     try:
-        text = _utf8_text(path, ExperimentError)
+        text = utf8_text(Path(path).read_bytes(), path, ExperimentError)
     except OSError:
         raise ExperimentError(f"cannot read config file {path}") from None
     # No section header can name "", so `[DEFAULT]` is read as an ordinary section.
@@ -386,12 +376,13 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
     """Read a filled evaluation sheet: {sample_id: {evaluator: label}}.
 
     Blank cells are skipped. Unknown label values, duplicate labels,
-    header mismatches and rows csv cannot read raise SheetFormatError
+    header mismatches, an evaluator column with no name or the name of
+    another, and rows csv cannot read raise SheetFormatError
     naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
     The sheet is UTF-8, with or without the byte order mark spreadsheet
     tools write before "CSV UTF-8"; other text raises SheetFormatError.
     """
-    text = _utf8_text(path, SheetFormatError).removeprefix("\ufeff")
+    text = utf8_text(Path(path).read_bytes(), path, SheetFormatError).removeprefix("\ufeff")
     labels: "dict[str, dict[str, str]]" = {}
     with io.StringIO(text, newline="") as handle:  # as csv reads a file opened with newline=""
         # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
@@ -410,6 +401,17 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
             evaluators = tuple(header[len(SHEET_FIXED_COLUMNS):])
             if not evaluators:
                 raise SheetFormatError(f"{path}: no evaluator columns after the fixed ones")
+            # Two columns of one name would read as one evaluator, each filling the other's blanks.
+            named: "set[str]" = set()
+            for column, evaluator in enumerate(evaluators, len(SHEET_FIXED_COLUMNS) + 1):
+                name = evaluator.strip()
+                if not name:
+                    raise SheetFormatError(f"{path}: header column {column} names no evaluator")
+                if name in named:
+                    raise SheetFormatError(
+                        f"{path}: header column {column} repeats evaluator {evaluator!r}"
+                    )
+                named.add(name)
             for row_number, row in enumerate(reader, start=2):
                 if not any(cell.strip() for cell in row):
                     continue

@@ -134,11 +134,7 @@ def read_records(path: str, error: "type[Exception]", torn_tail=False) -> "Itera
     data = Path(path).read_bytes()
     if torn_tail:
         data = data[: data.rfind(b"\n") + 1]
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(utf8_text(data, path, error).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -149,6 +145,15 @@ def read_records(path: str, error: "type[Exception]", torn_tail=False) -> "Itera
         if type(record) is not dict:
             raise error(f"{where}: not a JSON object")
         yield where, record
+
+
+def utf8_text(data: bytes, source: str, error: "type[Exception]") -> str:
+    """`data` decoded as UTF-8; `error` naming `source` if it is not UTF-8.
+    Decoded whole, so the error gives the bad byte's offset in `data`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: not UTF-8 text ({exc})") from None
 
 
 def replace_text(path: str, text: str) -> None:

@@ -402,6 +402,14 @@ def read_transcript(path: str) -> SessionTranscript:
             if transcript is not None:
                 raise TranscriptFormatError(f"{where}: second session summary")
             transcript = _decoded(where, kind, _SESSION, record, session, _check_version)
+            # As run_session writes it, a session is aborted exactly when no attempt ended it.
+            ended = transcript.exit is not ExitReason.NONE
+            if transcript.aborted == ended:
+                must = "null" if ended else "a string"
+                raise TranscriptFormatError(
+                    f"{where}: {kind} record cannot be read (exit is {transcript.exit.value!r}, "
+                    f"so error must be {must}, not {transcript.error!r})"
+                )
         else:
             raise TranscriptFormatError(f"{where}: unknown record type")
     if transcript is None:

@@ -8,11 +8,13 @@ mutates its input substitution. There is no occurs check (by design,
 matching standard Prolog behaviour); the game programs this engine
 runs never create cyclic bindings.
 
-The engine takes goals and returns answers in these terms, but it
-searches over mutable variable cells of its own (see `engine`). The dict
-substitutions and `unify`, `resolve` and `rename_term` serve the public
-API and the engine's callers, not its inner loop; the engine binds
-variables in the same direction as `unify`.
+The engine takes goals and returns answers in these terms, an answer
+being a dict substitution, but it searches over mutable variable cells
+of its own (see `engine`). No package code calls `unify`, `resolve` or
+`rename_term`, and `lelma` does not export them: they are the reference
+the tests check the engine against, and perfbench times them. The engine
+binds variables in the same direction as `unify` and names a renamed
+variable as `rename_term` does.
 
 `fold` walks a term's structure without recursion. Printing, hashing,
 `term_vars`, `is_ground`, `rename_term`, the parser's renaming of `_`

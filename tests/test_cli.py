@@ -57,6 +57,15 @@ class TestSolve:
         assert code == 0
         assert out.strip() == "false."
 
+    def test_variables_whose_names_start_with_an_underscore_are_not_printed(self, capsys):
+        situation = "do(choice(p2,'D'),do(choice(p1,'C'),s0))"
+        goal = f"finally(goal(P, _), {situation})"
+        assert run_cli("solve", "pd", goal, capsys=capsys) == (0, "P = p1\nP = p2\n", "")
+        goal = f"finally(goal(_P, _Payoff), {situation})"
+        assert run_cli("solve", "pd", goal, capsys=capsys) == (0, "true.\ntrue.\n", "")
+        # A shown binding still names them.
+        assert run_cli("solve", "pd", "X = f(_Y, _)", capsys=capsys) == (0, "X = f(_Y,_1)\n", "")
+
     def test_step_limit_reported(self, capsys):
         code, _, err = run_cli(
             "solve", "pd", "game(s0, S)", "--max-steps", "3", capsys=capsys

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import builtins
+import random
+import re
 import signal
 import time
 from contextlib import contextmanager
@@ -24,7 +26,7 @@ from lelma.engine import (
 )
 from lelma.games import game_independent_rules
 from lelma.gdl import parse_clause, parse_goal, parse_program
-from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, term_vars
+from lelma.terms import Atom, Int, Struct, Term, Var, is_ground, resolve, term_vars
 from lelma.verification import Query, QueryKind
 
 
@@ -433,6 +435,55 @@ def test_no_argument_after_a_repeated_variable_selects_clauses():
     assert str(err.value) == "cyclic term: unification would not terminate"
     assert answers(base, "A = f(a), B = f(a), q(A, B, c)") == []
     assert steps_to_finish(base, parse_goal("A = f(a), B = f(a), q(A, B, c)")) == 3
+
+
+def test_no_argument_after_one_deeper_than_straight_line_code_selects_clauses():
+    # Argument 1 nests past _MAX_NESTING, so `_unify` unifies it, and
+    # argument 2 may not skip a clause.
+    deep = nested(91, "z")
+    base = rb(f"q({deep}, a). q({deep}, b).")
+    assert (base._preds[("q", 2)].at, base._preds[("q", 2)].guard_at) == (0, 1)
+    assert printed_answers(base, "q(T, b)") == [f"T = {deep}"]
+    assert steps_to_finish(base, parse_goal("q(T, b)")) == 1
+
+
+def random_argument(rng: random.Random, depth: int = 3) -> Term:
+    """A head argument: a variable of three names, so some repeat, a
+    constant, a compound, or now and then one nested about _MAX_NESTING deep."""
+    roll = rng.random()
+    if roll < 0.05:
+        term = rng.choice([Atom("a"), Var("X")])
+        for _ in range(rng.randint(89, 92)):
+            term = Struct("s", (term,))
+        return term
+    if roll < 0.3 and depth:
+        args = tuple(random_argument(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+        return Struct(rng.choice("fg"), args)
+    if roll < 0.6:
+        return Var(rng.choice("XYZ"))
+    return Atom(rng.choice("ab")) if roll < 0.8 else Int(rng.randint(0, 2))
+
+
+def test_the_switch_keys_end_at_the_first_argument_whose_code_calls_unify():
+    seen = set()
+    rng = random.Random(30)
+    for _ in range(300):
+        head = Struct("p", tuple(random_argument(rng) for _ in range(rng.randint(1, 4))))
+        symbols = [
+            a.functor if isinstance(a, Struct) else a.name if isinstance(a, Atom)
+            else a.value if isinstance(a, Int) else None
+            for a in head.args
+        ]
+        source = engine._ClauseCompiler(Clause(head), None).source()
+        _, keys = engine._compile(Clause(head), None)
+        lines = source.splitlines()
+        calls = [i for i, line in enumerate(lines) if "_unify(" in line]
+        last = len(head.args)
+        if calls:  # the argument whose code holds the first call is the last keyed
+            last = max(map(int, re.findall(r"goal\[(\d+)\]", "\n".join(lines[: calls[0] + 1]))))
+        assert keys == symbols[:last], (str(head), source)
+        seen.add((bool(calls), last < len(head.args)))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_nested_negation():

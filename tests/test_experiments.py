@@ -520,6 +520,29 @@ class TestEvaluationSheets:
         with pytest.raises(SheetFormatError, match="duplicate label"):
             import_labels(str(path))
 
+    # Both columns of one name would read as one evaluator, each filling the other's blanks.
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ("e1,e1", "header column 7 repeats evaluator 'e1'"),
+            ("e1, e1", "header column 7 repeats evaluator ' e1'"),
+            ("e1,", "header column 7 names no evaluator"),
+            (" ,e1", "header column 6 names no evaluator"),
+        ],
+    )
+    def test_import_rejects_an_evaluator_column_named_twice_or_not_at_all(
+        self, tmp_path, columns, message
+    ):
+        path = tmp_path / "sheet.csv"
+        path.write_text(
+            f"sample_id,game,model,attempt_index,reasoning,{columns}\n"
+            "s1:a1,pd,m,1,text,correct,\n"
+            "s2:a1,pd,m,1,text,,incorrect\n"
+        )
+        with pytest.raises(SheetFormatError) as err:
+            import_labels(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
     def test_import_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -297,6 +297,9 @@ class TestTranscripts:
         assert error('{"type":"attempt","index":1}\n') == (
             ":1: attempt record missing field 'instruction'"
         )
+        # The session record alone, of a session that made no attempt.
+        write_transcript(str(path), replace(self.make_transcript(pd), attempts=()))
+        unattempted = path.read_text()
         # Two attempt records, then the session record.
         write_transcript(str(path), self.make_transcript(pd))
         good = path.read_text()
@@ -338,6 +341,15 @@ class TestTranscripts:
              f":3: {summary} (summary says exit 'none', but it is 'all_true')"),
             (good.replace('"error":null,"exit":"all', '"error":1,"exit":"all'),
              f":3: {summary} (error must be str or NoneType, not int)"),
+            # A session is aborted exactly when no attempt ended it: one that
+            # ended all_true records no error, and one that no attempt ended
+            # (here none was made, or the last went on) records one.
+            (good.replace('"aborted":false', '"aborted":true')
+                 .replace('"error":null,"exit":"all', '"error":"E: x","exit":"all'),
+             f":3: {summary} (exit is 'all_true', so error must be null, not 'E: x')"),
+            (unattempted, f":1: {summary} (exit is 'none', so error must be a string, not None)"),
+            (good.replace('"exit":"all_true"', '"exit":"none"'),
+             f":3: {summary} (exit is 'none', so error must be a string, not None)"),
             # A version this reader does not know, or none at all.
             (good.replace('"version":1,', '"version":99,'),
              f":3: {summary} (version must be 1, not 99)"),
@@ -554,6 +566,7 @@ results = st.builds(
 def transcripts(draw):
     count = draw(st.integers(0, 3))
     last_exit = draw(st.sampled_from(list(ExitReason)))
+    ended = count and last_exit is not ExitReason.NONE
     attempts = tuple(
         AttemptRecord(
             index=index,
@@ -573,7 +586,8 @@ def transcripts(draw):
         attempts=attempts,
         usage=Usage(draw(st.integers(0, 10**9)), draw(st.integers(0, 10**9))),
         wall_time=draw(st.floats(allow_nan=False, allow_infinity=False)),
-        error=draw(st.none() | texts.map("TransportError: ".__add__)),  # aborted, or not
+        # As run_session writes it, a session is aborted exactly when no attempt ended it.
+        error=None if ended else "TransportError: " + draw(texts),
     )
 
 
