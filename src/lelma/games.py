@@ -332,12 +332,11 @@ def enumerate_outcomes(g: GameSpec) -> "list[Outcome]":
     seen: set[tuple[str, str]] = set()
     goal = outcome_goal(g, tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2")))
     for answer in solve(g.rulebase, goal):
-        p1_move = answer[Var("M1")]
-        p2_move = answer[Var("M2")]
-        u1 = answer[Var("U1")]
-        u2 = answer[Var("U2")]
-        assert isinstance(p1_move, Atom) and isinstance(p2_move, Atom)
-        assert isinstance(u1, Int) and isinstance(u2, Int)
+        p1_move, p2_move, u1, u2 = (answer[Var(n)] for n in ("M1", "M2", "U1", "U2"))
+        if not (isinstance(p1_move, Atom) and isinstance(p2_move, Atom)
+                and isinstance(u1, Int) and isinstance(u2, Int)):
+            shown = ", ".join(f"{v} = {t}" for v, t in answer.items())
+            raise GameSpecError(f"outcome moves must be atoms and payoffs integers: {shown}")
         key = (p1_move.name, p2_move.name)
         if key in seen:
             continue

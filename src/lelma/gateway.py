@@ -346,8 +346,7 @@ class Gateway:
             if status not in TRANSIENT_STATUSES:
                 raise error
             last_error = error
-        assert last_error is not None
-        raise last_error
+        raise last_error  # set by the last attempt, as ModelConfig keeps retries >= 1
 
     def _complete_openai(self, messages: "tuple[ChatMessage, ...]") -> CompletionResult:
         payload = {

@@ -1,10 +1,12 @@
 """Turns free-form reasoning into formal queries via an LLM.
 
-The prompt pins the full query catalogue with one worked example per
-form; the model is asked for bare query lines. Downstream parsing is
-line-by-line and total: every non-empty output line is either parsed
-into a Query or recorded as skipped with a reason, so a chatty or
-partially off-format response degrades gracefully instead of failing.
+The prompt lists every query form the model may emit, each with a
+worked example and the claim it expresses, rendered from
+verification.QUERY_FORMS; the model is asked for bare query lines.
+Downstream parsing is line-by-line and total: every non-empty output
+line is either parsed into a Query or recorded as skipped with a
+reason, so a chatty or partially off-format response degrades
+gracefully instead of failing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from importlib import resources
 from ._record import record
 from .games import GameSpec
 from .gateway import ChatMessage
-from .verification import Query, VerificationError, parse_query_line
+from .verification import QUERY_FORMS, Query, VerificationError, parse_query_line
 
 
 @record
@@ -37,7 +39,10 @@ def _prompt_template() -> str:
 @functools.lru_cache(maxsize=64)
 def _system_message(b_move: str, r_move: str) -> ChatMessage:
     # Keyed on the only two values the system prompt depends on.
-    return ChatMessage("system", _prompt_template().format(b_move=b_move, r_move=r_move))
+    forms = "\n\n".join(f"{example}\n  {gloss}" for _, example, gloss in QUERY_FORMS)
+    return ChatMessage(
+        "system", _prompt_template().format(b_move=b_move, r_move=r_move, query_forms=forms)
+    )
 
 
 def build_translation_prompt(reasoning: str, g: GameSpec) -> "tuple[ChatMessage, ...]":

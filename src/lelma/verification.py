@@ -22,10 +22,12 @@ one-level template before the outcome template (they cannot both
 match), and its tokens, read by slot, build the Query.
 
 Each kind is described once. A new kind needs a QueryKind member, one
-_KINDS entry (its argument schema and its judge, which gives the
-verdict, corrections and sentence fields), a template in
-feedback_templates.json and its form in the translator prompt,
-resources/translation_prompt.txt.
+_KINDS row and its templates in feedback_templates.json. The row holds
+the kind's argument schema, its judge (which gives the verdict,
+corrections and sentence fields) and its form: the example line and
+gloss that the translator prompt lists for it. The prompt's catalogue
+is rendered from the forms (QUERY_FORMS), and every kind with a form
+but outcome is parsed by its predicate name.
 
 Comparisons are strict. A failed comparison between equal values is
 corrected to an internal `equal` form that the translator never
@@ -113,9 +115,6 @@ class VerificationReport:
     def failed(self) -> "tuple[QueryResult, ...]":
         return tuple(r for r in self.results if r.error is None and not r.holds)
 
-
-# Kinds parsed by predicate name; outcome claims have their own regex.
-_PARSED_KINDS = {k.value: k for k in QueryKind if k not in (QueryKind.OUTCOME, QueryKind.EQUAL)}
 
 # Each kind's name, read once here rather than through `Enum.value` per call.
 _NAMES = {k: k.value for k in QueryKind}
@@ -231,6 +230,11 @@ def _judge_outcome(g: GameSpec, kind: QueryKind, args: tuple):
     if next(solve(g.rulebase, outcome_goal(g, outcome)), None) is not None:
         return _HOLDS
     correct = g.label_payoffs[own, other][0]
+    if correct == n:  # a correction that repeats the claim would contradict itself
+        raise LogicError(
+            f"the rules and the payoff facts disagree on ({own}, {other}): no play ends"
+            f" with your payoff {n}, but the payoff facts give {n}"
+        )
     fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
     return (("payoff", correct),), "outcome", fields
 
@@ -302,24 +306,58 @@ def _judge_mutual(g: GameSpec, kind: QueryKind, args: tuple):
     return tuple(("choices", pair) for pair in winners), _NAMES[kind], fields
 
 
-# Each kind's argument schema, in template argument order, and its judge.
+# Each kind's argument schema, in template argument order, its judge, and the
+# form the translator prompt lists for it: an example line and the claim it
+# expresses. EQUAL has no form, as the translator never emits it.
 _KINDS = {
-    QueryKind.OUTCOME: (("move", "int", "move"), _judge_outcome),
-    QueryKind.HIGHER: (("int", "int"), _judge_comparison),
-    QueryKind.LOWER: (("int", "int"), _judge_comparison),
-    QueryKind.EQUAL: (("int", "int"), _judge_comparison),
-    QueryKind.HIGHEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.highest)),
-    QueryKind.LOWEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.lowest)),
-    QueryKind.HIGHEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.best[m])),
-    QueryKind.LOWEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.guaranteed[m])),
-    QueryKind.HIGHEST_GUARANTEED_CHOICE: (("move",), _judge_guaranteed_choice),
-    QueryKind.HIGHER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison),
-    QueryKind.LOWER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison),
-    QueryKind.HIGHEST_MUTUAL: (("move", "move"), _judge_mutual),
-    QueryKind.LOWEST_MUTUAL: (("move", "move"), _judge_mutual),
+    QueryKind.OUTCOME: (("move", "int", "move"), _judge_outcome, (
+        "finally(outcome(you,B,1,them,R,_),S)",
+        "If you play B and they play R, your payoff is 1.")),
+    QueryKind.HIGHER: (("int", "int"), _judge_comparison, (
+        "higher(1, 3)",
+        "The payoff 1 is higher than the payoff 3.")),
+    QueryKind.LOWER: (("int", "int"), _judge_comparison, (
+        "lower(1, 3)",
+        "The payoff 1 is lower than the payoff 3.")),
+    QueryKind.EQUAL: (("int", "int"), _judge_comparison, None),
+    QueryKind.HIGHEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.highest), (
+        "highest_possible_individual_payoff(1)",
+        "1 is the largest payoff any one player can receive in this game.")),
+    QueryKind.LOWEST_POSSIBLE: (("int",), _claimed_value(lambda s, m: s.lowest), (
+        "lowest_possible_individual_payoff(1)",
+        "1 is the smallest payoff any one player can receive in this game.")),
+    QueryKind.HIGHEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.best[m]), (
+        "highest_individual_payoff_for_choice(1,B)",
+        "1 is the best payoff you can end up with after picking B.")),
+    QueryKind.LOWEST_FOR_CHOICE: (("int", "move"), _claimed_value(lambda s, m: s.guaranteed[m]), (
+        "lowest_individual_payoff_for_choice(1,B)",
+        "1 is the worst payoff you can end up with after picking B.")),
+    QueryKind.HIGHEST_GUARANTEED_CHOICE: (("move",), _judge_guaranteed_choice, (
+        "highest_guaranteed_payoff_choice(B)",
+        "Picking B maximizes the payoff you are guaranteed regardless of what they do.")),
+    QueryKind.HIGHER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison, (
+        "higher_guaranteed_payoff(B,R)",
+        "B guarantees you a higher payoff than R guarantees you.")),
+    QueryKind.LOWER_GUARANTEED: (("move", "move"), _judge_guaranteed_comparison, (
+        "lower_guaranteed_payoff(B,R)",
+        "B guarantees you a lower payoff than R guarantees you.")),
+    QueryKind.HIGHEST_MUTUAL: (("move", "move"), _judge_mutual, (
+        "highest_mutual_payoff(R,R)",
+        "You picking R and them picking R maximizes the sum of both payoffs.")),
+    QueryKind.LOWEST_MUTUAL: (("move", "move"), _judge_mutual, (
+        "lowest_mutual_payoff(R,R)",
+        "You picking R and them picking R minimizes the sum of both payoffs.")),
 }
 
-SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {k: schema for k, (schema, _) in _KINDS.items()}
+SCHEMAS: "dict[QueryKind, tuple[str, ...]]" = {k: row[0] for k, row in _KINDS.items()}
+
+# The (kind, example, gloss) of each kind the translator may emit, in row order.
+QUERY_FORMS: "tuple[tuple[QueryKind, str, str], ...]" = tuple(
+    (k, *form) for k, (_, _, form) in _KINDS.items() if form is not None
+)
+
+# Kinds parsed by predicate name; outcome claims have their own regex.
+_PARSED_KINDS = {k.value: k for k, _, _ in QUERY_FORMS if k is not QueryKind.OUTCOME}
 
 
 def evaluate_query(q: Query, g: GameSpec) -> QueryResult:
@@ -340,8 +378,7 @@ def apply_corrections(q: Query, corrections: "tuple[tuple[str, object], ...]") -
     if role == "choice":  # the first of the best moves
         return Query(q.kind, (value,))
     if role == "choices":  # the first of the best move pairs
-        assert isinstance(value, tuple)
-        return Query(q.kind, value)
+        return Query(q.kind, tuple(value))
     if role == "relation":
         roles = dict(corrections)
         if "payoff" in roles:  # both moves guarantee the same payoff
@@ -361,9 +398,10 @@ def feedback_templates() -> "dict[str, str]":
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
     """Evaluate a batch; per-query errors are captured, never raised.
 
-    A query whose engine run raises a LogicError (a resolution limit,
-    say) is recorded as an errored result. A malformed query never gets
-    here: building it raised.
+    A query whose verdict raises a LogicError (a resolution limit, or
+    an outcome the rules miss though the payoff facts give it) is
+    recorded as an errored result. A malformed query never gets here:
+    building it raised.
     """
     results = []
     for q in queries:

@@ -148,6 +148,24 @@ class TestVerify:
         assert code == 0
         assert "1 held, 0 failed" in out
 
+    def test_an_outcome_the_rules_miss_but_the_payoff_facts_give_is_an_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        game = tmp_path / "pd_high.gdl"
+        game.write_text(
+            PD_TEXT.replace("payoff(M1, M2, U1, U2).", "payoff(M1, M2, V1, U2), U1 = high.")
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO("finally(outcome(you,R,1,them,R,_),S)\n"))
+        code, out, err = run_cli("verify", str(game), "--queries", "-", capsys=capsys)
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [
+            "ERROR: finally(outcome(you,R,1,them,R,_),S) (the rules and the payoff facts"
+            " disagree on (R, R): no play ends with your payoff 1, but the payoff facts give 1)",
+            "0 held, 0 failed, 0 skipped, 1 errors.",
+        ]
+
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
 

@@ -519,6 +519,29 @@ def test_step_limit_inside_nested_negation(pd):
     assert steps_to_finish(base, parse_goal("\\+ ng")) == inner + 3
 
 
+@pytest.mark.parametrize("goal, printed, steps", [
+    ("X = initial(S), X", ["X = initial(s0), S = s0"], 2),
+    ("X = initial(s1), \\+ X", ["X = initial(s1)"], 3),
+])
+def test_a_variable_goal_calls_the_term_it_is_bound_to(pd, goal, printed, steps):
+    assert printed_answers(pd.rulebase, goal) == printed
+    assert steps_to_finish(pd.rulebase, parse_goal(goal)) == steps
+
+
+@pytest.mark.parametrize("goal, error, message, steps", [
+    ("X = 3, X", LogicError, "callable goal expected, got 3", 2),
+    ("X", LogicError, "callable goal expected, got X", 1),
+    ("\\+ X", FlounderedNegation, "negated goal is not ground when selected: \\+ X", 1),
+])
+def test_a_variable_goal_bound_to_no_callable_term_is_an_error(pd, goal, error, message, steps):
+    # The error comes at the step that selects the goal, not before.
+    with pytest.raises(LimitExceeded):
+        answers(pd.rulebase, goal, ResolutionLimits(max_steps=steps - 1))
+    with pytest.raises(LogicError) as err:
+        answers(pd.rulebase, goal, ResolutionLimits(max_steps=steps))
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 # --- cyclic and deep terms ----------------------------------------------------
 
 

@@ -169,6 +169,36 @@ def test_duplicate_payoff_detected(pd):
         parse_game(text)
 
 
+@pytest.mark.parametrize("clause, message", [
+    ("payoff('D','D',1,1) :- initial(s0).",
+     "payoff clause must be a ground fact: payoff('D','D',1,1) :- initial(s0)."),
+    ("payoff('D',M,1,1).", "payoff clause must be a ground fact: payoff('D',M,1,1)."),
+    ("payoff('D','D',high,1).",
+     "payoff fact must be payoff(move, move, int, int): payoff('D','D',high,1)."),
+])
+def test_payoff_clause_that_is_no_fact_of_moves_and_integers_is_rejected(pd, clause, message):
+    text = game_to_text(pd).replace("payoff('D','D',1,1).", clause)
+    assert clause in text
+    with pytest.raises(IncompletePayoffsError) as err:
+        parse_game(text)
+    assert str(err.value) == message
+
+
+def test_outcome_payoff_that_is_no_integer_names_the_answer(pd):
+    # The rules derive `high` as the row player's payoff, though the payoff
+    # facts, which load_game reads, are all integers.
+    text = game_to_text(pd).replace("payoff(M1,M2,U1,U2).", "payoff(M1,M2,V1,U2), U1 = high.")
+    assert "U1 = high" in text
+    g = parse_game(text)
+    with pytest.raises(GameSpecError) as err:
+        enumerate_outcomes(g)
+    assert str(err.value) == (
+        "outcome moves must be atoms and payoffs integers: "
+        "S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), P1 = p1, M1 = 'D', U1 = high, "
+        "P2 = p2, M2 = 'D', U2 = 1"
+    )
+
+
 def test_invalid_label_map_detected(pd):
     text = game_to_text(pd).replace("%! label B: 'C'", "%! label B: 'Z'")
     with pytest.raises(InvalidLabelMapError):

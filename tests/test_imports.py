@@ -66,6 +66,18 @@ def test_no_module_imports_a_private_name_from_another():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def test_no_module_holds_an_assert():
+    # `python -O` drops an assert, so a check the package needs must raise.
+    found = {}
+    for p in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        found[p.relative_to(PACKAGE).as_posix()] = [
+            n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)
+        ]
+    assert "games.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def private_attributes(path: Path) -> "tuple[set[str], set[str]]":
     """The `_`-prefixed names `path` binds (functions, classes, variables
     and attributes) and the `_`-prefixed attributes it reads. Dunder names

@@ -1,36 +1,66 @@
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lelma.games import load_game
 from lelma.translator import build_translation_prompt, parse_queries
-from lelma.verification import Query, QueryKind, query_to_text
+from lelma.verification import (
+    QUERY_FORMS,
+    SCHEMAS,
+    MalformedQueryError,
+    Query,
+    QueryKind,
+    parse_query_line,
+    query_to_text,
+)
 
-CATALOGUE_EXAMPLES = [
-    "finally(outcome(you,B,1,them,R,_),S)",
-    "higher(1, 3)",
-    "lower(1, 3)",
-    "highest_possible_individual_payoff(1)",
-    "lowest_possible_individual_payoff(1)",
-    "highest_individual_payoff_for_choice(1,B)",
-    "lowest_individual_payoff_for_choice(1,B)",
-    "highest_guaranteed_payoff_choice(B)",
-    "higher_guaranteed_payoff(B,R)",
-    "lower_guaranteed_payoff(B,R)",
-    "highest_mutual_payoff(R,R)",
-    "lowest_mutual_payoff(R,R)",
-]
+README = Path(__file__).parents[1] / "README.md"
+
+
+# Every cassette key hashes the system prompt, so any change to its bytes makes
+# recorded cassettes miss under replay.
+PROMPT_SHA256 = {
+    "pd": "f973de2e03644142c7273ae7b7bded023fb01ad75124f22c3bae43beb5043d67",
+    "sh": "e3a95e99817f5bdb131c8d7b2cf79881cd80ba90df976262e6bbe8f0f1461680",
+    "hd": "94af8c28dd5ee4af0c8a567c7ad256151bac04be5ad3ce2d9094e3843846f31a",
+}
 
 
 class TestPrompt:
-    def test_catalogue_examples_each_appear_exactly_once(self, pd):
-        system, _ = build_translation_prompt("some reasoning", pd)
-        for example in CATALOGUE_EXAMPLES:
-            assert system.content.count(example) == 1, example
+    @pytest.mark.parametrize("name", sorted(PROMPT_SHA256))
+    def test_system_prompt_bytes_are_pinned(self, games, name):
+        system, _ = build_translation_prompt("x", games[name])
+        assert hashlib.sha256(system.content.encode("utf-8")).hexdigest() == PROMPT_SHA256[name]
 
-    def test_every_example_is_itself_parseable(self, pd):
-        for example in CATALOGUE_EXAMPLES:
-            queries, diag = parse_queries(example, pd)
-            assert len(queries) == 1 and not diag.skipped, example
+    def test_each_query_form_is_listed_once_and_parses_to_its_own_kind(self, games):
+        for g in games.values():
+            system, _ = build_translation_prompt("x", g)
+            for kind, example, gloss in QUERY_FORMS:
+                assert system.content.count(example) == 1, example
+                assert f"\n{example}\n  {gloss}\n" in system.content, example
+                assert parse_query_line(example, g).kind is kind, example
+        # Outcome claims have their own template. Every other kind with a form
+        # is read by its name; one without a form is an unknown predicate.
+        by_name = {kind for kind, _, _ in QUERY_FORMS} - {QueryKind.OUTCOME}
+        assert QueryKind.EQUAL not in by_name
+        for kind in QueryKind:
+            good = (1 if slot == "int" else "B" for slot in SCHEMAS[kind])
+            line = f"{kind.value}({', '.join(map(str, good))})"
+            if kind in by_name:
+                assert parse_query_line(line, games["pd"]).kind is kind
+            else:
+                with pytest.raises(MalformedQueryError, match="unknown query predicate"):
+                    parse_query_line(line, games["pd"])
+
+    def test_the_readme_catalogue_lists_the_forms_in_order(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"^## The query catalogue\n.*?^```\n(.*?)^```$", text, re.M | re.S)
+        # An example ends at its first closing parenthesis followed by a space.
+        listed = [re.match(r".*?\)(?= )", line).group() for line in block[1].splitlines()]
+        assert listed == [example for _, example, _ in QUERY_FORMS]
 
     def test_roles_and_verbatim_reasoning(self, pd):
         reasoning = "I think cooperating nets us $3 each.\nSo C it is."

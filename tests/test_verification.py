@@ -338,6 +338,22 @@ def test_evaluate_all_captures_engine_errors(pd):
     assert held.holds
 
 
+def test_an_outcome_the_rules_miss_but_the_payoff_facts_give_is_an_error(pd):
+    # The rules give the row player the payoff `high`; the payoff facts give 1
+    # for (R, R). The correction "1, not 1" would contradict itself.
+    pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
+    g = parse_game(pd_text.replace("payoff(M1, M2, U1, U2).", "payoff(M1, M2, V1, U2), U1 = high."))
+    same, other = (Query(QueryKind.OUTCOME, ("R", n, "R")) for n in (1, 5))
+    errored, failed = evaluate_all([same, other], g).results
+    message = (
+        "the rules and the payoff facts disagree on (R, R): no play ends with your"
+        " payoff 1, but the payoff facts give 1"
+    )
+    assert (errored.holds, errored.corrections, errored.error) == (False, (), message)
+    assert errored.explanation == f"Could not verify: {message}"
+    assert (failed.holds, failed.error, failed.corrections) == (False, None, (("payoff", 1),))
+
+
 def test_render_feedback_joins_failed_explanations(pd):
     report = evaluate_all(
         [Query(QueryKind.HIGHER, (1, 3)), Query(QueryKind.HIGHEST_POSSIBLE, (9,))], pd
@@ -621,7 +637,18 @@ def test_parsed_and_hand_built_queries_fail_alike(pd, tmp_path, kind, args, erro
 
 def test_one_kind_table_entry_per_kind():
     assert list(_KINDS) == list(QueryKind)
-    assert {slot for schema, _ in _KINDS.values() for slot in schema} == {"int", "move"}
+    assert {slot for schema, _, _ in _KINDS.values() for slot in schema} == {"int", "move"}
+
+
+def test_the_judges_return_exactly_the_template_keys(games):
+    keys = set()
+    for g in games.values():
+        values = payoff_values(g)
+        ties = (Query(QueryKind.EQUAL, args) for args in itertools.product(values, values))
+        for q in [*all_instantiations(g), *ties]:
+            keys.add(_KINDS[q.kind][1](g, q.kind, q.args)[1])
+    assert keys - {""} == set(feedback_templates())
+
 
 def test_evaluation_table(pd):
     held = evaluate_query(Query(QueryKind.HIGHER, (5, 0)), pd)
