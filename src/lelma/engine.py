@@ -59,7 +59,11 @@ LogicError that unifying its head would raise. Each body
 literal is compiled into a goal node that carries its callee (the
 entry, a builtin, a negation or the literal's own `=` function), so
 selecting a goal looks nothing up, unless the goal is a variable or its
-predicate is undefined. One loop runs a whole search: a `\\+` pushes a
+predicate is undefined. One loop runs a whole search. A `\\+` whose goal
+calls a predicate of facts only, as the game rules'
+`\\+ abnormal(F, M, S)` does, is decided in place: the loop tries the
+facts itself, in the negated goal's step, and fails the `\\+` on the
+first that matches. Any other `\\+` pushes a
 barrier choice point and runs its subproof in the same loop, cutting
 back to the barrier and failing once the subproof is proved. A choice
 point is pushed only while a later candidate clause is left.
@@ -93,7 +97,7 @@ class FlounderedNegation(LogicError):
 
 class UnknownPredicate(LogicError):
     def __init__(self, functor: str, arity: int):
-        super().__init__(f"unknown predicate {functor}/{arity}")
+        super().__init__(f"unknown predicate {Atom(functor)}/{arity}")
         self.functor = functor
         self.arity = arity
 
@@ -153,7 +157,9 @@ class RuleBase:
         # Builtins shadow clauses of the same name and arity. Every entry
         # exists before any clause is compiled, because a clause's body
         # nodes hold the entries of the predicates they call.
-        self._preds = {k: _Pred() for k in self._index if k not in BUILTINS}
+        self._preds = {
+            k: _Pred(all(not c.body for c in v)) for k, v in self._index.items() if k not in BUILTINS
+        }
         for k, pred in self._preds.items():
             pred.fill([_compile(c, self._callee) for c in self._index[k]])
 
@@ -399,12 +405,12 @@ def _unify(a, b, trail: list) -> bool:
 #
 # A goal chain is a linked list of (cell term, callee, rest) nodes ending in
 # None. The callee is fixed when a clause body is built: the entry of the
-# literal's predicate, `_Not` of a callee for a `\+` literal, a function
-# (term, trail) -> bool that binds on the trail, or None for a variable
-# literal or an undefined predicate, which the search looks up only when
-# the goal is selected. The functions are the builtins and the compiled
-# `Var = NonVar` literals of clause bodies; the term of a compiled
-# literal's node is (ordinal, cells...), not a goal term (see
+# literal's predicate, `_Not` of a callee for a `\+` literal, `_GROUND` for
+# ground/1, a function (term, trail) -> bool that binds on the trail, or
+# None for a variable literal or an undefined predicate, which the search
+# looks up only when the goal is selected. The functions are `_eq` for =/2
+# and the compiled `Var = NonVar` literals of clause bodies; the term of a
+# compiled literal's node is (ordinal, cells...), not a goal term (see
 # `_ClauseCompiler.equation`).
 
 
@@ -428,9 +434,16 @@ class _Pred:
     `guard`, and 0 if there is none: a goal bound to another symbol there
     matches no clause. A goal unbound at `at` or `guard_at` tries the
     clauses that position would otherwise have skipped.
+
+    `facts` is whether every clause is a fact, read from the program when
+    the entry is made: a `\\+` of such a predicate is decided in place
+    (see `_search`).
     """
 
-    __slots__ = ("size", "clauses", "at", "switch", "default", "guard_at", "guard")
+    __slots__ = ("facts", "size", "clauses", "at", "switch", "default", "guard_at", "guard")
+
+    def __init__(self, facts: bool) -> None:
+        self.facts = facts
 
     def fill(self, compiled: "list[tuple[object, list]]") -> None:
         """Build the entry from its clauses' `_compile` results, in order."""
@@ -481,12 +494,10 @@ def _eq(goal, trail: list) -> bool:
     return _unify(goal[1], goal[2], trail)
 
 
-def _ground(goal, trail: list) -> bool:
-    """The callee of ground/1."""
-    return _is_ground(goal[1])
+_GROUND = object()  # the callee of ground/1, which the search decides itself
 
 
-BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
+BUILTINS = {("ground", 1): _GROUND, ("=", 2): _eq}
 
 
 # --- clause compilation --------------------------------------------------------
@@ -751,11 +762,23 @@ def _search(
     step budget, the depth limit and the renaming ordinal in locals. A
     choice point is (trail mark, goal term, candidates left, the
     predicate's first ordinal, goals after the selected one, depth of the
-    body). A `\\+` pushes a barrier, (trail mark, None, None, 0, goals
-    after the `\\+`, its depth), notes the barrier's index in `barriers`
-    and runs its subproof at its own depth. When the subproof is proved,
-    the search drops the barrier and every choice point above it, and
-    fails; when backtracking pops the barrier, the negation holds.
+    body).
+
+    A `\\+` of a predicate of facts only pushes nothing: after the
+    `\\+`'s ground check the negated goal takes its step, its depth check
+    and its predicate's ordinals, as a selected goal does, and the facts
+    the guard and switch leave are tried in turn with no goals after
+    them, the bindings of each that fails undone at once. The first that
+    matches fails the `\\+`, and backtracking undoes its bindings; if
+    none matches, the goals after it run at its depth. Any other `\\+`
+    pushes a barrier, (trail mark, None, None, 0, goals after the `\\+`,
+    its depth), notes the barrier's index in `barriers` and runs its
+    subproof at its own depth. When the subproof is proved, the search
+    drops the barrier and every choice point above it, and fails; when
+    backtracking pops the barrier, the negation holds.
+
+    ground/1 is decided in the loop; =/2 and the compiled `=` literals
+    are called.
     """
     trail: list[list] = []  # the cells bound, in order
     choices: list[tuple] = []
@@ -818,11 +841,52 @@ def _search(
                     term = term[0]
                 if not _is_ground(term):
                     raise FlounderedNegation(_to_term(term))
-                barriers.append(len(choices))
-                choices.append((len(trail), None, None, 0, goals, depth))
-                goals = (term, callee.callee, None)
-                continue
-            elif callee(term, trail):  # a builtin or a compiled `=` literal
+                callee = callee.callee
+                if type(callee) is not _Pred or not callee.facts:
+                    barriers.append(len(choices))
+                    choices.append((len(trail), None, None, 0, goals, depth))
+                    goals = (term, callee, None)
+                    continue
+                # The negated goal calls facts only: decide it here, in its
+                # own step, with no barrier and no choice point.
+                if not steps_left:
+                    raise LimitExceeded("step", max_steps)
+                steps_left -= 1
+                if depth >= max_depth:
+                    raise LimitExceeded("depth", max_depth)
+                first = ordinal
+                ordinal += callee.size
+                # The step path's guard and switch, on a goal that is ground.
+                # A copy: sharing the step path's through a flag slows every step.
+                candidates = callee.clauses
+                at = callee.guard_at
+                if at:
+                    a = term[at]
+                    while type(a) is list:
+                        a = a[0]
+                    if (a[0] if type(a) is tuple else a) != callee.guard:
+                        candidates = None
+                at = callee.at
+                if at and candidates is not None:
+                    a = term[at]
+                    while type(a) is list:
+                        a = a[0]
+                    candidates = callee.switch.get(a[0] if type(a) is tuple else a, callee.default)
+                mark = len(trail)
+                while candidates is not None:
+                    offset, clause, candidates = candidates
+                    if clause(term, trail, first + offset, None) is not _FAIL:
+                        candidates = None  # a fact matches, so `\+` fails
+                        break  # and backtracking undoes the match's bindings
+                    while len(trail) > mark:
+                        trail.pop()[0] = None
+                else:
+                    continue  # no fact matches, so `\+` holds
+            elif callee is _GROUND:
+                if _is_ground(term[1]):
+                    continue
+                candidates = None
+            elif callee(term, trail):  # =/2 or a compiled `=` literal
                 continue
             else:
                 candidates = None
@@ -843,16 +907,12 @@ def _search(
                     if candidates is not None:
                         choices.append((mark, term, candidates, first, rest, depth))
                     break
-                if len(trail) > mark:
-                    for cell in trail[mark:]:
-                        cell[0] = None
-                    del trail[mark:]
+                while len(trail) > mark:
+                    trail.pop()[0] = None
             elif choices:
                 mark, term, candidates, first, rest, depth = choices.pop()
-                if len(trail) > mark:
-                    for cell in trail[mark:]:
-                        cell[0] = None
-                    del trail[mark:]
+                while len(trail) > mark:
+                    trail.pop()[0] = None
                 if candidates is None:  # a barrier: the subproof failed, so `\+` holds
                     barriers.pop()
                     goals = rest

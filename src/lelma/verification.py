@@ -120,8 +120,8 @@ class VerificationReport:
 _NAMES = {k: k.value for k in QueryKind}
 
 _OUTCOME_RE = re.compile(
-    r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>'?[A-Za-z][A-Za-z0-9_]*'?)\s*,
-        \s*(?P<n>-?\d+)\s*,\s*them\s*,\s*(?P<o>'?[A-Za-z][A-Za-z0-9_]*'?)\s*,\s*_\s*\)
+    r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>['"]?[A-Za-z][A-Za-z0-9_]*['"]?)\s*,
+        \s*(?P<n>-?\d+)\s*,\s*them\s*,\s*(?P<o>['"]?[A-Za-z][A-Za-z0-9_]*['"]?)\s*,\s*_\s*\)
         \s*,\s*S\s*\)\s*""",
     re.IGNORECASE | re.VERBOSE,
 )

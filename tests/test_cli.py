@@ -87,6 +87,13 @@ class TestSolve:
         code, out, err = run_cli("solve", "pd", goal, capsys=capsys)
         assert (code, out, err) == (2, "", "error: unknown predicate p/1\n")
 
+    @pytest.mark.parametrize("goal, name", [("'a/1'", "'a/1'/0"), ("'\\n'(a)", "'\\n'/1")])
+    def test_an_unknown_predicate_prints_its_name_as_the_parser_reads_it(
+        self, goal, name, capsys
+    ):
+        code, out, err = run_cli("solve", "pd", goal, capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: unknown predicate {name}\n")
+
     def test_deep_answers_print_until_the_depth_limit(self, tmp_path, capsys):
         # Answer k of app(X, X, Y) has k list cells in X and 2k in Y.
         game = tmp_path / "pd_app.gdl"

@@ -331,6 +331,100 @@ def test_subproofs_leave_no_bindings_behind(pd):
     )
 
 
+
+# --- `\+` over a predicate of facts only ----------------------------------------
+#
+# Each `\+` below takes one step for itself and one for its negated goal,
+# draws the negated predicate's ordinals, and leaves the depth of the goals
+# after it as it was, whether a fact matches or not.
+
+FACTS = rb(
+    "one(a). many(a, X). many(b, c). many(Y, d). k(x, a). k(x, b). g(W). "
+    "r :- \\+ many(c, c). s :- \\+ many(c, c), g(V)."
+)
+
+
+@pytest.mark.parametrize("goal, printed, steps", [
+    ("\\+ one(a)", [], 2),
+    ("\\+ one(b)", [""], 2),
+    ("\\+ many(a, d)", [], 2),  # the first of two candidates matches
+    ("\\+ many(b, d)", [], 2),  # the last of two candidates matches
+    ("\\+ many(c, d)", [], 2),  # the one candidate of the default matches
+    ("\\+ many(b, b)", [""], 2),  # no candidate matches
+    ("\\+ k(x, b)", [], 2),
+    ("\\+ k(y, a)", [""], 2),  # the guard leaves no candidate
+    ("one(X), \\+ many(b, X), g(Z)", ["X = a, Z = W_5"], 4),
+    ("one(a), \\+ many(c, c), g(Z)", ["Z = W_5"], 4),
+    ("\\+ many(c, c), g(Z)", ["Z = W_4"], 3),
+    ("\\+ k(y, a), g(Z)", ["Z = W_3"], 3),
+    ("g(Z), \\+ many(b, c)", [], 3),
+    ("s", [""], 4),
+    ("\\+ s", [], 5),
+])
+def test_negated_facts_keep_answers_steps_and_ordinals(goal, printed, steps):
+    assert printed_answers(FACTS, goal) == printed
+    assert steps_to_finish(FACTS, parse_goal(goal)) == steps
+
+
+@pytest.mark.parametrize("goal, steps", [("one(a), \\+ many(c, c)", 3), ("one(a), \\+ one(a)", 3)])
+def test_a_step_budget_that_ends_at_a_negated_fact(goal, steps):
+    # Budget steps - 1 ends at the negated goal, steps - 2 at the `\+` itself.
+    for budget in (steps - 1, steps - 2):
+        with pytest.raises(LimitExceeded) as err:
+            answers(FACTS, goal, ResolutionLimits(max_steps=budget))
+        assert str(err.value) == f"resolution step limit exceeded ({budget})"
+    assert steps_to_finish(FACTS, parse_goal(goal)) == steps
+
+
+def test_a_depth_budget_that_ends_at_a_negated_fact():
+    # `r` resolves at depth 0, so its `\+ many(c, c)` runs at depth 1; the
+    # goals after a `\+` run at its depth, not one deeper.
+    for goal in ("r", "s"):
+        with pytest.raises(LimitExceeded) as err:
+            answers(FACTS, goal, ResolutionLimits(max_depth=1))
+        assert str(err.value) == "resolution depth limit exceeded (1)"
+        assert answers(FACTS, goal, ResolutionLimits(max_depth=2)) == [{}]
+    # Where both budgets end at the negated goal, the step budget is checked first.
+    with pytest.raises(LimitExceeded) as err:
+        answers(FACTS, "r", ResolutionLimits(max_steps=2, max_depth=1))
+    assert str(err.value) == "resolution step limit exceeded (2)"
+
+
+def test_a_negated_fact_flounders_before_it_spends_a_step():
+    with pytest.raises(FlounderedNegation) as err:
+        answers(FACTS, "one(X), \\+ many(Y, c)", ResolutionLimits(max_steps=2))
+    assert str(err.value) == "negated goal is not ground when selected: \\+ many(Y,c)"
+
+
+@pytest.mark.parametrize("last, printed, steps", [("a", [], 2), ("b", ["Z = W_2"], 3)])
+def test_a_negated_fact_deeper_than_straight_line_code(last, printed, steps):
+    # The fact's head is unified by `_unify`, which binds the fact's own cells.
+    deep = "f(" * 100 + "{}" + ")" * 100
+    base = rb(f"deep({deep.format('X')}, X). g(W).")
+    goal = f"\\+ deep({deep.format('a')}, {last}), g(Z)"
+    assert printed_answers(base, goal) == printed
+    assert steps_to_finish(base, parse_goal(goal)) == steps
+
+
+@pytest.mark.parametrize("goal, printed, steps", [
+    ("\\+ abnormal(control(p1), choice(p1,'C'), s0)", [], 2),
+    ("\\+ abnormal(control(p1), choice(p2,'C'), s0)", [""], 2),
+    ("holds(control(p1), do(choice(p1,'C'), s0))", [], 7),
+    ("holds(control(p2), do(choice(p1,'C'), s0))", [""], 7),
+])
+def test_negated_abnormal_keeps_answers_and_steps(pd, goal, printed, steps):
+    assert printed_answers(pd.rulebase, goal) == printed
+    assert steps_to_finish(pd.rulebase, parse_goal(goal)) == steps
+
+
+def test_a_variable_renamed_after_a_negated_fact_prints_its_ordinal(pd):
+    # abnormal/3 draws ordinal 1, so holds/2 draws 2-4 and its third clause's M is M_4.
+    with pytest.raises(FlounderedNegation) as err:
+        answers(pd.rulebase, "\\+ abnormal(control(p1), choice(p2,'C'), s0), holds(F, do(M, s0))")
+    assert str(err.value) == (
+        "negated goal is not ground when selected: \\+ abnormal(player(p1),M_4,s0)"
+    )
+
 # --- the first-argument switch and `\+` barriers ----------------------------
 
 SWITCHED = "p(f, V). p(f(X), V). p(1, V). p(Z, V). p('1', V)."

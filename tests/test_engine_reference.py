@@ -34,6 +34,7 @@ from lelma.terms import Atom, Int, Struct, Var, is_ground, resolve, term_vars, u
 LIMITS = ResolutionLimits(max_steps=60, max_depth=8)
 PREDICATES = (("p", 0), ("p", 1), ("q", 2), ("r", 1))
 UNDEFINED = ("s", 1)
+FACTS = ("e", 2)  # a predicate of facts only, in the programs of the second property
 CLAUSE_VARS = ("X", "Y", "Z")
 GOAL_VARS = ("A", "B", "X")
 
@@ -158,8 +159,22 @@ def calls(draw, names, predicates=PREDICATES + PREDICATES + (UNDEFINED,)):
 
 
 @st.composite
-def literals(draw, names):
-    kind = draw(st.sampled_from(["call", "call", "call", "eq", "ground", "not"]))
+def negated_facts(draw, names):
+    """`\\+ e(...)`, its variables replaced by `b` three times in four, so
+    that it is mostly ground when selected."""
+    call = draw(calls(names, (FACTS,)))
+    if draw(st.integers(0, 3)):
+        call = resolve(call, {Var(name): Atom("b") for name in names})
+    return Literal(call, negated=True)
+
+
+@st.composite
+def literals(draw, names, facts=False):
+    """A literal; with `facts`, two in eight are `\\+ e(...)`."""
+    kinds = ["call", "call", "call", "eq", "ground", "not"] + (["facts", "facts"] if facts else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "facts":
+        return draw(negated_facts(names))
     if kind == "eq":
         return Literal(Struct("=", (draw(terms(names)), draw(terms(names)))))
     if kind == "ground":
@@ -168,17 +183,29 @@ def literals(draw, names):
 
 
 @st.composite
-def programs(draw):
-    """One to three clauses for each predicate but `s/1`, in a drawn order."""
+def programs(draw, facts=False):
+    """One to three clauses for each predicate but `s/1`, in a drawn order;
+    with `facts`, also one to three facts of `e/2`, which bodies negate."""
     program = []
     for predicate in PREDICATES:
         for _ in range(draw(st.integers(1, 3))):
             head = draw(calls(CLAUSE_VARS, (predicate,)))
-            body = draw(st.lists(literals(CLAUSE_VARS), max_size=2))
+            body = draw(st.lists(literals(CLAUSE_VARS, facts), max_size=2))
             program.append(Clause(head, tuple(body)))
+    if facts:
+        for _ in range(draw(st.integers(1, 3))):
+            program.append(Clause(draw(calls(CLAUSE_VARS, (FACTS,)))))
     return draw(st.permutations(program))
 
 goals = st.lists(literals(GOAL_VARS), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def goals_negating_facts(draw):
+    """Up to two literals, with a `\\+ e(...)` put among them."""
+    goal = draw(st.lists(literals(GOAL_VARS, facts=True), max_size=2))
+    goal.insert(draw(st.integers(0, len(goal))), draw(negated_facts(GOAL_VARS)))
+    return tuple(goal)
 
 
 @settings(
@@ -189,6 +216,22 @@ goals = st.lists(literals(GOAL_VARS), min_size=1, max_size=2).map(tuple)
 )
 @given(programs(), goals)
 def test_engine_matches_the_reference_interpreter(program, goal):
+    rulebase = RuleBase(program)
+    try:
+        expected = transcript(reference_solve(rulebase, goal, LIMITS))
+    except (Cyclic, RecursionError):
+        assume(False)
+    assert transcript(solve(rulebase, goal, LIMITS)) == expected
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=(HealthCheck.filter_too_much, HealthCheck.too_slow),
+)
+@given(programs(facts=True), goals_negating_facts())
+def test_engine_matches_the_reference_interpreter_on_negated_facts(program, goal):
     rulebase = RuleBase(program)
     try:
         expected = transcript(reference_solve(rulebase, goal, LIMITS))

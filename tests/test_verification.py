@@ -505,6 +505,7 @@ PARSED = [  # (line, kind, args) on pd, whose labels are B and R
     ("lowest_mutual_payoff(R,'b')", QueryKind.LOWEST_MUTUAL, ("R", "B")),
     ("finally(outcome(you,'b',-1,them,R,_),S).", QueryKind.OUTCOME, ("B", -1, "R")),
     ("FINALLY( OUTCOME( YOU , R , 3 , THEM , B , _ ) , s )", QueryKind.OUTCOME, ("R", 3, "B")),
+    ('finally(outcome(you,"R",1,them,R,_),S)', QueryKind.OUTCOME, ("R", 1, "R")),
 ]
 
 REJECTED = [  # (line, exception type, message) on pd
