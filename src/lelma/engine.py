@@ -405,12 +405,12 @@ def _unify(a, b, trail: list) -> bool:
 #
 # A goal chain is a linked list of (cell term, callee, rest) nodes ending in
 # None. The callee is fixed when a clause body is built: the entry of the
-# literal's predicate, `_Not` of a callee for a `\+` literal, `_GROUND` for
-# ground/1, a function (term, trail) -> bool that binds on the trail, or
-# None for a variable literal or an undefined predicate, which the search
-# looks up only when the goal is selected. The functions are `_eq` for =/2
-# and the compiled `Var = NonVar` literals of clause bodies; the term of a
-# compiled literal's node is (ordinal, cells...), not a goal term (see
+# literal's predicate, `_Not` of a callee for a `\+` literal, a function
+# (term, trail) -> bool that binds on the trail, or None for a variable
+# literal or an undefined predicate, which the search looks up only when
+# the goal is selected. The functions are the builtins and the compiled
+# `Var = NonVar` literals of clause bodies; the term of a compiled
+# literal's node is (ordinal, cells...), not a goal term (see
 # `_ClauseCompiler.equation`).
 
 
@@ -494,10 +494,12 @@ def _eq(goal, trail: list) -> bool:
     return _unify(goal[1], goal[2], trail)
 
 
-_GROUND = object()  # the callee of ground/1, which the search decides itself
+def _ground(goal, trail: list) -> bool:
+    """The callee of ground/1."""
+    return _is_ground(goal[1])
 
 
-BUILTINS = {("ground", 1): _GROUND, ("=", 2): _eq}
+BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 
 
 # --- clause compilation --------------------------------------------------------
@@ -766,9 +768,10 @@ def _search(
 
     A `\\+` of a predicate of facts only pushes nothing: after the
     `\\+`'s ground check the negated goal takes its step, its depth check
-    and its predicate's ordinals, as a selected goal does, and the facts
-    the guard and switch leave are tried in turn with no goals after
-    them, the bindings of each that fails undone at once. The first that
+    and its predicate's ordinals, as a selected goal does, and its facts
+    are tried in turn with no goals after them, the bindings of each that
+    fails undone at once. The goal is ground, so no clause is selected: a
+    fact the guard or switch would skip just fails. The first that
     matches fails the `\\+`, and backtracking undoes its bindings; if
     none matches, the goals after it run at its depth. Any other `\\+`
     pushes a barrier, (trail mark, None, None, 0, goals after the `\\+`,
@@ -776,9 +779,6 @@ def _search(
     subproof at its own depth. When the subproof is proved, the search
     drops the barrier and every choice point above it, and fails; when
     backtracking pops the barrier, the negation holds.
-
-    ground/1 is decided in the loop; =/2 and the compiled `=` literals
-    are called.
     """
     trail: list[list] = []  # the cells bound, in order
     choices: list[tuple] = []
@@ -856,23 +856,8 @@ def _search(
                     raise LimitExceeded("depth", max_depth)
                 first = ordinal
                 ordinal += callee.size
-                # The step path's guard and switch, on a goal that is ground.
-                # A copy: sharing the step path's through a flag slows every step.
-                candidates = callee.clauses
-                at = callee.guard_at
-                if at:
-                    a = term[at]
-                    while type(a) is list:
-                        a = a[0]
-                    if (a[0] if type(a) is tuple else a) != callee.guard:
-                        candidates = None
-                at = callee.at
-                if at and candidates is not None:
-                    a = term[at]
-                    while type(a) is list:
-                        a = a[0]
-                    candidates = callee.switch.get(a[0] if type(a) is tuple else a, callee.default)
                 mark = len(trail)
+                candidates = callee.clauses
                 while candidates is not None:
                     offset, clause, candidates = candidates
                     if clause(term, trail, first + offset, None) is not _FAIL:
@@ -882,11 +867,7 @@ def _search(
                         trail.pop()[0] = None
                 else:
                     continue  # no fact matches, so `\+` holds
-            elif callee is _GROUND:
-                if _is_ground(term[1]):
-                    continue
-                candidates = None
-            elif callee(term, trail):  # =/2 or a compiled `=` literal
+            elif callee(term, trail):  # a builtin or a compiled `=` literal
                 continue
             else:
                 candidates = None

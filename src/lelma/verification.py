@@ -120,8 +120,8 @@ class VerificationReport:
 _NAMES = {k: k.value for k in QueryKind}
 
 _OUTCOME_RE = re.compile(
-    r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>['"]?[A-Za-z][A-Za-z0-9_]*['"]?)\s*,
-        \s*(?P<n>-?\d+)\s*,\s*them\s*,\s*(?P<o>['"]?[A-Za-z][A-Za-z0-9_]*['"]?)\s*,\s*_\s*\)
+    r"""finally\s*\(\s*outcome\s*\(\s*you\s*,\s*(?P<m>(?P<mq>['"]?)[A-Za-z][A-Za-z0-9_]*(?P=mq))\s*,
+        \s*(?P<n>-?\d+)\s*,\s*them\s*,\s*(?P<o>(?P<oq>['"]?)[A-Za-z][A-Za-z0-9_]*(?P=oq))\s*,\s*_\s*\)
         \s*,\s*S\s*\)\s*""",
     re.IGNORECASE | re.VERBOSE,
 )
@@ -131,9 +131,10 @@ _SIMPLE_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^()]
 
 
 def _read_token(token: str, slot: str) -> object:
-    """`token` as an int in an int slot, or as the label it names in a move
-    slot; any other token as it is, for check_query to reject. An integer
-    too long for `int` raises MalformedQueryError."""
+    """`token` as an int in an int slot, or as the label it names, bare or
+    in one pair of matching quotes, in a move slot; any other token as it
+    is, for check_query to reject. An integer too long for `int` raises
+    MalformedQueryError."""
     if slot == "int":
         if token.isdecimal() or (token[:1] == "-" and token[1:].isdecimal()):  # -?\d+
             try:
@@ -142,7 +143,8 @@ def _read_token(token: str, slot: str) -> object:
                 digits = len(token.lstrip("-"))
                 raise MalformedQueryError(f"integer of {digits} digits is too long") from None
     elif token not in PROMPT_LABELS:  # an exact label is the usual case
-        label = token.strip("'\"").upper()
+        quoted = len(token) > 1 and token[0] == token[-1] and token[0] in "'\""
+        label = (token[1:-1] if quoted else token).upper()
         if label in PROMPT_LABELS:
             return label
     return token

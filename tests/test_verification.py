@@ -534,6 +534,21 @@ REJECTED = [  # (line, exception type, message) on pd
         MalformedQueryError,
         "not a recognized query template: 'finally(outcome(you,B,x,them,B,_),S)'",
     ),
+    # A move's quotes must pair.
+    (
+        "finally(outcome(you,'R\",1,them,R,_),S)",
+        MalformedQueryError,
+        "not a recognized query template: 'finally(outcome(you,\\'R\",1,them,R,_),S)'",
+    ),
+    (
+        "finally(outcome(you,R,1,them,'R,_),S)",
+        MalformedQueryError,
+        "not a recognized query template: \"finally(outcome(you,R,1,them,'R,_),S)\"",
+    ),
+    ("highest_guaranteed_payoff_choice('R\")", UnknownMoveError,
+     "unknown move label '\\'R\"' (valid: B, R)"),
+    ("highest_guaranteed_payoff_choice(R')", UnknownMoveError,
+     "unknown move label \"R'\" (valid: B, R)"),
 ]
 
 INVALID = [  # hand-built queries: (kind, args, exception type, message) on pd
