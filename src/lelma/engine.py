@@ -18,24 +18,27 @@ on a trail, and backtracking to a choice point clears
 the cells pushed since. `RuleBase` compiles each clause once into a
 Python function that unifies the clause's head with a goal in
 straight-line code, renaming the clause's variables as it meets them,
-and returns the clause's body only once the head has unified. A body
-literal `Var = NonVar` is compiled the same way, into a function of its
-own, as the WAM compiles a unification with `get_structure`: against a
-bound `Var` it matches part by part, and the cells of the variables
-that occur in it alone are made only when a binding needs them. It
-binds as the builtin `=` would, unifying `Var` with `NonVar`. The
+and returns the clause's body only once the head has unified. A head
+variable's first occurrence takes the goal's term in one assignment,
+with no cell, binding or trail entry, as the WAM's `get_variable` does.
+A body literal `Var = NonVar` is compiled the same way, into a function
+of its own, as the WAM compiles a unification with `get_structure`:
+against a bound `Var` it matches part by part, and the cells of the
+variables that occur in it alone are made only when a binding needs
+them. It binds as the builtin `=` would, unifying `Var` with `NonVar`. The
 generated source holds the clause's shape only: its atoms, integers,
 functors and variable names are closure values, so program text never
 becomes code and clauses of one shape share one code object. Each
 selected goal draws one renaming ordinal per clause of its predicate, in
-source order, and a variable that an answer or an error prints is
-`Var(name, ordinal)`: the clause variable's name with that ordinal, as
-`terms.rename_term` stamps it. When a goal variable meets a clause
-variable the goal variable is bound, as `terms.unify(goal, head)` would
-bind it. There is no occurs check; an answer, an error message or a
-ground check that meets a variable bound to a term containing it raises
-LogicError, and so does a unification of cyclic terms that would never
-end. Answers, error messages and ground checks past `_CYCLE_CHECK_AFTER`
+source order, and a clause variable that gets a cell prints as
+`Var(name, ordinal)`: its name with that ordinal, as `terms.rename_term`
+stamps it. When two unbound variables meet, `_unify` binds the second
+it is given, so a clause's variable is bound to the goal's, as
+`terms.unify(head, goal)` would bind it, and an unbound goal variable
+prints with the caller's name. There is no occurs check; an answer, an
+error message or a ground check that meets a variable bound to a term
+containing it raises LogicError, and so does a unification of cyclic
+terms that would never end. Answers, error messages and ground checks past `_CYCLE_CHECK_AFTER`
 compounds fold each shared part of a cell term once (`_fold_cells`), so
 they take time linear in the term's stored size.
 
@@ -327,7 +330,9 @@ def _is_ground(t) -> bool:
 
 
 def _unify(a, b, trail: list) -> bool:
-    """Unify two cell terms; when both are variables `a` is bound to `b`.
+    """Unify two cell terms; when both are unbound variables `b` is bound
+    to `a`. Compiled heads call `_unify(goal, clause)`, so a clause's
+    variable is bound to the goal's, and the builtin `A = B` binds B's.
 
     Iterative, so deep terms cannot exhaust Python's stack. Pairs of
     arguments are unified left to right, depth first, as a recursive
@@ -343,13 +348,13 @@ def _unify(a, b, trail: list) -> bool:
         b = b[0]
     if a is b:
         return True
-    if type(a) is list:
-        a[0] = b
-        trail.append(a)
-        return True
     if type(b) is list:
         b[0] = a
         trail.append(b)
+        return True
+    if type(a) is list:
+        a[0] = b
+        trail.append(a)
         return True
     if type(a) is not tuple:
         return a == b
@@ -373,12 +378,12 @@ def _unify(a, b, trail: list) -> bool:
             b = b[0]
         if a is b:
             continue
-        if type(a) is list:
-            a[0] = b
-            trail.append(a)
-        elif type(b) is list:
+        if type(b) is list:
             b[0] = a
             trail.append(b)
+        elif type(a) is list:
+            a[0] = b
+            trail.append(a)
         elif type(a) is not tuple:
             if a != b:
                 return False
@@ -506,7 +511,8 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 #
 # Each clause becomes a Python function (goal, trail, ordinal, rest) that
 # unifies its head with the walked goal term in straight-line code, renaming
-# its variables to [None, name, ordinal] cells as it meets them, and returns
+# its variables as it meets them: a variable takes the goal's term where the
+# goal has one for it, else a new [None, name, ordinal] cell. It returns
 # its body as a goal chain onto `rest`, or _FAIL. A positive body literal
 # `Var = NonVar` becomes a function of its own, generated next to the clause's
 # with the same `unify` code, as the WAM's `get_structure` compiles a
@@ -686,15 +692,22 @@ class _ClauseCompiler:
         """Code that unifies clause term `h` with the goal cell term `g`,
         binding as `_unify(g, renamed h)` would, or returns _FAIL.
 
-        A variable met before is unified in full. Otherwise the goal term
-        is walked: an unbound goal variable is bound to `h` built with new
-        cells; a bound goal term stands for a variable `h` met here for the
-        first time, or is matched against an atom, integer or compound `h`
-        part by part. `h` nests at most _MAX_NESTING compounds (see `match`).
+        A variable met here for the first time is one assignment, `v = g`,
+        with no cell, binding or trail entry: `_unify` binds its second
+        variable, so the clause's variable takes the goal's term. A
+        variable met before is unified in full. Otherwise the goal term is
+        walked: an unbound goal variable is bound to `h` built with new
+        cells, and a bound goal term is matched against an atom, integer or
+        compound `h` part by part. `h` nests at most _MAX_NESTING compounds
+        (see `match`).
         """
         emit = self.emit
-        if isinstance(h, Var) and h.name in self.met:
+        if isinstance(h, Var):
             v = self.local[h.name]
+            if h.name not in self.met:
+                self.met.add(h.name)
+                emit(indent, f"{v} = {g}")
+                return
             self.calls_unify = True
             emit(indent, f"if {g} is not {v} and not _unify({g}, {v}, trail):")
             emit(indent + 1, self.fail)
@@ -713,10 +726,7 @@ class _ClauseCompiler:
         emit(indent + 1, f"{t} = {t}[0]")
         emit(indent, "else:")
         self.met = met
-        if isinstance(h, Var):
-            self.met.add(h.name)
-            emit(indent + 1, f"{built} = {t}")
-        elif isinstance(h, Struct):
+        if isinstance(h, Struct):
             n = len(h.args) + 1
             f = self.const(h.functor)
             emit(indent + 1, f"if type({t}) is not tuple or len({t}) != {n} or {t}[0] != {f}:")
@@ -911,7 +921,9 @@ def solve(
 
     Lazy: answers are produced on demand in derivation order. Unbound goal
     variables are left out of an answer. A goal variable is never the same
-    variable as a renamed clause variable, whatever its ordinal.
+    variable as a renamed clause variable, whatever its ordinal. When a
+    goal variable meets a clause variable the clause's is bound, so an
+    unbound variable prints with the caller's name: `X = Y` gives Y = X.
     """
     goals = tuple(goal)
     if not goals:

@@ -330,18 +330,21 @@ def enumerate_outcomes(g: GameSpec) -> "list[Outcome]":
     """
     outcomes: list[Outcome] = []
     seen: set[tuple[str, str]] = set()
-    goal = outcome_goal(g, tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2")))
+    variables = tuple(Var(n) for n in ("S", "P1", "M1", "U1", "P2", "M2", "U2"))
+    goal = outcome_goal(g, variables[1:])  # S is the situation outcome_goal names
     for answer in solve(g.rulebase, goal):
-        p1_move, p2_move, u1, u2 = (answer[Var(n)] for n in ("M1", "M2", "U1", "U2"))
+        # An answer leaves an unbound variable out; it is read as itself.
+        values = {v: answer.get(v, v) for v in variables}
+        p1_move, p2_move, u1, u2 = (values[Var(n)] for n in ("M1", "M2", "U1", "U2"))
         if not (isinstance(p1_move, Atom) and isinstance(p2_move, Atom)
                 and isinstance(u1, Int) and isinstance(u2, Int)):
-            shown = ", ".join(f"{v} = {t}" for v, t in answer.items())
+            shown = ", ".join(f"{v} = {t}" for v, t in values.items())
             raise GameSpecError(f"outcome moves must be atoms and payoffs integers: {shown}")
         key = (p1_move.name, p2_move.name)
         if key in seen:
             continue
         seen.add(key)
         outcomes.append(
-            Outcome(p1_move.name, p2_move.name, u1.value, u2.value, answer[Var("S")])
+            Outcome(p1_move.name, p2_move.name, u1.value, u2.value, values[Var("S")])
         )
     return outcomes

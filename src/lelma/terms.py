@@ -13,8 +13,8 @@ being a dict substitution, but it searches over mutable variable cells
 of its own (see `engine`). No package code calls `unify`, `resolve` or
 `rename_term`, and `lelma` does not export them: they are the reference
 the tests check the engine against, and perfbench times them. The engine
-binds variables in the same direction as `unify` and names a renamed
-variable as `rename_term` does.
+binds variables as `unify(head, goal)` would, and as `unify(B, A)` for
+`A = B`, and names a renamed variable as `rename_term` does.
 
 `fold` walks a term's structure without recursion. Printing, hashing,
 `term_vars`, `is_ground`, `rename_term`, the parser's renaming of `_`

@@ -27,7 +27,10 @@ def rename_apart(clause: Clause, ordinal: int) -> Clause:
     Distinct variables in a parsed clause always have distinct names, so a
     shared ordinal keeps them distinct while guaranteeing freshness against
     every other renaming step. The engine renames clauses while unifying
-    their heads, into the same names and ordinals as this function.
+    their heads, into the same names and ordinals as this function; since
+    it binds a clause's variable to the goal's, a variable whose first
+    head occurrence meets a goal term just takes that term and is never
+    printed under its renamed name.
     """
 
     def rename(term: Term) -> Term:

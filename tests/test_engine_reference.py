@@ -2,8 +2,11 @@
 
 The reference below resolves over plain dict substitutions with
 `terms.unify` and renames each clause with `oracles.rename_apart`, the
-textbook way. It follows the engine's documented contract: depth-first,
-clauses in source order, one step per selected goal, `\\+` subproofs
+textbook way. It runs `unify(head, goal)`, and `unify(rhs, lhs)` for
+`lhs = rhs`: the textbook unifier binds its left variable, and the
+engine binds a clause's variable to the goal's, and in `A = B` B's. It
+follows the engine's documented contract: depth-first, clauses in
+source order, one step per selected goal, `\\+` subproofs
 spending from the same step budget at the same depth, one renaming
 ordinal per clause of the selected predicate (counted from 1), builtins
 before the clause index, and the depth check after it. The depth of a
@@ -90,7 +93,7 @@ def reference_solve(rulebase: RuleBase, goal, limits: ResolutionLimits):
         else:
             raise LogicError(f"callable goal expected, got {resolve(term, subst)}")
         if key == ("=", 2):
-            out = unified(term.args[0], term.args[1], subst)
+            out = unified(term.args[1], term.args[0], subst)
             if out is not None:
                 yield from prove(rest, out, depth)
             return
@@ -107,7 +110,7 @@ def reference_solve(rulebase: RuleBase, goal, limits: ResolutionLimits):
         state["ordinal"] += len(clauses)
         for i, clause in enumerate(clauses):
             renamed = rename_apart(clause, base + i)
-            out = unified(term, renamed.head, subst)
+            out = unified(renamed.head, term, subst)
             if out is not None:
                 yield from prove(renamed.body + rest, out, depth + 1)
 
@@ -247,10 +250,16 @@ def test_reference_interpreter_agrees_on_hand_written_cases():
         Clause(Struct("q", (Struct("f", (Var("Y"),)), Atom("b")))),
         Clause(Atom("p")),
         Clause(Struct("r", (Var("Z"),)), (Literal(Struct("q", (Var("Z"), Atom("a")))),)),
+        Clause(Struct("t", (Var("A"), Var("A")))),
+        Clause(Struct("t", (Var("A"), Struct("f", (Var("A"),))))),
     ]
     rulebase = RuleBase(program)
     cases = {
-        Literal(Struct("q", (Var("A"), Var("B")))): ["A = X_1, B = X_1", "A = f(Y_2), B = b"],
+        # A clause's variable is bound to the goal's, never the reverse, so
+        # a goal variable that a clause only aliases stays unbound.
+        Literal(Struct("q", (Var("A"), Var("B")))): ["A = B", "A = f(Y_2), B = b"],
+        Literal(Struct("t", (Var("X"), Var("Y")))): ["X = Y", "Y = f(X)"],
+        Literal(Struct("=", (Var("X"), Var("Y")))): ["Y = X"],
         Literal(Struct("r", (Var("A"),))): ["A = a"],
         Literal(Atom("p")): [""],
         Literal(Struct("p", ())): [],

@@ -199,6 +199,20 @@ def test_outcome_payoff_that_is_no_integer_names_the_answer(pd):
     )
 
 
+def test_outcome_payoff_the_rules_leave_unbound_names_the_variable(pd):
+    # The rules never bind the row player's payoff, so the answer leaves U1 out.
+    text = game_to_text(pd).replace("payoff(M1,M2,U1,U2).", "payoff(M1,M2,_,U2).")
+    assert "payoff(M1,M2,_,U2)." in text
+    g = parse_game(text)
+    with pytest.raises(GameSpecError) as err:
+        enumerate_outcomes(g)
+    assert str(err.value) == (
+        "outcome moves must be atoms and payoffs integers: "
+        "S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), P1 = p1, M1 = 'D', U1 = U1, "
+        "P2 = p2, M2 = 'D', U2 = 1"
+    )
+
+
 def test_invalid_label_map_detected(pd):
     text = game_to_text(pd).replace("%! label B: 'C'", "%! label B: 'Z'")
     with pytest.raises(InvalidLabelMapError):
