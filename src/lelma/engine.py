@@ -12,33 +12,33 @@ way to it (see `ResolutionLimits`).
 
 Bindings are made in place and undone on backtracking, as in the WAM
 (Ait-Kaci, Warren's Abstract Machine: A Tutorial Reconstruction, 1991).
-During a search every variable is a mutable cell, a plain list
-[value, name, ordinal]; binding one sets the cell's value and pushes it
-on a trail, and backtracking to a choice point clears
-the cells pushed since. `RuleBase` compiles each clause once into a
-Python function that unifies the clause's head with a goal in
-straight-line code, renaming the clause's variables as it meets them,
-and returns the clause's body only once the head has unified. A head
-variable's first occurrence takes the goal's term in one assignment,
-with no cell, binding or trail entry, as the WAM's `get_variable` does.
-A body literal `Var = NonVar` is compiled the same way, into a function
-of its own, as the WAM compiles a unification with `get_structure`:
-against a bound `Var` it matches part by part, and the cells of the
-variables that occur in it alone are made only when a binding needs
-them. It binds as the builtin `=` would, unifying `Var` with `NonVar`. The
-generated source holds the clause's shape only: its atoms, integers,
-functors and variable names are closure values, so program text never
-becomes code and clauses of one shape share one code object. Each
-selected goal draws one renaming ordinal per clause of its predicate, in
-source order, and a clause variable that gets a cell prints as
-`Var(name, ordinal)`: its name with that ordinal, as `terms.rename_term`
-stamps it. When two unbound variables meet, `_unify` binds the second
-it is given, so a clause's variable is bound to the goal's, as
-`terms.unify(head, goal)` would bind it, and an unbound goal variable
-prints with the caller's name. There is no occurs check; an answer, an
-error message or a ground check that meets a variable bound to a term
-containing it raises LogicError, and so does a unification of cyclic
-terms that would never end. Answers, error messages and ground checks past `_CYCLE_CHECK_AFTER`
+During a search every variable is a mutable cell, a plain list [value,
+name, ordinal]; binding one sets the cell's value and pushes it on a
+trail, and backtracking to a choice point clears the cells pushed
+since. `RuleBase` compiles each clause once into a Python function that
+unifies the clause's head with a goal in straight-line code, renaming
+the clause's variables as it meets them, and returns the clause's body
+only once the head has unified. A head variable's first occurrence
+takes the goal's term in one assignment, with no cell, binding or trail
+entry, as the WAM's `get_variable` does. A body literal `Var = NonVar`
+is compiled the same way, into a function of its own, as the WAM
+compiles a unification with `get_structure`: against a bound `Var` it
+matches part by part, and the cells of the variables that occur in it
+alone are made only when a binding needs them. It binds as the builtin
+`=` would, unifying `Var` with `NonVar`. The generated source holds the
+clause's shape only: its atoms, integers, functors and variable names
+are closure values, so program text never becomes code and clauses of
+one shape share one code object. Each selected goal draws one renaming
+ordinal per clause of its predicate, in source order, and a clause
+variable that gets a cell prints as `Var(name, ordinal)`: its name with
+that ordinal, as `terms.rename_term` stamps it. When two unbound
+variables meet, `_unify` binds the second it is given, so a clause's
+variable is bound to the goal's, as `terms.unify(head, goal)` would
+bind it, and an unbound goal variable prints with the caller's name.
+There is no occurs check; an answer, an error message or a ground check
+that meets a variable bound to a term containing it raises LogicError,
+and so does a unification of cyclic terms that would never end.
+Answers, error messages and ground checks past `_CYCLE_CHECK_AFTER`
 compounds fold each shared part of a cell term once (`_fold_cells`), so
 they take time linear in the term's stored size.
 

@@ -330,11 +330,10 @@ def enumerate_outcomes(g: GameSpec) -> "list[Outcome]":
     """
     outcomes: list[Outcome] = []
     seen: set[tuple[str, str]] = set()
-    variables = tuple(Var(n) for n in ("S", "P1", "M1", "U1", "P2", "M2", "U2"))
-    goal = outcome_goal(g, variables[1:])  # S is the situation outcome_goal names
-    for answer in solve(g.rulebase, goal):
+    outcome_vars = tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2"))
+    for answer in solve(g.rulebase, outcome_goal(g, outcome_vars)):
         # An answer leaves an unbound variable out; it is read as itself.
-        values = {v: answer.get(v, v) for v in variables}
+        values = {v: answer.get(v, v) for v in (Var("S"), *outcome_vars)}
         p1_move, p2_move, u1, u2 = (values[Var(n)] for n in ("M1", "M2", "U1", "U2"))
         if not (isinstance(p1_move, Atom) and isinstance(p2_move, Atom)
                 and isinstance(u1, Int) and isinstance(u2, Int)):

@@ -9,7 +9,7 @@ Each mutant makes one change, in one function of one module:
 (`+=` and `-=` count as `+` and `-`). The tree is copied to a scratch
 directory first, and every mutant is written there, never into the
 checkout. A mutant is killed when its subset fails, or runs past the
-timeout, as a mutant that makes a search loop forever does (DeMillo,
+hang limit, as a mutant that makes a search loop forever does (DeMillo,
 Lipton & Sayward, "Hints on Test Data Selection", 1978; Jia & Harman,
 TSE 2011). A survivor is a change no test in the subset notices: kill it
 with a test that pins what the program does, or list it as equivalent
@@ -41,6 +41,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# A mutant whose subset runs longer than this, or than twice the unmutated
+# run, is hung.
+HANG_AFTER = 40.0
 
 # module -> (the functions and classes mutated, the tests that must kill them)
 SUBSETS = {
@@ -144,7 +147,7 @@ def replaced(source: bytes, node: ast.AST, text: str) -> bytes:
     return source[:begin] + text.encode() + source[end:]
 
 
-def run(work: Path, tests, timeout: float) -> "tuple[str, float]":
+def run(work: Path, tests, timeout) -> "tuple[str, float]":
     """'passed', 'failed' or 'hung', and the seconds the subset took."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -159,7 +162,7 @@ def run(work: Path, tests, timeout: float) -> "tuple[str, float]":
     return ("passed" if code == 0 else "failed"), time.perf_counter() - started
 
 
-def audit(work: Path, module: str, names, tests, timeout: float) -> int:
+def audit(work: Path, module: str, names, tests) -> int:
     """Copy the tree to `work`, mutate `names` of `module` there one change
     at a time, and print each mutant's fate; 1 if one survived."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "_out")
@@ -172,7 +175,7 @@ def audit(work: Path, module: str, names, tests, timeout: float) -> int:
     if outcome != "passed":
         raise SystemExit(f"the subset fails on the unmutated tree: {' '.join(tests)}")
     # A mutant may slow the subset down without hanging it.
-    timeout = max(timeout, 2 * seconds)
+    timeout = max(HANG_AFTER, 2 * seconds)
     print(f"subset passes unmutated in {seconds:.1f} s; a mutant past {timeout:.0f} s is hung")
 
     killed = total = 0
@@ -196,14 +199,13 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="+", help="the functions or classes to mutate")
     parser.add_argument("--tests", nargs="+", help="the pytest arguments of the subset")
     parser.add_argument("--workdir", type=Path, help="scratch directory for the copy")
-    parser.add_argument("--timeout", type=float, default=40.0, help="seconds before a hang")
     args = parser.parse_args(argv)
     names, tests = SUBSETS[args.module]
     names, tests = args.only or names, args.tests or tests
 
     scratch = Path(tempfile.mkdtemp(prefix="mutation-", dir=args.workdir))
     try:
-        return audit(scratch / "tree", args.module, names, tests, args.timeout)
+        return audit(scratch / "tree", args.module, names, tests)
     finally:
         shutil.rmtree(scratch)
 
