@@ -22,9 +22,9 @@ dataclass checks the range of its own fields, so both reject alike.
 
 Human evaluation goes through CSV sheets: export blank ones, collect
 labels, aggregate conservatively (a sample counts as correct only if
-every evaluator says so), compare against the verifier's prediction
-with a confusion matrix, and measure inter-rater agreement with
-Fleiss' kappa.
+every filled label says so, a blank cell abstaining), compare against
+the verifier's prediction with a confusion matrix, and measure
+inter-rater agreement with Fleiss' kappa.
 """
 
 from __future__ import annotations
@@ -48,34 +48,7 @@ from .orchestrator import (
 
 
 class ExperimentError(Exception):
-    pass
-
-
-class RaggedMatrixError(ExperimentError):
-    pass
-
-
-class DegenerateAgreementError(ExperimentError):
-    pass
-
-
-class KeyMismatchError(ExperimentError):
-    def __init__(self, missing: Sequence[str], extra: Sequence[str]):
-        super().__init__(
-            f"label/prediction keys differ: {len(missing)} missing, {len(extra)} extra"
-        )
-        self.missing = tuple(missing)
-        self.extra = tuple(extra)
-
-
-class SheetFormatError(ExperimentError):
-    pass
-
-
-class MissingLabelsError(ExperimentError):
-    def __init__(self, samples: Sequence[str]):
-        super().__init__(f"{len(samples)} sample(s) have no labels: {', '.join(samples)}")
-        self.samples = tuple(samples)
+    """A config, sheet or set of transcripts or labels an experiment cannot use."""
 
 
 @dataclass(frozen=True)
@@ -377,12 +350,12 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
 
     Blank cells are skipped. Unknown label values, duplicate labels,
     header mismatches, an evaluator column with no name or the name of
-    another, and rows csv cannot read raise SheetFormatError
+    another, and rows csv cannot read raise ExperimentError
     naming the offending cell or row. A cell may be up to 2**31 - 1 characters long.
     The sheet is UTF-8, with or without the byte order mark spreadsheet
-    tools write before "CSV UTF-8"; other text raises SheetFormatError.
+    tools write before "CSV UTF-8"; other text raises ExperimentError.
     """
-    text = utf8_text(Path(path).read_bytes(), path, SheetFormatError).removeprefix("\ufeff")
+    text = utf8_text(Path(path).read_bytes(), path, ExperimentError).removeprefix("\ufeff")
     labels: "dict[str, dict[str, str]]" = {}
     with io.StringIO(text, newline="") as handle:  # as csv reads a file opened with newline=""
         # 2**31 - 1 fits a C long everywhere; csv's limit is process-wide, so it is put back.
@@ -392,23 +365,23 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
-                raise SheetFormatError(f"{path}: empty file")
+                raise ExperimentError(f"{path}: empty file")
             row_number = 1
             if tuple(header[: len(SHEET_FIXED_COLUMNS)]) != SHEET_FIXED_COLUMNS:
-                raise SheetFormatError(
+                raise ExperimentError(
                     f"{path}: header must start with {', '.join(SHEET_FIXED_COLUMNS)}"
                 )
             evaluators = tuple(header[len(SHEET_FIXED_COLUMNS):])
             if not evaluators:
-                raise SheetFormatError(f"{path}: no evaluator columns after the fixed ones")
+                raise ExperimentError(f"{path}: no evaluator columns after the fixed ones")
             # Two columns of one name would read as one evaluator, each filling the other's blanks.
             named: "set[str]" = set()
             for column, evaluator in enumerate(evaluators, len(SHEET_FIXED_COLUMNS) + 1):
                 name = evaluator.strip()
                 if not name:
-                    raise SheetFormatError(f"{path}: header column {column} names no evaluator")
+                    raise ExperimentError(f"{path}: header column {column} names no evaluator")
                 if name in named:
-                    raise SheetFormatError(
+                    raise ExperimentError(
                         f"{path}: header column {column} repeats evaluator {evaluator!r}"
                     )
                 named.add(name)
@@ -416,40 +389,40 @@ def import_labels(path: str) -> "tuple[dict[str, dict[str, str]], tuple[str, ...
                 if not any(cell.strip() for cell in row):
                     continue
                 if len(row) != len(header):
-                    raise SheetFormatError(
+                    raise ExperimentError(
                         f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                     )
                 sample_id = row[0].strip()
                 if not sample_id:
-                    raise SheetFormatError(f"{path}: row {row_number} has an empty sample_id")
+                    raise ExperimentError(f"{path}: row {row_number} has an empty sample_id")
                 sample_labels = labels.setdefault(sample_id, {})
                 for evaluator, cell in zip(evaluators, row[len(SHEET_FIXED_COLUMNS):]):
                     value = cell.strip().lower()
                     if not value:
                         continue
                     if value not in LABEL_VALUES:
-                        raise SheetFormatError(
+                        raise ExperimentError(
                             f"{path}: row {row_number}, column {evaluator}: "
                             f"label must be one of {LABEL_VALUES}, got {cell!r}"
                         )
                     if evaluator in sample_labels:
-                        raise SheetFormatError(
+                        raise ExperimentError(
                             f"{path}: row {row_number}, column {evaluator}: "
                             f"duplicate label for sample {sample_id}"
                         )
                     sample_labels[evaluator] = value
         except csv.Error as exc:
-            raise SheetFormatError(f"{path}: row {row_number + 1}: {exc}") from None
+            raise ExperimentError(f"{path}: row {row_number + 1}: {exc}") from None
         finally:
             csv.field_size_limit(limit)
     return labels, evaluators
 
 
 def aggregate_labels(labels: Mapping[str, Mapping[str, str]]) -> "dict[str, bool]":
-    """Conservative consensus: a sample is correct only if every label says so."""
+    """Conservative consensus: a sample is correct only if every filled label says so."""
     unlabeled = sorted(s for s, by_eval in labels.items() if not by_eval)
     if unlabeled:
-        raise MissingLabelsError(unlabeled)
+        raise ExperimentError(f"{len(unlabeled)} sample(s) have no labels: {', '.join(unlabeled)}")
     return {
         sample: all(value == "correct" for value in by_eval.values())
         for sample, by_eval in labels.items()
@@ -486,12 +459,11 @@ class ConfusionMatrix:
 def confusion_matrix(
     actual: Mapping[str, bool], predicted: Mapping[str, bool]
 ) -> ConfusionMatrix:
-    missing = sorted(set(actual) - set(predicted))
-    extra = sorted(set(predicted) - set(actual))
+    missing, extra = len(set(actual) - set(predicted)), len(set(predicted) - set(actual))
     if missing or extra:
-        raise KeyMismatchError(missing, extra)
+        raise ExperimentError(f"label/prediction keys differ: {missing} missing, {extra} extra")
     if not actual:
-        raise KeyMismatchError((), ())
+        raise ExperimentError("no samples to compare")
     tt = tf = ft = ff = 0
     for key, truth in actual.items():
         guess = predicted[key]
@@ -524,22 +496,22 @@ def fleiss_kappa(rows: Sequence[Sequence[int]]) -> float:
     """Chance-corrected agreement for fixed-size rater panels.
 
     Rows are per-subject category counts; every subject needs the same
-    number of ratings (>= 2). Raises RaggedMatrixError on malformed
-    input and DegenerateAgreementError when every rating lands in one
-    category (expected agreement is 1, kappa undefined).
+    number of ratings (>= 2). Raises ExperimentError on malformed input
+    and when every rating lands in one category (expected agreement is
+    1, kappa undefined).
     """
     if not rows:
-        raise RaggedMatrixError("no subjects")
+        raise ExperimentError("no subjects")
     width = len(rows[0])
     if width < 2 or any(len(row) != width for row in rows):
-        raise RaggedMatrixError("rows must share one category axis of width >= 2")
+        raise ExperimentError("rows must share one category axis of width >= 2")
     if any(count < 0 for row in rows for count in row):
-        raise RaggedMatrixError("negative rating count")
+        raise ExperimentError("negative rating count")
     raters = sum(rows[0])
     if any(sum(row) != raters for row in rows):
-        raise RaggedMatrixError("every subject needs the same number of ratings")
+        raise ExperimentError("every subject needs the same number of ratings")
     if raters < 2:
-        raise RaggedMatrixError("need at least 2 ratings per subject")
+        raise ExperimentError("need at least 2 ratings per subject")
 
     subjects = len(rows)
     p_observed = sum(
@@ -549,5 +521,5 @@ def fleiss_kappa(rows: Sequence[Sequence[int]]) -> float:
     shares = [sum(row[j] for row in rows) / (subjects * raters) for j in range(width)]
     p_expected = sum(share * share for share in shares)
     if p_expected == 1.0:
-        raise DegenerateAgreementError("all ratings fall in a single category")
+        raise ExperimentError("all ratings fall in a single category")
     return (p_observed - p_expected) / (1.0 - p_expected)

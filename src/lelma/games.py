@@ -57,24 +57,7 @@ def game_independent_rules() -> "tuple[Clause, ...]":
 
 
 class GameSpecError(Exception):
-    """Base class for game validation failures."""
-
-
-class MissingPredicateError(GameSpecError):
-    def __init__(self, functor: str, arity: int):
-        super().__init__(f"game does not define required predicate {functor}/{arity}")
-        self.functor = functor
-        self.arity = arity
-
-
-class IncompletePayoffsError(GameSpecError):
-    def __init__(self, message: str, missing: "tuple[str, str] | None" = None):
-        super().__init__(message)
-        self.missing = missing
-
-
-class InvalidLabelMapError(GameSpecError):
-    pass
+    """A game file that does not define a valid game."""
 
 
 @dataclass(frozen=True)
@@ -203,23 +186,21 @@ def _extract_payoffs(clauses: Iterable[Clause]) -> PayoffMatrix:
         if c.key() != ("payoff", 4):
             continue
         if c.body or not isinstance(c.head, Struct) or not is_ground(c.head):
-            raise IncompletePayoffsError(f"payoff clause must be a ground fact: {c}")
+            raise GameSpecError(f"payoff clause must be a ground fact: {c}")
         m1, m2, u1, u2 = c.head.args
         if not (isinstance(m1, Atom) and isinstance(m2, Atom)
                 and isinstance(u1, Int) and isinstance(u2, Int)):
-            raise IncompletePayoffsError(f"payoff fact must be payoff(move, move, int, int): {c}")
+            raise GameSpecError(f"payoff fact must be payoff(move, move, int, int): {c}")
         for m in (m1.name, m2.name):
             if m not in moves:
                 moves.append(m)
         if (m1.name, m2.name) in entries:
-            raise IncompletePayoffsError(f"duplicate payoff fact for ({m1.name}, {m2.name})")
+            raise GameSpecError(f"duplicate payoff fact for ({m1.name}, {m2.name})")
         entries[(m1.name, m2.name)] = (u1.value, u2.value)
     for a in moves:
         for b in moves:
             if (a, b) not in entries:
-                raise IncompletePayoffsError(
-                    f"no payoff fact for move pair ({a}, {b})", missing=(a, b)
-                )
+                raise GameSpecError(f"no payoff fact for move pair ({a}, {b})")
     return PayoffMatrix(tuple(moves), entries)
 
 
@@ -228,17 +209,15 @@ def _extract_label_map(meta: "dict[str, str]", payoffs: PayoffMatrix) -> "dict[s
     for label in PROMPT_LABELS:
         key = f"label {label}"
         if key not in meta:
-            raise InvalidLabelMapError(f"metadata header is missing '{key}'")
+            raise GameSpecError(f"metadata header is missing '{key}'")
         labels[label] = read_name(meta[key])
     if len(set(labels.values())) != len(labels):
-        raise InvalidLabelMapError(f"labels must map to distinct moves, got {labels}")
+        raise GameSpecError(f"labels must map to distinct moves, got {labels}")
     unknown = set(labels.values()) - set(payoffs.moves)
     if unknown:
-        raise InvalidLabelMapError(f"labels map to unknown moves {sorted(unknown)}")
+        raise GameSpecError(f"labels map to unknown moves {sorted(unknown)}")
     if len(payoffs.moves) != len(labels):
-        raise InvalidLabelMapError(
-            f"every move needs a label: moves {payoffs.moves}, labels {labels}"
-        )
+        raise GameSpecError(f"every move needs a label: moves {payoffs.moves}, labels {labels}")
     return labels
 
 
@@ -255,7 +234,7 @@ def parse_game(text: str) -> GameSpec:
     defined = {c.key() for c in clauses}
     for functor, arity in REQUIRED_PREDICATES:
         if (functor, arity) not in defined:
-            raise MissingPredicateError(functor, arity)
+            raise GameSpecError(f"game does not define required predicate {functor}/{arity}")
 
     payoffs = _extract_payoffs(clauses)
     labels = _extract_label_map(meta, payoffs)

@@ -84,7 +84,7 @@ def build_instruction_prompt(g: GameSpec) -> str:
 
 def build_feedback_prompt(prev_reasoning: str, report: VerificationReport, g: GameSpec) -> str:
     """Follow-up prompt embedding corrections and the previous reasoning verbatim."""
-    feedback = render_feedback(report)  # raises EmptyFailureSetError if nothing failed
+    feedback = render_feedback(report)  # raises VerificationError if nothing failed
     return (
         "Some statements in your reasoning about the game were wrong:\n"
         f"{feedback}\n"
@@ -169,6 +169,15 @@ class SessionTranscript:
         return self.attempts[-1].extracted_choice if self.attempts else None
 
 
+def _exit(report: VerificationReport, last: bool) -> ExitReason:
+    """How an attempt with `report` ends; `last` if the budget allows no other."""
+    if not report.results:
+        return ExitReason.NO_QUERIES
+    if not report.failed:
+        return ExitReason.ALL_TRUE
+    return ExitReason.MAX_ATTEMPTS if last else ExitReason.NONE
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     reasoner: ModelConfig
@@ -209,16 +218,7 @@ def run_session(g: GameSpec, cfg: LoopConfig, session_id: Optional[str] = None) 
             completion_tokens += translated.usage.completion_tokens
             queries, _ = parse_queries(translated.text, g)
             report = evaluate_all(queries, g)
-
-            if not queries:
-                exit_reason = ExitReason.NO_QUERIES
-            elif not report.failed:
-                exit_reason = ExitReason.ALL_TRUE
-            elif index == cfg.max_attempts:
-                exit_reason = ExitReason.MAX_ATTEMPTS
-            else:
-                exit_reason = ExitReason.NONE
-
+            exit_reason = _exit(report, last=index == cfg.max_attempts)
             attempts.append(
                 AttemptRecord(
                     index=index,
@@ -284,7 +284,25 @@ def _read(table: tuple, fields: dict, make, check=lambda fields: None):
 
 
 def _attempt(results, **fields) -> AttemptRecord:
-    return AttemptRecord(report=VerificationReport(results), **fields)
+    """The attempt, if its `exit` is one that `run_session` gives its results."""
+    report = VerificationReport(results)
+    allowed = dict.fromkeys(_exit(report, last) for last in (False, True))
+    if fields["exit"] not in allowed:
+        shown = " or ".join(repr(e.value) for e in allowed)
+        raise ValueError(f"exit must be {shown} for its results, not {fields['exit'].value!r}")
+    return AttemptRecord(report=report, **fields)
+
+
+def _check_result(result: dict) -> None:
+    """A result must be in a shape `run_session` writes: one that holds
+    carries no correction or error, an errored one no correction, and a
+    failed one a correction."""
+    if result["holds"] and (result["corrections"] or result["error"] is not None):
+        raise ValueError("a result that holds carries no correction or error")
+    if result["error"] is not None and result["corrections"]:
+        raise ValueError("an errored result carries no correction")
+    if not (result["holds"] or result["error"] is not None or result["corrections"]):
+        raise ValueError("a failed result carries a correction")
 
 
 # Each correction role, with whether a value read back is one the judges make.
@@ -326,7 +344,7 @@ _ATTEMPT = (
     _field("reasoning", str),
     _field("translator_output", str),
     ("results", (list,), lambda a: [_write(_RESULT, r) for r in a.report.results],
-     lambda results: tuple(_read(_RESULT, r, QueryResult) for r in results)),
+     lambda results: tuple(_read(_RESULT, r, QueryResult, _check_result) for r in results)),
     _field("extracted_choice"),
     ("exit", (), lambda a: a.exit.value, ExitReason),
 )

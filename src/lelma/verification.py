@@ -52,21 +52,8 @@ from .terms import Atom, Int, Var
 
 
 class VerificationError(Exception):
-    """Base class for query validation/parsing failures."""
-
-
-class MalformedQueryError(VerificationError):
-    pass
-
-
-class UnknownMoveError(VerificationError):
-    def __init__(self, move: str, valid: Sequence[str]):
-        super().__init__(f"unknown move label {move!r} (valid: {', '.join(valid)})")
-        self.move = move
-
-
-class EmptyFailureSetError(VerificationError):
-    pass
+    """A query line or query that is outside the catalogue, or a report
+    with no failure to render."""
 
 
 class QueryKind(str, Enum):
@@ -134,14 +121,14 @@ def _read_token(token: str, slot: str) -> object:
     """`token` as an int in an int slot, or as the label it names, bare or
     in one pair of matching quotes, in a move slot; any other token as it
     is, for check_query to reject. An integer too long for `int` raises
-    MalformedQueryError."""
+    VerificationError."""
     if slot == "int":
         if token.isdecimal() or (token[:1] == "-" and token[1:].isdecimal()):  # -?\d+
             try:
                 return int(token)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 digits = len(token.lstrip("-"))
-                raise MalformedQueryError(f"integer of {digits} digits is too long") from None
+                raise VerificationError(f"integer of {digits} digits is too long") from None
     elif token not in PROMPT_LABELS:  # an exact label is the usual case
         quoted = len(token) > 1 and token[0] == token[-1] and token[0] in "'\""
         label = (token[1:-1] if quoted else token).upper()
@@ -155,26 +142,26 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
     as every game's move labels are the prompt labels.
 
     Predicate names are case-insensitive and whitespace between tokens is
-    ignored; a trailing period is allowed. Raises MalformedQueryError or
-    UnknownMoveError on anything outside the catalogue.
+    ignored; a trailing period is allowed. Raises VerificationError on
+    anything outside the catalogue.
     """
     source = text = line.strip()
     if text.endswith("."):
         text = text[:-1].rstrip()
     if not text:
-        raise MalformedQueryError("empty line")
+        raise VerificationError("empty line")
 
     m = _SIMPLE_RE.fullmatch(text)
     if m is not None:
         name, raw_args = m.group("name", "args")
         kind = _PARSED_KINDS.get(name.lower())
         if kind is None:
-            raise MalformedQueryError(f"unknown query predicate {name!r}")
+            raise VerificationError(f"unknown query predicate {name!r}")
         tokens = [a.strip() for a in raw_args.split(",")] if raw_args else []
     else:
         m = _OUTCOME_RE.fullmatch(text)
         if m is None:
-            raise MalformedQueryError(f"not a recognized query template: {source!r}")
+            raise VerificationError(f"not a recognized query template: {source!r}")
         kind, tokens = QueryKind.OUTCOME, m.group("m", "n", "o")
     # Tokens past the schema are kept as they are, so check_query sees the arity.
     schema = SCHEMAS[kind]
@@ -182,22 +169,23 @@ def parse_query_line(line: str, g: GameSpec) -> Query:
 
 
 def check_query(q: Query) -> None:
-    """Check q's arguments against its kind's schema: MalformedQueryError
-    for a wrong arity, a non-integer payoff or a move that is no string,
-    UnknownMoveError for a string that names no prompt label."""
+    """Check q's arguments against its kind's schema: VerificationError
+    for a wrong arity, a non-integer payoff, a move that is no string or
+    a string that names no prompt label."""
     schema, n = SCHEMAS[q.kind], len(q.args)
     if n != len(schema):
-        raise MalformedQueryError(f"{q.kind.value} takes {len(schema)} argument(s), got {n}")
+        raise VerificationError(f"{q.kind.value} takes {len(schema)} argument(s), got {n}")
     # The exact types are checked first, as they are the usual case.
     for arg, want in zip(q.args, schema):
         if want == "int":
             if type(arg) is not int and (not isinstance(arg, int) or isinstance(arg, bool)):
-                raise MalformedQueryError(f"{q.kind.value}: expected an integer, got {arg!r}")
+                raise VerificationError(f"{q.kind.value}: expected an integer, got {arg!r}")
         elif type(arg) is not str or arg not in PROMPT_LABELS:
             if not isinstance(arg, str):
-                raise MalformedQueryError(f"{q.kind.value}: expected move label, got {arg!r}")
+                raise VerificationError(f"{q.kind.value}: expected move label, got {arg!r}")
             if arg not in PROMPT_LABELS:
-                raise UnknownMoveError(arg, sorted(PROMPT_LABELS))
+                valid = ", ".join(sorted(PROMPT_LABELS))
+                raise VerificationError(f"unknown move label {arg!r} (valid: {valid})")
 
 
 def query_to_text(q: Query) -> str:
@@ -420,5 +408,5 @@ def render_feedback(report: VerificationReport) -> str:
     """The correction sentences for a report's failed queries, one per line."""
     failed = report.failed
     if not failed:
-        raise EmptyFailureSetError("no failed queries to render feedback for")
+        raise VerificationError("no failed queries to render feedback for")
     return "\n".join(r.explanation for r in failed)

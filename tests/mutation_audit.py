@@ -51,7 +51,8 @@ SUBSETS = {
         (
             "_relation", "_judge_outcome", "_judge_comparison", "_claimed_value",
             "_judge_guaranteed_choice", "_judge_guaranteed_comparison", "_judge_mutual",
-            "apply_corrections", "render_feedback",
+            "apply_corrections", "render_feedback", "check_query", "_read_token",
+            "parse_query_line",
         ),
         (
             "tests/test_verification.py",

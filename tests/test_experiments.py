@@ -25,13 +25,8 @@ from oracles import (
 from lelma.experiments import (
     DEFAULT_EVALUATORS,
     ConfusionMatrix,
-    DegenerateAgreementError,
     ExperimentConfig,
     ExperimentError,
-    KeyMismatchError,
-    MissingLabelsError,
-    RaggedMatrixError,
-    SheetFormatError,
     aggregate_labels,
     attempts_distribution,
     choice_distribution,
@@ -56,7 +51,7 @@ from lelma.orchestrator import (
     read_transcript,
     write_transcript,
 )
-from lelma.verification import VerificationReport
+from lelma.verification import Query, QueryKind, QueryResult, VerificationReport
 
 
 def fake_transcript(
@@ -68,15 +63,19 @@ def fake_transcript(
     error=None,
 ):
     """A session whose first attempt chooses `initial` and every later one
-    `final`; the session's choices are read from these attempts."""
+    `final`; the session's choices are read from these attempts. As in a
+    session run_session writes, each attempt but the last fails a query,
+    and the last holds one."""
     assert n_attempts != 1 or initial == final, "one attempt makes one choice"
+    failed = QueryResult(Query(QueryKind.HIGHER, (1, 3)), False, (("relation", "lower"),), "wrong")
+    held = QueryResult(Query(QueryKind.HIGHER, (3, 1)), True, (), "Confirmed: higher(3, 1)")
     attempts = tuple(
         AttemptRecord(
             index=i,
             instruction="inst",
             reasoning=f"attempt {i}",
             translator_output="",
-            report=VerificationReport(()),
+            report=VerificationReport((held if i == n_attempts else failed,)),
             extracted_choice=initial if i == 1 else final,
             exit=ExitReason.ALL_TRUE if i == n_attempts else ExitReason.NONE,
         )
@@ -413,12 +412,17 @@ class TestConfusionMatrix:
         assert wrong == []
 
     def test_key_mismatch(self):
-        with pytest.raises(KeyMismatchError) as excinfo:
+        with pytest.raises(ExperimentError) as excinfo:
             confusion_matrix({"a": True, "b": False}, {"a": True, "c": False})
-        assert excinfo.value.missing == ("b",)
-        assert excinfo.value.extra == ("c",)
-        with pytest.raises(KeyMismatchError):
+        assert str(excinfo.value) == "label/prediction keys differ: 1 missing, 1 extra"
+        with pytest.raises(ExperimentError) as excinfo:
+            confusion_matrix({"a": True, "b": False, "d": True}, {"a": True})
+        assert str(excinfo.value) == "label/prediction keys differ: 2 missing, 0 extra"
+
+    def test_no_samples(self):
+        with pytest.raises(ExperimentError) as excinfo:
             confusion_matrix({}, {})
+        assert str(excinfo.value) == "no samples to compare"
 
 
 class TestAggregation:
@@ -434,9 +438,9 @@ class TestAggregation:
         assert aggregate_labels({"s1": {"e1": "correct"}}) == {"s1": True}
 
     def test_missing_labels_named(self):
-        with pytest.raises(MissingLabelsError) as excinfo:
+        with pytest.raises(ExperimentError) as excinfo:
             aggregate_labels({"s1": {"e1": "correct"}, "s2": {}, "s0": {}})
-        assert excinfo.value.samples == ("s0", "s2")
+        assert str(excinfo.value) == "2 sample(s) have no labels: s0, s2"
 
     def test_adding_an_incorrect_label_never_flips_to_correct(self):
         base = {"s": {"e1": "correct"}}
@@ -498,8 +502,11 @@ class TestEvaluationSheets:
     def test_import_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,game\nx,pd\n")
-        with pytest.raises(SheetFormatError, match="header"):
+        with pytest.raises(ExperimentError) as err:
             import_labels(str(path))
+        assert str(err.value) == (
+            f"{path}: header must start with sample_id, game, model, attempt_index, reasoning"
+        )
 
     def test_import_rejects_unknown_label(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -507,8 +514,12 @@ class TestEvaluationSheets:
             "sample_id,game,model,attempt_index,reasoning,evaluator_1\n"
             "s1:a1,pd,m,1,text,maybe\n"
         )
-        with pytest.raises(SheetFormatError, match="row 2, column evaluator_1"):
+        with pytest.raises(ExperimentError) as err:
             import_labels(str(path))
+        assert str(err.value) == (
+            f"{path}: row 2, column evaluator_1: "
+            "label must be one of ('correct', 'incorrect'), got 'maybe'"
+        )
 
     def test_import_rejects_duplicate_label(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -517,8 +528,9 @@ class TestEvaluationSheets:
             "s1:a1,pd,m,1,text,correct\n"
             "s1:a1,pd,m,1,text,incorrect\n"
         )
-        with pytest.raises(SheetFormatError, match="duplicate label"):
+        with pytest.raises(ExperimentError) as err:
             import_labels(str(path))
+        assert str(err.value) == f"{path}: row 3, column evaluator_1: duplicate label for sample s1:a1"
 
     # Both columns of one name would read as one evaluator, each filling the other's blanks.
     @pytest.mark.parametrize(
@@ -539,15 +551,16 @@ class TestEvaluationSheets:
             "s1:a1,pd,m,1,text,correct,\n"
             "s2:a1,pd,m,1,text,,incorrect\n"
         )
-        with pytest.raises(SheetFormatError) as err:
+        with pytest.raises(ExperimentError) as err:
             import_labels(str(path))
         assert str(err.value) == f"{path}: {message}"
 
     def test_import_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(SheetFormatError, match="empty"):
+        with pytest.raises(ExperimentError) as err:
             import_labels(str(path))
+        assert str(err.value) == f"{path}: empty file"
 
     def test_blank_rows_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
@@ -607,23 +620,24 @@ class TestFleissKappa:
         assert fleiss_kappa(rows) == 1.0
 
     def test_degenerate_agreement(self):
-        with pytest.raises(DegenerateAgreementError):
+        with pytest.raises(ExperimentError, match="^all ratings fall in a single category$"):
             fleiss_kappa([[3, 0], [3, 0], [3, 0]])
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, message",
         [
-            [],
-            [[3]],
-            [[2, 1], [2, 1, 0]],
-            [[2, 1], [2, 2]],
-            [[1, 0], [0, 1]],
-            [[2, -1], [1, 0]],
+            ([], "no subjects"),
+            ([[3]], "rows must share one category axis of width >= 2"),
+            ([[2, 1], [2, 1, 0]], "rows must share one category axis of width >= 2"),
+            ([[2, 1], [2, 2]], "every subject needs the same number of ratings"),
+            ([[1, 0], [0, 1]], "need at least 2 ratings per subject"),
+            ([[2, -1], [1, 0]], "negative rating count"),
         ],
     )
-    def test_ragged_inputs_rejected(self, rows):
-        with pytest.raises(RaggedMatrixError):
+    def test_ragged_inputs_rejected(self, rows, message):
+        with pytest.raises(ExperimentError) as err:
             fleiss_kappa(rows)
+        assert str(err.value) == message
 
     def test_labels_to_matrix(self):
         labels = {
@@ -658,7 +672,7 @@ def check_kappa_against_oracle(rows):
     try:
         expected = oracle_fleiss_kappa(rows)
     except ZeroDivisionError:
-        with pytest.raises(DegenerateAgreementError):
+        with pytest.raises(ExperimentError, match="^all ratings fall in a single category$"):
             fleiss_kappa(rows)
         return
     got = fleiss_kappa(rows)

@@ -8,9 +8,6 @@ from oracles import enumerate_outcomes_direct, game_to_text
 from lelma.engine import solve_all
 from lelma.games import (
     GameSpecError,
-    IncompletePayoffsError,
-    InvalidLabelMapError,
-    MissingPredicateError,
     enumerate_outcomes,
     game_independent_rules,
     load_game,
@@ -151,22 +148,23 @@ def _game_text_without(g, predicate_line_fragment: str) -> str:
 
 def test_missing_predicate_detected(pd):
     broken = _game_text_without(pd, "legal(")
-    with pytest.raises(MissingPredicateError) as err:
+    with pytest.raises(GameSpecError) as err:
         parse_game(broken)
-    assert (err.value.functor, err.value.arity) == ("legal", 2)
+    assert str(err.value) == "game does not define required predicate legal/2"
 
 
 def test_incomplete_payoffs_detected(pd):
     broken = _game_text_without(pd, "payoff('C','C'")
-    with pytest.raises(IncompletePayoffsError) as err:
+    with pytest.raises(GameSpecError) as err:
         parse_game(broken)
-    assert err.value.missing == ("C", "C")
+    assert str(err.value) == "no payoff fact for move pair (C, C)"
 
 
 def test_duplicate_payoff_detected(pd):
     text = game_to_text(pd) + "\npayoff('D','D',9,9).\n"
-    with pytest.raises(IncompletePayoffsError):
+    with pytest.raises(GameSpecError) as err:
         parse_game(text)
+    assert str(err.value) == "duplicate payoff fact for (D, D)"
 
 
 @pytest.mark.parametrize("clause, message", [
@@ -179,7 +177,7 @@ def test_duplicate_payoff_detected(pd):
 def test_payoff_clause_that_is_no_fact_of_moves_and_integers_is_rejected(pd, clause, message):
     text = game_to_text(pd).replace("payoff('D','D',1,1).", clause)
     assert clause in text
-    with pytest.raises(IncompletePayoffsError) as err:
+    with pytest.raises(GameSpecError) as err:
         parse_game(text)
     assert str(err.value) == message
 
@@ -213,13 +211,25 @@ def test_outcome_payoff_the_rules_leave_unbound_names_the_variable(pd):
     )
 
 
-def test_invalid_label_map_detected(pd):
-    text = game_to_text(pd).replace("%! label B: 'C'", "%! label B: 'Z'")
-    with pytest.raises(InvalidLabelMapError):
-        parse_game(text)
-    text = game_to_text(pd).replace("%! label B: 'C'", "")
-    with pytest.raises(InvalidLabelMapError):
-        parse_game(text)
+# A third move, with every payoff fact it needs, that no label names.
+THIRD_MOVE = "".join(f"\npayoff({a},{b},0,0)." for a, b in
+                     [("'X'", "'D'"), ("'X'", "'C'"), ("'X'", "'X'"), ("'D'", "'X'"), ("'C'", "'X'")])
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("%! label B: 'C'", "%! label B: 'Z'", "labels map to unknown moves ['Z']"),
+    ("%! label B: 'C'", "", "metadata header is missing 'label B'"),
+    ("%! label B: 'C'", "%! label B: 'D'",
+     "labels must map to distinct moves, got {'R': 'D', 'B': 'D'}"),
+    ("payoff('C','C',3,3).", "payoff('C','C',3,3)." + THIRD_MOVE,
+     "every move needs a label: moves ('D', 'C', 'X'), labels {'R': 'D', 'B': 'C'}"),
+], ids=["unknown-move", "missing-label", "one-move-twice", "unlabelled-move"])
+def test_invalid_label_map_detected(pd, old, new, message):
+    text = game_to_text(pd)
+    assert text.count(old) == 1
+    with pytest.raises(GameSpecError) as err:
+        parse_game(text.replace(old, new))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -267,8 +277,9 @@ def test_roles_come_from_one_fact_each_in_the_program(pd, old, new, message):
 
 def test_missing_name_detected(pd):
     text = game_to_text(pd).replace("%! name: pd", "")
-    with pytest.raises(GameSpecError):
+    with pytest.raises(GameSpecError) as err:
         parse_game(text)
+    assert str(err.value) == "metadata header is missing 'name'"
 
 
 def test_a_name_may_hold_digits_underscores_dots_and_dashes(pd):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -219,6 +220,56 @@ def test_every_public_name_is_read_by_the_package_or_exported():
     unread = unread_public_names(PACKAGE, set(lelma.__all__)) + unread_public_members(PACKAGE)
     assert sorted(set(unread) - set(KEPT_UNREAD)) == []
     assert sorted(set(KEPT_UNREAD) - set(unread)) == []  # the allowlist holds no stale name
+
+
+# Exception classes that are neither their module's base nor named in a
+# package `except` clause, each kept on purpose.
+KEPT_ERRORS = {
+    **{f"engine.{name}": "exported in lelma.__all__"
+       for name in ("LimitExceeded", "FlounderedNegation", "UnknownPredicate")},
+    **{f"gateway.{name}": "its type name is written to an aborted session's transcript `error`"
+       for name in ("ProviderError", "CassetteError", "CassetteParseError",
+                    "DuplicateRequestKeyError", "ReplayMissError")},
+}
+
+
+def exception_classes() -> "dict[str, type]":
+    """`module.Class` -> class for each exception class a package module defines."""
+    found = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"lelma.{p.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException):
+                if value.__module__ == module.__name__:
+                    found[f"{p.stem}.{name}"] = value
+    return found
+
+
+def caught_names(tree: ast.Module) -> "set[str]":
+    """The names of the classes `tree`'s `except` clauses catch, an
+    attribute by its last name."""
+    caught = set()
+    for handler in (n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)):
+        for node in ast.walk(handler.type) if handler.type else ():
+            if isinstance(node, ast.Name):
+                caught.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                caught.add(node.attr)
+    return caught
+
+
+def test_every_exception_class_is_a_base_caught_or_kept():
+    classes = exception_classes()
+    assert {"verification.VerificationError", "gateway.TransportError"} <= set(classes)
+    # A module's base derives from no other package exception; a module has one at most.
+    bases = {name for name, cls in classes.items()
+             if not any(b.__module__.startswith("lelma.") for b in cls.__bases__)}
+    assert max(Counter(name.split(".")[0] for name in bases).values()) == 1
+    caught = set().union(*(caught_names(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
+    assert {"TransportError", "InputError"} <= caught
+    unexplained = {name for name in classes if name not in bases and name.split(".")[1] not in caught}
+    assert sorted(unexplained - set(KEPT_ERRORS)) == []
+    assert sorted(set(KEPT_ERRORS) - unexplained) == []  # the allowlist holds no stale name
 
 
 # Functions that call themselves, each kept on purpose. Every other walk

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lelma.cli import main
 from lelma.games import PROMPT_LABELS
 from lelma.gateway import (
     CassetteParseError,
@@ -93,9 +94,9 @@ class TestPrompts:
         assert "CHOICE: B" in prompt
 
     def test_feedback_prompt_requires_failures(self, pd):
-        from lelma.verification import EmptyFailureSetError, evaluate_all
+        from lelma.verification import VerificationError, evaluate_all
 
-        with pytest.raises(EmptyFailureSetError):
+        with pytest.raises(VerificationError, match="^no failed queries to render feedback for$"):
             build_feedback_prompt("x", evaluate_all([], pd), pd)
 
 
@@ -300,6 +301,13 @@ class TestTranscripts:
         # The session record alone, of a session that made no attempt.
         write_transcript(str(path), replace(self.make_transcript(pd), attempts=()))
         unattempted = path.read_text()
+        # Two attempts that fail, the budget of two spent.
+        stubborn = loop(["CHOICE: R", "CHOICE: R"], ["higher(1, 3)", "higher(1, 3)"], max_attempts=2)
+        write_transcript(str(path), run_session(pd, stubborn))
+        spent = path.read_text()
+        # One attempt that holds, then the session record.
+        write_transcript(str(path), run_session(pd, loop(["CHOICE: B"], ["higher(3, 1)"])))
+        held, held_summary = path.read_text().splitlines()
         # Two attempt records, then the session record.
         write_transcript(str(path), self.make_transcript(pd))
         good = path.read_text()
@@ -348,7 +356,7 @@ class TestTranscripts:
                  .replace('"error":null,"exit":"all', '"error":"E: x","exit":"all'),
              f":3: {summary} (exit is 'all_true', so error must be null, not 'E: x')"),
             (unattempted, f":1: {summary} (exit is 'none', so error must be a string, not None)"),
-            (good.replace('"exit":"all_true"', '"exit":"none"'),
+            (spent.replace('"exit":"max_attempts"', '"exit":"none"'),
              f":3: {summary} (exit is 'none', so error must be a string, not None)"),
             # A version this reader does not know, or none at all.
             (good.replace('"version":1,', '"version":99,'),
@@ -362,7 +370,7 @@ class TestTranscripts:
                 ":4: second session summary",
             ),
             # An attempt after one whose exit ended the session.
-            (good.replace('"exit":"none"', '"exit":"all_true"', 1),
+            ("\n".join([held, held.replace('"index":1', '"index":2'), held_summary, ""]),
              f":2: {cannot} (attempt 1 ended the session (all_true))"),
             # Attempt indexes that are not the attempts' positions 1, 2, ...
             (good.replace('"index":2', '"index":1'),
@@ -415,6 +423,49 @@ class TestTranscripts:
         assert error(good.replace('"attempt_count":1', '"attempt_count":true')) == (
             f":2: {summary} (summary says attempt_count True, but it is 1)"
         )
+
+    # Result and attempt shapes run_session never writes, as (line, field
+    # path, value, message), each set in the record on that line of the
+    # round-trip transcript: attempt 1 fails higher(1, 3), attempt 2 holds.
+    @pytest.mark.parametrize(
+        "line, field, value, message",
+        [
+            (1, ("results", 0, "holds"), True, "a result that holds carries no correction or error"),
+            (2, ("results", 0, "corrections"), [["relation", "higher"]],
+             "a result that holds carries no correction or error"),
+            (2, ("results", 0, "error"), "E: x", "a result that holds carries no correction or error"),
+            (1, ("results", 0, "error"), "E: x", "an errored result carries no correction"),
+            (1, ("results", 0, "corrections"), [], "a failed result carries a correction"),
+            (1, ("exit",), "all_true",
+             "exit must be 'none' or 'max_attempts' for its results, not 'all_true'"),
+            (1, ("exit",), "no_queries",
+             "exit must be 'none' or 'max_attempts' for its results, not 'no_queries'"),
+            (2, ("exit",), "max_attempts",
+             "exit must be 'all_true' for its results, not 'max_attempts'"),
+            (2, ("results",), [], "exit must be 'no_queries' for its results, not 'all_true'"),
+        ],
+        ids=["failed-set-to-hold", "held-corrected", "held-errored", "errored-corrected",
+             "failed-uncorrected", "failed-all-true", "failed-no-queries", "held-max-attempts",
+             "no-results-all-true"],
+    )
+    def test_a_shape_run_session_never_writes_is_rejected(
+        self, pd, tmp_path, capsys, line, field, value, message
+    ):
+        write_transcript(str(tmp_path / "t.jsonl"), self.make_transcript(pd))
+        records = [json.loads(text) for text in (tmp_path / "t.jsonl").read_text().splitlines()]
+        target = records[line - 1]
+        for key in field[:-1]:
+            target = target[key]
+        assert target[field[-1]] != value
+        target[field[-1]] = value
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        expected = f"{path}:{line}: attempt record cannot be read ({message})"
+        with pytest.raises(TranscriptFormatError) as err:
+            read_transcript(str(path))
+        assert str(err.value) == expected
+        assert main(["stats", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
 
     @pytest.mark.parametrize(
         "bad_line, message",
@@ -552,38 +603,54 @@ corrections = (
     | st.tuples(st.just("choices"), st.tuples(labels, labels))
     | st.tuples(st.just("relation"), st.sampled_from(["higher", "lower", "equal"]))
 )
-results = st.builds(
-    QueryResult,
-    queries,
-    st.booleans(),
-    st.lists(corrections, max_size=2).map(tuple),
+# A result in each shape run_session writes: one that fails carries a
+# correction, and one with an error, which could not be judged, none.
+failed_results = st.builds(
+    QueryResult, queries, st.just(False), st.lists(corrections, min_size=1, max_size=2).map(tuple),
     texts,
-    st.none() | texts,  # a result with an error could not be judged
+)
+results = (
+    st.builds(QueryResult, queries, st.just(True), st.just(()), texts)
+    | failed_results
+    | st.builds(QueryResult, queries, st.just(False), st.just(()), texts, texts)
 )
 
 
 @st.composite
 def transcripts(draw):
+    """A transcript as run_session writes it: an attempt the session went on
+    from has a failed result, and the last attempt's exit follows from its
+    results."""
     count = draw(st.integers(0, 3))
-    last_exit = draw(st.sampled_from(list(ExitReason)))
-    ended = count and last_exit is not ExitReason.NONE
-    attempts = tuple(
-        AttemptRecord(
+    attempts = []
+    for index in range(1, count + 1):
+        found = draw(st.lists(results, max_size=3))
+        if index < count:
+            found = draw(st.permutations([*found[:2], draw(failed_results)]))
+        report = VerificationReport(tuple(found))
+        if index < count:
+            reason = ExitReason.NONE
+        elif not found:
+            reason = ExitReason.NO_QUERIES
+        elif not report.failed:
+            reason = ExitReason.ALL_TRUE
+        else:
+            reason = draw(st.sampled_from([ExitReason.NONE, ExitReason.MAX_ATTEMPTS]))
+        attempts.append(AttemptRecord(
             index=index,
             instruction=draw(texts),
             reasoning="Zwölf € " + draw(texts),
             translator_output=draw(texts),
-            report=VerificationReport(tuple(draw(st.lists(results, max_size=3)))),
+            report=report,
             extracted_choice=draw(st.none() | labels),
-            exit=last_exit if index == count else ExitReason.NONE,
-        )
-        for index in range(1, count + 1)
-    )
+            exit=reason,
+        ))
+    ended = count and attempts[-1].exit is not ExitReason.NONE
     return SessionTranscript(
         session_id=draw(texts),
         game=draw(texts),
         model=draw(texts),
-        attempts=attempts,
+        attempts=tuple(attempts),
         usage=Usage(draw(st.integers(0, 10**9)), draw(st.integers(0, 10**9))),
         wall_time=draw(st.floats(allow_nan=False, allow_infinity=False)),
         # As run_session writes it, a session is aborted exactly when no attempt ended it.

@@ -10,9 +10,9 @@ from lelma.translator import build_translation_prompt, parse_queries
 from lelma.verification import (
     QUERY_FORMS,
     SCHEMAS,
-    MalformedQueryError,
     Query,
     QueryKind,
+    VerificationError,
     parse_query_line,
     query_to_text,
 )
@@ -52,8 +52,9 @@ class TestPrompt:
             if kind in by_name:
                 assert parse_query_line(line, games["pd"]).kind is kind
             else:
-                with pytest.raises(MalformedQueryError, match="unknown query predicate"):
+                with pytest.raises(VerificationError) as err:
                     parse_query_line(line, games["pd"])
+                assert str(err.value) == f"unknown query predicate '{kind.value}'"
 
     def test_the_readme_catalogue_lists_the_forms_in_order(self):
         text = README.read_text(encoding="utf-8")

@@ -20,12 +20,9 @@ from lelma.orchestrator import (AttemptRecord, ExitReason, SessionTranscript, Tr
 from lelma.translator import parse_queries
 from lelma.verification import (
     SCHEMAS,
-    EmptyFailureSetError,
-    MalformedQueryError,
     Query,
     QueryKind,
     QueryResult,
-    UnknownMoveError,
     VerificationError,
     VerificationReport,
     _KINDS,
@@ -229,30 +226,40 @@ def test_parse_is_whitespace_and_case_tolerant(pd):
     assert q.args == ("B",)
 
 
-def test_parse_rejects_unknown_moves_and_predicates(pd):
-    with pytest.raises(UnknownMoveError):
-        parse_query_line("highest_guaranteed_payoff_choice(Hawk)", pd)
-    with pytest.raises(MalformedQueryError):
-        parse_query_line("nash_equilibrium(B)", pd)
-    with pytest.raises(MalformedQueryError):
-        parse_query_line("higher(1)", pd)
-    with pytest.raises(MalformedQueryError):
-        parse_query_line("higher(one, two)", pd)
-    with pytest.raises(MalformedQueryError):
-        parse_query_line("this is prose, not a query", pd)
+@pytest.mark.parametrize("line, message", [
+    ("highest_guaranteed_payoff_choice(Hawk)", "unknown move label 'Hawk' (valid: B, R)"),
+    ("nash_equilibrium(B)", "unknown query predicate 'nash_equilibrium'"),
+    ("higher(1)", "higher takes 2 argument(s), got 1"),
+    ("higher(one, two)", "higher: expected an integer, got 'one'"),
+    ("this is prose, not a query", "not a recognized query template: 'this is prose, not a query'"),
+])
+def test_parse_rejects_unknown_moves_and_predicates(pd, line, message):
+    with pytest.raises(VerificationError) as err:
+        parse_query_line(line, pd)
+    assert str(err.value) == message
 
 
 def test_bool_is_not_an_int_argument():
     # bool subclasses int, but True is no payoff
-    with pytest.raises(MalformedQueryError):
+    with pytest.raises(VerificationError, match="^higher: expected an integer, got True$"):
         Query(QueryKind.HIGHER, (True, 0))
-    with pytest.raises(MalformedQueryError):
+    message = "^highest_possible_individual_payoff: expected an integer, got False$"
+    with pytest.raises(VerificationError, match=message):
         Query(QueryKind.HIGHEST_POSSIBLE, (False,))
+
+
+def test_an_int_subclass_other_than_bool_is_an_int_argument(pd):
+    class Payoff(int):
+        pass
+
+    q = Query(QueryKind.HIGHER, (Payoff(5), 0))
+    assert q.args == (5, 0) and type(q.args[0]) is Payoff
+    assert evaluate_query(q, pd).holds
 
 
 def test_internal_equal_kind_is_not_parseable(pd):
     # whitelist closure: the correction-only comparison never parses
-    with pytest.raises(MalformedQueryError):
+    with pytest.raises(VerificationError, match="^unknown query predicate 'equal'$"):
         parse_query_line("equal(1, 1)", pd)
 
 
@@ -265,7 +272,7 @@ def test_round_trip_canonical_text(pd):
 
 
 def test_a_malformed_query_raises_before_it_reaches_evaluate_all(pd):
-    with pytest.raises(MalformedQueryError, match="^higher: expected an integer, got 'B'$"):
+    with pytest.raises(VerificationError, match="^higher: expected an integer, got 'B'$"):
         Query(QueryKind.HIGHER, ("B", 0))  # a move where an int is expected
     good, failing = Query(QueryKind.HIGHER, (5, 0)), Query(QueryKind.HIGHER, (0, 5))
     report = evaluate_all([good, failing], pd)
@@ -312,9 +319,9 @@ def test_a_query_is_checked_once_where_it_is_built(pd, check_calls):
     copied = copy.copy(parsed)  # a copy is no new build: it stays the checked query
     assert check_calls == [parsed, built, replaced]
     assert copied == parsed and copied.source_text == "higher(5, 3)"
-    with pytest.raises(MalformedQueryError, match="^higher takes 2 argument"):
+    with pytest.raises(VerificationError, match=r"^higher takes 2 argument\(s\), got 1$"):
         Query(QueryKind.HIGHER, (5,))
-    with pytest.raises(MalformedQueryError, match="^higher: expected an integer, got 'B'$"):
+    with pytest.raises(VerificationError, match="^higher: expected an integer, got 'B'$"):
         replace(parsed, args=("B", 3))
     del check_calls[:]
     report = evaluate_all([parsed, built, replaced, copied], pd)
@@ -367,7 +374,7 @@ def test_render_feedback_joins_failed_explanations(pd):
 
 def test_render_feedback_requires_failures(pd):
     report = evaluate_all([Query(QueryKind.HIGHER, (5, 0))], pd)
-    with pytest.raises(EmptyFailureSetError):
+    with pytest.raises(VerificationError, match="^no failed queries to render feedback for$"):
         render_feedback(report)
 
 
@@ -508,63 +515,52 @@ PARSED = [  # (line, kind, args) on pd, whose labels are B and R
     ('finally(outcome(you,"R",1,them,R,_),S)', QueryKind.OUTCOME, ("R", 1, "R")),
 ]
 
-REJECTED = [  # (line, exception type, message) on pd
-    ("", MalformedQueryError, "empty line"),
-    ("  .  ", MalformedQueryError, "empty line"),
-    ("higher(5,)", MalformedQueryError, "higher: expected an integer, got ''"),
-    ("higher(5, 0) x", MalformedQueryError, "not a recognized query template: 'higher(5, 0) x'"),
-    ("higher(1, 2))", MalformedQueryError, "not a recognized query template: 'higher(1, 2))'"),
-    ("Nash(B)", MalformedQueryError, "unknown query predicate 'Nash'"),
-    ("equal(1, 1)", MalformedQueryError, "unknown query predicate 'equal'"),
-    ("higher(1)", MalformedQueryError, "higher takes 2 argument(s), got 1"),
-    ("HIGHER(1, 2, 3)", MalformedQueryError, "higher takes 2 argument(s), got 3"),
-    ("higher()", MalformedQueryError, "higher takes 2 argument(s), got 0"),
-    ("higher(one, 2)", MalformedQueryError, "higher: expected an integer, got 'one'"),
-    ("higher(1.5, 2)", MalformedQueryError, "higher: expected an integer, got '1.5'"),
-    ("higher(+1, 2)", MalformedQueryError, "higher: expected an integer, got '+1'"),
-    ("higher(- 1, 2)", MalformedQueryError, "higher: expected an integer, got '- 1'"),
-    ("highest_guaranteed_payoff_choice(Hawk)", UnknownMoveError,
-     "unknown move label 'Hawk' (valid: B, R)"),
-    ("highest_guaranteed_payoff_choice( 'Q' )", UnknownMoveError,
-     "unknown move label \"'Q'\" (valid: B, R)"),
-    ("finally(outcome(you,X,1,them,B,_),S)", UnknownMoveError,
-     "unknown move label 'X' (valid: B, R)"),
+REJECTED = [  # (line, message) on pd
+    ("", "empty line"),
+    ("  .  ", "empty line"),
+    ("higher(5,)", "higher: expected an integer, got ''"),
+    ("higher(5, 0) x", "not a recognized query template: 'higher(5, 0) x'"),
+    ("higher(1, 2))", "not a recognized query template: 'higher(1, 2))'"),
+    ("Nash(B)", "unknown query predicate 'Nash'"),
+    ("equal(1, 1)", "unknown query predicate 'equal'"),
+    ("higher(1)", "higher takes 2 argument(s), got 1"),
+    ("HIGHER(1, 2, 3)", "higher takes 2 argument(s), got 3"),
+    ("higher()", "higher takes 2 argument(s), got 0"),
+    ("higher(one, 2)", "higher: expected an integer, got 'one'"),
+    ("higher(1.5, 2)", "higher: expected an integer, got '1.5'"),
+    ("higher(+1, 2)", "higher: expected an integer, got '+1'"),
+    ("higher(- 1, 2)", "higher: expected an integer, got '- 1'"),
+    ("highest_guaranteed_payoff_choice(Hawk)", "unknown move label 'Hawk' (valid: B, R)"),
+    ("highest_guaranteed_payoff_choice( 'Q' )", "unknown move label \"'Q'\" (valid: B, R)"),
+    ("finally(outcome(you,X,1,them,B,_),S)", "unknown move label 'X' (valid: B, R)"),
     (
         "finally(outcome(you,B,x,them,B,_),S)",
-        MalformedQueryError,
         "not a recognized query template: 'finally(outcome(you,B,x,them,B,_),S)'",
     ),
     # A move's quotes must pair.
     (
         "finally(outcome(you,'R\",1,them,R,_),S)",
-        MalformedQueryError,
         "not a recognized query template: 'finally(outcome(you,\\'R\",1,them,R,_),S)'",
     ),
     (
         "finally(outcome(you,R,1,them,'R,_),S)",
-        MalformedQueryError,
         "not a recognized query template: \"finally(outcome(you,R,1,them,'R,_),S)\"",
     ),
-    ("highest_guaranteed_payoff_choice('R\")", UnknownMoveError,
-     "unknown move label '\\'R\"' (valid: B, R)"),
-    ("highest_guaranteed_payoff_choice(R')", UnknownMoveError,
-     "unknown move label \"R'\" (valid: B, R)"),
+    ("highest_guaranteed_payoff_choice('R\")", "unknown move label '\\'R\"' (valid: B, R)"),
+    ("highest_guaranteed_payoff_choice(R')", "unknown move label \"R'\" (valid: B, R)"),
 ]
 
-INVALID = [  # hand-built queries: (kind, args, exception type, message) on pd
-    (QueryKind.HIGHER, (True, 0), MalformedQueryError, "higher: expected an integer, got True"),
-    (QueryKind.HIGHEST_POSSIBLE, (False,), MalformedQueryError,
+INVALID = [  # hand-built queries: (kind, args, message) on pd
+    (QueryKind.HIGHER, (True, 0), "higher: expected an integer, got True"),
+    (QueryKind.HIGHEST_POSSIBLE, (False,),
      "highest_possible_individual_payoff: expected an integer, got False"),
-    (QueryKind.HIGHER, (1.0, 0), MalformedQueryError, "higher: expected an integer, got 1.0"),
-    (QueryKind.OUTCOME, ("B", "3", "R"), MalformedQueryError,
-     "outcome: expected an integer, got '3'"),
-    (QueryKind.HIGHEST_GUARANTEED_CHOICE, (1,), MalformedQueryError,
+    (QueryKind.HIGHER, (1.0, 0), "higher: expected an integer, got 1.0"),
+    (QueryKind.OUTCOME, ("B", "3", "R"), "outcome: expected an integer, got '3'"),
+    (QueryKind.HIGHEST_GUARANTEED_CHOICE, (1,),
      "highest_guaranteed_payoff_choice: expected move label, got 1"),
-    (QueryKind.HIGHER_GUARANTEED, ("B", "X"), UnknownMoveError,
-     "unknown move label 'X' (valid: B, R)"),
-    (QueryKind.HIGHER_GUARANTEED, ("b", "R"), UnknownMoveError,
-     "unknown move label 'b' (valid: B, R)"),
-    (QueryKind.HIGHER, (1,), MalformedQueryError, "higher takes 2 argument(s), got 1"),
+    (QueryKind.HIGHER_GUARANTEED, ("B", "X"), "unknown move label 'X' (valid: B, R)"),
+    (QueryKind.HIGHER_GUARANTEED, ("b", "R"), "unknown move label 'b' (valid: B, R)"),
+    (QueryKind.HIGHER, (1,), "higher takes 2 argument(s), got 1"),
 ]
 
 
@@ -576,11 +572,11 @@ def test_parse_table(pd, line, kind, args):
     assert evaluate_query(q, pd).error is None
 
 
-@pytest.mark.parametrize("line, error, message", REJECTED)
-def test_parse_rejection_table(pd, line, error, message):
+@pytest.mark.parametrize("line, message", REJECTED)
+def test_parse_rejection_table(pd, line, message):
     with pytest.raises(VerificationError) as err:
         parse_query_line(line, pd)
-    assert (type(err.value), str(err.value)) == (error, message)
+    assert (type(err.value), str(err.value)) == (VerificationError, message)
 
 
 def build_errors(kind, args, tmp_path):
@@ -609,14 +605,14 @@ def build_errors(kind, args, tmp_path):
     return errors
 
 
-@pytest.mark.parametrize("kind, args, error, message", INVALID)
-def test_validation_table(tmp_path, kind, args, error, message):
-    assert build_errors(kind, args, tmp_path) == [(error, message)] * 3
+@pytest.mark.parametrize("kind, args, message", INVALID)
+def test_validation_table(tmp_path, kind, args, message):
+    assert build_errors(kind, args, tmp_path) == [(VerificationError, message)] * 3
 
 
 
 def malformed_queries():
-    """(kind, args, error) for each parseable kind: a wrong arity, a
+    """(kind, args, message) for each parseable kind: a wrong arity, a
     non-integer payoff and an unknown label, where the kind has the slot
     and its text form reaches the argument check. An outcome line of
     another arity or with a non-integer payoff is no template at all."""
@@ -626,13 +622,14 @@ def malformed_queries():
         good = [1 if slot == "int" else "B" for slot in schema]
         outcome = kind is QueryKind.OUTCOME
         if not outcome:
-            yield pytest.param(kind, (*good, 1), MalformedQueryError, id=f"{kind.value}-arity")
-        for slot, bad, error in [("int", "x", MalformedQueryError),
-                                 ("move", "X", UnknownMoveError)]:
+            arity = f"{kind.value} takes {len(schema)} argument(s), got {len(schema) + 1}"
+            yield pytest.param(kind, (*good, 1), arity, id=f"{kind.value}-arity")
+        for slot, bad, message in [("int", "x", f"{kind.value}: expected an integer, got 'x'"),
+                                   ("move", "X", "unknown move label 'X' (valid: B, R)")]:
             if slot in schema and not (outcome and slot == "int"):
                 i = schema.index(slot)
                 args = (*good[:i], bad, *good[i + 1 :])
-                yield pytest.param(kind, args, error, id=f"{kind.value}-{slot}")
+                yield pytest.param(kind, args, message, id=f"{kind.value}-{slot}")
 
 
 def query_line(kind, args):
@@ -643,12 +640,12 @@ def query_line(kind, args):
     return f"{kind.value}({', '.join(map(str, args))})"
 
 
-@pytest.mark.parametrize("kind, args, error", malformed_queries())
-def test_parsed_and_hand_built_queries_fail_alike(pd, tmp_path, kind, args, error):
+@pytest.mark.parametrize("kind, args, message", malformed_queries())
+def test_parsed_and_hand_built_queries_fail_alike(pd, tmp_path, kind, args, message):
     with pytest.raises(VerificationError) as parsed:
         parse_query_line(query_line(kind, args), pd)
-    assert type(parsed.value) is error
-    assert build_errors(kind, args, tmp_path) == [(error, str(parsed.value))] * 3
+    assert (type(parsed.value), str(parsed.value)) == (VerificationError, message)
+    assert build_errors(kind, args, tmp_path) == [(VerificationError, message)] * 3
 
 
 def test_one_kind_table_entry_per_kind():
