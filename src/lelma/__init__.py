@@ -48,7 +48,7 @@ from .verification import (
     render_feedback,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "ChatMessage",

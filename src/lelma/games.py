@@ -6,7 +6,7 @@ facts, outcome/goal views) plus a metadata header naming the game and
 mapping the prompt labels R and B onto move atoms. The reasoner is the
 row player the initial facts name. The game-independent successor-state
 and game-tree rules are shared by every game and are kept verbatim in
-this module.
+this module. A game loads only if its rules derive a whole payoff table.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from functools import cache, cached_property
 from importlib.resources import files
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .engine import Clause, Literal, RuleBase, solve
+from .engine import Clause, Literal, LogicError, RuleBase, solve
 from .gdl import parse_program, read_name
 from .terms import Atom, Int, Struct, Term, Var, is_ground
 
@@ -62,11 +62,11 @@ class GameSpecError(Exception):
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Row-player view of the payoff facts.
+    """Row-player view of the payoff table the game's rules derive.
 
-    `moves` is the move atoms in first-appearance order, which for the
-    bundled games reproduces the published tables' row order. `entries`
-    maps (row_move, col_move) to (row_payoff, col_payoff).
+    `moves` is (label R's move, label B's move), the published tables'
+    row order for the bundled games. `entries` maps (row_move, col_move)
+    to (row_payoff, col_payoff).
     """
 
     moves: "tuple[str, ...]"
@@ -109,12 +109,12 @@ class GameSpec:
     """One validated game, read-only once built. The reasoner is the
     row player its program names, and the opponent the col player.
 
-    Everything derived from the game alone is built on first use and
-    cached on the instance: the rule base, the payoff view (the matrix
-    in prompt-label space) that verification and the prompts read, and
-    the payoff summary that verification derives from that view.
-    Mutating `move_labels` or `payoffs.entries` would leave those caches
-    stale.
+    Everything derived from the game alone is built once and cached on
+    the instance: the rule base, the payoff table its rules derive
+    (built by parse_game), the payoff view (that table in prompt-label
+    space) that verification and the prompts read, and the payoff
+    summary that verification derives from that view. Mutating
+    `move_labels` or `payoffs.entries` would leave those caches stale.
     """
 
     name: str
@@ -122,7 +122,6 @@ class GameSpec:
     move_labels: "dict[str, str]"  # prompt label -> move atom
     reasoner: str
     opponent: str
-    payoffs: PayoffMatrix
     initial_situation: Term
 
     @cached_property
@@ -130,13 +129,35 @@ class GameSpec:
         return RuleBase(game_independent_rules() + self.clauses)
 
     @cached_property
+    def payoffs(self) -> PayoffMatrix:
+        """The payoff table the rules derive, from enumerate_outcomes.
+        GameSpecError if a labelled move pair ends no play, a play ends in
+        a move no label names, or the search stops at an engine limit."""
+        moves = tuple(self.move_labels[label] for label in PROMPT_LABELS)
+        try:
+            outcomes = enumerate_outcomes(self)
+        except LogicError as exc:
+            raise GameSpecError(f"cannot derive the payoff table: {exc}") from None
+        entries = {(o.p1_move, o.p2_move): (o.p1_payoff, o.p2_payoff) for o in outcomes}
+        table = {}
+        for own in moves:
+            for other in moves:
+                if (own, other) not in entries:
+                    raise GameSpecError(f"no play ends in the labelled move pair ({own}, {other})")
+                table[own, other] = entries[own, other]
+        unlabelled = {m for pair in entries for m in pair} - set(moves)
+        if unlabelled:
+            raise GameSpecError(f"plays end in moves no label names: {sorted(unlabelled)}")
+        return PayoffMatrix(moves, table)
+
+    @cached_property
     def label_payoffs(self) -> "Mapping[tuple[str, str], tuple[int, int]]":
         """(reasoner label, opponent label) -> (reasoner payoff, opponent payoff),
-        in the order of `payoffs.moves`; read-only, as every caller shares it."""
-        label_of = {atom: label for label, atom in self.move_labels.items()}
-        moves, entries = self.payoffs.moves, self.payoffs.entries
+        R before B; read-only, as every caller shares it."""
+        entries, move = self.payoffs.entries, self.move_labels
         return MappingProxyType({
-            (label_of[own], label_of[other]): entries[own, other] for own in moves for other in moves
+            (own, other): entries[move[own], move[other]]
+            for own in PROMPT_LABELS for other in PROMPT_LABELS
         })
 
     @cached_property
@@ -144,7 +165,7 @@ class GameSpec:
         """The guaranteed, best, extreme and mutual payoffs of the payoff
         view, so no verdict scans the matrix."""
         cells = self.label_payoffs
-        labels = tuple(dict.fromkeys(own for own, _ in cells))  # in the cells' order
+        labels = PROMPT_LABELS
         guaranteed = {own: min(cells[own, other][0] for other in labels) for own in labels}
         best = {own: max(cells[own, other][0] for other in labels) for own in labels}
         own_payoffs = [u1 for u1, _ in cells.values()]
@@ -179,32 +200,7 @@ def _metadata_dict(lines: "list[tuple[int, str]]") -> "dict[str, str]":
     return meta
 
 
-def _extract_payoffs(clauses: Iterable[Clause]) -> PayoffMatrix:
-    moves: list[str] = []
-    entries: dict[tuple[str, str], tuple[int, int]] = {}
-    for c in clauses:
-        if c.key() != ("payoff", 4):
-            continue
-        if c.body or not isinstance(c.head, Struct) or not is_ground(c.head):
-            raise GameSpecError(f"payoff clause must be a ground fact: {c}")
-        m1, m2, u1, u2 = c.head.args
-        if not (isinstance(m1, Atom) and isinstance(m2, Atom)
-                and isinstance(u1, Int) and isinstance(u2, Int)):
-            raise GameSpecError(f"payoff fact must be payoff(move, move, int, int): {c}")
-        for m in (m1.name, m2.name):
-            if m not in moves:
-                moves.append(m)
-        if (m1.name, m2.name) in entries:
-            raise GameSpecError(f"duplicate payoff fact for ({m1.name}, {m2.name})")
-        entries[(m1.name, m2.name)] = (u1.value, u2.value)
-    for a in moves:
-        for b in moves:
-            if (a, b) not in entries:
-                raise GameSpecError(f"no payoff fact for move pair ({a}, {b})")
-    return PayoffMatrix(tuple(moves), entries)
-
-
-def _extract_label_map(meta: "dict[str, str]", payoffs: PayoffMatrix) -> "dict[str, str]":
+def _extract_label_map(meta: "dict[str, str]") -> "dict[str, str]":
     labels: dict[str, str] = {}
     for label in PROMPT_LABELS:
         key = f"label {label}"
@@ -213,11 +209,6 @@ def _extract_label_map(meta: "dict[str, str]", payoffs: PayoffMatrix) -> "dict[s
         labels[label] = read_name(meta[key])
     if len(set(labels.values())) != len(labels):
         raise GameSpecError(f"labels must map to distinct moves, got {labels}")
-    unknown = set(labels.values()) - set(payoffs.moves)
-    if unknown:
-        raise GameSpecError(f"labels map to unknown moves {sorted(unknown)}")
-    if len(payoffs.moves) != len(labels):
-        raise GameSpecError(f"every move needs a label: moves {payoffs.moves}, labels {labels}")
     return labels
 
 
@@ -236,8 +227,7 @@ def parse_game(text: str) -> GameSpec:
         if (functor, arity) not in defined:
             raise GameSpecError(f"game does not define required predicate {functor}/{arity}")
 
-    payoffs = _extract_payoffs(clauses)
-    labels = _extract_label_map(meta, payoffs)
+    labels = _extract_label_map(meta)
 
     found = [c for c in clauses if c.key() == ("initial", 1)]  # one at least, as required
     if len(found) != 1 or found[0].body:
@@ -259,15 +249,16 @@ def parse_game(text: str) -> GameSpec:
     if reasoner == opponent:
         raise GameSpecError(f"{reasoner} cannot be both the row and the col player")
 
-    return GameSpec(
+    game = GameSpec(
         name=name,
         clauses=tuple(clauses),
         move_labels=labels,
         reasoner=reasoner,
         opponent=opponent,
-        payoffs=payoffs,
         initial_situation=init,
     )
+    game.payoffs  # a game loads only if its rules derive a whole table
+    return game
 
 
 def load_game(name_or_path: str) -> GameSpec:
@@ -302,27 +293,26 @@ def outcome_goal(g: GameSpec, outcome: "tuple[Term, ...]") -> "tuple[Literal, ..
 
 
 def enumerate_outcomes(g: GameSpec) -> "list[Outcome]":
-    """All distinct move-pair outcomes, via the solver, in derivation order.
+    """All distinct move-pair outcomes of the goal an outcome verdict runs,
+    with the moves and payoffs left open, via the solver, in derivation order.
 
     Each move pair is reachable through both play orders; the first
-    derivation wins and duplicates are dropped.
+    derivation is kept, and a later one with other payoffs raises
+    GameSpecError.
     """
-    outcomes: list[Outcome] = []
-    seen: set[tuple[str, str]] = set()
-    outcome_vars = tuple(Var(n) for n in ("P1", "M1", "U1", "P2", "M2", "U2"))
-    for answer in solve(g.rulebase, outcome_goal(g, outcome_vars)):
+    seen: dict[tuple[str, str], Outcome] = {}
+    outcome = (Atom(g.reasoner), Var("M1"), Var("U1"), Atom(g.opponent), Var("M2"), Var("U2"))
+    for answer in solve(g.rulebase, outcome_goal(g, outcome)):
         # An answer leaves an unbound variable out; it is read as itself.
-        values = {v: answer.get(v, v) for v in (Var("S"), *outcome_vars)}
+        values = {v: answer.get(v, v) for v in (Var("S"), *outcome) if isinstance(v, Var)}
         p1_move, p2_move, u1, u2 = (values[Var(n)] for n in ("M1", "M2", "U1", "U2"))
         if not (isinstance(p1_move, Atom) and isinstance(p2_move, Atom)
                 and isinstance(u1, Int) and isinstance(u2, Int)):
             shown = ", ".join(f"{v} = {t}" for v, t in values.items())
             raise GameSpecError(f"outcome moves must be atoms and payoffs integers: {shown}")
-        key = (p1_move.name, p2_move.name)
-        if key in seen:
-            continue
-        seen.add(key)
-        outcomes.append(
-            Outcome(p1_move.name, p2_move.name, u1.value, u2.value, values[Var("S")])
-        )
-    return outcomes
+        key, payoffs = (p1_move.name, p2_move.name), (u1.value, u2.value)
+        first = seen.setdefault(key, Outcome(*key, *payoffs, values[Var("S")]))
+        if (first.p1_payoff, first.p2_payoff) != payoffs:
+            raise GameSpecError(f"the rules give the move pair ({', '.join(key)}) two payoffs:"
+                                f" {first.p1_payoff, first.p2_payoff} and {payoffs}")
+    return list(seen.values())

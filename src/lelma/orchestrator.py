@@ -52,18 +52,15 @@ def payoff_rules_text(g: GameSpec) -> str:
 @functools.lru_cache(maxsize=64)
 def _payoff_rules_text(cells: "tuple[tuple[tuple[str, str], tuple[int, int]], ...]") -> str:
     # Keyed on the payoff view's cells, so each distinct table is built once.
-    payoffs = dict(cells)
     lines = []
-    for own in PROMPT_LABELS:  # R row first
-        for other in PROMPT_LABELS:
-            u1, u2 = payoffs[own, other]
-            if own == other and u1 == u2:
-                lines.append(f"If you both pick {own}, you each get ${u1}.")
-            else:
-                lines.append(
-                    f"If you pick {own} and they pick {other}, "
-                    f"you get ${u1} and they get ${u2}."
-                )
+    for (own, other), (u1, u2) in cells:  # the R row first, as in every payoff view
+        if own == other and u1 == u2:
+            lines.append(f"If you both pick {own}, you each get ${u1}.")
+        else:
+            lines.append(
+                f"If you pick {own} and they pick {other}, "
+                f"you get ${u1} and they get ${u2}."
+            )
     return "\n".join(lines)
 
 

@@ -3,13 +3,14 @@
 A Query is one formal claim about a game, in one of the catalogue
 kinds. Outcome claims are decided by running the resolution engine
 over the full game program, once per verdict, with no memo; every
-other kind is decided on the payoff view (the 2x2 matrix seen from the
-reasoner's side, in prompt-label space). The view, and what the judges
-derive from it (guaranteed and best payoffs per label, the extremes,
-the mutual sums and theirs), are built once per game, on first use, as
-the cached GameSpec properties label_payoffs and payoff_summary; the
-judges below only read them, so no verdict scans the matrix. Nothing is
-memoized per line or per query. Failed queries carry corrections:
+other kind is decided on the payoff view (the 2x2 matrix the same
+rules derive when the game loads, seen from the reasoner's side, in
+prompt-label space), as is a failed outcome claim's correction. The
+view, and what the judges derive from it (guaranteed and best payoffs
+per label, the extremes, the mutual sums and theirs), are built once per
+game, on first use, as the cached GameSpec properties label_payoffs and
+payoff_summary; the judges below only read them, so no verdict scans
+the matrix. Nothing is memoized per line or per query. Failed queries carry corrections:
 (role, value) pairs that, substituted back via apply_corrections, always
 produce a holding query. The wording of the correction sentences lives
 in an editable resource file, resources/feedback_templates.json.
@@ -213,18 +214,14 @@ _HOLDS = ((), "", {})  # a judge's answer for a query that holds
 
 def _judge_outcome(g: GameSpec, kind: QueryKind, args: tuple):
     # Decided by the engine over the full game program, not the payoff
-    # view: this is the route the published worked query takes.
+    # view: this is the route the published worked query takes. The view's
+    # table comes from the same rules, so its payoff corrects the claim.
     own, n, other = args
     own_move, other_move = Atom(g.move_labels[own]), Atom(g.move_labels[other])
     outcome = (Atom(g.reasoner), own_move, Int(n), Atom(g.opponent), other_move, Var("U2"))
     if next(solve(g.rulebase, outcome_goal(g, outcome)), None) is not None:
         return _HOLDS
     correct = g.label_payoffs[own, other][0]
-    if correct == n:  # a correction that repeats the claim would contradict itself
-        raise LogicError(
-            f"the rules and the payoff facts disagree on ({own}, {other}): no play ends"
-            f" with your payoff {n}, but the payoff facts give {n}"
-        )
     fields = {"reasoner_move": own, "opponent_move": other, "claimed": n, "correct": correct}
     return (("payoff", correct),), "outcome", fields
 
@@ -388,9 +385,8 @@ def feedback_templates() -> "dict[str, str]":
 def evaluate_all(queries: Sequence[Query], g: GameSpec) -> VerificationReport:
     """Evaluate a batch; per-query errors are captured, never raised.
 
-    A query whose verdict raises a LogicError (a resolution limit, or
-    an outcome the rules miss though the payoff facts give it) is
-    recorded as an errored result. A malformed query never gets here:
+    A query whose verdict raises a LogicError (a resolution limit, say)
+    is recorded as an errored result. A malformed query never gets here:
     building it raised.
     """
     results = []

@@ -61,8 +61,8 @@ SUBSETS = {
     ),
     "games": (
         (
-            "GameSpec.label_payoffs", "GameSpec.payoff_summary", "_metadata_dict",
-            "_extract_payoffs", "_extract_label_map", "parse_game", "load_game",
+            "GameSpec.payoffs", "GameSpec.label_payoffs", "GameSpec.payoff_summary",
+            "_metadata_dict", "_extract_label_map", "parse_game", "load_game",
             "enumerate_outcomes",
         ),
         (

@@ -155,23 +155,25 @@ class TestVerify:
         assert code == 0
         assert "1 held, 0 failed" in out
 
-    def test_an_outcome_the_rules_miss_but_the_payoff_facts_give_is_an_error(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("old, new, message", [
+        ("payoff(M1, M2, U1, U2).", "payoff(M1, M2, V1, U2), U1 = high.",
+         "outcome moves must be atoms and payoffs integers: "
+         "S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), M1 = 'D', U1 = high, M2 = 'D', U2 = 1"),
+        ("finally(outcome(P1,M1,U1,P2,M2,U2), S):-",
+         "finally(X, S) :- loop(X, S).\nloop(X, S) :- loop(X, S).\n"
+         "finally(outcome(P1,M1,U1,P2,M2,U2), S):-",
+         "cannot derive the payoff table: resolution depth limit exceeded (512)"),
+    ], ids=["payoff-no-integer", "looping-finally"])
+    def test_a_game_whose_rules_derive_no_payoff_table_is_an_error(
+        self, tmp_path, capsys, old, new, message
     ):
-        import io
-
-        game = tmp_path / "pd_high.gdl"
-        game.write_text(
-            PD_TEXT.replace("payoff(M1, M2, U1, U2).", "payoff(M1, M2, V1, U2), U1 = high.")
-        )
-        monkeypatch.setattr("sys.stdin", io.StringIO("finally(outcome(you,R,1,them,R,_),S)\n"))
-        code, out, err = run_cli("verify", str(game), "--queries", "-", capsys=capsys)
-        assert (code, err) == (2, "")
-        assert out.splitlines() == [
-            "ERROR: finally(outcome(you,R,1,them,R,_),S) (the rules and the payoff facts"
-            " disagree on (R, R): no play ends with your payoff 1, but the payoff facts give 1)",
-            "0 held, 0 failed, 0 skipped, 1 errors.",
-        ]
+        assert PD_TEXT.count(old) == 1
+        game = tmp_path / "pd_broken.gdl"
+        game.write_text(PD_TEXT.replace(old, new))
+        queries = tmp_path / "q.txt"
+        queries.write_text("finally(outcome(you,R,1,them,R,_),S)\n")
+        code, out, err = run_cli("verify", str(game), "--queries", str(queries), capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from lelma.games import (
     load_game,
     parse_game,
 )
-from lelma.gdl import parse_goal
+from lelma.gdl import parse_goal, parse_program
 from lelma.terms import Atom
 
 # Published payoff tables, reasoner = row player.
@@ -153,76 +154,95 @@ def test_missing_predicate_detected(pd):
     assert str(err.value) == "game does not define required predicate legal/2"
 
 
-def test_incomplete_payoffs_detected(pd):
+def test_a_labelled_move_pair_that_no_play_ends_in_is_rejected(pd):
+    # The payoff facts leave (C, C) out, so no play of it ends in an outcome.
     broken = _game_text_without(pd, "payoff('C','C'")
     with pytest.raises(GameSpecError) as err:
         parse_game(broken)
-    assert str(err.value) == "no payoff fact for move pair (C, C)"
+    assert str(err.value) == "no play ends in the labelled move pair (C, C)"
 
 
-def test_duplicate_payoff_detected(pd):
-    text = game_to_text(pd) + "\npayoff('D','D',9,9).\n"
-    with pytest.raises(GameSpecError) as err:
-        parse_game(text)
-    assert str(err.value) == "duplicate payoff fact for (D, D)"
-
-
-@pytest.mark.parametrize("clause, message", [
-    ("payoff('D','D',1,1) :- initial(s0).",
-     "payoff clause must be a ground fact: payoff('D','D',1,1) :- initial(s0)."),
-    ("payoff('D',M,1,1).", "payoff clause must be a ground fact: payoff('D',M,1,1)."),
-    ("payoff('D','D',high,1).",
-     "payoff fact must be payoff(move, move, int, int): payoff('D','D',high,1)."),
+@pytest.mark.parametrize("clauses, message", [
+    ("payoff('D','D',1,1).\npayoff('D','D',9,9).",
+     "the rules give the move pair (D, D) two payoffs: (1, 1) and (9, 9)"),
+    ("payoff('D',M,1,1).", "the rules give the move pair (D, C) two payoffs: (1, 1) and (5, 0)"),
 ])
-def test_payoff_clause_that_is_no_fact_of_moves_and_integers_is_rejected(pd, clause, message):
-    text = game_to_text(pd).replace("payoff('D','D',1,1).", clause)
-    assert clause in text
+def test_a_move_pair_the_rules_give_two_payoffs_is_rejected(pd, clauses, message):
+    text = game_to_text(pd)
+    assert text.count("payoff('D','D',1,1).") == 1
     with pytest.raises(GameSpecError) as err:
-        parse_game(text)
+        parse_game(text.replace("payoff('D','D',1,1).", clauses))
     assert str(err.value) == message
 
 
-def test_outcome_payoff_that_is_no_integer_names_the_answer(pd):
-    # The rules derive `high` as the row player's payoff, though the payoff
-    # facts, which load_game reads, are all integers.
-    text = game_to_text(pd).replace("payoff(M1,M2,U1,U2).", "payoff(M1,M2,V1,U2), U1 = high.")
-    assert "U1 = high" in text
-    g = parse_game(text)
-    with pytest.raises(GameSpecError) as err:
-        enumerate_outcomes(g)
-    assert str(err.value) == (
-        "outcome moves must be atoms and payoffs integers: "
-        "S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), P1 = p1, M1 = 'D', U1 = high, "
-        "P2 = p2, M2 = 'D', U2 = 1"
-    )
+def test_a_payoff_rule_loads_as_the_fact_it_derives(pd):
+    text = game_to_text(pd).replace("payoff('D','D',1,1).", "payoff('D','D',1,1) :- initial(s0).")
+    assert "payoff('D','D',1,1) :- initial(s0)." in text
+    assert parse_game(text).payoffs == pd.payoffs
 
 
-def test_outcome_payoff_the_rules_leave_unbound_names_the_variable(pd):
+@pytest.mark.parametrize("old, new, shown", [
+    # The rules derive `high` as the row player's payoff.
+    ("payoff(M1,M2,U1,U2).", "payoff(M1,M2,V1,U2), U1 = high.", "U1 = high"),
     # The rules never bind the row player's payoff, so the answer leaves U1 out.
-    text = game_to_text(pd).replace("payoff(M1,M2,U1,U2).", "payoff(M1,M2,_,U2).")
-    assert "payoff(M1,M2,_,U2)." in text
-    g = parse_game(text)
+    ("payoff(M1,M2,U1,U2).", "payoff(M1,M2,_,U2).", "U1 = U1"),
+    ("payoff('D','D',1,1).", "payoff('D','D',high,1).", "U1 = high"),
+], ids=["derived-atom", "unbound", "atom-fact"])
+def test_an_outcome_payoff_that_is_no_integer_names_the_answer(pd, old, new, shown):
+    text = game_to_text(pd)
+    assert text.count(old) == 1
     with pytest.raises(GameSpecError) as err:
-        enumerate_outcomes(g)
+        parse_game(text.replace(old, new))
     assert str(err.value) == (
         "outcome moves must be atoms and payoffs integers: "
-        "S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), P1 = p1, M1 = 'D', U1 = U1, "
-        "P2 = p2, M2 = 'D', U2 = 1"
+        f"S = do(choice(p2,'D'),do(choice(p1,'D'),s0)), M1 = 'D', {shown}, M2 = 'D', U2 = 1"
     )
 
 
-# A third move, with every payoff fact it needs, that no label names.
-THIRD_MOVE = "".join(f"\npayoff({a},{b},0,0)." for a, b in
-                     [("'X'", "'D'"), ("'X'", "'C'"), ("'X'", "'X'"), ("'D'", "'X'"), ("'C'", "'X'")])
+def test_a_search_that_stops_at_a_limit_is_rejected_and_not_cached(pd):
+    # A `finally` clause that never ends, ahead of the game's own.
+    text = game_to_text(pd)
+    at = text.index("finally(outcome(")
+    looping = text[:at] + "finally(X,S) :- loop(X,S).\nloop(X,S) :- loop(X,S).\n" + text[at:]
+    message = "cannot derive the payoff table: resolution depth limit exceeded (512)"
+    with pytest.raises(GameSpecError) as err:
+        parse_game(looping)
+    assert str(err.value) == message
+    g = replace(pd, clauses=tuple(parse_program(looping)[0]))
+    for _ in range(2):  # nothing is cached, so the second read searches again
+        with pytest.raises(GameSpecError) as err:
+            g.payoffs
+        assert str(err.value) == message
+    assert "payoffs" not in vars(g)
+
+
+def test_the_payoff_table_reads_only_the_plays_of_the_named_roles(pd):
+    # An outcome view that names the col player first ends no play with the
+    # reasoner as p1, so no verdict could correct an outcome claim from it.
+    text = game_to_text(pd)
+    for old, new in [("holds(role(P1,row),S)", "holds(role(P1,col),S)"),
+                     ("holds(role(P2,col),S)", "holds(role(P2,row),S)")]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with pytest.raises(GameSpecError) as err:
+        parse_game(text)
+    assert str(err.value) == "no play ends in the labelled move pair (D, D)"
+
+
+# A third move, possible for both players and with every payoff fact it
+# needs, that no label names.
+THIRD_MOVE = "possible(choice(P,'X'),S) :- holds(player(P),S)." + "".join(
+    f"\npayoff({a},{b},0,0)." for a, b in
+    [("'X'", "'D'"), ("'X'", "'C'"), ("'X'", "'X'"), ("'D'", "'X'"), ("'C'", "'X'")])
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("%! label B: 'C'", "%! label B: 'Z'", "labels map to unknown moves ['Z']"),
+    ("%! label B: 'C'", "%! label B: 'Z'", "no play ends in the labelled move pair (D, Z)"),
     ("%! label B: 'C'", "", "metadata header is missing 'label B'"),
     ("%! label B: 'C'", "%! label B: 'D'",
      "labels must map to distinct moves, got {'R': 'D', 'B': 'D'}"),
-    ("payoff('C','C',3,3).", "payoff('C','C',3,3)." + THIRD_MOVE,
-     "every move needs a label: moves ('D', 'C', 'X'), labels {'R': 'D', 'B': 'C'}"),
+    ("payoff('C','C',3,3).", "payoff('C','C',3,3).\n" + THIRD_MOVE,
+     "plays end in moves no label names: ['X']"),
 ], ids=["unknown-move", "missing-label", "one-move-twice", "unlabelled-move"])
 def test_invalid_label_map_detected(pd, old, new, message):
     text = game_to_text(pd)

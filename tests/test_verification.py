@@ -8,12 +8,13 @@ import string
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import oracle_holds
 from lelma import verification
-from lelma.games import parse_game
+from lelma.games import PayoffMatrix, parse_game
 from lelma.gateway import Usage
 from lelma.orchestrator import (AttemptRecord, ExitReason, SessionTranscript, TranscriptFormatError,
                                 payoff_rules_text, read_transcript, write_transcript)
@@ -329,10 +330,15 @@ def test_a_query_is_checked_once_where_it_is_built(pd, check_calls):
     assert [r.holds for r in report.results] == [True, True, False, True]
 
 
-def test_evaluate_all_captures_engine_errors(pd):
-    # A `finally` clause that never ends, ahead of the game's own.
+def test_evaluate_all_captures_engine_errors():
+    # A `finally` clause that never ends once the row player's payoff is
+    # bound, ahead of the game's own: the table, searched with that payoff
+    # open, derives, and an outcome verdict loops.
     pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
-    looping = "finally(X, S) :- loop(X, S).\nloop(X, S) :- loop(X, S).\n"
+    looping = (
+        "finally(outcome(P1,M1,U1,P2,M2,U2), S) :- ground(U1), loop(S).\n"
+        "loop(S) :- loop(S).\n"
+    )
     at = pd_text.index("finally(outcome(")
     g = parse_game(pd_text[:at] + looping + pd_text[at:])
     q = parse_query_line("finally(outcome(you,B,3,them,B,_),S)", g)
@@ -345,20 +351,25 @@ def test_evaluate_all_captures_engine_errors(pd):
     assert held.holds
 
 
-def test_an_outcome_the_rules_miss_but_the_payoff_facts_give_is_an_error(pd):
-    # The rules give the row player the payoff `high`; the payoff facts give 1
-    # for (R, R). The correction "1, not 1" would contradict itself.
+def test_every_verdict_reads_the_payoff_table_the_rules_derive():
+    # pd whose outcome rule, not its payoff facts, swaps each pair's payoffs:
+    # (D, C) pays the reasoner 0 and (C, D) pays it 5.
     pd_text = files("lelma").joinpath("resources", "games", "pd.gdl").read_text()
-    g = parse_game(pd_text.replace("payoff(M1, M2, U1, U2).", "payoff(M1, M2, V1, U2), U1 = high."))
-    same, other = (Query(QueryKind.OUTCOME, ("R", n, "R")) for n in (1, 5))
-    errored, failed = evaluate_all([same, other], g).results
-    message = (
-        "the rules and the payoff facts disagree on (R, R): no play ends with your"
-        " payoff 1, but the payoff facts give 1"
-    )
-    assert (errored.holds, errored.corrections, errored.error) == (False, (), message)
-    assert errored.explanation == f"Could not verify: {message}"
-    assert (failed.holds, failed.error, failed.corrections) == (False, None, (("payoff", 1),))
+    g = parse_game(pd_text.replace("payoff(M1, M2, U1, U2).", "payoff(M1, M2, U2, U1)."))
+    rules_table = {("D", "D"): (1, 1), ("D", "C"): (0, 5), ("C", "D"): (5, 0), ("C", "C"): (3, 3)}
+    assert g.payoffs.entries == rules_table
+    # The oracle reads the table from a stand-in that holds it, written out above.
+    oracle_game = SimpleNamespace(payoffs=PayoffMatrix(("D", "C"), rules_table),
+                                  move_labels=g.move_labels)
+    checked = 0
+    for q in all_instantiations(g):
+        result = evaluate_query(q, g)
+        assert result.holds == oracle_holds(q.kind.value, q.args, oracle_game), query_to_text(q)
+        if not result.holds:
+            fixed = apply_corrections(q, result.corrections)
+            assert evaluate_query(fixed, g).holds, (query_to_text(q), result.corrections)
+        checked += 1
+    assert checked >= 100
 
 
 def test_render_feedback_joins_failed_explanations(pd):
@@ -442,13 +453,13 @@ def test_golden_feedback_uses_every_template(games):
     assert used == set(patterns)
 
 
-# --- a game whose label R is the second move in payoff order -----------------
+# --- a game whose payoff facts list label B's move first ----------------------
 
 SWAPPED_FEEDBACK = Path(__file__).with_name("swapped_labels_feedback.txt")
 
-# Asymmetric payoffs listed with 'C' first, so 'C' (label B) is the first
-# move in payoff order and 'D' (label R) the second; in pd, sh and hd the
-# order is R, B. The highest mutual payoff ties between (R, B) and (R, R).
+# Asymmetric payoffs listed with 'C' (label B) first; the payoff view still
+# lists R first, as in pd, sh and hd. The highest mutual payoff ties between
+# (R, R) and (R, B).
 _SWAPPED_PAYOFFS = """\
 payoff('C', 'C', 4, 2).
 payoff('C', 'D', 0, 3).
@@ -464,7 +475,7 @@ def swapped():
         line for line in pd_text.splitlines() if not line.startswith(("%! name", "payoff("))
     ]
     g = parse_game("%! name: swapped\n" + _SWAPPED_PAYOFFS + "\n".join(rules) + "\n")
-    assert tuple(g.label_payoffs) == (("B", "B"), ("B", "R"), ("R", "B"), ("R", "R"))
+    assert tuple(g.label_payoffs) == (("R", "R"), ("R", "B"), ("B", "R"), ("B", "B"))
     return g
 
 
