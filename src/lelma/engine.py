@@ -44,32 +44,33 @@ they take time linear in the term's stored size.
 
 `RuleBase` also builds one entry per predicate. The entry switches on
 the principal functor or constant of a goal's argument at the first
-head position where the clauses' principal symbols differ, as the
-WAM's `switch_on_term` does on the first argument (Warren, An Abstract
-Prolog Instruction Set, SRI Tech. Note 309, 1983): the game rules'
+head position where the clauses' principal symbols differ, as the WAM's
+`switch_on_term` does on the first argument (Warren, An Abstract Prolog
+Instruction Set, SRI Tech. Note 309, 1983): the game rules'
 `holds(F, s0)` tries only the clause whose second head argument is a
-variable. A
-predicate of two or more clauses also guards the first position where
-every head has the same principal symbol, so a goal bound to another
-symbol there tries no clause: indexing on more than the first argument
-(Santos Costa, Sagonas & Lopes, Demand-Driven Indexing of Prolog
-Clauses, ICLP 2007), fixed once per RuleBase. A skipped clause still
-keeps its ordinal. A compound keys by its functor alone, since the
-clause functions check arity anyway. The compiler notes each head
-argument's key as it writes that argument's code, and stops after one
-whose code calls `_unify`, so skipping a clause never skips a
-LogicError that unifying its head would raise. Each body
-literal is compiled into a goal node that carries its callee (the
-entry, a builtin, a negation or the literal's own `=` function), so
-selecting a goal looks nothing up, unless the goal is a variable or its
-predicate is undefined. One loop runs a whole search. A `\\+` whose goal
-calls a predicate of facts only, as the game rules'
-`\\+ abnormal(F, M, S)` does, is decided in place: the loop tries the
-facts itself, in the negated goal's step, and fails the `\\+` on the
-first that matches. Any other `\\+` pushes a
-barrier choice point and runs its subproof in the same loop, cutting
-back to the barrier and failing once the subproof is proved. A choice
-point is pushed only while a later candidate clause is left.
+variable. A predicate of two or more clauses also guards the first
+position where every head has the same principal symbol, so a goal
+bound to another symbol there tries no clause: indexing on more than
+the first argument (Santos Costa, Sagonas & Lopes, Demand-Driven
+Indexing of Prolog Clauses, ICLP 2007), fixed once per RuleBase. A
+skipped clause still keeps its ordinal. A compound keys by its functor
+alone, since the clause functions check arity anyway. The compiler
+notes each head argument's key as it writes that argument's code, and
+stops after one whose code calls `_unify`, so skipping a clause never
+skips a LogicError that unifying its head would raise. A clause whose
+head or body arguments nest deeper than `_MAX_NESTING` compounds is
+interpreted whole (`_interpreted`) and has no keys. Each body literal
+is compiled into a goal node that carries its callee (the entry, a
+builtin, a negation or the literal's own `=` function), so selecting a
+goal looks nothing up, unless the goal is a variable or its predicate
+is undefined. One loop runs a whole search. A `\\+` whose goal calls a
+predicate of facts only, as the game rules' `\\+ abnormal(F, M, S)`
+does, is decided in place: the loop tries the facts itself, in the
+negated goal's step, and fails the `\\+` on the first that matches. Any
+other `\\+` pushes a barrier choice point and runs its subproof in the
+same loop, cutting back to the barrier and failing once the subproof is
+proved. A choice point is pushed only while a later candidate clause is
+left.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ class Clause:
 
 class RuleBase:
     """An immutable, source-ordered program indexed by functor/arity,
-    with each predicate compiled once into an entry for the search. Every
-    clause compiles, in time linear in its size, however deep its terms
-    nest (see `_MAX_NESTING`)."""
+    with each predicate compiled once into an entry for the search, in
+    time linear in its size. A clause too deep for straight-line code is
+    interpreted whole (see `_compile`)."""
 
     def __init__(self, clauses: Iterable[Clause]):
         index: dict[tuple[str, int], list[Clause]] = {}
@@ -530,19 +531,15 @@ BUILTINS = {("ground", 1): _ground, ("=", 2): _eq}
 # on a new shape just compile it twice.
 _MAKERS: "dict[str, object]" = {}
 
-# How deep the code of a term may nest. Code that matches a term nests one
-# indentation level per compound, and Python reads at most 99; an expression
-# that builds a term nests one bracket per compound that holds a variable,
-# and Python reads fewer than 200.
+# How many compounds deep a compiled clause's head and body arguments may nest:
+# matching code nests one indentation level per compound, and Python reads at
+# most 99; building code one bracket per compound that holds a variable, and
+# Python reads fewer than 200.
 _MAX_NESTING = 90
 
 
 class _ClauseCompiler:
-    """Writes the source of one clause's `make` factory and collects the
-    values it is called with. The code of a term nests at most
-    _MAX_NESTING deep: a deeper head argument or `=` side is unified by
-    `_unify` (see `match`), and a deeper term is made by `_to_cells` (see
-    `build`)."""
+    """Writes one clause's `make` factory and collects its arguments (see `_compile`)."""
 
     def __init__(self, clause: Clause, callee_of) -> None:
         terms = (clause.head, *(l.term for l in clause.body))
@@ -570,7 +567,7 @@ class _ClauseCompiler:
             if not self.calls_unify:
                 key = a.value if isinstance(a, Int) else a.name if isinstance(a, Atom) else None
                 self.keys.append(a.functor if isinstance(a, Struct) else key)
-            self.match(a, f"goal[{i}]")
+            self.unify(2, a, f"goal[{i}]")
         # The body's nodes are consed onto `rest` one statement each, last
         # first, so a long body nests no brackets.
         node = "rest"
@@ -633,60 +630,32 @@ class _ClauseCompiler:
         self.lines, self.met, self.fail = [], {v.name for v in shared}, "return False"
         self.emit(1, f"def {name}(node, trail):")
         self.emit(2, f"ordinal, {cells} = node")
-        self.match(rhs, self.local[lhs.name])
+        self.unify(2, rhs, self.local[lhs.name])
         self.emit(2, "return True")
         self.functions.append(self.lines)
         self.lines, self.met, self.fail = outer
         return f"(ordinal, {cells}), {name}"
 
-    def match(self, h: Term, g: str) -> None:
-        """Code at the top of a function that unifies clause term `h` with
-        the goal cell term `g` as `unify` does. A term nesting more than
-        _MAX_NESTING compounds gets its new cells, is built, and is unified
-        by `_unify`, which binds the same way."""
-        if fold(h, lambda t: 0, lambda f, depths: 1 + max(depths, default=0)) <= _MAX_NESTING:
-            self.unify(2, h, g)
-            return
-        self.fresh(2, h)
-        self.calls_unify = True
-        self.emit(2, f"if not _unify({g}, {self.build(h)}, trail):")
-        self.emit(3, self.fail)
-
     def build(self, term: Term) -> str:
-        """An expression for the cell term of `term`, whose variables are met.
+        """An expression for the cell term of `term`, whose variables are met:
+        a ground part is one constant, and a compound that holds a variable
+        is a tuple of its functor's constant and its arguments' expressions."""
 
-        A ground part is one constant; a compound that holds a variable is
-        a tuple of its functor's constant and its arguments' expressions.
-        A tuple that would nest more than _MAX_NESTING brackets is instead
-        `_to_cells` of the term, given the cells of its variables.
-        """
-
-        # A part folds to (None, its cell term) if it is ground, else to
-        # (its expression, how many brackets deep that nests).
+        # A part folds to (None, its cell term) if ground, else to (its expression, None).
         def leaf(t):
             if isinstance(t, Var):
-                return self.local[t.name], 0
+                return self.local[t.name], None
             return None, t.name if isinstance(t, Atom) else t.value
 
         def node(functor, args):
             if all(text is None for text, _ in args):
                 return None, (functor, *(cell for _, cell in args))
-            depth = 1 + max(depth for text, depth in args if text is not None)
-            if depth > _MAX_NESTING:
-                return "", depth  # the term is made by `_to_cells`, below
             f = self.const(functor)
             parts = "".join(f", {self.const(v) if text is None else text}" for text, v in args)
-            return f"({f}{parts})", depth
+            return f"({f}{parts})", None
 
-        mark = len(self.consts)
-        text, value = fold(term, leaf, node) if isinstance(term, Struct) else leaf(term)
-        if text is None:
-            return self.const(value)
-        if value <= _MAX_NESTING:
-            return text
-        del self.consts[mark:]  # the constants of the expression not used
-        cells = ", ".join(f"{self.const(v)}: {self.local[v.name]}" for v in term_vars(term))
-        return f"_to_cells({self.const(term)}, {{{cells}}})"
+        text, value = fold(term, leaf, node)
+        return self.const(value) if text is None else text
 
     def unify(self, indent: int, h: Term, g: str) -> None:
         """Code that unifies clause term `h` with the goal cell term `g`,
@@ -698,8 +667,7 @@ class _ClauseCompiler:
         variable met before is unified in full. Otherwise the goal term is
         walked: an unbound goal variable is bound to `h` built with new
         cells, and a bound goal term is matched against an atom, integer or
-        compound `h` part by part. `h` nests at most _MAX_NESTING compounds
-        (see `match`).
+        compound `h` part by part. `h` nests at most _MAX_NESTING compounds.
         """
         emit = self.emit
         if isinstance(h, Var):
@@ -748,20 +716,45 @@ def _compile(clause: Clause, callee_of) -> "tuple[object, list]":
     with the callee `callee_of(literal)` gives, or, for a compiled `=`
     literal, with its own function (see `_ClauseCompiler.equation`).
 
-    The keys end at the first argument whose code calls `_unify`: one that
-    holds a variable met earlier in the head, or nests deeper than
-    _MAX_NESTING. `_unify` can raise LogicError on cyclic goal terms, so
-    skipping a clause on a later argument could lose that error; the
-    argument that calls it checks its own principal symbol first.
+    The keys end at the first argument whose code calls `_unify`, one that
+    holds a variable met earlier in the head: `_unify` can raise LogicError
+    on cyclic goal terms, so skipping a clause on a later argument could
+    lose that error; the argument that calls it checks its own principal
+    symbol first. A clause with a head or body argument deeper than
+    _MAX_NESTING compounds is `_interpreted` instead, with no keys.
     """
+    terms = (clause.head, *(l.term for l in clause.body))
+    for a in (a for t in terms for a in (t.args if isinstance(t, Struct) else (t,))):
+        if fold(a, lambda t: 0, lambda f, depths: 1 + max(depths, default=0)) > _MAX_NESTING:
+            return _interpreted(clause, terms, callee_of), []
     compiler = _ClauseCompiler(clause, callee_of)
     source = compiler.source()
     make = _MAKERS.get(source)
     if make is None:
-        namespace = {"_unify": _unify, "_FAIL": _FAIL, "_to_cells": _to_cells}
+        namespace = {"_unify": _unify, "_FAIL": _FAIL}
         exec(compile(source, "<lelma clause>", "exec"), namespace)
         make = _MAKERS[source] = namespace["make"]
     return make(*compiler.consts), compiler.keys
+
+
+def _interpreted(clause: Clause, terms: "tuple[Term, ...]", callee_of):
+    """The function of a clause too deep for straight-line code. Each call
+    gives each variable name a new cell, as compiled code does, unifies the
+    goal with the head built from them by `_unify`, which binds the clause's
+    variables to the goal's, then builds the body from the same cells."""
+    variables = {v: v.name for t in terms for v in term_vars(t)}
+    body = [(l.term, callee_of(l)) for l in reversed(clause.body)]
+
+    def interpreted(goal, trail: list, ordinal: int, rest):
+        named = {name: [None, name, ordinal] for name in set(variables.values())}
+        cells = {v: named[name] for v, name in variables.items()}
+        if not _unify(goal, _to_cells(clause.head, cells), trail):
+            return _FAIL
+        for term, callee in body:
+            rest = (_to_cells(term, cells), callee, rest)
+        return rest
+
+    return interpreted
 
 
 def _search(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .games import GameSpec, load_game
+from .games import BUNDLED_GAMES, GameSpec, load_game
 from .gateway import ModelConfig, replace_text, utf8_text
 from .orchestrator import (
     LoopConfig,
@@ -53,7 +53,7 @@ class ExperimentError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    games: "tuple[str, ...]" = ("pd", "sh", "hd")
+    games: "tuple[str, ...]" = BUNDLED_GAMES
     reasoner: ModelConfig = ModelConfig()
     translator: ModelConfig = ModelConfig()
     repetitions: int = 30

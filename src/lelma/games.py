@@ -1,12 +1,13 @@
 """Game definitions: parsing, validation, and outcome enumeration.
 
 A game file supplies the game-dependent clauses (initial facts, move
-possibility/legality, effects, frame exceptions, terminal test, payoff
-facts, outcome/goal views) plus a metadata header naming the game and
-mapping the prompt labels R and B onto move atoms. The reasoner is the
-row player the initial facts name. The game-independent successor-state
-and game-tree rules are shared by every game and are kept verbatim in
-this module. A game loads only if its rules derive a whole payoff table.
+possibility/legality, effects, frame exceptions, terminal test,
+outcome/goal views and whatever they call, such as payoff facts) plus a
+metadata header naming the game and mapping the prompt labels R and B
+onto move atoms. The reasoner is the row player the initial facts name.
+The game-independent successor-state and game-tree rules are shared by
+every game and are kept verbatim in this module. A game loads only if
+its rules derive a whole payoff table.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ REQUIRED_PREDICATES = (
     ("effect", 3),
     ("abnormal", 3),
     ("final", 1),
-    ("payoff", 4),
     ("finally", 2),
 )
 

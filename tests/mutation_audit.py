@@ -73,7 +73,10 @@ SUBSETS = {
         ),
     ),
     "engine": (
-        ("_search", "_unify", "_is_ground", "_fold_cells", "_to_cells", "_Pred", "solve"),
+        (
+            "_search", "_unify", "_is_ground", "_fold_cells", "_to_cells", "_Pred",
+            "_ClauseCompiler", "_compile", "_interpreted", "solve",
+        ),
         (
             "tests/test_engine.py",
             "tests/test_engine_reference.py",

@@ -24,9 +24,9 @@ from lelma.engine import (
     solve,
     solve_all,
 )
-from lelma.games import game_independent_rules
+from lelma.games import BUNDLED_GAMES, game_independent_rules, load_game
 from lelma.gdl import parse_clause, parse_goal, parse_program
-from lelma.terms import Atom, Int, Struct, Term, Var, is_ground, resolve, term_vars
+from lelma.terms import Atom, Int, Struct, Term, Var, fold, is_ground, resolve, term_vars
 from lelma.verification import Query, QueryKind
 
 
@@ -252,18 +252,25 @@ def test_worked_query_takes_exactly_990_steps(pd):
     assert err.value.kind == "step"
 
 
-def test_false_outcome_claim_takes_exactly_614_steps(pd, monkeypatch):
+def false_outcome_goal(pd, monkeypatch) -> "tuple[Literal, ...]":
+    """The one goal the verdict on pd's false outcome claim (B, 5, B) solves."""
     calls = []
 
     def recording_solve(rulebase, goal, limits=None):
         calls.append((rulebase, tuple(goal)))
         return solve(rulebase, goal, limits)
 
-    monkeypatch.setattr(verification, "solve", recording_solve)
-    result = verification.evaluate_query(Query(QueryKind.OUTCOME, ("B", 5, "B")), pd)
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "solve", recording_solve)
+        result = verification.evaluate_query(Query(QueryKind.OUTCOME, ("B", 5, "B")), pd)
     assert not result.holds
     ((rulebase, goal),) = calls
-    assert steps_to_finish(rulebase, goal) == 614
+    assert rulebase is pd.rulebase
+    return goal
+
+
+def test_false_outcome_claim_takes_exactly_614_steps(pd, monkeypatch):
+    assert steps_to_finish(pd.rulebase, false_outcome_goal(pd, monkeypatch)) == 614
 
 
 def test_every_outcome_verdict_runs_the_engine(pd, monkeypatch):
@@ -281,17 +288,23 @@ def test_every_outcome_verdict_runs_the_engine(pd, monkeypatch):
     assert goals[0] == goals[2] and goals[1] == goals[3]
 
 
-def test_answers_match_the_recorded_text(games):
+def rendered_answers(games) -> "list[str]":
+    """The answers of GOLDEN_GOALS on each game, as GOLDEN_ANSWERS lists them."""
     rendered = []
     for name, g in games.items():
         for text in GOLDEN_GOALS:
             rendered.append(f"[{name}] {text}")
             for a in answers(g.rulebase, text):
                 rendered.append(", ".join(f"{v} = {t}" for v, t in a.items()))
-    recorded = [
-        line for line in GOLDEN_ANSWERS.read_text().splitlines() if not line.startswith("#")
-    ]
-    assert rendered == recorded
+    return rendered
+
+
+def recorded_answers() -> "list[str]":
+    return [line for line in GOLDEN_ANSWERS.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_answers_match_the_recorded_text(games):
+    assert rendered_answers(games) == recorded_answers()
 
 
 @pytest.mark.parametrize("goal, printed", [
@@ -537,30 +550,36 @@ def test_no_argument_after_a_repeated_variable_selects_clauses():
 
 
 def test_no_argument_after_one_deeper_than_straight_line_code_selects_clauses():
-    # Argument 1 nests past _MAX_NESTING, so `_unify` unifies it, and
-    # argument 2 may not skip a clause.
+    # Argument 1 nests past _MAX_NESTING, so each clause is interpreted
+    # whole, has no switch keys, and no argument may skip it.
     deep = nested(91, "z")
     base = rb(f"q({deep}, a). q({deep}, b).")
-    assert (base._preds[("q", 2)].at, base._preds[("q", 2)].guard_at) == (0, 1)
+    assert (base._preds[("q", 2)].at, base._preds[("q", 2)].guard_at) == (0, 0)
     assert printed_answers(base, "q(T, b)") == [f"T = {deep}"]
     assert steps_to_finish(base, parse_goal("q(T, b)")) == 1
 
 
-def random_argument(rng: random.Random, depth: int = 3) -> Term:
+def random_argument(rng: random.Random, depth: int = 3, deep: bool = True) -> Term:
     """A head argument: a variable of three names, so some repeat, a
-    constant, a compound, or now and then one nested about _MAX_NESTING deep."""
+    constant, a compound, or now and then, if `deep`, one nested about
+    _MAX_NESTING deep."""
     roll = rng.random()
-    if roll < 0.05:
+    if roll < 0.05 and deep:
         term = rng.choice([Atom("a"), Var("X")])
         for _ in range(rng.randint(89, 92)):
             term = Struct("s", (term,))
         return term
     if roll < 0.3 and depth:
-        args = tuple(random_argument(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+        args = tuple(random_argument(rng, depth - 1, deep) for _ in range(rng.randint(0, 2)))
         return Struct(rng.choice("fg"), args)
     if roll < 0.6:
         return Var(rng.choice("XYZ"))
     return Atom(rng.choice("ab")) if roll < 0.8 else Int(rng.randint(0, 2))
+
+
+def nesting(term: Term) -> int:
+    """How many compounds deep `term` nests."""
+    return fold(term, lambda t: 0, lambda functor, depths: 1 + max(depths, default=0))
 
 
 def test_the_switch_keys_end_at_the_first_argument_whose_code_calls_unify():
@@ -568,13 +587,17 @@ def test_the_switch_keys_end_at_the_first_argument_whose_code_calls_unify():
     rng = random.Random(30)
     for _ in range(300):
         head = Struct("p", tuple(random_argument(rng) for _ in range(rng.randint(1, 4))))
+        _, keys = engine._compile(Clause(head), None)
+        if max(map(nesting, head.args)) > engine._MAX_NESTING:  # interpreted whole
+            assert keys == [], str(head)
+            seen.add("deep")
+            continue
         symbols = [
             a.functor if isinstance(a, Struct) else a.name if isinstance(a, Atom)
             else a.value if isinstance(a, Int) else None
             for a in head.args
         ]
         source = engine._ClauseCompiler(Clause(head), None).source()
-        _, keys = engine._compile(Clause(head), None)
         lines = source.splitlines()
         calls = [i for i, line in enumerate(lines) if "_unify(" in line]
         last = len(head.args)
@@ -582,7 +605,7 @@ def test_the_switch_keys_end_at_the_first_argument_whose_code_calls_unify():
             last = max(map(int, re.findall(r"goal\[(\d+)\]", "\n".join(lines[: calls[0] + 1]))))
         assert keys == symbols[:last], (str(head), source)
         seen.add((bool(calls), last < len(head.args)))
-    assert seen == {(False, False), (True, False), (True, True)}
+    assert seen == {"deep", (False, False), (True, False), (True, True)}
 
 
 def test_nested_negation():
@@ -972,6 +995,38 @@ def test_a_first_head_occurrence_takes_the_goal_term():
     )
 
 
+def test_a_body_equation_is_compiled_into_a_function_of_its_own():
+    # As the WAM's get_structure: the node carries the cells of X and of Z,
+    # which the head shares; Y occurs in the equation alone, so its cell is
+    # made inside `eq0`, and only when X is unbound.
+    clause = parse_clause("p(X, Z) :- X = f(Y, Z).")
+    assert engine._ClauseCompiler(clause, lambda literal: None).source() == (
+        "def make(k0, k1, k2):\n"
+        "    def eq0(node, trail):\n"
+        "        ordinal, v0, v1 = node\n"
+        "        t0 = v0\n"
+        "        while type(t0) is list:\n"
+        "            if t0[0] is None:\n"
+        "                v2 = [None, k0, ordinal]\n"
+        "                t0[0] = (k1, v2, v1)\n"
+        "                trail.append(t0)\n"
+        "                break\n"
+        "            t0 = t0[0]\n"
+        "        else:\n"
+        "            if type(t0) is not tuple or len(t0) != 3 or t0[0] != k2:\n"
+        "                return False\n"
+        "            v2 = t0[1]\n"
+        "            if t0[2] is not v1 and not _unify(t0[2], v1, trail):\n"
+        "                return False\n"
+        "        return True\n"
+        "    def clause(goal, trail, ordinal, rest):\n"
+        "        v0 = goal[1]\n"
+        "        v1 = goal[2]\n"
+        "        return ((ordinal, v0, v1), eq0, rest)\n"
+        "    return clause\n"
+    )
+
+
 def clause_functions(rulebase, key) -> list:
     """The compiled clauses of a predicate's entry, in source order."""
     functions, node = [], rulebase._preds[key].clauses
@@ -1001,8 +1056,104 @@ def test_clauses_that_differ_only_in_constants_share_code(games):
     assert len({f.__code__ for f in bundled}) * 2 < len(bundled)
 
 
-def test_no_bundled_clause_is_converted_at_run_time(games):
+def test_no_bundled_clause_is_interpreted(games):
     # Every term of the bundled games is shallow enough for straight-line code.
     for g in games.values():
-        for c in game_independent_rules() + g.clauses:
-            assert "_to_cells" not in engine._ClauseCompiler(c, g.rulebase._callee).source()
+        for key in g.rulebase._preds:
+            for f in clause_functions(g.rulebase, key):
+                assert f.__code__.co_filename == "<lelma clause>"
+
+
+# --- interpreted clauses: the reference for compiled ones ----------------------
+
+
+def interpreted_only(base: RuleBase) -> bool:
+    functions = [f for key in base._preds for f in clause_functions(base, key)]
+    return bool(functions) and all(
+        f.__qualname__ == "_interpreted.<locals>.interpreted" for f in functions
+    )
+
+
+def test_interpreted_clauses_give_the_recorded_answers_and_steps(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_NESTING", -1)  # every clause is interpreted
+    interpreted = {name: load_game(name) for name in BUNDLED_GAMES}
+    assert all(interpreted_only(g.rulebase) for g in interpreted.values())
+    assert rendered_answers(interpreted) == recorded_answers()
+    pd = interpreted["pd"]
+    assert steps_to_finish(pd.rulebase, parse_goal(WORKED_QUERY)) == 990
+    assert steps_to_finish(pd.rulebase, false_outcome_goal(pd, monkeypatch)) == 614
+
+
+def random_body_literal(rng: random.Random) -> Literal:
+    """A call of p/2, q/1 or r/2, plain or under `\\+`, or `Var = NonVar`."""
+    roll = rng.random()
+    if roll < 0.25:
+        rhs = random_argument(rng, 2, deep=False)
+        while isinstance(rhs, Var):
+            rhs = random_argument(rng, 2, deep=False)
+        return Literal(struct("=", Var(rng.choice("XYZW")), rhs))
+    name = rng.choice("pqr")
+    call = struct(name, *(random_argument(rng, 1, deep=False) for _ in range(1 + (name != "q"))))
+    return Literal(call, negated=roll < 0.5)
+
+
+def random_program(rng: random.Random) -> "list[Clause]":
+    clauses = []
+    for name, arity in (("p", 2), ("q", 1), ("r", 2)):
+        for _ in range(rng.randint(1, 3)):
+            head = Struct(name, tuple(random_argument(rng, deep=False) for _ in range(arity)))
+            body = tuple(random_body_literal(rng) for _ in range(rng.choice((0, 0, 1, 2, 3))))
+            clauses.append(Clause(head, body))
+    return clauses
+
+
+def search_end(base: RuleBase, goal, max_steps: int):
+    """How the search of `goal` ends under `max_steps` and a depth limit of
+    40: its answers, printed, or its error's type and message."""
+    try:
+        found = solve_all(base, goal, ResolutionLimits(max_steps=max_steps, max_depth=40))
+    except LogicError as err:
+        return type(err).__name__, str(err)
+    return [", ".join(f"{v} = {t}" for v, t in a.items()) for a in found]
+
+
+def least_steps(base: RuleBase, goal, max_steps: int) -> int:
+    """The least step budget under which the search of `goal` ends as it
+    does under `max_steps`."""
+    lo, hi = 0, max_steps
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search_end(base, goal, mid) == ("LimitExceeded", f"resolution step limit exceeded ({mid})"):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_interpreted_and_compiled_clauses_agree_on_random_programs(monkeypatch):
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(150):
+        clauses = random_program(rng)
+        compiled = RuleBase(clauses)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_MAX_NESTING", -1)
+            interpreted = RuleBase(clauses)
+        assert interpreted_only(interpreted) and not interpreted_only(compiled)
+        for _ in range(3):
+            goal = [random_body_literal(rng) for _ in range(rng.randint(1, 2))]
+            ends = [(search_end(b, goal, 400), least_steps(b, goal, 400)) for b in (compiled, interpreted)]
+            assert ends[0] == ends[1], ("\n".join(map(str, clauses)), goal)
+            end = ends[0][0]
+            seen.add(end[0] if isinstance(end, tuple) else bool(end))
+    assert seen == {True, False, "FlounderedNegation", "LimitExceeded", "LogicError"}
+
+
+def test_clause_variables_of_one_name_are_one_variable_compiled_or_interpreted(monkeypatch):
+    # As `rename_term` stamps them: X and X_1 both become X_<ordinal>.
+    clause = Clause(struct("p", Var("X"), Var("X", 1)))
+    for limit in (engine._MAX_NESTING, -1):
+        monkeypatch.setattr(engine, "_MAX_NESTING", limit)
+        base = RuleBase([clause])
+        assert interpreted_only(base) == (limit == -1)
+        assert (answers(base, "p(a, b)"), answers(base, "p(a, a)")) == ([], [{}])

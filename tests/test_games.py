@@ -154,6 +154,30 @@ def test_missing_predicate_detected(pd):
     assert str(err.value) == "game does not define required predicate legal/2"
 
 
+def test_a_game_whose_outcome_rules_state_the_payoffs_needs_no_payoff_facts(pd):
+    text = game_to_text(pd)
+    rule = next(line for line in text.splitlines() if line.startswith("finally(outcome("))
+    assert rule.endswith(", payoff(M1,M2,U1,U2).")
+    stated = [
+        rule.replace(", payoff(M1,M2,U1,U2).", ".").replace("M1", f"'{m1}'")
+        .replace("M2", f"'{m2}'").replace("U1", str(u1)).replace("U2", str(u2))
+        for (m1, m2), (u1, u2) in pd.payoffs.entries.items()
+    ]
+    lines = [line for line in text.splitlines() if not line.startswith("payoff(")]
+    lines[lines.index(rule)] = "\n".join(stated)
+    g = parse_game("\n".join(lines))
+    assert ("payoff", 4) not in {c.key() for c in g.clauses}
+    assert g.payoffs == pd.payoffs
+
+
+def test_a_game_whose_outcome_rule_calls_missing_payoff_facts_is_rejected(pd):
+    broken = _game_text_without(pd, "payoff('")
+    assert "payoff(M1,M2,U1,U2)" in broken
+    with pytest.raises(GameSpecError) as err:
+        parse_game(broken)
+    assert str(err.value) == "cannot derive the payoff table: unknown predicate payoff/4"
+
+
 def test_a_labelled_move_pair_that_no_play_ends_in_is_rejected(pd):
     # The payoff facts leave (C, C) out, so no play of it ends in an outcome.
     broken = _game_text_without(pd, "payoff('C','C'")

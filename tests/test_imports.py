@@ -278,8 +278,8 @@ KEPT_RECURSIVE = {
     "terms.resolve": "the dict-substitution API; perfbench's terms.* rows time it as it is",
     "terms._unify_into": "the dict-substitution API; perfbench's terms.* rows time it as it is",
     "engine._ClauseCompiler.unify": (
-        "recurses once per compound, at most _MAX_NESTING deep: `match` hands a deeper "
-        "head argument or `=` side to `_unify`"
+        "recurses once per compound, at most _MAX_NESTING deep: `_compile` interprets a "
+        "clause with a deeper head or body argument"
     ),
 }
 
